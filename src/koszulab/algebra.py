@@ -543,7 +543,10 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
         raise DatasetError(f"top level: unsupported format {doc.get('format')!r}")
     p = need(doc, "p", "top level")
     N = need(doc, "N", "top level")
-    ring = BaseRing(p, N)
+    try:
+        ring = BaseRing(p, N)
+    except ValueError as exc:
+        raise DatasetError(f"top level: {exc}")
     ca = need(doc, "coefficient_algebra", "top level")
     crank = need(ca, "rank", "coefficient_algebra")
     mc = need(ca, "mult_constants", "coefficient_algebra")

@@ -8,10 +8,8 @@ and flags (wall time is printed only in text mode and never serialized).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -89,30 +87,6 @@ def _profile_payload(prof: HomologyProfile, N: int) -> dict:
     # torsion claims are N-dependent artifacts of the truncation, so the
     # truncation level is always reported next to them
     return {"N": N, "profile": prof.summary()}
-
-
-def thread_count() -> int:
-    raw = os.environ.get("KOSZULAB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"KOSZULAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError("KOSZULAB_THREADS must be >= 1")
-    return n
-
-
-def _map_ordered(fn, items):
-    """Apply fn to items, fanning out over KOSZULAB_THREADS workers; results
-    are returned in input order regardless of completion order."""
-    n = thread_count()
-    items = list(items)
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 def _load(path, checks) -> Dataset:
@@ -296,7 +270,7 @@ def _suite_mic_duality(ds, checks):
         except MICError as exc:
             return k, False, str(exc)
 
-    results = _map_ordered(one, range(kmax + 1))
+    results = [one(k) for k in range(kmax + 1)]
     bad = [(k, w) for k, ok, w in results if not ok]
     checks.append(Check(
         "suite-mic-duality",
@@ -331,7 +305,7 @@ def _suite_thm_square(ds, checks):
         except (MICError, NotKoszulError) as exc:
             return k, False, str(exc), {}
 
-    results = _map_ordered(one, range(1, kmax + 1))
+    results = [one(k) for k in range(1, kmax + 1)]
     bad = [(k, w) for k, ok, w, _ in results if not ok]
     checks.append(Check(
         "suite-shift-square",

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .padic import (BaseRing, PAdicMatrix, ExactLinalgError, ShapeError,
-                    integer_smith, integer_invariant_factors)
+                    _eliminate)
 
 HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
@@ -133,144 +133,38 @@ class HomologyProfile:
                 for d in self.degrees}
 
 
-def _classify(val_N, exponent_counts, f, p):
-    """Bucket one elementary divisor class p^v: free if v >= N, torsion if 0<v<N."""
-    v = 0
-    x = abs(f)
-    while x and x % p == 0:
-        x //= p
-        v += 1
-    if f == 0 or v >= val_N:
-        return "free"
-    if v == 0:
-        return None
-    return v
+def _homology_degree(ring: BaseRing, rank: int,
+                     d_out: Optional[PAdicMatrix],
+                     d_in: Optional[PAdicMatrix]):
+    """(free rank, torsion exponents) of ker(d_out)/im(d_in) in one degree.
 
-
-def _integer_lift_is_complex(C: ChainComplex):
-    lifts = [d.lift_centered() for d in C.differentials]
-    for j in range(len(lifts) - 1):
-        if C.orientation == HOMOLOGICAL:
-            A, B = lifts[j], lifts[j + 1]
-        else:
-            A, B = lifts[j + 1], lifts[j]
-        # A @ B over the integers
-        for row in A:
-            for cj in range(len(B[0]) if B else 0):
-                if sum(a * B[k][cj] for k, a in enumerate(row)):
-                    return None
-    return lifts
-
-
-def _homology_universal_coefficients(C: ChainComplex, lifts) -> HomologyProfile:
-    """Fast path: the centered lift is a complex over Z, so homology mod p^N
-    follows from integer invariant factors by universal coefficients."""
-    ring = C.ring
-    p, N = ring.p, ring.N
-    n = len(C.ranks)
-    # invariant factors of the differential between degree pair (j, j+1)
-    factors = []
-    for j, L in enumerate(lifts):
-        rows = len(L)
-        cols = len(L[0]) if rows else (C.ranks[j + 1] if C.orientation == HOMOLOGICAL
-                                       else C.ranks[j])
-        factors.append([f for f in integer_invariant_factors(L, rows, cols) if f != 0])
-    free = []
-    tors = []
-    for i in range(n):
-        deg_rank = C.ranks[i]
-        d_out, d_in = C.boundary_maps(C.min_degree + i)
-        if C.orientation == HOMOLOGICAL:
-            out_f = factors[i - 1] if i > 0 else []
-            in_f = factors[i] if i < len(factors) else []
-        else:
-            out_f = factors[i] if i < len(factors) else []
-            in_f = factors[i - 1] if i > 0 else []
-        f_rank = deg_rank - len(out_f) - len(in_f)
-        t = []
-        # H_i(Z) tensor Z/p^N: torsion of H_i(Z) comes from the incoming map
-        for f in in_f:
-            c = _classify(N, None, f, p)
-            if c == "free":
-                f_rank += 1
-            elif c:
-                t.append(c)
-        # Tor(H_{i-1}(Z), Z/p^N): torsion of the adjacent degree, i.e. the
-        # invariant factors of the outgoing map
-        for f in out_f:
-            c = _classify(N, None, f, p)
-            if c == "free":
-                f_rank += 1
-            elif c:
-                t.append(c)
-        free.append(f_rank)
-        tors.append(tuple(sorted(t)))
-    return HomologyProfile(ring, C.min_degree, tuple(free), tuple(tors))
-
-
-def _homology_generic_degree(ring: BaseRing, rank: int,
-                             d_out: Optional[PAdicMatrix],
-                             d_in: Optional[PAdicMatrix]):
-    """ker(d_out)/im(d_in) over Z/p^N in one degree, fully general.
-
-    Works by presenting the kernel lattice L = {x in Z^n : A x = 0 mod p^N}
-    in coordinates given by the integer Smith form of A, then reading the
-    quotient by im(B) + p^N Z^n off a second Smith form.
+    Eliminating d_out changes coordinates on this degree by some R; d_in is
+    carried along as R^-1 @ d_in.  A coordinate whose invariant is p^a
+    contributes p^(N-a) Z/p^N, cyclic of order p^a, to the kernel (a = N for
+    invariant 0 and for trailing columns).  Dividing each carried row by
+    p^(N-a) writes the image in those generators, and a second elimination
+    of [carried rows | diag(p^a)] presents the quotient.
     """
-    p, N = ring.p, ring.N
-    mod = ring.modulus
-    n = rank
-    if n == 0:
-        return 0, ()
-    if d_out is None or d_out.rows == 0:
-        A = [[0] * n]
-        m = 1
-    else:
-        A = d_out.lift_centered()
-        m = d_out.rows
-    diag, _, V, Vinv = integer_smith(A, m, n)
-    # lattice L has basis V * diag(e), e_i = p^N / gcd(d_i, p^N)
-    e = []
-    for i in range(n):
-        d = diag[i] if i < len(diag) else 0
-        g = 1
-        dd = abs(d)
-        while dd and dd % p == 0 and g < mod:
-            dd //= p
-            g *= p
-        if d == 0:
-            g = mod
-        e.append(mod // min(g, mod) if d != 0 else 1)
-    # relation columns: image of d_in plus p^N * I, in y = Vinv x coordinates
-    cols = []
-    if d_in is not None and d_in.cols:
-        B = d_in.lift_centered()
-        for j in range(d_in.cols):
-            cols.append([B[i][j] for i in range(n)])
-    for i in range(n):
-        cols.append([mod if k == i else 0 for k in range(n)])
-    M = []
-    for i in range(n):
-        Vr = Vinv[i]
-        row = []
-        for c in cols:
-            y = sum(Vr[k] * c[k] for k in range(n))
-            if y % e[i]:
-                raise ComplexError("relation escapes the kernel lattice "
-                                   "(d_out @ d_in != 0 mod p^N)")
-            row.append(y // e[i])
-        M.append(row)
-    fs = integer_invariant_factors(M, n, len(cols))
-    f_rank = 0
-    t = []
-    for i in range(n):
-        f = fs[i] if i < len(fs) else 0
-        c = _classify(N, None, f, p)
-        if c == "free":
-            f_rank += 1
-        elif c:
-            t.append(c)
-    return f_rank, tuple(sorted(t))
+    p, N, mod = ring.p, ring.N, ring.modulus
+    rows = [list(r) for r in d_out.entries] if d_out is not None else []
+    carried = ([list(r) for r in d_in.entries] if d_in is not None
+               else [[] for _ in range(rank)])
+    vals = _eliminate(rows, rank, ring, companion=carried)
+    orders = vals + [N] * (rank - len(vals))
+    gens = sum(1 for a in orders if a)
+    pres = []
+    for row, a in zip(carried, orders):
+        s = p ** (N - a)
+        if any(x % s for x in row):
+            raise ComplexError("image escapes the kernel "
+                               "(d_out @ d_in != 0 mod p^N)")
+        if a:
+            rel = [0] * gens
+            rel[len(pres)] = p ** a % mod
+            pres.append([x // s for x in row] + rel)
+    ncarried = d_in.cols if d_in is not None else 0
+    invariants = _eliminate(pres, ncarried + gens, ring)
+    return gens - len(invariants), tuple(v for v in invariants if v)
 
 
 def homology(C: ChainComplex) -> HomologyProfile:
@@ -278,16 +172,11 @@ def homology(C: ChainComplex) -> HomologyProfile:
     ok, deg = verify_complex(C)
     if not ok:
         raise ComplexError(f"not a complex: d o d != 0 at degree {deg}")
-    if not C.ranks:
-        return HomologyProfile(C.ring, C.min_degree, (), ())
-    lifts = _integer_lift_is_complex(C)
-    if lifts is not None:
-        return _homology_universal_coefficients(C, lifts)
     free = []
     tors = []
     for d in C.degrees:
         d_out, d_in = C.boundary_maps(d)
-        f, t = _homology_generic_degree(C.ring, C.rank(d), d_out, d_in)
+        f, t = _homology_degree(C.ring, C.rank(d), d_out, d_in)
         free.append(f)
         tors.append(t)
     return HomologyProfile(C.ring, C.min_degree, tuple(free), tuple(tors))

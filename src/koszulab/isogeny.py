@@ -343,8 +343,10 @@ def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
     for s in range(1, k + 1):
         bar_blocks = bc.degree_blocks(s)
         mic_blocks = mic.blocks[s - 1]
-        assert [b.composition for b in bar_blocks] == \
-            [b.composition for b in mic_blocks]
+        if [b.composition for b in bar_blocks] != \
+                [b.composition for b in mic_blocks]:
+            raise MICError(f"bar and subgroup blocks index different "
+                           f"compositions at degree {s}")
         total_bar = dual.ranks[s]
         total_mic = mic.complex.ranks[s - 1]
         dst = [[0] * total_bar for _ in range(total_mic)]

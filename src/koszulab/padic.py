@@ -1,7 +1,12 @@
 """Exact matrices over the truncated ring Z/p^N and Smith normal form.
 
-All arithmetic is integer arithmetic; nothing here ever touches a float.
-Matrices are immutable (tuple-of-tuples) and safe to share across threads.
+All arithmetic is integer arithmetic on residues mod p^N; nothing here ever
+touches a float.  Matrices are immutable (tuple-of-tuples).
+
+Every Smith form, inverse, kernel and solution comes from one elimination
+kernel, `_eliminate`.  In Z/p^N every nonzero entry is a unit times p^v, so an
+entry of least valuation divides every other entry: elimination with that
+pivot needs no gcd steps and its entries never leave [0, p^N).
 """
 from __future__ import annotations
 
@@ -70,12 +75,6 @@ class BaseRing:
         if not self.is_unit(x):
             raise ExactLinalgError(f"{x} is not a unit mod {self.p}^{self.N}")
         return pow(x, -1, self.modulus)
-
-
-def _centered(x: int, m: int) -> int:
-    """Lift of a residue to the interval (-m/2, m/2]."""
-    x %= m
-    return x - m if x > m // 2 else x
 
 
 class PAdicMatrix:
@@ -147,11 +146,6 @@ class PAdicMatrix:
     def tolist(self):
         return [list(r) for r in self.entries]
 
-    def lift_centered(self):
-        """Integer lift with entries in (-p^N/2, p^N/2]."""
-        m = self.ring.modulus
-        return [[_centered(x, m) for x in row] for row in self.entries]
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "PAdicMatrix") -> "PAdicMatrix":
@@ -207,12 +201,6 @@ class PAdicMatrix:
         return PAdicMatrix(self.ring, [list(a) + list(b) for a, b in zip(self.entries, other.entries)],
                            self.rows, self.cols + other.cols)
 
-    def vstack(self, other: "PAdicMatrix") -> "PAdicMatrix":
-        if self.cols != other.cols:
-            raise ShapeError("vstack col mismatch")
-        return PAdicMatrix(self.ring, [list(r) for r in self.entries] + [list(r) for r in other.entries],
-                           self.rows + other.rows, self.cols)
-
     def column(self, j: int) -> "PAdicMatrix":
         return PAdicMatrix(self.ring, [[r[j]] for r in self.entries], self.rows, 1)
 
@@ -225,22 +213,9 @@ class PAdicMatrix:
         return PAdicMatrix(self.ring, [[r[j] for j in idx] for r in self.entries], self.rows, len(idx))
 
 
-def block_diag(ring: BaseRing, blocks: Sequence[PAdicMatrix]) -> PAdicMatrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = b.entries[i][j]
-        r0 += b.rows
-        c0 += b.cols
-    return PAdicMatrix(ring, out, rows, cols)
-
-
 # ---------------------------------------------------------------------------
-# Integer Smith normal form (the workhorse; Z/p^N results are read off it).
+# Integer Smith normal form.  Nothing in the package calls it: the tests use
+# it as an independent reference for the valuations of Smith forms mod p^N.
 # ---------------------------------------------------------------------------
 
 def _find_pivot(A, m, n, t):
@@ -363,13 +338,89 @@ def integer_smith(mat: Sequence[Sequence[int]], m: int, n: int,
     return diag, U, V, Vi
 
 
-def integer_invariant_factors(mat: Sequence[Sequence[int]], m: int, n: int):
-    diag, _, _, _ = integer_smith(mat, m, n, transforms=False)
-    return diag
+# ---------------------------------------------------------------------------
+# The elimination kernel over Z/p^N
+# ---------------------------------------------------------------------------
+
+def _identity_rows(n: int):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _eliminate(rows, ncols, ring, left=None, right=None, companion=None):
+    """Diagonalize the matrix given by ``rows`` (lists of residues mod p^N).
+
+    Step t takes the first entry of least valuation v in the remaining block
+    as pivot, moves it to (t, t), scales its row so the pivot is exactly p^v,
+    and clears its column by row operations and its row by column operations.
+    The pivot divides every remaining entry, so every quotient is exact and
+    the remaining block keeps valuations >= v.
+
+    ``rows`` is scratch space.  Row operations are repeated on ``left``, so
+    afterwards left @ A @ R is diagonal.  ``right`` holds R transposed, one
+    row per column of A: a column operation on A is the same row operation on
+    it.  ``companion`` has one row per column of A and receives the inverse of
+    every column operation as a row operation, so it ends as R^-1 @ companion.
+
+    Returns the valuations of the pivots, which are nondecreasing; the
+    diagonal is zero past them.
+    """
+    p, N, mod = ring.p, ring.N, ring.modulus
+    pw = [p ** k for k in range(N + 1)]
+    m = len(rows)
+    vals = []
+    for t in range(min(m, ncols)):
+        best, v = None, N
+        for i in range(t, m):
+            row = rows[i]
+            for j in range(t, ncols):
+                if row[j] % pw[v]:          # valuation below v
+                    best, v = (i, j), ring.valuation(row[j])
+                    if v == 0:
+                        break
+            if v == 0:
+                break
+        if best is None:
+            break
+        i, j = best
+        if i != t:
+            rows[t], rows[i] = rows[i], rows[t]
+            if left is not None:
+                left[t], left[i] = left[i], left[t]
+        if j != t:
+            for r in range(t, m):
+                row = rows[r]
+                row[t], row[j] = row[j], row[t]
+            for T in (right, companion):
+                if T is not None:
+                    T[t], T[j] = T[j], T[t]
+        pv = pw[v]
+        top = rows[t]
+        u = pow(top[t] // pv, -1, mod)
+        if u != 1:
+            rows[t] = top = [x * u % mod for x in top]
+            if left is not None:
+                left[t] = [x * u % mod for x in left[t]]
+        for i in range(t + 1, m):
+            row = rows[i]
+            if row[t]:
+                q = row[t] // pv
+                rows[i] = [(x - q * y) % mod for x, y in zip(row, top)]
+                if left is not None:
+                    left[i] = [(x - q * y) % mod for x, y in zip(left[i], left[t])]
+        for j in range(t + 1, ncols):
+            if top[j]:
+                q = top[j] // pv
+                if right is not None:
+                    right[j] = [(x - q * y) % mod for x, y in zip(right[j], right[t])]
+                if companion is not None:
+                    companion[t] = [(x + q * y) % mod
+                                    for x, y in zip(companion[t], companion[j])]
+        vals.append(v)
+    return vals
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z/p^N
+# Smith normal form, inverses, kernels and solutions over Z/p^N
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -393,35 +444,15 @@ class SmithDecomposition:
 
 
 def smith_normal_form(A: PAdicMatrix) -> SmithDecomposition:
-    """Smith form over Z/p^N via an integer-matrix Smith form of a lift."""
+    """Smith form over Z/p^N by minimum-valuation elimination."""
     ring = A.ring
-    p, N, mod = ring.p, ring.N, ring.modulus
-    diag, U, V, _ = integer_smith(A.lift_centered(), A.rows, A.cols)
-    invariants = []
-    Um = [list(r) for r in U]
-    for i, d in enumerate(diag):
-        if d == 0:
-            invariants.append(0)
-            continue
-        a = 0
-        dd = d
-        while dd % p == 0:
-            dd //= p
-            a += 1
-        if a >= N:
-            invariants.append(0)
-            continue
-        # scale row i of U so the diagonal entry becomes exactly p^a
-        u_inv = pow(dd, -1, mod)
-        Um[i] = [x * u_inv for x in Um[i]]
-        invariants.append(p ** a)
-    left = PAdicMatrix(ring, Um, A.rows, A.rows)
-    right = PAdicMatrix(ring, V, A.cols, A.cols)
-    # canonical order: nonzero p-powers by valuation, zeros last (guaranteed
-    # by the integer divisibility chain, but cheap to assert)
-    vals = [ring.valuation(d) for d in invariants]
-    assert vals == sorted(vals), "invariant factors out of order"
-    return SmithDecomposition(tuple(invariants), left, right)
+    left, right = _identity_rows(A.rows), _identity_rows(A.cols)
+    vals = _eliminate([list(r) for r in A.entries], A.cols, ring, left, right)
+    invariants = [ring.p ** v for v in vals]
+    invariants += [0] * (min(A.rows, A.cols) - len(vals))
+    return SmithDecomposition(tuple(invariants),
+                              PAdicMatrix(ring, left, A.rows, A.rows),
+                              PAdicMatrix(ring, list(zip(*right)), A.cols, A.cols))
 
 
 def kernel_basis(A: PAdicMatrix) -> PAdicMatrix:
@@ -453,25 +484,17 @@ def kernel_basis(A: PAdicMatrix) -> PAdicMatrix:
 
 
 def inverse_mod(A: PAdicMatrix) -> PAdicMatrix:
-    """Inverse of a matrix invertible over Z/p^N (unit-pivot elimination)."""
+    """Inverse of a matrix invertible over Z/p^N: right @ left for the Smith
+    transforms, which is defined when every invariant factor is 1."""
     ring = A.ring
     n = A.rows
     if A.cols != n:
         raise ShapeError("inverse of non-square matrix")
-    mod = ring.modulus
-    M = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(A.entries)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if ring.is_unit(M[r][c])), None)
-        if piv is None:
-            raise ExactLinalgError("matrix is not invertible mod p^N")
-        M[c], M[piv] = M[piv], M[c]
-        inv = pow(M[c][c], -1, mod)
-        M[c] = [x * inv % mod for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c]:
-                f = M[r][c]
-                M[r] = [(x - f * y) % mod for x, y in zip(M[r], M[c])]
-    return PAdicMatrix(ring, [row[n:] for row in M], n, n)
+    left, right = _identity_rows(n), _identity_rows(n)
+    vals = _eliminate([list(r) for r in A.entries], n, ring, left, right)
+    if len(vals) < n or any(vals):
+        raise ExactLinalgError("matrix is not invertible mod p^N")
+    return PAdicMatrix(ring, list(zip(*right)), n, n) @ PAdicMatrix(ring, left, n, n)
 
 
 def solve(A: PAdicMatrix, B: PAdicMatrix) -> PAdicMatrix:

@@ -1,12 +1,12 @@
 """The command-line interface: exit codes, report schema, determinism."""
 import json
+import signal
 
 import pytest
 
 from koszulab.algebra import builtin_height1, dataset_to_json, save_dataset
 from koszulab.cli import (EXIT_IO, EXIT_MATH, EXIT_PASS,
-                          EXIT_USAGE, REPORT_SCHEMA, fingerprint, main, run,
-                          thread_count)
+                          EXIT_USAGE, REPORT_SCHEMA, fingerprint, main, run)
 from koszulab.synthetic import perturb_pairing, synthetic_height1_dataset
 
 
@@ -69,6 +69,17 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_non_prime_p_is_reported_without_traceback(tmp_path, capsys):
+    doc = dataset_to_json(builtin_height1(3, 2, 4))
+    doc["p"] = 4
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps(doc))
+    assert main(["koszul", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "top level" in err and "p" in err
+    assert "Traceback" not in err
 
 
 def test_invalid_dataset_is_math_failure(tmp_path, capsys):
@@ -180,27 +191,6 @@ def test_fingerprint_stable_and_in_report(h1_path, capsys):
     assert doc["dataset_fingerprint"] == fp
 
 
-def test_thread_env_var(monkeypatch):
-    monkeypatch.delenv("KOSZULAB_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("KOSZULAB_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("KOSZULAB_THREADS", "zero")
-    with pytest.raises(Exception):
-        thread_count()
-
-
-def test_threaded_run_matches_serial(h1_path, capsys, monkeypatch):
-    argv = ["verify", h1_path, "--suite", "all", "--json"]
-    monkeypatch.delenv("KOSZULAB_THREADS", raising=False)
-    main(argv)
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("KOSZULAB_THREADS", "3")
-    main(argv)
-    threaded = capsys.readouterr().out
-    assert serial == threaded
-
-
 def test_gen_height1_seeded_variant(tmp_path, capsys):
     out = str(tmp_path / "syn.json")
     code = main(["gen-height1", "--p", "3", "--N", "2", "--kmax", "4",
@@ -215,3 +205,22 @@ def test_gen_height1_unwritable_path(capsys):
     code = main(["gen-height1", "--p", "2", "--N", "1", "--kmax", "2",
                  "--out", "/nonexistent/dir/x.json"])
     assert code == EXIT_IO
+
+
+def test_wide_modulus_verify_finishes_quickly(tmp_path):
+    # p^N = 27 at kmax 5: this dataset used to stall for minutes in homology
+    path = tmp_path / "syn.json"
+    save_dataset(synthetic_height1_dataset(3, 3, 5, 9), path)
+
+    def timeout(signum, frame):
+        raise TimeoutError("verify --suite all took more than 10 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        report, code = run(["verify", str(path), "--suite", "all", "--json"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == EXIT_PASS
+    assert all(c.status == "pass" for c in report.checks)

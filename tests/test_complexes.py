@@ -1,5 +1,5 @@
 """Chain complexes and exact homology, checked against brute-force
-enumeration of kernels and images over Z/4."""
+enumeration of kernels and images over Z/4, Z/8 and Z/9."""
 import itertools
 import random
 
@@ -8,10 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from koszulab.padic import BaseRing, PAdicMatrix, ShapeError
 from koszulab.complexes import (COHOMOLOGICAL, HOMOLOGICAL, ComplexError,
-                                dualize_complex, homology, make_complex,
-                                verify_complex)
+                                _homology_degree, dualize_complex, homology,
+                                make_complex, verify_complex)
 
 RING22 = BaseRing(2, 2)
+# the brute-force oracles also run over these, with ranks at most 3 to keep
+# the enumeration small
+WIDE_RINGS = [BaseRing(2, 3), BaseRing(3, 2)]
+WIDE_IDS = ["Z/8", "Z/9"]
 
 
 def random_three_term_complex(rng, ring, max_rank=4):
@@ -72,16 +76,27 @@ def profile_order(prof, ring, degree):
     return order, ptors
 
 
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_homology_matches_brute_force_enumeration(seed):
+def check_homology_against_brute_force(ring, max_rank, seed):
     rng = random.Random(seed)
-    C = random_three_term_complex(rng, RING22)
+    C = random_three_term_complex(rng, ring, max_rank)
     prof = homology(C)
     for d in C.degrees:
         d_out, d_in = C.boundary_maps(d)
-        want = brute_homology_degree(RING22, C.rank(d), d_out, d_in)
-        assert profile_order(prof, RING22, d) == want, f"degree {d}"
+        want = brute_homology_degree(ring, C.rank(d), d_out, d_in)
+        assert profile_order(prof, ring, d) == want, f"degree {d}"
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_homology_matches_brute_force_enumeration(seed):
+    check_homology_against_brute_force(RING22, 4, seed)
+
+
+@pytest.mark.parametrize("ring", WIDE_RINGS, ids=WIDE_IDS)
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_homology_matches_brute_force_enumeration_wide(ring, seed):
+    check_homology_against_brute_force(ring, 3, seed)
 
 
 def test_known_homology_mod_4():
@@ -117,6 +132,17 @@ def test_verify_complex_reports_failing_degree():
         homology(C)
 
 
+def test_image_outside_the_kernel_is_rejected_per_degree():
+    # the per-degree step checks on its own that im(d_in) lies in ker(d_out)
+    two = PAdicMatrix(RING22, [[2]], 1, 1)
+    eye = PAdicMatrix.identity(RING22, 1)
+    with pytest.raises(ComplexError):
+        _homology_degree(RING22, 1, eye, eye)
+    with pytest.raises(ComplexError):
+        _homology_degree(RING22, 1, two, eye)
+    assert _homology_degree(RING22, 1, two, two) == (0, ())
+
+
 def test_shape_mismatch_names_degree_pair():
     z = PAdicMatrix.zeros(RING22, 2, 2)
     with pytest.raises(ShapeError) as exc:
@@ -129,11 +155,9 @@ def test_orientation_validation():
         make_complex(RING22, "sideways", 0, [1], [])
 
 
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_double_dual_is_identity_and_dual_profile_matches(seed):
+def check_double_dual(ring, seed):
     rng = random.Random(seed)
-    C = random_three_term_complex(rng, RING22, max_rank=3)
+    C = random_three_term_complex(rng, ring, max_rank=3)
     D = dualize_complex(C)
     assert D.orientation == COHOMOLOGICAL
     assert dualize_complex(D) == C
@@ -141,6 +165,19 @@ def test_double_dual_is_identity_and_dual_profile_matches(seed):
     pc, pd = homology(C), homology(D)
     assert pc.free_ranks == pd.free_ranks
     assert pc.torsion == pd.torsion
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_double_dual_is_identity_and_dual_profile_matches(seed):
+    check_double_dual(RING22, seed)
+
+
+@pytest.mark.parametrize("ring", WIDE_RINGS, ids=WIDE_IDS)
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_double_dual_is_identity_and_dual_profile_matches_wide(ring, seed):
+    check_double_dual(ring, seed)
 
 
 def test_euler_characteristic_matches_alternating_free_ranks():

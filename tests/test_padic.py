@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulab.padic import (BaseRing, PAdicMatrix, InconsistentSystemError,
-                            ShapeError, integer_smith,
-                            integer_invariant_factors, inverse_mod,
+                            ShapeError, integer_smith, inverse_mod,
                             kernel_basis, smith_normal_form, solve)
 
 
@@ -127,9 +126,11 @@ def test_integer_smith_certificate(seed):
 
 
 def test_integer_invariant_factors_known():
-    assert integer_invariant_factors([[2, 0], [0, 3]], 2, 2) == [1, 6]
-    assert integer_invariant_factors([[4, 0], [0, 6]], 2, 2) == [2, 12]
-    assert integer_invariant_factors([[0, 0], [0, 0]], 2, 2) == [0, 0]
+    def factors(mat):
+        return integer_smith(mat, 2, 2, transforms=False)[0]
+    assert factors([[2, 0], [0, 3]]) == [1, 6]
+    assert factors([[4, 0], [0, 6]]) == [2, 12]
+    assert factors([[0, 0], [0, 0]]) == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +158,11 @@ def test_smith_normal_form_certificate(seed):
         assert d == (0 if v >= ring.N else pow(ring.p, v, ring.modulus))
         vals.append(v)
     assert vals == sorted(vals)
+    # the valuations agree with the integer Smith form of the centered lift
+    m = ring.modulus
+    lift = [[x - m if x > m // 2 else x for x in row] for row in A.entries]
+    diag = integer_smith(lift, rows, cols, transforms=False)[0]
+    assert vals == [ring.valuation(d) for d in diag]   # min(v_p(d), N)
 
 
 def brute_kernel(ring, A):
