@@ -132,6 +132,24 @@ def test_verify_complex_reports_failing_degree():
         homology(C)
 
 
+def test_not_a_complex_message_names_first_failing_degree():
+    # homological, degrees 2..6: d(4->3) @ d(5->4) and d(5->4) @ d(6->5)
+    # are nonzero; the lower degree of the first failing pair is reported
+    zero = PAdicMatrix.zeros(RING22, 1, 1)
+    eye = PAdicMatrix.identity(RING22, 1)
+    two = PAdicMatrix(RING22, [[2]], 1, 1)
+    C = make_complex(RING22, HOMOLOGICAL, 2, [1] * 5, [zero, eye, eye, two])
+    with pytest.raises(ComplexError) as exc:
+        homology(C)
+    assert str(exc.value) == "not a complex: d o d != 0 at degree 3"
+    # cohomological, degrees 1..5: d(2->3) @ d(1->2) = 2 * 2 vanishes mod 4,
+    # d(3->4) @ d(2->3) = 1 * 2 and d(4->5) @ d(3->4) = 2 * 1 do not
+    C = make_complex(RING22, COHOMOLOGICAL, 1, [1] * 5, [two, two, eye, two])
+    with pytest.raises(ComplexError) as exc:
+        homology(C)
+    assert str(exc.value) == "not a complex: d o d != 0 at degree 2"
+
+
 def test_image_outside_the_kernel_is_rejected_per_degree():
     # the per-degree step checks on its own that im(d_in) lies in ker(d_out)
     two = PAdicMatrix(RING22, [[2]], 1, 1)

@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from koszulab.algebra import builtin_height1, save_dataset
+from koszulab.algebra import (Dataset, GradedAugmentedAlgebra, builtin_height1,
+                              save_dataset)
 from koszulab.cli import run
-from koszulab.synthetic import synthetic_height1_dataset
+from koszulab.padic import PAdicMatrix
+from koszulab.synthetic import perturb_pairing, synthetic_height1_dataset
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -34,6 +36,40 @@ for _p, _N in ((2, 1), (2, 2), (3, 1)):
     CASES[f"partition_n4_p{_p}_N{_N}"] = (
         None, ["partition", "--n", "4", "--p", str(_p), "--N-trunc", str(_N),
                "--json"])
+
+
+
+def non_koszul_dataset():
+    """Built-in p=3 N=2 kmax 2 with the weight-(1,1) product replaced by zero:
+    the weight-2 bar homology gains a bottom class (as in test_bar)."""
+    ds = builtin_height1(3, 2, 2)
+    A = ds.algebra
+    bad = GradedAugmentedAlgebra(A.coeff, A.q_label, 2, A.components,
+                                 {(1, 1): PAdicMatrix(ds.ring, [[0]], 1, 1)})
+    return Dataset(ds.p, ds.N, ds.height_label, ds.q_label,
+                   ds.provenance + " [weight-(1,1) product zeroed]", bad,
+                   ds.modules, ds.subgroup_package)
+
+
+# Failure paths and single suites: where witnesses and exceptions surface.
+# perturbation seed 5 scales the weight-4 pairing (mic-duality witness),
+# seed 4 the weight-1 pairing (mic-duality and shift-square witnesses)
+for _pseed in (4, 5):
+    CASES[f"verify_perturbed_pairing_p3_N2_s7_u{_pseed}_k4"] = (
+        lambda u=_pseed: perturb_pairing(
+            synthetic_height1_dataset(3, 2, 4, 7), u),
+        ["verify", "--suite", "all", "--json"])
+CASES["verify_non_koszul_p3_N2_k2"] = (
+    non_koszul_dataset, ["verify", "--suite", "all", "--json"])
+CASES["koszul_non_koszul_p3_N2_k2"] = (
+    non_koszul_dataset, ["koszul", "--json"])
+for _name, _argv in (("verify_thm102", ["verify", "--suite", "thm10.2"]),
+                     ("verify_mic_duality", ["verify", "--suite", "mic-duality"]),
+                     ("koszul_sphere", ["koszul", "--module", "sphere"]),
+                     ("ext_sphere", ["ext", "--module", "sphere"]),
+                     ("mic_k3", ["mic", "--k", "3"])):
+    CASES[f"{_name}_builtin_p3_N2_k4"] = (
+        lambda: builtin_height1(3, 2, 4), _argv + ["--json"])
 
 
 def report_bytes(name, tmp_dir):
