@@ -18,7 +18,7 @@ from .algebra import (CoefficientAlgebra, Bimodule, GradedAugmentedAlgebra,
                       validate_algebra, validate_module, builtin_height1,
                       dataset_to_json, dataset_from_json, canonical_json,
                       save_dataset, load_dataset)
-from .bar import (BarComplex, KoszulModuleData, KoszulComplexData,
+from .bar import (BarComplex, KoszulData, KoszulModuleData, KoszulComplexData,
                   NotKoszulError, bar_complex, bar_complex_with_module,
                   koszul_module, koszul_complex, tor_groups, ext_groups,
                   tor_groups_via_bar, verify_koszulness,

@@ -229,18 +229,20 @@ class KoszulModuleData:
     top_tensor: IteratedTensor
 
 
-def koszul_module(A: GradedAugmentedAlgebra, k: int) -> KoszulModuleData:
+def koszul_module(A: GradedAugmentedAlgebra, k: int,
+                  data: Optional[KoszulData] = None) -> KoszulModuleData:
     """C[k] as the kernel of the top bar differential at weight k.
 
     Requires the weight-k bar homology to be concentrated in degree k with a
     free top class; otherwise raises NotKoszulError with the witnessing degree.
+    The bar complex and its homology come from ``data`` when given.
     """
     if k == 0:
         t = _coeff_tensor(A)
         return KoszulModuleData(0, PAdicMatrix.identity(A.coeff.ring, A.coeff.rank),
                                 A.coeff.rank, t)
-    bc = bar_complex(A, k)
-    prof = homology(bc.complex)
+    data = data or KoszulData(A)
+    bc, prof = data.bar(k), data.bar_homology(k)
     for s in bc.complex.degrees:
         if s != k and (prof.free_rank(s) or prof.torsion_at(s)):
             raise NotKoszulError(
@@ -284,19 +286,22 @@ class KoszulComplexData:
     module_base_rank: int
 
 
-def koszul_complex(A: GradedAugmentedAlgebra, M: LeftModule) -> KoszulComplexData:
+def koszul_complex(A: GradedAugmentedAlgebra, M: LeftModule,
+                   data: Optional[KoszulData] = None) -> KoszulComplexData:
     """The complex C[k] (x) M with the (signed) last-face differential.
 
     delta_k embeds C[k+1] (x) M into Delta[1]^{(x)(k+1)} (x) M, applies
     (-1)^{k+1} times the action of the last weight-1 slot on M, and solves the
     result back into the C[k] (x) M basis, failing loudly if the image escapes.
+    The Koszul modules C[k] come from ``data`` when given.
     """
     ring = A.coeff.ring
     kmax = A.max_weight
     mb = M.base_rank
     eye_m = PAdicMatrix.identity(ring, mb)
     d1 = A.rank(1)
-    kos = [koszul_module(A, k) for k in range(kmax + 1)]
+    data = data or KoszulData(A)
+    kos = [data.koszul_module(k) for k in range(kmax + 1)]
     tensors = [_coeff_tensor(A)] + [iterated_tensor([A.component(1)] * k)
                                     for k in range(1, kmax + 1)]
     iotas = []          # C[k] (x) M -> T_k (x) M, quotient coordinates
@@ -341,18 +346,23 @@ def koszul_complex(A: GradedAugmentedAlgebra, M: LeftModule) -> KoszulComplexDat
                              tuple(term_ranks), tuple(amb_incs), mb)
 
 
-def tor_groups(A: GradedAugmentedAlgebra, M: LeftModule) -> HomologyProfile:
-    """Tor against the trivial bimodule, computed from the Koszul complex."""
-    return homology(koszul_complex(A, M).complex)
+def tor_groups(A: GradedAugmentedAlgebra, M: LeftModule,
+               data: Optional[KoszulData] = None) -> HomologyProfile:
+    """Tor against the trivial bimodule, computed from the Koszul complex
+    (taken from ``data`` when given)."""
+    return (data or KoszulData(A)).tor(M)
 
 
-def ext_groups(A: GradedAugmentedAlgebra, M: LeftModule) -> HomologyProfile:
-    """Ext(M, trivial), computed as cohomology of the dual Koszul complex.
+def ext_groups(A: GradedAugmentedAlgebra, M: LeftModule,
+               data: Optional[KoszulData] = None) -> HomologyProfile:
+    """Ext(M, trivial), computed as cohomology of the dual Koszul complex
+    (taken from ``data`` when given).
 
     M is free over the coefficient algebra by construction of the dataset
     format, which is exactly the projectivity this dualization needs.
     """
-    return homology(dualize_complex(koszul_complex(A, M).complex))
+    kc = (data or KoszulData(A)).koszul_complex(M)
+    return homology(dualize_complex(kc.complex))
 
 
 def tor_groups_via_bar(A: GradedAugmentedAlgebra, M: LeftModule,
@@ -361,6 +371,52 @@ def tor_groups_via_bar(A: GradedAugmentedAlgebra, M: LeftModule,
     if smax is None:
         smax = A.max_weight
     return homology(bar_complex_with_module(A, M, smax).complex)
+
+
+class KoszulData:
+    """The weight-k bar complexes of one algebra with their homology, its
+    Koszul modules C[k], and per module the Koszul complex and its Tor
+    profile, each built on first use and then shared.
+
+    One command builds one of these and hands it to every function that
+    takes a ``data`` argument, so no complex is built or checked twice; the
+    functions build a fresh one when called without it.  Failures are not
+    kept: asking again rebuilds and raises again.
+    """
+
+    def __init__(self, A: GradedAugmentedAlgebra):
+        self.algebra = A
+        self._bars = {}
+        self._bar_profiles = {}
+        self._modules = {}
+        self._complexes = {}   # id(M) -> (M, KoszulComplexData)
+        self._tors = {}        # id(M) -> (M, HomologyProfile)
+
+    def bar(self, k: int) -> BarComplex:
+        if k not in self._bars:
+            self._bars[k] = bar_complex(self.algebra, k)
+        return self._bars[k]
+
+    def bar_homology(self, k: int) -> HomologyProfile:
+        if k not in self._bar_profiles:
+            self._bar_profiles[k] = homology(self.bar(k).complex)
+        return self._bar_profiles[k]
+
+    def koszul_module(self, k: int) -> KoszulModuleData:
+        if k not in self._modules:
+            self._modules[k] = koszul_module(self.algebra, k, self)
+        return self._modules[k]
+
+    def koszul_complex(self, M: LeftModule) -> KoszulComplexData:
+        # keyed on the module object, which the entry keeps alive
+        if id(M) not in self._complexes:
+            self._complexes[id(M)] = (M, koszul_complex(self.algebra, M, self))
+        return self._complexes[id(M)][1]
+
+    def tor(self, M: LeftModule) -> HomologyProfile:
+        if id(M) not in self._tors:
+            self._tors[id(M)] = (M, homology(self.koszul_complex(M).complex))
+        return self._tors[id(M)][1]
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +444,18 @@ class KoszulnessReport:
         return "\n".join(lines)
 
 
-def verify_koszulness(A: GradedAugmentedAlgebra, kmax: int) -> KoszulnessReport:
-    """Per weight k <= kmax: full bar homology profile and a concentration flag."""
+def verify_koszulness(A: GradedAugmentedAlgebra, kmax: int,
+                      data: Optional[KoszulData] = None) -> KoszulnessReport:
+    """Per weight k <= kmax: full bar homology profile and a concentration
+    flag.  Bar complexes and profiles come from ``data`` when given."""
     if kmax > A.max_weight:
         raise ValueError(f"kmax {kmax} exceeds max_weight {A.max_weight}")
+    data = data or KoszulData(A)
     entries = []
     for k in range(kmax + 1):
-        bc = bar_complex(A, k)
-        prof = homology(bc.complex)
+        prof = data.bar_homology(k)
         conc = all((prof.free_rank(s) == 0 and not prof.torsion_at(s))
-                   for s in bc.complex.degrees if s != k) and not prof.torsion_at(k)
+                   for s in prof.degrees if s != k) and not prof.torsion_at(k)
         entries.append((k, prof, conc, prof.free_rank(k) if conc else None))
     return KoszulnessReport(entries)
 

@@ -19,7 +19,7 @@ from .padic import BaseRing, ExactLinalgError
 from .complexes import ComplexError, HomologyProfile, homology
 from .algebra import (Dataset, DatasetError, builtin_height1, canonical_json,
                       load_dataset, save_dataset, trivial_module)
-from .bar import (NotKoszulError, bar_complex, ext_groups, koszul_complex,
+from .bar import (KoszulData, NotKoszulError, bar_complex, ext_groups,
                   tor_groups, tor_groups_via_bar, verify_koszulness)
 from .isogeny import (MICError, build_mic, dualize_bar_to_mic, mic_cohomology,
                       verify_theorem_10_2)
@@ -145,7 +145,8 @@ def cmd_bar(args, checks) -> Dataset:
 def cmd_koszul(args, checks) -> Dataset:
     ds = _load(args.dataset, checks)
     A = ds.algebra
-    rep = verify_koszulness(A, A.max_weight)
+    data = KoszulData(A)
+    rep = verify_koszulness(A, A.max_weight, data)
     checks.append(Check(
         "koszulness",
         "weight-k bar homology is free and concentrated in degree k",
@@ -157,8 +158,8 @@ def cmd_koszul(args, checks) -> Dataset:
     if not rep.passed:
         return ds
     M = ds.module(args.module)
-    kc = koszul_complex(A, M)
-    tor = homology(kc.complex)
+    kc = data.koszul_complex(M)
+    tor = data.tor(M)
     checks.append(Check(
         "koszul-complex",
         f"small complex C[k] (x) {M.name} with the last-face differential",
@@ -171,7 +172,8 @@ def cmd_koszul(args, checks) -> Dataset:
 def cmd_ext(args, checks) -> Dataset:
     ds = _load(args.dataset, checks)
     A = ds.algebra
-    rep = verify_koszulness(A, A.max_weight)
+    data = KoszulData(A)
+    rep = verify_koszulness(A, A.max_weight, data)
     if not rep.passed:
         checks.append(Check(
             "koszulness",
@@ -181,7 +183,7 @@ def cmd_ext(args, checks) -> Dataset:
                             for k, _, conc, _ in rep.entries]}))
         return ds
     M = ds.module(args.module)
-    prof = ext_groups(A, M)
+    prof = ext_groups(A, M, data)
     checks.append(Check(
         "ext-profile",
         f"Ext against the trivial module from the dual small complex, module {M.name}",
@@ -198,7 +200,7 @@ def cmd_mic(args, checks) -> Dataset:
     if args.k < 0 or args.k > pkg.max_order:
         raise UsageError(f"--k must be in 0..{pkg.max_order}")
     mic = build_mic(pkg, args.k)
-    prof, cmp_ = mic_cohomology(pkg, args.k, ds.algebra)
+    prof, cmp_ = mic_cohomology(pkg, args.k, ds.algebra, mic)
     payload = {"ranks": list(mic.complex.ranks),
                **_profile_payload(prof, ds.N)}
     status = "pass"
@@ -214,9 +216,9 @@ def cmd_mic(args, checks) -> Dataset:
     return ds
 
 
-def _suite_koszul(ds, checks):
+def _suite_koszul(ds, checks, data):
     A = ds.algebra
-    rep = verify_koszulness(A, A.max_weight)
+    rep = verify_koszulness(A, A.max_weight, data)
     checks.append(Check(
         "suite-koszul",
         "weight-k bar homology is free and concentrated in degree k",
@@ -225,9 +227,9 @@ def _suite_koszul(ds, checks):
          "failures": [k for k, _, conc, _ in rep.entries if not conc]}))
     if rep.passed:
         M = ds.module("triv") if "triv" in ds.modules else trivial_module(A.coeff)
-        kc = koszul_complex(A, M)
+        kc = data.koszul_complex(M)
         zero = all(d.is_zero() for d in kc.complex.differentials)
-        tor = homology(kc.complex)
+        tor = data.tor(M)
         ok = zero and tuple(tor.free_ranks) == kc.c_ranks and \
             all(not t for t in tor.torsion)
         checks.append(Check(
@@ -240,7 +242,7 @@ def _suite_koszul(ds, checks):
         agree = True
         witness = None
         for M in ds.modules.values():
-            t1 = tor_groups(A, M)
+            t1 = tor_groups(A, M, data)
             t2 = tor_groups_via_bar(A, M)
             for s in range(A.max_weight + 1):
                 if t1.free_rank(s) != t2.free_rank(s) or \
@@ -254,7 +256,7 @@ def _suite_koszul(ds, checks):
             {} if agree else {"witness": witness}))
 
 
-def _suite_mic_duality(ds, checks):
+def _suite_mic_duality(ds, checks, data):
     pkg = ds.subgroup_package
     if pkg is None:
         checks.append(Check("suite-mic-duality",
@@ -265,7 +267,7 @@ def _suite_mic_duality(ds, checks):
 
     def one(k):
         try:
-            res = dualize_bar_to_mic(ds.algebra, pkg, k)
+            res = dualize_bar_to_mic(ds.algebra, pkg, k, data)
             return k, res.commutes, res.witness
         except MICError as exc:
             return k, False, str(exc)
@@ -281,7 +283,7 @@ def _suite_mic_duality(ds, checks):
          "witnesses": [f"k={k}: {w}" for k, w in bad]}))
 
 
-def _suite_thm_square(ds, checks):
+def _suite_thm_square(ds, checks, data):
     pkg = ds.subgroup_package
     if pkg is None:
         checks.append(Check("suite-shift-square",
@@ -298,7 +300,7 @@ def _suite_thm_square(ds, checks):
 
     def one(k):
         try:
-            res = verify_theorem_10_2(ds.algebra, pkg, M, k)
+            res = verify_theorem_10_2(ds.algebra, pkg, M, k, data)
             payload = {"top": [list(r) for r in res.route_top.entries],
                        "bottom": [list(r) for r in res.route_bottom.entries]}
             return k, res.commutes, res.witness, payload
@@ -319,15 +321,18 @@ def _suite_thm_square(ds, checks):
 
 def cmd_verify(args, checks) -> Dataset:
     ds = _load(args.dataset, checks)
+    # every suite reads bar and Koszul complexes from this one object, so
+    # each is built and checked once per run
+    data = KoszulData(ds.algebra)
     suites = ([args.suite] if args.suite != "all"
               else ["koszul", "mic-duality", "thm-square"])
     for s in suites:
         if s == "koszul":
-            _suite_koszul(ds, checks)
+            _suite_koszul(ds, checks, data)
         elif s == "mic-duality":
-            _suite_mic_duality(ds, checks)
+            _suite_mic_duality(ds, checks, data)
         else:
-            _suite_thm_square(ds, checks)
+            _suite_thm_square(ds, checks, data)
     return ds
 
 

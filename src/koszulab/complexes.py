@@ -135,7 +135,7 @@ class HomologyProfile:
 
 def _homology_degree(ring: BaseRing, rank: int,
                      d_out: Optional[PAdicMatrix],
-                     d_in: Optional[PAdicMatrix]):
+                     d_in: Optional[PAdicMatrix], degree: int = 1):
     """(free rank, torsion exponents) of ker(d_out)/im(d_in) in one degree.
 
     Eliminating d_out changes coordinates on this degree by some R; d_in is
@@ -144,6 +144,11 @@ def _homology_degree(ring: BaseRing, rank: int,
     invariant 0 and for trailing columns).  Dividing each carried row by
     p^(N-a) writes the image in those generators, and a second elimination
     of [carried rows | diag(p^a)] presents the quotient.
+
+    A carried row that p^(N-a) does not divide is exactly a nonzero row of
+    diag(p^a) @ R^-1 @ d_in, that is of d_out @ d_in up to invertible row
+    operations, so the division step certifies d_out @ d_in = 0.  Otherwise
+    ComplexError names ``degree - 1``, the lower end of the failing pair.
     """
     p, N, mod = ring.p, ring.N, ring.modulus
     rows = [list(r) for r in d_out.entries] if d_out is not None else []
@@ -156,8 +161,8 @@ def _homology_degree(ring: BaseRing, rank: int,
     for row, a in zip(carried, orders):
         s = p ** (N - a)
         if any(x % s for x in row):
-            raise ComplexError("image escapes the kernel "
-                               "(d_out @ d_in != 0 mod p^N)")
+            raise ComplexError(
+                f"not a complex: d o d != 0 at degree {degree - 1}")
         if a:
             rel = [0] * gens
             rel[len(pres)] = p ** a % mod
@@ -168,15 +173,20 @@ def _homology_degree(ring: BaseRing, rank: int,
 
 
 def homology(C: ChainComplex) -> HomologyProfile:
-    """Exact homology (or cohomology) profile of a bounded complex."""
-    ok, deg = verify_complex(C)
-    if not ok:
-        raise ComplexError(f"not a complex: d o d != 0 at degree {deg}")
+    """Exact homology (or cohomology) profile of a bounded complex.
+
+    d o d = 0 is not checked separately: the builders of bar, Koszul and
+    subgroup complexes check it once with :func:`verify_complex`, and here
+    each degree's elimination certifies its own pair exactly (see
+    :func:`_homology_degree`).  Degrees are scanned in ascending order, so a
+    non-complex raises ComplexError naming the lower degree of its first
+    failing pair, the degree :func:`verify_complex` reports.
+    """
     free = []
     tors = []
     for d in C.degrees:
         d_out, d_in = C.boundary_maps(d)
-        f, t = _homology_degree(C.ring, C.rank(d), d_out, d_in)
+        f, t = _homology_degree(C.ring, C.rank(d), d_out, d_in, d)
         free.append(f)
         tors.append(t)
     return HomologyProfile(C.ring, C.min_degree, tuple(free), tuple(tors))

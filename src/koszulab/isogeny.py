@@ -14,7 +14,7 @@ from .complexes import (ChainComplex, COHOMOLOGICAL,
 from .algebra import (Bimodule, CoefficientAlgebra, Dataset,
                       GradedAugmentedAlgebra, IteratedTensor, LeftModule,
                       ValidationReport, iterated_tensor, _e)
-from .bar import bar_complex, koszul_complex
+from .bar import KoszulData, koszul_module
 
 
 class MICError(Exception):
@@ -225,14 +225,15 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
 
 
 def mic_cohomology(pkg: SubgroupAlgebraPackage, k: int,
-                   algebra: Optional[GradedAugmentedAlgebra] = None):
-    """Cohomology profile of the order-p^k complex; when the matching graded
-    algebra is supplied, also reports whether the profile is concentrated in
-    degree k with the Koszul submodule rank."""
-    prof = homology(build_mic(pkg, k).complex)
+                   algebra: Optional[GradedAugmentedAlgebra] = None,
+                   mic: Optional[ModularIsogenyComplex] = None):
+    """Cohomology profile of the order-p^k complex (``mic`` when already
+    built); when the matching graded algebra is supplied, also reports
+    whether the profile is concentrated in degree k with the Koszul
+    submodule rank."""
+    prof = homology((mic or build_mic(pkg, k)).complex)
     comparison = None
     if algebra is not None:
-        from .bar import koszul_module
         ck = koszul_module(algebra, k).rank
         concentrated = all((prof.free_rank(s) == 0 and not prof.torsion_at(s))
                            for s in prof.degrees if s != k) and not prof.torsion_at(k)
@@ -320,10 +321,12 @@ class MICDualityResult:
 
 
 def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
-                       k: int) -> MICDualityResult:
+                       k: int, data: Optional[KoszulData] = None
+                       ) -> MICDualityResult:
     """Construct the degreewise isomorphisms from the dual weight-k bar
     complex to the order-p^k complex through the pairing matrices, and assert
-    they intertwine the two differentials exactly."""
+    they intertwine the two differentials exactly.  The bar complex comes
+    from ``data`` when given."""
     ring = A.coeff.ring
     for kk in range(1, k + 1):
         P = pkg.pairing.get(kk)
@@ -336,7 +339,7 @@ def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
     if k == 0:
         return MICDualityResult(0, [PAdicMatrix.identity(ring, A.coeff.rank)],
                                 True, None)
-    bc = bar_complex(A, k)
+    bc = (data or KoszulData(A)).bar(k)
     mic = build_mic(pkg, k)
     dual = dualize_complex(bc.complex)
     maps = []
@@ -392,7 +395,8 @@ class ShiftSquareResult:
 
 
 def verify_theorem_10_2(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
-                        M: LeftModule, k: int) -> ShiftSquareResult:
+                        M: LeftModule, k: int,
+                        data: Optional[KoszulData] = None) -> ShiftSquareResult:
     """Square number k (k >= 1): the shift map from the (k-1)-fold flag module
     to the k-fold one, followed by the quotient onto the dual of the Koszul
     term, must agree with the quotient followed by the transposed Koszul
@@ -401,7 +405,8 @@ def verify_theorem_10_2(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
     The quotient maps are computed, not supplied: the inclusion of the Koszul
     term into the ambient weight-1 tensor power is dualized through the
     pairings, with the sign (-1)^{j(j+1)/2} in homological degree j coming
-    from dualizing a chain complex.
+    from dualizing a chain complex.  The Koszul complex of M comes from
+    ``data`` when given.
     """
     if k < 1:
         raise MICError("square index must be >= 1")
@@ -410,7 +415,7 @@ def verify_theorem_10_2(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
     j = k - 1
     if j + 1 > A.max_weight:
         raise MICError(f"square {k} needs weight {j + 1} <= max_weight")
-    kc = koszul_complex(A, M)
+    kc = (data or KoszulData(A)).koszul_complex(M)
     if M.rank != 1:
         raise MICError("the shift square needs a module free of rank 1 "
                        "over the coefficient algebra")
