@@ -175,12 +175,13 @@ def _homology_degree(ring: BaseRing, rank: int,
 def homology(C: ChainComplex) -> HomologyProfile:
     """Exact homology (or cohomology) profile of a bounded complex.
 
-    d o d = 0 is not checked separately: the builders of bar, Koszul and
-    subgroup complexes check it once with :func:`verify_complex`, and here
-    each degree's elimination certifies its own pair exactly (see
-    :func:`_homology_degree`).  Degrees are scanned in ascending order, so a
-    non-complex raises ComplexError naming the lower degree of its first
-    failing pair, the degree :func:`verify_complex` reports.
+    d o d = 0 is checked here, for free, by each degree's elimination, which
+    certifies its own pair exactly (see :func:`_homology_degree`), and not
+    again with :func:`verify_complex`; the builders of bar, Koszul and
+    subgroup complexes run that once, when they build.  Degrees are scanned
+    in ascending order, so a non-complex raises ComplexError naming the lower
+    degree of its first failing pair, the degree :func:`verify_complex`
+    reports.
     """
     free = []
     tors = []

@@ -1,14 +1,16 @@
-"""Call counts of one `verify --suite all` run: every bar complex and every
-Koszul complex is built once, and homology leaves the d o d check to the
-builders.  Functions are wrapped in every koszulab module that holds them,
-as the benchmark's tracer does."""
+"""Call counts of single CLI runs: `verify --suite all` builds every bar
+complex and every Koszul complex once, homology leaves the d o d check to
+the builders, and `mic` builds its subgroup complex once.  Functions are
+wrapped in every koszulab module that holds them, as the benchmark's tracer
+does."""
 import sys
 
 from koszulab.algebra import builtin_height1, save_dataset
 from koszulab.cli import EXIT_PASS, run
 
 WRAPPED = (("bar", "bar_complex"), ("bar", "koszul_complex"),
-           ("complexes", "homology"), ("complexes", "verify_complex"))
+           ("complexes", "homology"), ("complexes", "verify_complex"),
+           ("isogeny", "build_mic"))
 
 
 def record_calls(monkeypatch):
@@ -35,10 +37,15 @@ def record_calls(monkeypatch):
     return calls
 
 
-def test_verify_builds_each_complex_once(tmp_path, monkeypatch):
+def saved_builtin(tmp_path):
     ds = builtin_height1(3, 2, 5)
     path = tmp_path / "h1.json"
     save_dataset(ds, path)
+    return ds, path
+
+
+def test_verify_builds_each_complex_once(tmp_path, monkeypatch):
+    ds, path = saved_builtin(tmp_path)
     calls = record_calls(monkeypatch)
     report, code = run(["verify", str(path), "--suite", "all", "--json"])
     assert code == EXIT_PASS and report.passed
@@ -50,3 +57,12 @@ def test_verify_builds_each_complex_once(tmp_path, monkeypatch):
     assert any(name == "complexes.homology" for name, _, _ in calls)
     assert not [c for c in calls if c[0] == "complexes.verify_complex"
                 and "complexes.homology" in c[2]]
+
+
+def test_mic_builds_its_subgroup_complex_once(tmp_path, monkeypatch):
+    _, path = saved_builtin(tmp_path)
+    calls = record_calls(monkeypatch)
+    report, code = run(["mic", str(path), "--k", "3", "--json"])
+    assert code == EXIT_PASS and report.passed
+    assert [args[1] for name, args, _ in calls
+            if name == "isogeny.build_mic"] == [3]
