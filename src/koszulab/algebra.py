@@ -61,14 +61,6 @@ class CoefficientAlgebra:
                            [[self.mult_constants[i][j][k] for j in range(self.rank)]
                             for k in range(self.rank)], self.rank, self.rank)
 
-    def element_action(self, x) -> PAdicMatrix:
-        ring = self.ring
-        out = PAdicMatrix.zeros(ring, self.rank, self.rank)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.regular_left(i).scale(xi)
-        return out
-
     def as_bimodule(self) -> "Bimodule":
         acts = tuple(self.regular_left(i) for i in range(self.rank))
         return Bimodule(self.ring, self, self.rank, acts, acts)
@@ -485,11 +477,28 @@ def _matrix_to_json(m: PAdicMatrix):
     return [list(r) for r in m.entries]
 
 
+def _int_array(data, depth, where):
+    """Check that ``data`` is ``depth`` levels of nested lists whose leaves
+    are ints; bool, float and string leaves are rejected.  The DatasetError
+    names the JSON path of the first offending value."""
+    if depth == 0:
+        if type(data) is not int:
+            raise DatasetError(f"{where}: expected an integer, got "
+                               f"{type(data).__name__}")
+    elif not isinstance(data, list):
+        raise DatasetError(f"{where}: expected a list, got {type(data).__name__}")
+    else:
+        for i, x in enumerate(data):
+            if depth > 1 or type(x) is not int:    # a valid leaf costs one test
+                _int_array(x, depth - 1, f"{where}[{i}]")
+    return data
+
+
 def _matrix_from_json(ring, data, rows, cols, where):
     if not isinstance(data, list) or len(data) != rows or \
             any(not isinstance(r, list) or len(r) != cols for r in data):
         raise DatasetError(f"{where}: expected a {rows}x{cols} matrix")
-    return PAdicMatrix(ring, data, rows, cols)
+    return PAdicMatrix(ring, _int_array(data, 2, where), rows, cols)
 
 
 def dataset_to_json(ds: Dataset) -> dict:
@@ -549,7 +558,12 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
         raise DatasetError(f"top level: {exc}")
     ca = need(doc, "coefficient_algebra", "top level")
     crank = need(ca, "rank", "coefficient_algebra")
-    mc = need(ca, "mult_constants", "coefficient_algebra")
+    mc = _int_array(need(ca, "mult_constants", "coefficient_algebra"), 3,
+                    "coefficient_algebra.mult_constants")
+    unit = _int_array(need(ca, "unit", "coefficient_algebra"), 1,
+                      "coefficient_algebra.unit")
+    ideal = _int_array(ca.get("maximal_ideal", []), 2,
+                       "coefficient_algebra.maximal_ideal")
     if len(mc) != crank or any(len(pl) != crank for pl in mc) or \
             any(len(row) != crank for pl in mc for row in pl):
         raise DatasetError("coefficient_algebra.mult_constants: expected "
@@ -557,9 +571,8 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
     coeff = CoefficientAlgebra(
         ring, crank,
         tuple(tuple(tuple(x % ring.modulus for x in row) for row in pl) for pl in mc),
-        tuple(x % ring.modulus for x in need(ca, "unit", "coefficient_algebra")),
-        tuple(tuple(x % ring.modulus for x in g)
-              for g in ca.get("maximal_ideal", [])))
+        tuple(x % ring.modulus for x in unit),
+        tuple(tuple(x % ring.modulus for x in g) for g in ideal))
     if len(coeff.unit) != crank:
         raise DatasetError("coefficient_algebra.unit: wrong length")
     alg = need(doc, "algebra", "top level")

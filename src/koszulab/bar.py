@@ -111,12 +111,14 @@ def _face_matrix_mult(A, comp, i):
     return out
 
 
-def _add_block(dst, row0, col0, mat, sign, mod):
+def _add_block(dst, row0, col0, mat, sign):
+    """Add sign * mat at (row0, col0) to ``dst``, one dict of nonzeros per
+    row, as `PAdicMatrix.from_sparse_rows` takes them."""
     for i, row in enumerate(mat.entries):
         drow = dst[row0 + i]
         for j, x in enumerate(row):
             if x:
-                drow[col0 + j] = (drow[col0 + j] + sign * x) % mod
+                drow[col0 + j] = drow.get(col0 + j, 0) + sign * x
 
 
 def bar_complex(A: GradedAugmentedAlgebra, k: int,
@@ -134,7 +136,6 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")
     ring = A.coeff.ring
-    mod = ring.modulus
     if k == 0:
         blocks, rank0 = _blocks_for(A, [()], None)
         cx = make_complex(ring, HOMOLOGICAL, 0, [rank0], [])
@@ -150,7 +151,7 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
     for s in range(1, k + 1):
         src_blocks = all_blocks[s]
         tgt_blocks = {b.composition: b for b in all_blocks[s - 1]}
-        dst = [[0] * ranks[s] for _ in range(ranks[s - 1])]
+        dst = [{} for _ in range(ranks[s - 1])]
         for b in src_blocks:
             comp = b.composition
             for i in range(1, s):
@@ -158,8 +159,8 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
                 tb = tgt_blocks[tgt_comp]
                 amb = _face_matrix_mult(A, comp, i)
                 m = tb.tensor.proj_full @ amb @ b.tensor.sect_full
-                _add_block(dst, tb.start, b.start, m, (-1) ** i, mod)
-        diffs.append(PAdicMatrix(ring, dst, ranks[s - 1], ranks[s]))
+                _add_block(dst, tb.start, b.start, m, (-1) ** i)
+        diffs.append(PAdicMatrix.from_sparse_rows(ring, ranks[s - 1], ranks[s], dst))
     cx = make_complex(ring, HOMOLOGICAL, 0, ranks, diffs)
     ok, deg = verify_complex(cx)
     if not ok:
@@ -174,7 +175,6 @@ def bar_complex_with_module(A: GradedAugmentedAlgebra, M: LeftModule,
     truncated to compositions of total weight <= max_weight (a subcomplex,
     since the differential never raises total slot weight)."""
     ring = A.coeff.ring
-    mod = ring.modulus
     W = A.max_weight
     all_blocks = []
     ranks = []
@@ -187,7 +187,7 @@ def bar_complex_with_module(A: GradedAugmentedAlgebra, M: LeftModule,
     for s in range(1, smax + 1):
         src_blocks = all_blocks[s]
         tgt_blocks = {b.composition: b for b in all_blocks[s - 1]}
-        dst = [[0] * ranks[s] for _ in range(ranks[s - 1])]
+        dst = [{} for _ in range(ranks[s - 1])]
         for b in src_blocks:
             comp = b.composition
             mb = M.base_rank
@@ -197,7 +197,7 @@ def bar_complex_with_module(A: GradedAugmentedAlgebra, M: LeftModule,
                 amb = _face_matrix_mult(A, comp, i).kron(
                     PAdicMatrix.identity(ring, mb))
                 m = tb.tensor.proj_full @ amb @ b.tensor.sect_full
-                _add_block(dst, tb.start, b.start, m, (-1) ** i, mod)
+                _add_block(dst, tb.start, b.start, m, (-1) ** i)
             # face s: act the last slot on the module
             tgt_comp = comp[:-1]
             tb = tgt_blocks[tgt_comp]
@@ -207,8 +207,8 @@ def bar_complex_with_module(A: GradedAugmentedAlgebra, M: LeftModule,
             act = M.weight_action(comp[-1], A.rank(comp[-1]))
             amb = PAdicMatrix.identity(ring, pre).kron(act)
             m = tb.tensor.proj_full @ amb @ b.tensor.sect_full
-            _add_block(dst, tb.start, b.start, m, (-1) ** s, mod)
-        diffs.append(PAdicMatrix(ring, dst, ranks[s - 1], ranks[s]))
+            _add_block(dst, tb.start, b.start, m, (-1) ** s)
+        diffs.append(PAdicMatrix.from_sparse_rows(ring, ranks[s - 1], ranks[s], dst))
     cx = make_complex(ring, HOMOLOGICAL, 0, ranks, diffs)
     ok, deg = verify_complex(cx)
     if not ok:

@@ -1,7 +1,7 @@
 """Bounded complexes of finite free Z/p^N-modules and their exact homology."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .padic import (BaseRing, PAdicMatrix, ExactLinalgError, ShapeError,
@@ -31,7 +31,6 @@ class ChainComplex:
     min_degree: int
     ranks: tuple
     differentials: tuple
-    labels: Optional[tuple] = None
 
     def __post_init__(self):
         if self.orientation not in (HOMOLOGICAL, COHOMOLOGICAL):
@@ -72,10 +71,10 @@ class ChainComplex:
 
 
 def make_complex(ring: BaseRing, orientation: str, min_degree: int,
-                 ranks: Sequence[int], differentials: Sequence[PAdicMatrix],
-                 labels=None) -> ChainComplex:
+                 ranks: Sequence[int],
+                 differentials: Sequence[PAdicMatrix]) -> ChainComplex:
     return ChainComplex(ring, orientation, min_degree, tuple(ranks),
-                        tuple(differentials), tuple(labels) if labels else None)
+                        tuple(differentials))
 
 
 def verify_complex(C: ChainComplex):
@@ -201,4 +200,4 @@ def dualize_complex(C: ChainComplex) -> ChainComplex:
     """
     flipped = COHOMOLOGICAL if C.orientation == HOMOLOGICAL else HOMOLOGICAL
     return ChainComplex(C.ring, flipped, C.min_degree, C.ranks,
-                        tuple(d.transpose() for d in C.differentials), C.labels)
+                        tuple(d.transpose() for d in C.differentials))

@@ -13,8 +13,9 @@ from .complexes import (ChainComplex, COHOMOLOGICAL,
                         dualize_complex, homology, make_complex, verify_complex)
 from .algebra import (Bimodule, CoefficientAlgebra, Dataset,
                       GradedAugmentedAlgebra, IteratedTensor, LeftModule,
-                      ValidationReport, iterated_tensor, _e)
-from .bar import KoszulData, koszul_module
+                      ValidationReport, iterated_tensor, _e, _int_array,
+                      _matrix_from_json)
+from .bar import KoszulData, _add_block, compositions, koszul_module
 
 
 class MICError(Exception):
@@ -150,17 +151,11 @@ class ModularIsogenyComplex:
     blocks: tuple   # per degree, tuple of MICBlock
 
 
-def _compositions(total, parts):
-    from .bar import compositions
-    return compositions(total, parts)
-
-
 def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
     """Cochain complex with degree-s term the sum over compositions of k into
     s positive parts of the flag module, and differential the alternating sum
     of the refinement maps applied in each slot."""
     ring = pkg.coeff.ring
-    mod = ring.modulus
     if k < 0:
         raise MICError("negative order exponent")
     if k == 0:
@@ -176,7 +171,7 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
     for s in range(1, k + 1):
         blocks = []
         start = 0
-        for comp in _compositions(k, s):
+        for comp in compositions(k, s):
             t = flag_tensor(pkg, comp)
             blocks.append(MICBlock(comp, start, t))
             start += t.bimodule.rank
@@ -186,7 +181,7 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
     for s in range(1, k):
         src_blocks = all_blocks[s - 1]
         tgt_blocks = {b.composition: b for b in all_blocks[s]}
-        dst = [[0] * ranks[s - 1] for _ in range(ranks[s])]
+        dst = [{} for _ in range(ranks[s])]
         for b in src_blocks:
             comp = b.composition
             for i in range(1, s + 1):
@@ -207,13 +202,8 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
                            .kron(pkg.u1[(k1, k2)])
                            .kron(PAdicMatrix.identity(ring, post)))
                     m = tb.tensor.proj_full @ amb @ b.tensor.sect_full
-                    for r, row in enumerate(m.entries):
-                        drow = dst[tb.start + r]
-                        for c0, x in enumerate(row):
-                            if x:
-                                drow[b.start + c0] = (drow[b.start + c0]
-                                                      + (-1) ** i * x) % mod
-        diffs.append(PAdicMatrix(ring, dst, ranks[s], ranks[s - 1]))
+                    _add_block(dst, tb.start, b.start, m, (-1) ** i)
+        diffs.append(PAdicMatrix.from_sparse_rows(ring, ranks[s], ranks[s - 1], dst))
     cx = make_complex(ring, COHOMOLOGICAL, 1, ranks, diffs)
     ok, deg = verify_complex(cx)
     if not ok:
@@ -352,7 +342,7 @@ def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
                            f"compositions at degree {s}")
         total_bar = dual.ranks[s]
         total_mic = mic.complex.ranks[s - 1]
-        dst = [[0] * total_bar for _ in range(total_mic)]
+        dst = [{} for _ in range(total_mic)]
         for bb, mb in zip(bar_blocks, mic_blocks):
             PK = pkg.pairing[bb.composition[0]]
             for kk in bb.composition[1:]:
@@ -368,7 +358,7 @@ def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
                 for c0, x in enumerate(row):
                     if x:
                         dst[mb.start + r][bb.start + c0] = x
-        maps.append(PAdicMatrix(ring, dst, total_mic, total_bar))
+        maps.append(PAdicMatrix.from_sparse_rows(ring, total_mic, total_bar, dst))
     for s in range(1, k):
         lhs = maps[s] @ dual.differentials[s]      # dual d: degree s -> s+1
         rhs = mic.complex.differentials[s - 1] @ maps[s - 1]
@@ -516,7 +506,6 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
     ring = coeff.ring
 
     def mat(data, rows, cols, where):
-        from .algebra import _matrix_from_json
         return _matrix_from_json(ring, data, rows, cols, where)
 
     orders = {}
@@ -525,11 +514,14 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
         k = ent["k"]
         a = ent["algebra"]
         r = a["rank"]
+        where = f"subgroup_package.orders[k={k}].algebra"
+        consts = _int_array(a["mult_constants"], 3, f"{where}.mult_constants")
+        unit = _int_array(a["unit"], 1, f"{where}.unit")
         alg = CoefficientAlgebra(
             ring, r,
             tuple(tuple(tuple(x % ring.modulus for x in row) for row in pl)
-                  for pl in a["mult_constants"]),
-            tuple(x % ring.modulus for x in a["unit"]), ())
+                  for pl in consts),
+            tuple(x % ring.modulus for x in unit), ())
         bm = Bimodule(
             ring, coeff, r,
             tuple(mat(m, r, r, f"subgroup_package.orders[k={k}].left_action")

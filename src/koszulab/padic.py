@@ -1,7 +1,18 @@
 """Exact matrices over the truncated ring Z/p^N and Smith normal form.
 
 All arithmetic is integer arithmetic on residues mod p^N; nothing here ever
-touches a float.  Matrices are immutable (tuple-of-tuples).
+touches a float.  Matrices are immutable tuples of row tuples of residues in
+[0, p^N).
+
+Cost model.  The complexes built here are almost empty (bar face maps are
+I (x) m (x) I, partition boundaries have at most a few entries per column), so
+the kernel's cost follows the nonzero entries: ``A @ B`` adds a * (row k of B)
+only for the nonzero entries a = A[i, k] and reduces each output row once,
+about nnz(A) * B.cols operations; ``kron`` copies a zero block for a zero
+entry and the other factor's row for an entry 1; a 1x1 identity factor of
+either returns the other factor.  Results the kernel builds are already
+reduced and are wrapped without a second pass mod p^N; only the public
+constructor reduces and shape-checks what callers pass in.
 
 Every Smith form, inverse, kernel and solution comes from one elimination
 kernel, `_eliminate`.  In Z/p^N every nonzero entry is a unit times p^v, so an
@@ -11,6 +22,8 @@ pivot needs no gcd steps and its entries never leave [0, p^N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -50,7 +63,7 @@ class BaseRing:
         if self.N < 1:
             raise ValueError(f"N = {self.N} must be >= 1")
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.p ** self.N
 
@@ -77,8 +90,16 @@ class BaseRing:
         return pow(x, -1, self.modulus)
 
 
+_ONE = ((1,),)     # the entries of a 1x1 identity
+
+
 class PAdicMatrix:
-    """Dense exact matrix over Z/p^N."""
+    """Dense exact matrix over Z/p^N.
+
+    ``entries`` is a tuple of row tuples of residues in [0, p^N).  The public
+    constructor reduces and shape-checks what it is given; results the kernel
+    builds already have that form and are wrapped by :func:`_wrap` as they are.
+    """
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
@@ -96,10 +117,10 @@ class PAdicMatrix:
             data.append(tuple(x % m for x in r))
         if len(data) != rows:
             raise ShapeError("row count mismatch")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(data))
+        _set_ring(self, ring)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, tuple(data))
 
     def __setattr__(self, *a):
         raise AttributeError("PAdicMatrix is immutable")
@@ -108,17 +129,42 @@ class PAdicMatrix:
 
     @staticmethod
     def identity(ring: BaseRing, n: int) -> "PAdicMatrix":
-        return PAdicMatrix(ring, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
+        row = [0] * n
+        out = []
+        for i in range(n):
+            row[i] = 1
+            out.append(tuple(row))
+            row[i] = 0
+        return _wrap(ring, tuple(out), n, n)
 
     @staticmethod
     def zeros(ring: BaseRing, rows: int, cols: int) -> "PAdicMatrix":
-        return PAdicMatrix(ring, [[0] * cols for _ in range(rows)], rows, cols)
+        return _wrap(ring, ((0,) * cols,) * rows, rows, cols)
 
     @staticmethod
     def from_flat(ring: BaseRing, rows: int, cols: int, flat: Sequence[int]) -> "PAdicMatrix":
         if len(flat) != rows * cols:
             raise ShapeError("flat entry count mismatch")
         return PAdicMatrix(ring, [flat[i * cols:(i + 1) * cols] for i in range(rows)], rows, cols)
+
+    @staticmethod
+    def from_sparse_rows(ring: BaseRing, rows: int, cols: int,
+                         nonzeros: Sequence[dict]) -> "PAdicMatrix":
+        """The matrix whose row i has entry v at column j for each item j: v
+        of ``nonzeros[i]``; the values are reduced mod p^N, so the cost is
+        one pass per row plus one reduction per listed entry."""
+        if len(nonzeros) != rows:
+            raise ShapeError("row count mismatch")
+        m = ring.modulus
+        out = []
+        for nz in nonzeros:
+            row = [0] * cols
+            for j, v in nz.items():
+                if not 0 <= j < cols:
+                    raise ShapeError(f"column {j} outside 0..{cols - 1}")
+                row[j] = v % m
+            out.append(tuple(row))
+        return _wrap(ring, tuple(out), rows, cols)
 
     # -- basics ------------------------------------------------------------
 
@@ -137,7 +183,7 @@ class PAdicMatrix:
         return f"PAdicMatrix({self.rows}x{self.cols} mod {self.ring.p}^{self.ring.N})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -147,70 +193,129 @@ class PAdicMatrix:
         return [list(r) for r in self.entries]
 
     # -- arithmetic --------------------------------------------------------
+    #
+    # Every method below builds its result from residues it reduced itself
+    # (or took from reduced operands) and wraps it with `_wrap`.
 
     def __add__(self, other: "PAdicMatrix") -> "PAdicMatrix":
         if self.shape != other.shape:
             raise ShapeError(f"add {self.shape} vs {other.shape}")
-        return PAdicMatrix(self.ring, [[a + b for a, b in zip(r, s)]
-                                       for r, s in zip(self.entries, other.entries)],
-                           self.rows, self.cols)
+        m = self.ring.modulus
+        return _wrap(self.ring, tuple(
+            tuple((a + b) % m for a, b in zip(r, s))
+            for r, s in zip(self.entries, other.entries)), self.rows, self.cols)
 
     def __sub__(self, other: "PAdicMatrix") -> "PAdicMatrix":
         return self + (-other)
 
     def __neg__(self) -> "PAdicMatrix":
-        return PAdicMatrix(self.ring, [[-a for a in r] for r in self.entries],
-                           self.rows, self.cols)
+        return self.scale(-1)
 
     def scale(self, c: int) -> "PAdicMatrix":
-        return PAdicMatrix(self.ring, [[c * a for a in r] for r in self.entries],
-                           self.rows, self.cols)
+        m = self.ring.modulus
+        c %= m
+        if c == 1:
+            return self
+        return _wrap(self.ring, tuple(tuple(c * a % m for a in r) for r in self.entries),
+                     self.rows, self.cols)
 
     def __matmul__(self, other: "PAdicMatrix") -> "PAdicMatrix":
+        """Row i of the product is the sum of a * (row k of other) over the
+        nonzero entries a = self[i, k], reduced once: the cost is
+        nnz(self) * other.cols, and a row with a single entry 1 is a row of
+        ``other`` itself.  A 1x1 identity factor returns the other factor."""
         if self.cols != other.rows:
             raise ShapeError(f"matmul {self.shape} vs {other.shape}")
+        if other.entries == _ONE:
+            return self
+        if self.entries == _ONE:
+            return other
         m = self.ring.modulus
-        ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
+        B = other.entries
+        zero = (0,) * other.cols
         out = []
         for r in self.entries:
-            out.append([sum(a * b for a, b in zip(r, c)) % m for c in ot])
-        if self.rows and not other.cols:
-            out = [[] for _ in range(self.rows)]
-        return PAdicMatrix(self.ring, out, self.rows, other.cols)
+            acc = None
+            for a, b in zip(r, B):
+                if not a:
+                    continue
+                if acc is None:
+                    acc = b if a == 1 else [a * y for y in b]
+                else:
+                    acc = [x + a * y for x, y in zip(acc, b)]
+            if acc is None:
+                out.append(zero)
+            elif type(acc) is tuple:
+                out.append(acc)              # one entry 1: a row of other
+            else:
+                out.append(tuple(x % m for x in acc))
+        return _wrap(self.ring, tuple(out), self.rows, other.cols)
 
     def transpose(self) -> "PAdicMatrix":
-        return PAdicMatrix(self.ring, [list(c) for c in zip(*self.entries)] if self.rows and self.cols
-                           else [[] for _ in range(self.cols)] if self.cols else [],
-                           self.cols, self.rows)
+        return _wrap(self.ring, tuple(zip(*self.entries)) if self.rows
+                     else ((),) * self.cols, self.cols, self.rows)
 
     def kron(self, other: "PAdicMatrix") -> "PAdicMatrix":
-        """Kronecker product; basis index (i, k) -> i * other.rows + k."""
+        """Kronecker product; basis index (i, k) -> i * other.rows + k.
+
+        Block (i, j) is zero for a zero entry self[i, j], ``other`` itself
+        for an entry 1, and is computed only for the other entries.  A 1x1
+        identity factor returns the other factor."""
+        if other.entries == _ONE:
+            return self
+        if self.entries == _ONE:
+            return other
+        m = self.ring.modulus
+        zero = (0,) * other.cols
+        scaled = [{0: zero, 1: b} for b in other.entries]   # per row of other
         out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    a = self.entries[i][j]
-                    row.extend(a * b for b in other.entries[k])
-                out.append(row)
-        return PAdicMatrix(self.ring, out, self.rows * other.rows, self.cols * other.cols)
+        for r in self.entries:
+            for k, b in enumerate(other.entries):
+                blocks = scaled[k]
+                parts = []
+                for a in r:
+                    blk = blocks.get(a)
+                    if blk is None:
+                        blk = blocks[a] = tuple(a * y % m for y in b)
+                    parts.append(blk)
+                out.append(tuple(chain.from_iterable(parts)))
+        return _wrap(self.ring, tuple(out), self.rows * other.rows, self.cols * other.cols)
 
     def hstack(self, other: "PAdicMatrix") -> "PAdicMatrix":
         if self.rows != other.rows:
             raise ShapeError("hstack row mismatch")
-        return PAdicMatrix(self.ring, [list(a) + list(b) for a, b in zip(self.entries, other.entries)],
-                           self.rows, self.cols + other.cols)
+        return _wrap(self.ring, tuple(a + b for a, b in zip(self.entries, other.entries)),
+                     self.rows, self.cols + other.cols)
 
     def column(self, j: int) -> "PAdicMatrix":
-        return PAdicMatrix(self.ring, [[r[j]] for r in self.entries], self.rows, 1)
+        return _wrap(self.ring, tuple((r[j],) for r in self.entries), self.rows, 1)
 
     def select_rows(self, idx: Iterable[int]) -> "PAdicMatrix":
-        idx = list(idx)
-        return PAdicMatrix(self.ring, [list(self.entries[i]) for i in idx], len(idx), self.cols)
+        rows = tuple(self.entries[i] for i in idx)
+        return _wrap(self.ring, rows, len(rows), self.cols)
 
     def select_cols(self, idx: Iterable[int]) -> "PAdicMatrix":
         idx = list(idx)
-        return PAdicMatrix(self.ring, [[r[j] for j in idx] for r in self.entries], self.rows, len(idx))
+        return _wrap(self.ring, tuple(tuple(r[j] for j in idx) for r in self.entries),
+                     self.rows, len(idx))
+
+
+# The slots' own setters, which bypass the class's __setattr__.
+_set_ring, _set_rows, _set_cols, _set_entries = (
+    PAdicMatrix.__dict__[name].__set__ for name in PAdicMatrix.__slots__)
+_new = object.__new__
+
+
+def _wrap(ring: BaseRing, entries: tuple, rows: int, cols: int) -> PAdicMatrix:
+    """Wrap ``entries``, already a tuple of ``rows`` tuples of ``cols``
+    residues in [0, p^N), as a matrix without copying, reducing or checking
+    it.  Only the kernel calls this, on results it built itself."""
+    self = _new(PAdicMatrix)
+    _set_ring(self, ring)
+    _set_rows(self, rows)
+    _set_cols(self, cols)
+    _set_entries(self, entries)
+    return self
 
 
 # ---------------------------------------------------------------------------

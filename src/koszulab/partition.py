@@ -244,12 +244,6 @@ class PointedSimplicialSet:
         return tuple(sum(1 for c in sx if not is_degenerate(c))
                      for sx in self.simplices)
 
-    def face(self, chain, i):
-        return face(chain, i)
-
-    def degeneracy(self, chain, i):
-        return degeneracy(chain, i)
-
     def verify(self):
         """Check the simplicial identities on every stored simplex."""
         return verify_simplicial_identities(
@@ -302,16 +296,15 @@ def partition_complex(n: int, ring: BaseRing,
     simplices = tuple(tuple(by_degree.get(s, ())) for s in range(top_degree + 1))
     ranks = [len(sx) for sx in simplices]
     index = [{c: i for i, c in enumerate(sx)} for sx in simplices]
-    mod = ring.modulus
     diffs = []
     for s in range(1, top_degree + 1):
-        dst = [[0] * ranks[s] for _ in range(ranks[s - 1])]
+        nonzeros = [{} for _ in range(ranks[s - 1])]   # per row: column -> entry
         for col, chain in enumerate(simplices[s]):
             for i in range(1, s):
-                target = face(chain, i)
-                row = index[s - 1][target]
-                dst[row][col] = (dst[row][col] + (-1) ** i) % mod
-        diffs.append(PAdicMatrix(ring, dst, ranks[s - 1], ranks[s]))
+                row = nonzeros[index[s - 1][face(chain, i)]]
+                row[col] = row.get(col, 0) + (-1) ** i
+        diffs.append(PAdicMatrix.from_sparse_rows(ring, ranks[s - 1], ranks[s],
+                                                  nonzeros))
     cx = make_complex(ring, HOMOLOGICAL, 0, ranks, diffs)
     return PartitionComplexData(n, cx, simplices)
 

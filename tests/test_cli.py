@@ -82,6 +82,44 @@ def test_non_prime_p_is_reported_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def check_leaf_rejected(tmp_path, capsys, doc, path_text):
+    """The dataset fails to load with exit 1 and a message naming the JSON
+    path of the bad leaf, without a traceback."""
+    path = tmp_path / "leaf.json"
+    path.write_text(json.dumps(doc))
+    assert main(["koszul", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert path_text in err and "expected an integer" in err
+    assert "Traceback" not in err
+
+
+def test_string_matrix_entry_is_reported_with_path(tmp_path, capsys):
+    doc = dataset_to_json(builtin_height1(3, 2, 4))
+    doc["algebra"]["mult"][0]["matrix"] = [["1"]]
+    check_leaf_rejected(tmp_path, capsys, doc, "algebra.mult[k=1,l=1].matrix[0][0]")
+
+
+def test_float_matrix_entry_is_reported_with_path(tmp_path, capsys):
+    doc = dataset_to_json(builtin_height1(3, 2, 4))
+    doc["modules"][1]["action"][0]["matrix"] = [[1.5]]
+    name = doc["modules"][1]["name"]
+    check_leaf_rejected(tmp_path, capsys, doc,
+                        f"modules[{name!r}].action[k=1].matrix[0][0]")
+
+
+def test_bool_structure_constant_is_reported_with_path(tmp_path, capsys):
+    doc = dataset_to_json(builtin_height1(3, 2, 4))
+    doc["coefficient_algebra"]["mult_constants"] = [[[True]]]
+    check_leaf_rejected(tmp_path, capsys, doc,
+                        "coefficient_algebra.mult_constants[0][0][0]")
+
+
+def test_non_integer_unit_is_reported_with_path(tmp_path, capsys):
+    doc = dataset_to_json(builtin_height1(3, 2, 4))
+    doc["coefficient_algebra"]["unit"] = ["1"]
+    check_leaf_rejected(tmp_path, capsys, doc, "coefficient_algebra.unit[0]")
+
+
 def test_invalid_dataset_is_math_failure(tmp_path, capsys):
     doc = dataset_to_json(builtin_height1(3, 2, 4))
     for ent in doc["algebra"]["mult"]:

@@ -71,6 +71,115 @@ def test_kron_matches_blockwise_definition():
 
 
 # ---------------------------------------------------------------------------
+# The matrix kernel against naive definitions
+# ---------------------------------------------------------------------------
+
+KERNEL_RINGS = (BaseRing(2, 2), BaseRing(3, 2), BaseRing(3, 3))   # Z/4, Z/9, Z/27
+
+
+@st.composite
+def raw_entries(draw, ring, rows, cols):
+    """rows x cols integers, unreduced (negative and >= p^N values occur);
+    half the time at least 90% of them are zero."""
+    m = ring.modulus
+    value = st.one_of(st.just(1), st.integers(-2 * m, 2 * m))
+    cells = rows * cols
+    if draw(st.booleans()):
+        flat = draw(st.lists(value, min_size=cells, max_size=cells))
+    else:
+        flat = [0] * cells
+        for pos in draw(st.lists(st.integers(0, max(cells - 1, 0)),
+                                 max_size=cells // 10)):
+            flat[pos] = draw(value)
+    return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+
+
+def assert_reduced(M, rows, cols):
+    """The invariant the kernel's unreduced wrapping relies on."""
+    m = M.ring.modulus
+    assert M.shape == (rows, cols)
+    assert type(M.entries) is tuple and len(M.entries) == rows
+    for r in M.entries:
+        assert type(r) is tuple and len(r) == cols
+        assert all(type(x) is int and 0 <= x < m for x in r)
+
+
+def naive(ring, raw):
+    return [[x % ring.modulus for x in r] for r in raw]
+
+
+dims = st.integers(0, 7)
+
+
+@given(st.sampled_from(KERNEL_RINGS), dims, dims, dims, st.data())
+@settings(max_examples=150, deadline=None)
+def test_matmul_and_kron_match_naive_definitions(ring, n, k, l, data):
+    m = ring.modulus
+    a = data.draw(raw_entries(ring, n, k))
+    b = data.draw(raw_entries(ring, k, l))
+    A, B = PAdicMatrix(ring, a, n, k), PAdicMatrix(ring, b, k, l)
+    assert_reduced(A, n, k)
+    P = A @ B
+    assert_reduced(P, n, l)
+    assert P.tolist() == [[sum(a[i][t] * b[t][j] for t in range(k)) % m
+                           for j in range(l)] for i in range(n)]
+    K = A.kron(B)
+    assert_reduced(K, n * k, k * l)
+    assert K.tolist() == [[a[i][j] * b[s][t] % m
+                           for j in range(k) for t in range(l)]
+                          for i in range(n) for s in range(k)]
+
+
+@given(st.sampled_from(KERNEL_RINGS), dims, dims, dims, st.data())
+@settings(max_examples=150, deadline=None)
+def test_reshaping_and_entrywise_ops_match_naive_definitions(ring, n, k, l, data):
+    m = ring.modulus
+    a = data.draw(raw_entries(ring, n, k))
+    b = data.draw(raw_entries(ring, n, k))
+    c = data.draw(raw_entries(ring, n, l))
+    A, B, C = (PAdicMatrix(ring, a, n, k), PAdicMatrix(ring, b, n, k),
+               PAdicMatrix(ring, c, n, l))
+    ra, rb, rc = naive(ring, a), naive(ring, b), naive(ring, c)
+    T = A.transpose()
+    assert_reduced(T, k, n)
+    assert T.tolist() == [[ra[i][j] for i in range(n)] for j in range(k)]
+    H = A.hstack(C)
+    assert_reduced(H, n, k + l)
+    assert H.tolist() == [ra[i] + rc[i] for i in range(n)]
+    ri = data.draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
+    ci = data.draw(st.lists(st.integers(0, k - 1), max_size=6)) if k else []
+    R, S = A.select_rows(ri), A.select_cols(ci)
+    assert_reduced(R, len(ri), k)
+    assert_reduced(S, n, len(ci))
+    assert R.tolist() == [ra[i] for i in ri]
+    assert S.tolist() == [[ra[i][j] for j in ci] for i in range(n)]
+    c0 = data.draw(st.integers(-2 * m, 2 * m))
+    for M, want in ((A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)]),
+                    (A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)]),
+                    (-A, [[-x for x in r] for r in ra]),
+                    (A.scale(c0), [[c0 * x for x in r] for r in ra])):
+        assert_reduced(M, n, k)
+        assert M.tolist() == naive(ring, want)
+    for M in (PAdicMatrix.identity(ring, n), PAdicMatrix.zeros(ring, n, k)):
+        assert_reduced(M, n, M.cols)
+    if k:
+        col = A.column(k - 1)
+        assert_reduced(col, n, 1)
+        assert col.tolist() == [[r[k - 1]] for r in ra]
+
+
+def test_from_sparse_rows_reduces_and_checks_columns():
+    ring = BaseRing(3, 2)
+    M = PAdicMatrix.from_sparse_rows(ring, 2, 3, [{0: -1, 2: 10}, {}])
+    assert_reduced(M, 2, 3)
+    assert M.entries == ((8, 0, 1), (0, 0, 0))
+    with pytest.raises(ShapeError):
+        PAdicMatrix.from_sparse_rows(ring, 1, 3, [{3: 1}])
+    with pytest.raises(ShapeError):
+        PAdicMatrix.from_sparse_rows(ring, 2, 3, [{}])
+
+
+# ---------------------------------------------------------------------------
 # Integer Smith form
 # ---------------------------------------------------------------------------
 

@@ -182,3 +182,23 @@ def test_single_letter_complex():
     prof = partition_homology(1, BaseRing(3, 2))
     assert prof.free_ranks == (1,)
     assert prof.torsion == ((),)
+
+
+def test_sparse_assembly_matches_dense_assembly():
+    """partition_complex collects each row's nonzeros; a dense list-of-lists
+    assembly, as the module once did it, gives the same differentials."""
+    ring = BaseRing(2, 2)
+    data = partition_complex(5, ring)
+    simplices = data.simplices
+    index = [{c: i for i, c in enumerate(sx)} for sx in simplices]
+    for s in range(1, len(simplices)):
+        dense = [[0] * len(simplices[s]) for _ in simplices[s - 1]]
+        for col, chain in enumerate(simplices[s]):
+            for i in range(1, s):
+                row = index[s - 1][face(chain, i)]
+                dense[row][col] = (dense[row][col] + (-1) ** i) % ring.modulus
+        d = data.complex.differentials[s - 1]
+        assert d.tolist() == dense
+        assert type(d.entries) is tuple
+        assert all(type(r) is tuple and all(type(x) is int and 0 <= x < 4
+                                            for x in r) for r in d.entries)
