@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from koszulab.algebra import (Dataset, GradedAugmentedAlgebra, builtin_height1,
-                              save_dataset)
+from koszulab.algebra import (Bimodule, CoefficientAlgebra, Dataset,
+                              GradedAugmentedAlgebra, LeftModule,
+                              builtin_height1, save_dataset, trivial_module)
 from koszulab.cli import run
+from koszulab.isogeny import SubgroupAlgebra, SubgroupAlgebraPackage
 from koszulab.padic import PAdicMatrix
 from koszulab.synthetic import perturb_pairing, synthetic_height1_dataset
 
@@ -49,6 +51,67 @@ def non_koszul_dataset():
     return Dataset(ds.p, ds.N, ds.height_label, ds.q_label,
                    ds.provenance + " [weight-(1,1) product zeroed]", bad,
                    ds.modules, ds.subgroup_package)
+
+
+def sym2_dataset():
+    """Sym(V) with rank V = 2 over Z/9 up to weight 5, the tensor square of
+    the built-in height-1 algebra: weight k has basis x^a y^(k-a) (rank
+    k+1) and x^a y^(k-a) * x^b y^(l-b) = x^(a+b) y^(k+l-a-b).  It is Koszul
+    with C[k] ranks binomial(2, k) (Polishchuk-Positselski, Quadratic
+    Algebras, ch. 3).  Unlike the rank-1 datasets, a face I_pre (x) m (x)
+    I_post with pre != post here has a layout that a swap of the identity
+    factors changes.
+
+    The package takes S_{p^k} = (Z/9)^(k+1) with componentwise product, t a
+    column of ones, u1 the transposed product and identity pairings.  The
+    module "ones" lets every basis element act by 1; with no "sphere"
+    module the shift-square suite is skipped."""
+    coeff = builtin_height1(3, 2, 1).algebra.coeff
+    ring = coeff.ring
+    kmax = 5
+
+    def eye(n):
+        return PAdicMatrix.identity(ring, n)
+
+    def ones(rows, cols):
+        return PAdicMatrix(ring, [[1] * cols] * rows, rows, cols)
+
+    def product(k, l):
+        rows = [[0] * ((k + 1) * (l + 1)) for _ in range(k + l + 1)]
+        for a in range(k + 1):
+            for b in range(l + 1):
+                rows[a + b][a * (l + 1) + b] = 1
+        return PAdicMatrix(ring, rows, k + l + 1, (k + 1) * (l + 1))
+
+    def componentwise(r):
+        consts = tuple(tuple(tuple(int(i == j == m) for m in range(r))
+                             for j in range(r)) for i in range(r))
+        return CoefficientAlgebra(ring, r, consts, (1,) * r, ())
+
+    weights = range(1, kmax + 1)
+    comps = {k: Bimodule(ring, coeff, k + 1, (eye(k + 1),), (eye(k + 1),))
+             for k in weights}
+    mult = {(k, l): product(k, l)
+            for k in range(1, kmax) for l in range(1, kmax + 1 - k)}
+    algebra = GradedAugmentedAlgebra(coeff, 1, kmax, comps, mult)
+    modules = {"triv": trivial_module(coeff),
+               "ones": LeftModule("ones", coeff, 1,
+                                  {k: ones(1, k + 1) for k in weights})}
+    pkg = SubgroupAlgebraPackage(
+        coeff=coeff,
+        orders={k: SubgroupAlgebra(k, componentwise(k + 1), comps[k])
+                for k in weights},
+        t_maps={k: ones(k + 1, 1) for k in weights},
+        u1={kl: m.transpose() for kl, m in mult.items()},
+        shift={},
+        pairing={k: eye(k + 1) for k in weights})
+    return Dataset(3, 2, "2", 1, "Sym(V), rank V = 2: tensor square of the "
+                   "built-in height-1 dataset", algebra, modules, pkg)
+
+
+CASES["verify_sym2_p3_N2_k5"] = (sym2_dataset, ["verify", "--suite", "all", "--json"])
+CASES["bar_sym2_p3_N2_k5_w4_triv"] = (
+    sym2_dataset, ["bar", "--weight", "4", "--module", "triv", "--json"])
 
 
 # Failure paths and single suites: where witnesses and exceptions surface.
