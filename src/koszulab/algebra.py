@@ -219,39 +219,6 @@ class GradedAugmentedAlgebra:
             return self.coeff.as_bimodule()
         return self.components[k]
 
-    def mult_matrix(self, k: int, l: int) -> PAdicMatrix:
-        """Structure map Delta[k] (x) Delta[l] -> Delta[k+l] on ambient bases.
-
-        Weight-0 factors multiply through the bimodule actions.
-        """
-        ring = self.coeff.ring
-        if k == 0 and l == 0:
-            c = self.coeff
-            cols = []
-            for i in range(c.rank):
-                m = c.regular_left(i)
-                for j in range(c.rank):
-                    cols.append([m.entries[t][j] for t in range(c.rank)])
-            return PAdicMatrix(ring, [[col[t] for col in cols] for t in range(c.rank)],
-                               c.rank, c.rank * c.rank)
-        if k == 0:
-            B = self.component(l)
-            cols = []
-            for a in range(self.coeff.rank):
-                for j in range(B.rank):
-                    cols.append([B.left[a].entries[t][j] for t in range(B.rank)])
-            return PAdicMatrix(ring, [[col[t] for col in cols] for t in range(B.rank)],
-                               B.rank, self.coeff.rank * B.rank)
-        if l == 0:
-            B = self.component(k)
-            cols = []
-            for j in range(B.rank):
-                for a in range(self.coeff.rank):
-                    cols.append([B.right[a].entries[t][j] for t in range(B.rank)])
-            return PAdicMatrix(ring, [[col[t] for col in cols] for t in range(B.rank)],
-                               B.rank, B.rank * self.coeff.rank)
-        return self.mult[(k, l)]
-
 
 @dataclass(frozen=True)
 class LeftModule:

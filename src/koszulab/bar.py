@@ -3,6 +3,7 @@ with its last-face differential, and Tor/Ext profiles."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional
 
 from .padic import (PAdicMatrix, InconsistentSystemError, kernel_basis,
@@ -46,79 +47,125 @@ def bounded_compositions(parts: int, max_total: int):
     return sorted(out)
 
 
+# ---------------------------------------------------------------------------
+# Complexes indexed by compositions
+#
+# The bar complexes and the subgroup (isogeny) complex share one shape: the
+# degree-s term is a sum of tensor quotients, one block per composition with
+# s parts, and every face is a block proj_full @ (I_pre (x) m (x) I_post) @
+# sect_full between the ambient tensor products of two compositions.
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
-class BarBlock:
+class Block:
+    """One composition's summand in one degree: its tensor quotient and the
+    first coordinate it occupies."""
     composition: tuple
     start: int
     tensor: IteratedTensor
 
 
+def identity_tensor(B: Bimodule) -> IteratedTensor:
+    """``B`` as a tensor of one factor, with identity maps to its ambient."""
+    eye = PAdicMatrix.identity(B.ring, B.rank)
+    return IteratedTensor(B, eye, eye, (B.rank,))
+
+
+def composition_blocks(comps, tensor_of):
+    """The blocks of ``comps``, laid end to end, and their total rank."""
+    blocks = []
+    start = 0
+    for comp in comps:
+        t = tensor_of(comp)
+        blocks.append(Block(comp, start, t))
+        start += t.bimodule.rank
+    return tuple(blocks), start
+
+
+def place_blocks(ring, rows: int, cols: int, placed) -> PAdicMatrix:
+    """The rows x cols matrix summing sign * block at (row0, col0) for each
+    (row0, col0, sign, block) in ``placed``."""
+    nonzeros = [{} for _ in range(rows)]
+    for row0, col0, sign, block in placed:
+        for i, row in enumerate(block.entries, row0):
+            out = nonzeros[i]
+            for j, x in enumerate(row, col0):
+                if x:
+                    out[j] = out.get(j, 0) + sign * x
+    return PAdicMatrix.from_sparse_rows(ring, rows, cols, nonzeros)
+
+
+def assemble(ring, src, tgt, rows: int, cols: int, faces) -> PAdicMatrix:
+    """The rows x cols differential from the blocks ``src`` to the blocks
+    ``tgt``.  ``faces(composition)`` yields each face of a source block as
+    (target composition, sign, pre, m, post): the ambient map
+    I_pre (x) m (x) I_post, read in the quotient coordinates of both blocks."""
+    by_comp = {b.composition: b for b in tgt}
+
+    def placed():
+        for b in src:
+            for comp, sign, pre, m, post in faces(b.composition):
+                tb = by_comp[comp]
+                amb = (PAdicMatrix.identity(ring, pre).kron(m)
+                       .kron(PAdicMatrix.identity(ring, post)))
+                yield (tb.start, b.start, sign,
+                       tb.tensor.proj_full @ amb @ b.tensor.sect_full)
+    return place_blocks(ring, rows, cols, placed())
+
+
+def rank_product(rank, parts) -> int:
+    """The rank of the ambient tensor product of the parts' components."""
+    return prod(rank(k) for k in parts)
+
+
+# ---------------------------------------------------------------------------
+# Bar complexes
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class BarComplex:
     weight: Optional[int]          # None for the module-coefficient complex
     complex: ChainComplex
-    blocks: tuple                  # per degree, tuple of BarBlock
+    blocks: tuple                  # per degree, tuple of Block
     module_name: Optional[str] = None
 
     def degree_blocks(self, s: int):
         return self.blocks[s - self.complex.min_degree]
 
 
-def _coeff_tensor(A: GradedAugmentedAlgebra):
+def _bar_complex(A: GradedAugmentedAlgebra, degree_comps, extra, last_face
+                 ) -> tuple:
+    """The homological complex on ``degree_comps`` (compositions per degree
+    from 0) with ``extra`` appended to every tensor, differential the
+    alternating sum of the merge faces plus ``last_face``; d o d is checked."""
     ring = A.coeff.ring
-    c = A.coeff.rank
-    eye = PAdicMatrix.identity(ring, c)
-    return IteratedTensor(A.coeff.as_bimodule(), eye, eye, (c,))
+    post_rank = prod(B.rank for B in extra)
 
+    def tensor_of(comp):
+        factors = [A.component(k) for k in comp] + extra
+        if not factors:
+            return identity_tensor(A.coeff.as_bimodule())
+        return iterated_tensor(factors)
 
-def _module_tensor(M: LeftModule):
-    ring = M.coeff.ring
-    eye = PAdicMatrix.identity(ring, M.base_rank)
-    return IteratedTensor(M.as_bimodule(), eye, eye, (M.base_rank,))
+    def faces(comp):
+        for i in range(1, len(comp)):
+            yield (comp[:i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1:],
+                   (-1) ** i, rank_product(A.rank, comp[:i - 1]),
+                   A.mult[(comp[i - 1], comp[i])],
+                   rank_product(A.rank, comp[i + 1:]) * post_rank)
+        if last_face is not None and comp:
+            yield (comp[:-1], (-1) ** len(comp), rank_product(A.rank, comp[:-1]),
+                   last_face(comp[-1]), 1)
 
-
-def _blocks_for(A, comps_list, module: Optional[LeftModule]):
-    ring = A.coeff.ring
-    blocks = []
-    start = 0
-    for comp in comps_list:
-        factors = [A.component(k) for k in comp]
-        if module is not None:
-            factors.append(module.as_bimodule())
-        if factors:
-            t = iterated_tensor(factors)
-        elif module is not None:
-            t = _module_tensor(module)
-        else:
-            t = _coeff_tensor(A)
-        blocks.append(BarBlock(comp, start, t))
-        start += t.bimodule.rank
-    return tuple(blocks), start
-
-
-def _face_matrix_mult(A, comp, i):
-    """Ambient matrix of the face merging slots i, i+1 (1-based) of ``comp``,
-    acting on the full Z/p^N tensor product of the components."""
-    ring = A.coeff.ring
-    pre = 1
-    for k in comp[:i - 1]:
-        pre *= A.rank(k)
-    post = 1
-    for k in comp[i + 1:]:
-        post *= A.rank(k)
-    m = A.mult_matrix(comp[i - 1], comp[i])
-    out = PAdicMatrix.identity(ring, pre).kron(m).kron(PAdicMatrix.identity(ring, post))
-    return out
-
-
-def _add_block(dst, row0, col0, mat, sign):
-    """Add sign * mat at (row0, col0) to ``dst``, one dict of nonzeros per
-    row, as `PAdicMatrix.from_sparse_rows` takes them."""
-    for i, row in enumerate(mat.entries):
-        drow = dst[row0 + i]
-        for j, x in enumerate(row):
-            if x:
-                drow[col0 + j] = drow.get(col0 + j, 0) + sign * x
+    blocks, ranks = zip(*(composition_blocks(c, tensor_of) for c in degree_comps))
+    diffs = [assemble(ring, blocks[s], blocks[s - 1], ranks[s - 1], ranks[s], faces)
+             for s in range(1, len(blocks))]
+    cx = make_complex(ring, HOMOLOGICAL, 0, ranks, diffs)
+    ok, deg = verify_complex(cx)
+    if not ok:
+        raise NotKoszulError(f"bar differential fails d o d = 0 at degree {deg} "
+                             f"(invalid dataset)")
+    return cx, blocks
 
 
 def bar_complex(A: GradedAugmentedAlgebra, k: int,
@@ -135,86 +182,21 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
         return bar_complex_with_module(A, M, k)
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")
-    ring = A.coeff.ring
-    if k == 0:
-        blocks, rank0 = _blocks_for(A, [()], None)
-        cx = make_complex(ring, HOMOLOGICAL, 0, [rank0], [])
-        return BarComplex(0, cx, (blocks,))
-    degree_comps = [[]] + [compositions(k, s) for s in range(1, k + 1)]
-    all_blocks = []
-    ranks = []
-    for s in range(0, k + 1):
-        blocks, total = _blocks_for(A, degree_comps[s], None)
-        all_blocks.append(blocks)
-        ranks.append(total)
-    diffs = []
-    for s in range(1, k + 1):
-        src_blocks = all_blocks[s]
-        tgt_blocks = {b.composition: b for b in all_blocks[s - 1]}
-        dst = [{} for _ in range(ranks[s - 1])]
-        for b in src_blocks:
-            comp = b.composition
-            for i in range(1, s):
-                tgt_comp = comp[:i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1:]
-                tb = tgt_blocks[tgt_comp]
-                amb = _face_matrix_mult(A, comp, i)
-                m = tb.tensor.proj_full @ amb @ b.tensor.sect_full
-                _add_block(dst, tb.start, b.start, m, (-1) ** i)
-        diffs.append(PAdicMatrix.from_sparse_rows(ring, ranks[s - 1], ranks[s], dst))
-    cx = make_complex(ring, HOMOLOGICAL, 0, ranks, diffs)
-    ok, deg = verify_complex(cx)
-    if not ok:
-        raise NotKoszulError(f"bar differential fails d o d = 0 at degree {deg} "
-                             f"(invalid dataset)")
-    return BarComplex(k, cx, tuple(all_blocks))
+    cx, blocks = _bar_complex(A, [compositions(k, s) for s in range(k + 1)],
+                              [], None)
+    return BarComplex(k, cx, blocks)
 
 
 def bar_complex_with_module(A: GradedAugmentedAlgebra, M: LeftModule,
                             smax: int) -> BarComplex:
     """Normalized bar complex with trivial left and module right coefficients,
     truncated to compositions of total weight <= max_weight (a subcomplex,
-    since the differential never raises total slot weight)."""
-    ring = A.coeff.ring
-    W = A.max_weight
-    all_blocks = []
-    ranks = []
-    for s in range(0, smax + 1):
-        comps_list = bounded_compositions(s, W)
-        blocks, total = _blocks_for(A, comps_list, M)
-        all_blocks.append(blocks)
-        ranks.append(total)
-    diffs = []
-    for s in range(1, smax + 1):
-        src_blocks = all_blocks[s]
-        tgt_blocks = {b.composition: b for b in all_blocks[s - 1]}
-        dst = [{} for _ in range(ranks[s - 1])]
-        for b in src_blocks:
-            comp = b.composition
-            mb = M.base_rank
-            for i in range(1, s):
-                tgt_comp = comp[:i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1:]
-                tb = tgt_blocks[tgt_comp]
-                amb = _face_matrix_mult(A, comp, i).kron(
-                    PAdicMatrix.identity(ring, mb))
-                m = tb.tensor.proj_full @ amb @ b.tensor.sect_full
-                _add_block(dst, tb.start, b.start, m, (-1) ** i)
-            # face s: act the last slot on the module
-            tgt_comp = comp[:-1]
-            tb = tgt_blocks[tgt_comp]
-            pre = 1
-            for kk in comp[:-1]:
-                pre *= A.rank(kk)
-            act = M.weight_action(comp[-1], A.rank(comp[-1]))
-            amb = PAdicMatrix.identity(ring, pre).kron(act)
-            m = tb.tensor.proj_full @ amb @ b.tensor.sect_full
-            _add_block(dst, tb.start, b.start, m, (-1) ** s)
-        diffs.append(PAdicMatrix.from_sparse_rows(ring, ranks[s - 1], ranks[s], dst))
-    cx = make_complex(ring, HOMOLOGICAL, 0, ranks, diffs)
-    ok, deg = verify_complex(cx)
-    if not ok:
-        raise NotKoszulError(f"bar differential fails d o d = 0 at degree {deg} "
-                             f"(invalid dataset)")
-    return BarComplex(None, cx, tuple(all_blocks), M.name)
+    since the differential never raises total slot weight).  Face s acts the
+    last slot on the module."""
+    cx, blocks = _bar_complex(
+        A, [bounded_compositions(s, A.max_weight) for s in range(smax + 1)],
+        [M.as_bimodule()], lambda k: M.weight_action(k, A.rank(k)))
+    return BarComplex(None, cx, blocks, M.name)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +220,8 @@ def koszul_module(A: GradedAugmentedAlgebra, k: int,
     The bar complex and its homology come from ``data`` when given.
     """
     if k == 0:
-        t = _coeff_tensor(A)
         return KoszulModuleData(0, PAdicMatrix.identity(A.coeff.ring, A.coeff.rank),
-                                A.coeff.rank, t)
+                                A.coeff.rank, identity_tensor(A.coeff.as_bimodule()))
     data = data or KoszulData(A)
     bc, prof = data.bar(k), data.bar_homology(k)
     for s in bc.complex.degrees:
@@ -302,8 +283,7 @@ def koszul_complex(A: GradedAugmentedAlgebra, M: LeftModule,
     d1 = A.rank(1)
     data = data or KoszulData(A)
     kos = [data.koszul_module(k) for k in range(kmax + 1)]
-    tensors = [_coeff_tensor(A)] + [iterated_tensor([A.component(1)] * k)
-                                    for k in range(1, kmax + 1)]
+    tensors = [kd.top_tensor for kd in kos]
     iotas = []          # C[k] (x) M -> T_k (x) M, quotient coordinates
     amb_incs = []       # C[k] (x) M -> full ambient
     tm_proj_full = []

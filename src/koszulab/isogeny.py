@@ -15,7 +15,9 @@ from .algebra import (Bimodule, CoefficientAlgebra, Dataset,
                       GradedAugmentedAlgebra, IteratedTensor, LeftModule,
                       ValidationReport, iterated_tensor, _e, _int_array,
                       _matrix_from_json)
-from .bar import KoszulData, _add_block, compositions, koszul_module
+from .bar import (KoszulData, assemble, composition_blocks, compositions,
+                  identity_tensor, koszul_module, place_blocks,
+                  rank_product)
 
 
 class MICError(Exception):
@@ -56,11 +58,8 @@ class SubgroupAlgebraPackage:
 
 def flag_tensor(pkg: SubgroupAlgebraPackage, composition) -> IteratedTensor:
     """The flag module S_{p^{k_1}} (x)_{E0} ... (x)_{E0} S_{p^{k_s}}."""
-    ring = pkg.coeff.ring
     if not composition:
-        c = pkg.coeff.rank
-        eye = PAdicMatrix.identity(ring, c)
-        return IteratedTensor(pkg.coeff.as_bimodule(), eye, eye, (c,))
+        return identity_tensor(pkg.coeff.as_bimodule())
     for k in composition:
         if k not in pkg.orders:
             raise MICError(f"package has no subgroup algebra of order p^{k}")
@@ -138,17 +137,10 @@ def flag_algebra(pkg: SubgroupAlgebraPackage, composition) -> FlagAlgebra:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MICBlock:
-    composition: tuple
-    start: int
-    tensor: IteratedTensor
-
-
-@dataclass(frozen=True)
 class ModularIsogenyComplex:
     k: int
     complex: ChainComplex
-    blocks: tuple   # per degree, tuple of MICBlock
+    blocks: tuple   # per degree, tuple of bar.Block
 
 
 def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
@@ -158,60 +150,33 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
     ring = pkg.coeff.ring
     if k < 0:
         raise MICError("negative order exponent")
-    if k == 0:
-        c = pkg.coeff.rank
-        eye = PAdicMatrix.identity(ring, c)
-        t = IteratedTensor(pkg.coeff.as_bimodule(), eye, eye, (c,))
-        cx = make_complex(ring, COHOMOLOGICAL, 0, [c], [])
-        return ModularIsogenyComplex(0, cx, ((MICBlock((), 0, t),),))
     if k > pkg.max_order:
         raise MICError(f"package covers orders up to p^{pkg.max_order}, need p^{k}")
-    all_blocks = []
-    ranks = []
-    for s in range(1, k + 1):
-        blocks = []
-        start = 0
-        for comp in compositions(k, s):
-            t = flag_tensor(pkg, comp)
-            blocks.append(MICBlock(comp, start, t))
-            start += t.bimodule.rank
-        all_blocks.append(tuple(blocks))
-        ranks.append(start)
-    diffs = []
-    for s in range(1, k):
-        src_blocks = all_blocks[s - 1]
-        tgt_blocks = {b.composition: b for b in all_blocks[s]}
-        dst = [{} for _ in range(ranks[s])]
-        for b in src_blocks:
-            comp = b.composition
-            for i in range(1, s + 1):
-                ki = comp[i - 1]
-                for k1 in range(1, ki):
-                    k2 = ki - k1
-                    if (k1, k2) not in pkg.u1:
-                        raise MICError(f"package missing u1 for ({k1},{k2})")
-                    tgt_comp = comp[:i - 1] + (k1, k2) + comp[i:]
-                    tb = tgt_blocks[tgt_comp]
-                    pre = 1
-                    for kk in comp[:i - 1]:
-                        pre *= pkg.rank(kk)
-                    post = 1
-                    for kk in comp[i:]:
-                        post *= pkg.rank(kk)
-                    amb = (PAdicMatrix.identity(ring, pre)
-                           .kron(pkg.u1[(k1, k2)])
-                           .kron(PAdicMatrix.identity(ring, post)))
-                    m = tb.tensor.proj_full @ amb @ b.tensor.sect_full
-                    _add_block(dst, tb.start, b.start, m, (-1) ** i)
-        diffs.append(PAdicMatrix.from_sparse_rows(ring, ranks[s], ranks[s - 1], dst))
-    cx = make_complex(ring, COHOMOLOGICAL, 1, ranks, diffs)
+
+    def faces(comp):
+        for i, ki in enumerate(comp):
+            for k1 in range(1, ki):
+                k2 = ki - k1
+                if (k1, k2) not in pkg.u1:
+                    raise MICError(f"package missing u1 for ({k1},{k2})")
+                yield (comp[:i] + (k1, k2) + comp[i + 1:], (-1) ** (i + 1),
+                       rank_product(pkg.rank, comp[:i]), pkg.u1[(k1, k2)],
+                       rank_product(pkg.rank, comp[i + 1:]))
+
+    low = 1 if k else 0     # order p^0 is the coefficient ring in degree 0
+    blocks, ranks = zip(*(composition_blocks(compositions(k, s),
+                                             lambda c: flag_tensor(pkg, c))
+                          for s in range(low, k + 1)))
+    diffs = [assemble(ring, blocks[j], blocks[j + 1], ranks[j + 1], ranks[j], faces)
+             for j in range(len(blocks) - 1)]
+    cx = make_complex(ring, COHOMOLOGICAL, low, ranks, diffs)
     ok, deg = verify_complex(cx)
     if not ok:
-        comps = [b.composition for b in all_blocks[deg - 1]]
+        comps = [b.composition for b in blocks[deg - low]]
         raise MICError(f"refinement maps fail d o d = 0 between degrees "
                        f"{deg} and {deg + 2}; source compositions {comps} "
                        "(coassociativity violation in the package)")
-    return ModularIsogenyComplex(k, cx, tuple(all_blocks))
+    return ModularIsogenyComplex(k, cx, blocks)
 
 
 def mic_cohomology(pkg: SubgroupAlgebraPackage, k: int,
@@ -332,33 +297,28 @@ def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
     bc = (data or KoszulData(A)).bar(k)
     mic = build_mic(pkg, k)
     dual = dualize_complex(bc.complex)
-    maps = []
-    for s in range(1, k + 1):
-        bar_blocks = bc.degree_blocks(s)
-        mic_blocks = mic.blocks[s - 1]
-        if [b.composition for b in bar_blocks] != \
-                [b.composition for b in mic_blocks]:
-            raise MICError(f"bar and subgroup blocks index different "
-                           f"compositions at degree {s}")
-        total_bar = dual.ranks[s]
-        total_mic = mic.complex.ranks[s - 1]
-        dst = [{} for _ in range(total_mic)]
-        for bb, mb in zip(bar_blocks, mic_blocks):
+
+    def placed(s):
+        for bb, mb in zip(bc.degree_blocks(s), mic.blocks[s - 1]):
             PK = pkg.pairing[bb.composition[0]]
             for kk in bb.composition[1:]:
                 PK = PK.kron(pkg.pairing[kk])
-            X = PK @ mb.tensor.sect_full
-            Y = bb.tensor.proj_full.transpose()
             try:
-                block = solve(X, Y)
+                block = solve(PK @ mb.tensor.sect_full,
+                              bb.tensor.proj_full.transpose())
             except InconsistentSystemError as exc:
                 raise MICError(f"pairing does not descend at degree {s}, "
                                f"composition {bb.composition}: {exc}")
-            for r, row in enumerate(block.entries):
-                for c0, x in enumerate(row):
-                    if x:
-                        dst[mb.start + r][bb.start + c0] = x
-        maps.append(PAdicMatrix.from_sparse_rows(ring, total_mic, total_bar, dst))
+            yield mb.start, bb.start, 1, block
+
+    maps = []
+    for s in range(1, k + 1):
+        if [b.composition for b in bc.degree_blocks(s)] != \
+                [b.composition for b in mic.blocks[s - 1]]:
+            raise MICError(f"bar and subgroup blocks index different "
+                           f"compositions at degree {s}")
+        maps.append(place_blocks(ring, mic.complex.ranks[s - 1], dual.ranks[s],
+                                 placed(s)))
     for s in range(1, k):
         lhs = maps[s] @ dual.differentials[s]      # dual d: degree s -> s+1
         rhs = mic.complex.differentials[s - 1] @ maps[s - 1]
