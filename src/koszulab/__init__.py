@@ -21,16 +21,12 @@ from .algebra import (CoefficientAlgebra, Bimodule, GradedAugmentedAlgebra,
 from .bar import (BarComplex, KoszulData, KoszulModuleData, KoszulComplexData,
                   NotKoszulError, bar_complex, bar_complex_with_module,
                   koszul_module, koszul_complex, tor_groups, ext_groups,
-                  tor_groups_via_bar, verify_koszulness,
-                  suspension_inclusion_check)
+                  tor_groups_via_bar, verify_koszulness)
 from .isogeny import (SubgroupAlgebra, SubgroupAlgebraPackage, MICError,
-                      flag_algebra, build_mic, mic_cohomology,
-                      dualize_bar_to_mic, verify_theorem_10_2,
-                      validate_package)
-from .partition import (PartitionLattice, PartitionSizeError,
-                        PointedSimplicialSet, partition_chain_complex,
-                        partition_complex, partition_homology,
-                        partition_lattice, poset_simplices)
+                      build_mic, mic_cohomology, dualize_bar_to_mic,
+                      verify_theorem_10_2, validate_package)
+from .partition import (PartitionSizeError, partition_complex,
+                        partition_homology)
 from .synthetic import synthetic_height1_dataset, perturb_pairing
 
 __version__ = "0.1.0"

@@ -6,12 +6,11 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional
 
-from .padic import (PAdicMatrix, InconsistentSystemError, kernel_basis,
-                    smith_normal_form, solve)
+from .padic import PAdicMatrix, InconsistentSystemError, kernel_basis, solve
 from .complexes import (ChainComplex, HomologyProfile, HOMOLOGICAL,
                         dualize_complex, homology, make_complex, verify_complex)
 from .algebra import (Bimodule, GradedAugmentedAlgebra, IteratedTensor,
-                      LeftModule, ValidationReport, iterated_tensor,
+                      LeftModule, iterated_tensor,
                       tensor_over_coeff)
 
 
@@ -438,48 +437,3 @@ def verify_koszulness(A: GradedAugmentedAlgebra, kmax: int,
                    for s in prof.degrees if s != k) and not prof.torsion_at(k)
         entries.append((k, prof, conc, prof.free_rank(k) if conc else None))
     return KoszulnessReport(entries)
-
-
-def suspension_inclusion_check(A_q: GradedAugmentedAlgebra,
-                               A_1: GradedAugmentedAlgebra,
-                               inc_weight1: PAdicMatrix,
-                               inc_weight2: PAdicMatrix) -> ValidationReport:
-    """Check a user-supplied inclusion of one graded algebra into another in
-    weights 1 and 2, and that the induced maps of Koszul submodules are
-    well-defined and injective (all Smith invariants nonzero mod p^N).
-    """
-    rep = ValidationReport()
-    ring = A_q.coeff.ring
-    if inc_weight1.shape != (A_1.rank(1), A_q.rank(1)):
-        rep.fail("weight-1 inclusion shape",
-                 f"expected {(A_1.rank(1), A_q.rank(1))}, got {inc_weight1.shape}")
-        return rep
-    if inc_weight2.shape != (A_1.rank(2), A_q.rank(2)):
-        rep.fail("weight-2 inclusion shape",
-                 f"expected {(A_1.rank(2), A_q.rank(2))}, got {inc_weight2.shape}")
-        return rep
-    if inc_weight2 @ A_q.mult[(1, 1)] != A_1.mult[(1, 1)] @ inc_weight1.kron(inc_weight1):
-        rep.fail("multiplication compatibility",
-                 "weight (1,1) products disagree under the inclusion")
-    kmax = min(A_q.max_weight, A_1.max_weight)
-    for k in range(kmax + 1):
-        kq = koszul_module(A_q, k)
-        k1 = koszul_module(A_1, k)
-        if k == 0:
-            phi_full = PAdicMatrix.identity(ring, A_q.coeff.rank)
-        else:
-            phi_full = inc_weight1
-            for _ in range(k - 1):
-                phi_full = phi_full.kron(inc_weight1)
-        mapped = k1.top_tensor.proj_full @ phi_full @ kq.top_tensor.sect_full @ kq.inclusion
-        try:
-            induced = solve(k1.inclusion, mapped)
-        except InconsistentSystemError:
-            rep.fail("well-definedness",
-                     f"weight {k}: image of C[{k}] misses the target kernel")
-            continue
-        snf = smith_normal_form(induced)
-        vals = [ring.valuation(d) for d in snf.invariants]
-        if any(v >= ring.N for v in vals) or len(vals) < kq.rank:
-            rep.fail("injectivity", f"weight {k}: Smith valuations {vals}")
-    return rep

@@ -3,7 +3,6 @@ degreewise dualization against the bar complex, and the shift-square check
 relating the flag refinement maps to the Koszul differential."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,72 +63,6 @@ def flag_tensor(pkg: SubgroupAlgebraPackage, composition) -> IteratedTensor:
         if k not in pkg.orders:
             raise MICError(f"package has no subgroup algebra of order p^{k}")
     return iterated_tensor([pkg.orders[k].bimodule for k in composition])
-
-
-@dataclass(frozen=True)
-class FlagAlgebra:
-    composition: tuple
-    tensor: IteratedTensor
-    mult_ambient: PAdicMatrix   # componentwise product on the full ambient tensor
-    unit_ambient: tuple
-
-    @property
-    def rank(self) -> int:
-        return self.tensor.bimodule.rank
-
-
-def flag_algebra(pkg: SubgroupAlgebraPackage, composition) -> FlagAlgebra:
-    """Tensor algebra with componentwise structure constants."""
-    composition = tuple(composition)
-    if any(k <= 0 for k in composition):
-        raise MICError(f"composition parts must be positive: {composition}")
-    t = flag_tensor(pkg, composition)
-    ring = pkg.coeff.ring
-    mod = ring.modulus
-    if not composition:
-        alg = pkg.coeff
-        ranks = [alg.rank]
-        consts = [alg.mult_constants]
-        units = [alg.unit]
-    else:
-        algs = [pkg.orders[k].algebra for k in composition]
-        ranks = [a.rank for a in algs]
-        consts = [a.mult_constants for a in algs]
-        units = [a.unit for a in algs]
-    P = 1
-    for r in ranks:
-        P *= r
-    entries = [[0] * (P * P) for _ in range(P)]
-    for a_tuple in itertools.product(*[range(r) for r in ranks]):
-        ai = 0
-        for r, a in zip(ranks, a_tuple):
-            ai = ai * r + a
-        for c_tuple in itertools.product(*[range(r) for r in ranks]):
-            ci = 0
-            for r, c in zip(ranks, c_tuple):
-                ci = ci * r + c
-            for b_tuple in itertools.product(*[range(r) for r in ranks]):
-                v = 1
-                for s_idx, (a, c, b) in enumerate(zip(a_tuple, c_tuple, b_tuple)):
-                    v = v * consts[s_idx][a][c][b] % mod
-                    if not v:
-                        break
-                if v:
-                    bi = 0
-                    for r, b in zip(ranks, b_tuple):
-                        bi = bi * r + b
-                    entries[bi][ai * P + ci] = (entries[bi][ai * P + ci] + v) % mod
-    unit = [0] * P
-    for b_tuple in itertools.product(*[range(r) for r in ranks]):
-        v = 1
-        for s_idx, b in enumerate(b_tuple):
-            v = v * units[s_idx][b] % mod
-        bi = 0
-        for r, b in zip(ranks, b_tuple):
-            bi = bi * r + b
-        unit[bi] = v
-    return FlagAlgebra(composition, t,
-                       PAdicMatrix(ring, entries, P, P * P), tuple(unit))
 
 
 # ---------------------------------------------------------------------------

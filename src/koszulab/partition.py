@@ -70,40 +70,6 @@ def discrete(n: int):
     return canonical([i] for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class PartitionLattice:
-    """All partitions of {1,...,n}, ordered by refinement (finer = larger,
-    so the one-block partition is the bottom and the discrete one the top)."""
-    n: int
-    partitions: tuple
-
-    def __len__(self):
-        return len(self.partitions)
-
-    @property
-    def bottom(self):
-        return one_block(self.n)
-
-    @property
-    def top(self):
-        return discrete(self.n)
-
-    def less_equal(self, lam, mu) -> bool:
-        """True when mu refines lam (lam <= mu in the chain order used here)."""
-        return refines(mu, lam)
-
-    def covers(self):
-        """All comparable pairs (lam, mu) with lam < mu (mu strictly finer)."""
-        return tuple((lam, mu) for lam in self.partitions
-                     for mu in strict_refinements(lam))
-
-
-def partition_lattice(n: int, force: bool = False) -> PartitionLattice:
-    """The full refinement lattice of set partitions of {1,...,n}."""
-    _check_n(n, force)
-    return PartitionLattice(n, tuple(set_partitions(range(1, n + 1))))
-
-
 def refines(mu, lam) -> bool:
     """True when every block of mu lies inside a block of lam."""
     where = {}
@@ -226,55 +192,6 @@ def nondegenerate_simplices(n: int, force: bool = False):
     return by_degree
 
 
-@dataclass(frozen=True)
-class PointedSimplicialSet:
-    """The weak chains (repetitions allowed) from the one-block partition to
-    the discrete one, degree by degree up to s_max, with the basepoint
-    adjoined in every degree.  Faces and degeneracies are the module-level
-    `face` and `degeneracy`."""
-    n: int
-    s_max: int
-    simplices: tuple   # per degree s = 0..s_max, tuple of chains, basepoint last
-
-    def degree(self, s: int):
-        return self.simplices[s]
-
-    def nondegenerate_counts(self):
-        """Per degree, the number of nondegenerate non-basepoint simplices."""
-        return tuple(sum(1 for c in sx if not is_degenerate(c))
-                     for sx in self.simplices)
-
-    def verify(self):
-        """Check the simplicial identities on every stored simplex."""
-        return verify_simplicial_identities(
-            itertools.chain.from_iterable(self.simplices))
-
-
-def poset_simplices(n: int, s_max: int, force: bool = False) -> PointedSimplicialSet:
-    """All weak chains up to degree s_max, plus basepoints.  Each degree-s
-    simplex is a degree-r nondegenerate chain with entries repeated to total
-    length s + 1, so the degenerate simplices are enumerated by the ways of
-    distributing the repetitions."""
-    if s_max < 0:
-        raise PartitionSizeError("s_max must be >= 0")
-    by_degree = nondegenerate_simplices(n, force)
-    per_degree = []
-    for s in range(s_max + 1):
-        chains = []
-        for r in sorted(d for d in by_degree if d <= s):
-            for base in by_degree[r]:
-                # multiplicities >= 1 for the r + 1 entries, summing to s + 1
-                for cut in itertools.combinations(range(1, s + 1), r):
-                    bounds = (0,) + cut + (s + 1,)
-                    mult = [bounds[i + 1] - bounds[i] for i in range(r + 1)]
-                    chains.append(tuple(itertools.chain.from_iterable(
-                        (lam,) * m for lam, m in zip(base, mult))))
-        chains.sort()
-        chains.append(BASEPOINT)
-        per_degree.append(tuple(chains))
-    return PointedSimplicialSet(n, s_max, tuple(per_degree))
-
-
 # ---------------------------------------------------------------------------
 # Normalized chains and homology
 # ---------------------------------------------------------------------------
@@ -309,13 +226,7 @@ def partition_complex(n: int, ring: BaseRing,
     return PartitionComplexData(n, cx, simplices)
 
 
-def partition_chain_complex(n: int, ring: BaseRing,
-                            force: bool = False) -> ChainComplex:
-    """The normalized reduced chain complex alone, without the simplex data."""
-    return partition_complex(n, ring, force).complex
-
-
 def partition_homology(n: int, ring: BaseRing,
                        force: bool = False) -> HomologyProfile:
     """Reduced homology of the pointed partition complex over Z/p^N."""
-    return homology(partition_chain_complex(n, ring, force))
+    return homology(partition_complex(n, ring, force).complex)

@@ -2,13 +2,12 @@
 two independent Tor routes."""
 import pytest
 
-from koszulab.padic import BaseRing, PAdicMatrix
+from koszulab.padic import PAdicMatrix
 from koszulab.complexes import homology, verify_complex
 from koszulab.algebra import GradedAugmentedAlgebra, builtin_height1
 from koszulab.bar import (NotKoszulError, bar_complex, bar_complex_with_module,
                           bounded_compositions, compositions, ext_groups,
-                          koszul_complex, koszul_module,
-                          suspension_inclusion_check, tor_groups,
+                          koszul_complex, koszul_module, tor_groups,
                           tor_groups_via_bar, verify_koszulness)
 from koszulab.synthetic import synthetic_height1_dataset
 
@@ -144,19 +143,6 @@ def test_synthetic_algebras_are_koszul():
         rep = verify_koszulness(ds.algebra, 4)
         assert rep.passed
         assert rep.c_ranks == (1, 1, 0, 0, 0)
-
-
-def test_suspension_inclusion_identity_and_mult_by_p():
-    ring = BaseRing(3, 2)
-    A = builtin_height1(3, 2, 4).algebra
-    one = PAdicMatrix(ring, [[1]], 1, 1)
-    rep = suspension_inclusion_check(A, A, one, one)
-    assert rep.passed, str(rep)
-    # multiplication by p at weight 1 (and p^2 at weight 2, so products are
-    # compatible) stays injective on the lattice side for N >= 2
-    rep2 = suspension_inclusion_check(A, A, PAdicMatrix(ring, [[3]], 1, 1),
-                                      PAdicMatrix(ring, [[9]], 1, 1))
-    assert rep2.passed, str(rep2)
 
 
 def test_bar_weight_exceeding_max_weight_rejected():

@@ -8,7 +8,7 @@ from koszulab.algebra import (builtin_height1, canonical_json,
                               dataset_from_json, dataset_to_json)
 from koszulab.bar import koszul_module
 from koszulab.isogeny import (MICError, SubgroupAlgebraPackage, build_mic,
-                              dualize_bar_to_mic, flag_algebra, flag_tensor,
+                              dualize_bar_to_mic, flag_tensor,
                               mic_cohomology, validate_package,
                               verify_theorem_10_2)
 from koszulab.synthetic import perturb_pairing, synthetic_height1_dataset
@@ -25,12 +25,6 @@ def test_flag_tensor_and_algebra():
     pkg = ds.subgroup_package
     t = flag_tensor(pkg, (1, 2, 1))
     assert t.bimodule.rank == 1
-    fa = flag_algebra(pkg, (2, 2))
-    assert fa.rank == 1
-    assert fa.unit_ambient == (1,)
-    # componentwise multiplication of units is the unit
-    u = PAdicMatrix(ds.ring, [[x] for x in fa.unit_ambient], fa.rank, 1)
-    assert fa.mult_ambient @ u.kron(u) == u
 
 
 def test_mic_ranks_follow_compositions():

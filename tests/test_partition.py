@@ -11,9 +11,8 @@ from koszulab.complexes import verify_complex
 from koszulab.partition import (BASEPOINT, PartitionSizeError, canonical,
                                 degeneracy, discrete, face, is_degenerate,
                                 nondegenerate_simplices, one_block,
-                                partition_chain_complex, partition_complex,
-                                partition_homology, partition_lattice,
-                                poset_simplices, refines, set_partitions,
+                                partition_complex, partition_homology,
+                                refines, set_partitions,
                                 strict_refinements,
                                 verify_simplicial_identities)
 
@@ -98,48 +97,17 @@ def test_nondegenerate_counts_small_n():
     assert len(by4[3]) == math.factorial(4) * math.factorial(3) // 2 ** 3
 
 
-def test_partition_lattice_counts_and_order():
-    for n in (1, 3, 5):
-        lat = partition_lattice(n)
-        assert len(lat) == BELL[n]
-    lat = partition_lattice(3)
-    assert lat.bottom == one_block(3) and lat.top == discrete(3)
-    assert lat.less_equal(lat.bottom, lat.top)
-    assert not lat.less_equal(lat.top, lat.bottom)
-    # every comparable strict pair appears exactly once among the covers
-    pairs = lat.covers()
-    assert len(pairs) == len(set(pairs))
-    assert all(refines(mu, lam) and mu != lam for lam, mu in pairs)
-
-
-def test_poset_simplices_counts_and_identities():
-    ps = poset_simplices(3, 3)
-    assert ps.nondegenerate_counts() == (0, 1, 3, 0)
-    # each degree includes the basepoint
-    assert all(BASEPOINT in sx for sx in ps.simplices)
-    # degree 2: the 3 strict chains plus the two degenerations of the
-    # 1-simplex (plus the basepoint)
-    assert len(ps.degree(2)) == 3 + 2 + 1
-    ok, witness = ps.verify()
-    assert ok, witness
-
-
-def test_poset_simplices_single_letter_degree_zero():
-    ps = poset_simplices(1, 1)
-    assert set(ps.degree(0)) == {(one_block(1),), BASEPOINT}
-
-
 def test_partition_chain_complex_small_values():
     ring = BaseRing(3, 1)
-    c2 = partition_chain_complex(2, ring)
+    c2 = partition_complex(2, ring).complex
     assert c2.ranks == (0, 1)
     assert all(d.is_zero() for d in c2.differentials)
-    c3 = partition_chain_complex(3, ring)
+    c3 = partition_complex(3, ring).complex
     assert c3.ranks == (0, 1, 3)
     # each 2-simplex maps to plus or minus the unique 1-simplex
     top = c3.differentials[1]
     assert all(top.entries[0][j] % 3 in (1, 2) for j in range(3))
-    assert partition_chain_complex(1, ring).ranks == (1,)
+    assert partition_complex(1, ring).complex.ranks == (1,)
 
 
 def test_partition_complex_is_complex():
@@ -174,8 +142,6 @@ def test_guardrail():
         nondegenerate_simplices(9)
     with pytest.raises(PartitionSizeError):
         partition_homology(0, BaseRing(2, 1))
-    with pytest.raises(PartitionSizeError):
-        partition_lattice(9)
 
 
 def test_single_letter_complex():
