@@ -28,7 +28,6 @@ from .synthetic import synthetic_height1_dataset
 
 REPORT_SCHEMA = "koszulab-report-1"
 EXIT_PASS, EXIT_IO, EXIT_USAGE, EXIT_MATH = 0, 1, 2, 3
-DEFAULT_SEED = 1729
 
 
 class UsageError(Exception):
@@ -410,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("verify", "named verification suites")
     sp.add_argument("--suite", choices=["koszul", "mic-duality", "thm10.2", "all"],
                     default="all")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                    help="seed for randomized sub-suites")
 
     sp = add("partition", "partition complex homology", dataset=False)
     sp.add_argument("--n", type=int, required=True)
