@@ -444,6 +444,27 @@ def _matrix_to_json(m: PAdicMatrix):
     return [list(r) for r in m.entries]
 
 
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def _need(d, key, where, kind, default=_REQUIRED):
+    """``d[key]``, which must have the JSON type ``kind`` (an int is never a
+    bool or a float); ``default`` when the key is absent and one is given.
+    Anything else is a DatasetError naming the JSON path ``where``."""
+    if type(d) is not dict:
+        raise DatasetError(f"{where}: expected an object, got {type(d).__name__}")
+    if key not in d:
+        if default is _REQUIRED:
+            raise DatasetError(f"{where}: missing field {key!r}")
+        return default
+    value = d[key]
+    if type(value) is not kind:
+        raise DatasetError(f"{where}: field {key!r}: expected {_KINDS[kind]}, "
+                           f"got {type(value).__name__}")
+    return value
+
+
 def _int_array(data, depth, where):
     """Check that ``data`` is ``depth`` levels of nested lists whose leaves
     are ints; bool, float and string leaves are rejected.  The DatasetError
@@ -509,90 +530,98 @@ def dataset_to_json(ds: Dataset) -> dict:
     return out
 
 
-def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
-    def need(d, key, where):
-        if key not in d:
-            raise DatasetError(f"{where}: missing field {key!r}")
-        return d[key]
+def _coefficient_algebra_from_json(ring, d, where) -> CoefficientAlgebra:
+    """A commutative algebra given by rank, rank^3 structure constants, a
+    unit and optionally generators of its maximal ideal."""
+    r = _need(d, "rank", where, int)
+    mc = _int_array(_need(d, "mult_constants", where, list), 3,
+                    f"{where}.mult_constants")
+    unit = _int_array(_need(d, "unit", where, list), 1, f"{where}.unit")
+    ideal = _int_array(_need(d, "maximal_ideal", where, list, []), 2,
+                       f"{where}.maximal_ideal")
+    if len(mc) != r or any(len(pl) != r for pl in mc) or \
+            any(len(row) != r for pl in mc for row in pl):
+        raise DatasetError(f"{where}.mult_constants: expected "
+                           f"rank^3 = {r}^3 entries")
+    if len(unit) != r:
+        raise DatasetError(f"{where}.unit: wrong length")
+    m = ring.modulus
+    return CoefficientAlgebra(
+        ring, r,
+        tuple(tuple(tuple(x % m for x in row) for row in pl) for pl in mc),
+        tuple(x % m for x in unit),
+        tuple(tuple(x % m for x in g) for g in ideal))
 
-    if need(doc, "format", "top level") != FORMAT:
+
+def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
+    top = "top level"
+    if _need(doc, "format", top, str) != FORMAT:
         raise DatasetError(f"top level: unsupported format {doc.get('format')!r}")
-    p = need(doc, "p", "top level")
-    N = need(doc, "N", "top level")
+    p = _need(doc, "p", top, int)
+    N = _need(doc, "N", top, int)
     try:
         ring = BaseRing(p, N)
     except ValueError as exc:
         raise DatasetError(f"top level: {exc}")
-    ca = need(doc, "coefficient_algebra", "top level")
-    crank = need(ca, "rank", "coefficient_algebra")
-    mc = _int_array(need(ca, "mult_constants", "coefficient_algebra"), 3,
-                    "coefficient_algebra.mult_constants")
-    unit = _int_array(need(ca, "unit", "coefficient_algebra"), 1,
-                      "coefficient_algebra.unit")
-    ideal = _int_array(ca.get("maximal_ideal", []), 2,
-                       "coefficient_algebra.maximal_ideal")
-    if len(mc) != crank or any(len(pl) != crank for pl in mc) or \
-            any(len(row) != crank for pl in mc for row in pl):
-        raise DatasetError("coefficient_algebra.mult_constants: expected "
-                           f"rank^3 = {crank}^3 entries")
-    coeff = CoefficientAlgebra(
-        ring, crank,
-        tuple(tuple(tuple(x % ring.modulus for x in row) for row in pl) for pl in mc),
-        tuple(x % ring.modulus for x in unit),
-        tuple(tuple(x % ring.modulus for x in g) for g in ideal))
-    if len(coeff.unit) != crank:
-        raise DatasetError("coefficient_algebra.unit: wrong length")
-    alg = need(doc, "algebra", "top level")
-    max_weight = need(alg, "max_weight", "algebra")
+    coeff = _coefficient_algebra_from_json(
+        ring, _need(doc, "coefficient_algebra", top, dict), "coefficient_algebra")
+    crank = coeff.rank
+    alg = _need(doc, "algebra", top, dict)
+    max_weight = _need(alg, "max_weight", "algebra", int)
     comps = {}
-    for ent in need(alg, "components", "algebra"):
-        k = need(ent, "k", "algebra.components[]")
-        r = need(ent, "rank", f"algebra.components[k={k}]")
-        la = need(ent, "left_action", f"algebra.components[k={k}]")
-        ra = need(ent, "right_action", f"algebra.components[k={k}]")
+    for i, ent in enumerate(_need(alg, "components", "algebra", list)):
+        k = _need(ent, "k", f"algebra.components[{i}]", int)
+        where = f"algebra.components[k={k}]"
+        r = _need(ent, "rank", where, int)
+        la = _need(ent, "left_action", where, list)
+        ra = _need(ent, "right_action", where, list)
         if len(la) != crank or len(ra) != crank:
-            raise DatasetError(f"algebra.components[k={k}]: need one action "
+            raise DatasetError(f"{where}: need one action "
                                "matrix per coefficient basis element")
         comps[k] = Bimodule(
             ring, coeff, r,
-            tuple(_matrix_from_json(ring, m, r, r,
-                                    f"algebra.components[k={k}].left_action") for m in la),
-            tuple(_matrix_from_json(ring, m, r, r,
-                                    f"algebra.components[k={k}].right_action") for m in ra))
+            tuple(_matrix_from_json(ring, m, r, r, f"{where}.left_action") for m in la),
+            tuple(_matrix_from_json(ring, m, r, r, f"{where}.right_action") for m in ra))
     if set(comps) != set(range(1, max_weight + 1)):
         raise DatasetError("algebra.components: weights must be exactly 1..max_weight")
     mult = {}
-    for ent in need(alg, "mult", "algebra"):
-        k, l = need(ent, "k", "algebra.mult[]"), need(ent, "l", "algebra.mult[]")
+    for i, ent in enumerate(_need(alg, "mult", "algebra", list)):
+        k = _need(ent, "k", f"algebra.mult[{i}]", int)
+        l = _need(ent, "l", f"algebra.mult[{i}]", int)
+        where = f"algebra.mult[k={k},l={l}]"
+        if k < 1 or l < 1:
+            raise DatasetError(f"{where}: weights must be positive")
         if k + l > max_weight:
-            raise DatasetError(f"algebra.mult[k={k},l={l}]: weight {k+l} exceeds max_weight")
+            raise DatasetError(f"{where}: weight {k+l} exceeds max_weight")
         mult[(k, l)] = _matrix_from_json(
-            ring, need(ent, "matrix", f"algebra.mult[k={k},l={l}]"),
-            comps[k + l].rank, comps[k].rank * comps[l].rank,
-            f"algebra.mult[k={k},l={l}].matrix")
+            ring, _need(ent, "matrix", where, list),
+            comps[k + l].rank, comps[k].rank * comps[l].rank, f"{where}.matrix")
     want = {(k, l) for k in range(1, max_weight) for l in range(1, max_weight + 1 - k)}
     if set(mult) != want:
         raise DatasetError("algebra.mult: need exactly the pairs (k,l) with k+l <= max_weight")
-    algebra = GradedAugmentedAlgebra(coeff, doc.get("q_label", 1), max_weight, comps, mult)
+    q_label = _need(doc, "q_label", top, int, 1)
+    algebra = GradedAugmentedAlgebra(coeff, q_label, max_weight, comps, mult)
     modules = {}
-    for ent in doc.get("modules", []):
-        name = need(ent, "name", "modules[]")
-        r = need(ent, "rank", f"modules[{name!r}]")
+    for i, ent in enumerate(_need(doc, "modules", top, list, [])):
+        name = _need(ent, "name", f"modules[{i}]", str)
+        where = f"modules[{name!r}]"
+        r = _need(ent, "rank", where, int)
         base = r * crank
         action = {}
-        for a in ent.get("action", []):
-            k = need(a, "k", f"modules[{name!r}].action[]")
+        for a in _need(ent, "action", where, list, []):
+            k = _need(a, "k", f"{where}.action[]", int)
             if not 1 <= k <= max_weight:
-                raise DatasetError(f"modules[{name!r}].action: weight {k} out of range")
+                raise DatasetError(f"{where}.action: weight {k} out of range")
             action[k] = _matrix_from_json(
-                ring, need(a, "matrix", f"modules[{name!r}].action[k={k}]"),
-                base, comps[k].rank * base, f"modules[{name!r}].action[k={k}].matrix")
+                ring, _need(a, "matrix", f"{where}.action[k={k}]", list),
+                base, comps[k].rank * base, f"{where}.action[k={k}].matrix")
         modules[name] = LeftModule(name, coeff, r, action)
-    ds = Dataset(p, N, doc.get("height_label", "?"), doc.get("q_label", 1),
-                 doc.get("provenance", ""), algebra, modules)
+    ds = Dataset(p, N, _need(doc, "height_label", top, str, "?"), q_label,
+                 _need(doc, "provenance", top, str, ""), algebra, modules)
     if "subgroup_package" in doc:
         from .isogeny import package_from_json
-        ds.subgroup_package = package_from_json(ds, doc["subgroup_package"])
+        ds.subgroup_package = package_from_json(
+            ds, _need(doc, "subgroup_package", top, dict))
     if validate:
         rep = ds.validate()
         if not rep.passed:

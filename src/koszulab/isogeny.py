@@ -10,10 +10,10 @@ from .padic import (PAdicMatrix, InconsistentSystemError,
                     inverse_mod, solve)
 from .complexes import (ChainComplex, COHOMOLOGICAL,
                         dualize_complex, homology, make_complex, verify_complex)
-from .algebra import (Bimodule, CoefficientAlgebra, Dataset,
+from .algebra import (Bimodule, CoefficientAlgebra, Dataset, DatasetError,
                       GradedAugmentedAlgebra, IteratedTensor, LeftModule,
-                      ValidationReport, iterated_tensor, _e, _int_array,
-                      _matrix_from_json)
+                      ValidationReport, iterated_tensor, _e,
+                      _coefficient_algebra_from_json, _matrix_from_json, _need)
 from .bar import (KoszulData, assemble, composition_blocks, compositions,
                   identity_tensor, koszul_module, place_blocks,
                   rank_product)
@@ -397,50 +397,55 @@ def package_to_json(pkg: SubgroupAlgebraPackage) -> dict:
 def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
     coeff = ds.algebra.coeff
     ring = coeff.ring
+    top = "subgroup_package"
 
     def mat(data, rows, cols, where):
         return _matrix_from_json(ring, data, rows, cols, where)
 
     orders = {}
     t_maps = {}
-    for ent in doc.get("orders", []):
-        k = ent["k"]
-        a = ent["algebra"]
-        r = a["rank"]
-        where = f"subgroup_package.orders[k={k}].algebra"
-        consts = _int_array(a["mult_constants"], 3, f"{where}.mult_constants")
-        unit = _int_array(a["unit"], 1, f"{where}.unit")
-        alg = CoefficientAlgebra(
-            ring, r,
-            tuple(tuple(tuple(x % ring.modulus for x in row) for row in pl)
-                  for pl in consts),
-            tuple(x % ring.modulus for x in unit), ())
+    for i, ent in enumerate(_need(doc, "orders", top, list, [])):
+        k = _need(ent, "k", f"{top}.orders[{i}]", int)
+        where = f"{top}.orders[k={k}]"
+        a = _need(ent, "algebra", where, dict)
+        alg = _coefficient_algebra_from_json(ring, a, f"{where}.algebra")
+        r = alg.rank
         bm = Bimodule(
             ring, coeff, r,
-            tuple(mat(m, r, r, f"subgroup_package.orders[k={k}].left_action")
-                  for m in a["left_action"]),
-            tuple(mat(m, r, r, f"subgroup_package.orders[k={k}].right_action")
-                  for m in a["right_action"]))
+            tuple(mat(m, r, r, f"{where}.left_action")
+                  for m in _need(a, "left_action", f"{where}.algebra", list)),
+            tuple(mat(m, r, r, f"{where}.right_action")
+                  for m in _need(a, "right_action", f"{where}.algebra", list)))
         orders[k] = SubgroupAlgebra(k, alg, bm)
-        t_maps[k] = mat(ent["t"], r, coeff.rank, f"subgroup_package.orders[k={k}].t")
+        t_maps[k] = mat(_need(ent, "t", where, list), r, coeff.rank, f"{where}.t")
     u1 = {}
-    for ent in doc.get("u1", []):
-        k1, k2 = ent["k1"], ent["k2"]
-        u1[(k1, k2)] = mat(ent["matrix"], orders[k1].rank * orders[k2].rank,
-                           orders[k1 + k2].rank,
-                           f"subgroup_package.u1[k1={k1},k2={k2}]")
+    for i, ent in enumerate(_need(doc, "u1", top, list, [])):
+        k1 = _need(ent, "k1", f"{top}.u1[{i}]", int)
+        k2 = _need(ent, "k2", f"{top}.u1[{i}]", int)
+        where = f"{top}.u1[k1={k1},k2={k2}]"
+        if not {k1, k2, k1 + k2} <= orders.keys():
+            raise DatasetError(f"{where}: needs the subgroup algebras of orders "
+                               f"p^{k1}, p^{k2} and p^{k1 + k2}")
+        u1[(k1, k2)] = mat(_need(ent, "matrix", where, list),
+                           orders[k1].rank * orders[k2].rank,
+                           orders[k1 + k2].rank, where)
     pkg = SubgroupAlgebraPackage(coeff, orders, t_maps, u1, {}, {})
     shift = {}
-    for ent in doc.get("shift", []):
-        k = ent["k"]
+    for i, ent in enumerate(_need(doc, "shift", top, list, [])):
+        k = _need(ent, "k", f"{top}.shift[{i}]", int)
+        where = f"{top}.shift[k={k}]"
         fr = flag_tensor(pkg, (1,) * k).bimodule.rank
         fr1 = flag_tensor(pkg, (1,) * (k + 1)).bimodule.rank
-        shift[k] = mat(ent["matrix"], fr1, fr, f"subgroup_package.shift[k={k}]")
+        shift[k] = mat(_need(ent, "matrix", where, list), fr1, fr, where)
     pairing = {}
-    for ent in doc.get("pairing", []):
-        k = ent["k"]
-        pairing[k] = mat(ent["matrix"], ds.algebra.rank(k), orders[k].rank,
-                         f"subgroup_package.pairing[k={k}]")
+    for i, ent in enumerate(_need(doc, "pairing", top, list, [])):
+        k = _need(ent, "k", f"{top}.pairing[{i}]", int)
+        where = f"{top}.pairing[k={k}]"
+        if k not in orders or k not in ds.algebra.components:
+            raise DatasetError(f"{where}: needs a weight-{k} component and "
+                               f"the subgroup algebra of order p^{k}")
+        pairing[k] = mat(_need(ent, "matrix", where, list),
+                         ds.algebra.rank(k), orders[k].rank, where)
     pkg.shift = shift
     pkg.pairing = pairing
     return pkg

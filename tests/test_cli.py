@@ -120,6 +120,49 @@ def test_non_integer_unit_is_reported_with_path(tmp_path, capsys):
     check_leaf_rejected(tmp_path, capsys, doc, "coefficient_algebra.unit[0]")
 
 
+DROP = object()
+
+
+@pytest.mark.parametrize("keys, value, path_text", [
+    pytest.param(("coefficient_algebra", "rank"), 1.0,
+                 "coefficient_algebra: field 'rank'", id="float-coeff-rank"),
+    pytest.param(("algebra", "max_weight"), "3", "algebra: field 'max_weight'",
+                 id="string-max-weight"),
+    pytest.param(("N",), "2", "top level: field 'N'", id="string-N"),
+    pytest.param(("p",), 3.0, "top level: field 'p'", id="float-p"),
+    pytest.param(("modules", 0, "rank"), "1", "modules['triv']: field 'rank'",
+                 id="string-module-rank"),
+    pytest.param(("subgroup_package", "u1", 0, "k1"), DROP,
+                 "subgroup_package.u1[0]: missing field 'k1'", id="missing-u1-k1"),
+    pytest.param(("subgroup_package", "orders", 0, "algebra"), DROP,
+                 "subgroup_package.orders[k=1]: missing field 'algebra'",
+                 id="missing-order-algebra"),
+    pytest.param(("algebra", "components"), 5, "algebra: field 'components'",
+                 id="int-components"),
+    pytest.param(("algebra", "components", 0, "k"), 1.0,
+                 "algebra.components[0]: field 'k'", id="float-component-k"),
+])
+def test_bad_scalar_field_is_reported_with_path(tmp_path, capsys, keys, value,
+                                                path_text):
+    """A scalar or structural field of the wrong JSON type, or a missing
+    one, fails the load with exit 1 and names its JSON path."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    *outer, last = keys
+    target = doc
+    for key in outer:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["koszul", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert path_text in err
+    assert "Traceback" not in err
+
+
 def test_invalid_dataset_is_math_failure(tmp_path, capsys):
     doc = dataset_to_json(builtin_height1(3, 2, 4))
     for ent in doc["algebra"]["mult"]:
