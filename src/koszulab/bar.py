@@ -132,13 +132,15 @@ class BarComplex:
         return self.blocks[s - self.complex.min_degree]
 
 
-def _bar_complex(A: GradedAugmentedAlgebra, degree_comps, extra, last_face
-                 ) -> tuple:
-    """The homological complex on ``degree_comps`` (compositions per degree
-    from 0) with ``extra`` appended to every tensor, differential the
-    alternating sum of the merge faces plus ``last_face``; d o d is checked."""
+def _bar_complex(A: GradedAugmentedAlgebra, degree_comps,
+                 M: Optional[LeftModule]) -> tuple:
+    """The bar complex on ``degree_comps`` (the compositions of each degree
+    from 0), with ``M`` as the last tensor factor when given; d o d is
+    checked.  Its differential is the alternating sum of the merge faces and,
+    with ``M``, of the face acting the last slot on ``M``."""
     ring = A.coeff.ring
-    post_rank = prod(B.rank for B in extra)
+    extra = [] if M is None else [M.as_bimodule()]
+    module_rank = 1 if M is None else M.base_rank
 
     def tensor_of(comp):
         factors = [A.component(k) for k in comp] + extra
@@ -151,10 +153,10 @@ def _bar_complex(A: GradedAugmentedAlgebra, degree_comps, extra, last_face
             yield (comp[:i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1:],
                    (-1) ** i, rank_product(A.rank, comp[:i - 1]),
                    A.mult[(comp[i - 1], comp[i])],
-                   rank_product(A.rank, comp[i + 1:]) * post_rank)
-        if last_face is not None and comp:
+                   rank_product(A.rank, comp[i + 1:]) * module_rank)
+        if M is not None and comp:
             yield (comp[:-1], (-1) ** len(comp), rank_product(A.rank, comp[:-1]),
-                   last_face(comp[-1]), 1)
+                   M.weight_action(comp[-1], A.rank(comp[-1])), 1)
 
     blocks, ranks = zip(*(composition_blocks(c, tensor_of) for c in degree_comps))
     diffs = [assemble(ring, blocks[s], blocks[s - 1], ranks[s - 1], ranks[s], faces)
@@ -181,8 +183,7 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
         return bar_complex_with_module(A, M, k)
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")
-    cx, blocks = _bar_complex(A, [compositions(k, s) for s in range(k + 1)],
-                              [], None)
+    cx, blocks = _bar_complex(A, [compositions(k, s) for s in range(k + 1)], None)
     return BarComplex(k, cx, blocks)
 
 
@@ -190,11 +191,9 @@ def bar_complex_with_module(A: GradedAugmentedAlgebra, M: LeftModule,
                             smax: int) -> BarComplex:
     """Normalized bar complex with trivial left and module right coefficients,
     truncated to compositions of total weight <= max_weight (a subcomplex,
-    since the differential never raises total slot weight).  Face s acts the
-    last slot on the module."""
+    since the differential never raises total slot weight)."""
     cx, blocks = _bar_complex(
-        A, [bounded_compositions(s, A.max_weight) for s in range(smax + 1)],
-        [M.as_bimodule()], lambda k: M.weight_action(k, A.rank(k)))
+        A, [bounded_compositions(s, A.max_weight) for s in range(smax + 1)], M)
     return BarComplex(None, cx, blocks, M.name)
 
 
