@@ -14,10 +14,8 @@ from koszulab.partition import nondegenerate_simplices, partition_homology
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--nmax", type=int, default=5,
-                    help="largest n (default 5); homology at n=6 takes "
-                         "over 10 minutes and waits on the sparse elimination "
-                         "kernel of ROADMAP.md item 2")
+    ap.add_argument("--nmax", type=int, default=6,
+                    help="largest n (default 6)")
     ap.add_argument("--primes", type=int, nargs="+", default=[2, 3])
     ap.add_argument("--N-trunc", dest="N", type=int, default=2)
     ap.add_argument("--force", action="store_true")

@@ -1,7 +1,16 @@
-"""Bounded complexes of finite free Z/p^N-modules and their exact homology."""
+"""Bounded complexes of finite free Z/p^N-modules and their exact homology.
+
+Homology is computed in three steps: a sparse check of d o d = 0, the
+cancellation of every unit entry with its two cells (which keeps homology
+exactly), and the dense elimination of :func:`_homology_degree` on what is
+left, whose differentials have no unit entry.  The complexes built here are
+almost empty and their entries almost all units, so little is left.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from typing import Optional, Sequence
 
 from .padic import (BaseRing, PAdicMatrix, ExactLinalgError, ShapeError,
@@ -77,19 +86,26 @@ def make_complex(ring: BaseRing, orientation: str, min_degree: int,
                         tuple(differentials))
 
 
+def _pairs(C: ChainComplex):
+    """(degree, i, j) for each consecutive pair of differentials, in
+    ascending order: ``differentials[j] @ differentials[i]`` is the
+    composite, and degree is the lower degree of the pair."""
+    for i in range(len(C.differentials) - 1):
+        if C.orientation == HOMOLOGICAL:
+            yield C.min_degree + i, i + 1, i
+        else:
+            yield C.min_degree + i, i, i + 1
+
+
 def verify_complex(C: ChainComplex):
     """(True, None) if every consecutive composite vanishes, else (False, degree).
 
-    The reported degree is the lower degree of the failing pair.
+    The reported degree is the lower degree of the failing pair, the degree
+    :func:`homology` names for the same complex.
     """
-    for j in range(len(C.differentials) - 1):
-        if C.orientation == HOMOLOGICAL:
-            comp = C.differentials[j] @ C.differentials[j + 1]
-            deg = C.min_degree + j
-        else:
-            comp = C.differentials[j + 1] @ C.differentials[j]
-            deg = C.min_degree + j
-        if not comp.is_zero():
+    ds = C.differentials
+    for deg, i, j in _pairs(C):
+        if not (ds[j] @ ds[i]).is_zero():
             return False, deg
     return True, None
 
@@ -171,25 +187,168 @@ def _homology_degree(ring: BaseRing, rank: int,
     return gens - len(invariants), tuple(v for v in invariants if v)
 
 
+class _SparseMap:
+    """A differential f: X -> Y as it is reduced: ``cols[x]`` maps each row
+    y to a nonzero f[y, x] (None once x is deleted), and ``rows[y]`` holds
+    the columns x with f[y, x] != 0."""
+
+    __slots__ = ("cols", "rows")
+
+    def __init__(self, d: PAdicMatrix):
+        cols = [{} for _ in range(d.cols)]
+        rows = []
+        everything = range(d.cols)
+        for y, row in enumerate(d.entries):
+            nz = list(compress(everything, row))
+            for x in nz:
+                cols[x][y] = row[x]
+            rows.append(set(nz))
+        self.cols = cols
+        self.rows = rows
+
+    def drop_row(self, y: int):
+        for x in self.rows[y]:
+            del self.cols[x][y]
+        self.rows[y] = set()
+
+    def drop_col(self, x: int):
+        rows = self.rows
+        for y in self.cols[x]:
+            rows[y].discard(x)
+        self.cols[x] = None
+
+
+def _composite_vanishes(first: _SparseMap, second: _SparseMap, mod: int) -> bool:
+    """Whether second o first = 0, computed one nonzero of first at a time."""
+    scols = second.cols
+    for col in first.cols:
+        if not col:
+            continue
+        acc = {}
+        for y, v in col.items():
+            for z, w in scols[y].items():
+                acc[z] = acc.get(z, 0) + v * w
+        if any(s % mod for s in acc.values()):
+            return False
+    return True
+
+
+def _reduce(f: _SparseMap, into: Optional[_SparseMap],
+            out: Optional[_SparseMap], p: int, mod: int):
+    """Cancel unit entries of f: X -> Y until none is left, by the Gaussian
+    elimination lemma: for a unit u = f[a, b], subtract f[a, x] u^-1 f(b)
+    from every other column x, delete column b and row a of f, row b of the
+    map ``into`` X and column a of the map ``out`` of Y.  The result is
+    chain homotopy equivalent to the complex before, so its homology is the
+    same.  Pivots are taken from the column with the fewest nonzeros, then
+    the row with the fewest nonzeros, ties by index.
+
+    Returns the sets of deleted columns (cells of X) and rows (cells of Y).
+    """
+    cols, rows = f.cols, f.rows
+    heap = [(len(c), x) for x, c in enumerate(cols) if c]
+    heapify(heap)
+    gone_x, gone_y = set(), set()
+    while heap:
+        n, b = heappop(heap)
+        colb = cols[b]
+        if colb is None or len(colb) != n:
+            continue                      # deleted, or queued again since
+        units = [y for y, v in colb.items() if v % p]
+        if not units:
+            continue
+        a = min(units, key=lambda y: (len(rows[y]), y))
+        cols[b] = None
+        for y in colb:
+            rows[y].discard(b)
+        u_inv = pow(colb.pop(a), -1, mod)
+        for x in rows[a]:
+            colx = cols[x]
+            q = colx.pop(a) * u_inv
+            for y, v in colb.items():
+                w = (colx.get(y, 0) - q * v) % mod
+                if w:
+                    if y not in colx:
+                        rows[y].add(x)
+                    colx[y] = w
+                elif y in colx:
+                    del colx[y]
+                    rows[y].discard(x)
+            heappush(heap, (len(colx), x))
+        rows[a] = set()
+        if into is not None:
+            into.drop_row(b)
+        if out is not None:
+            out.drop_col(a)
+        gone_x.add(b)
+        gone_y.add(a)
+    return gone_x, gone_y
+
+
+def _residual(f: _SparseMap, ring: BaseRing, keep_rows, keep_cols) -> PAdicMatrix:
+    """The matrix of f on the cells that survived the reduction."""
+    at_row = {y: i for i, y in enumerate(keep_rows)}
+    nonzeros = [{} for _ in keep_rows]
+    for j, x in enumerate(keep_cols):
+        for y, v in f.cols[x].items():
+            nonzeros[at_row[y]][j] = v
+    return PAdicMatrix.from_sparse_rows(ring, len(keep_rows), len(keep_cols),
+                                        nonzeros)
+
+
 def homology(C: ChainComplex) -> HomologyProfile:
     """Exact homology (or cohomology) profile of a bounded complex.
 
-    d o d = 0 is checked here, for free, by each degree's elimination, which
-    certifies its own pair exactly (see :func:`_homology_degree`), and not
-    again with :func:`verify_complex`; the builders of bar, Koszul and
-    subgroup complexes run that once, when they build.  Degrees are scanned
-    in ascending order, so a non-complex raises ComplexError naming the lower
-    degree of its first failing pair, the degree :func:`verify_complex`
-    reports.
+    Three steps.  First d o d = 0 is certified for every consecutive pair,
+    one nonzero at a time, in ascending order, so a non-complex raises
+    ComplexError naming the lower degree of its first failing pair, the
+    degree :func:`verify_complex` reports (which is not called here: the
+    builders of bar, Koszul and subgroup complexes run it once, when they
+    build).  Then every unit entry of every differential is cancelled with
+    its two cells (see :func:`_reduce`; Kaczynski, Mrozek and Slusarek,
+    "Homology computation by reduction of chain complexes", 1998), which
+    preserves homology exactly over Z/p^N.  Last, each degree of the much
+    smaller complex that remains, whose differentials have no unit entry,
+    goes through :func:`_homology_degree`; a degree whose remaining
+    differentials are zero is free of its remaining rank.
     """
+    ring = C.ring
+    p, mod = ring.p, ring.modulus
+    maps = [_SparseMap(d) for d in C.differentials]
+    for deg, i, j in _pairs(C):
+        if not _composite_vanishes(maps[i], maps[j], mod):
+            raise ComplexError(f"not a complex: d o d != 0 at degree {deg}")
+    gone = [set() for _ in C.ranks]
+    homological = C.orientation == HOMOLOGICAL
+    # per map: (source, target) positions; per position: (map out, map in)
+    ends = [(j + 1, j) if homological else (j, j + 1) for j in range(len(maps))]
+    around = [(i - 1, i) if homological else (i, i - 1) for i in range(len(C.ranks))]
+    for j, f in enumerate(maps):
+        src, tgt = ends[j]
+        into = around[src][1]
+        out = around[tgt][0]
+        gx, gy = _reduce(f, maps[into] if 0 <= into < len(maps) else None,
+                         maps[out] if 0 <= out < len(maps) else None, p, mod)
+        gone[src] |= gx
+        gone[tgt] |= gy
+    left = [r - len(g) for r, g in zip(C.ranks, gone)]
+
+    def alive(i):
+        return [x for x in range(C.ranks[i]) if x not in gone[i]]
+
+    res = [_residual(f, ring, alive(tgt), alive(src)) if any(f.cols) else None
+           for f, (src, tgt) in zip(maps, ends)]
     free = []
     tors = []
-    for d in C.degrees:
-        d_out, d_in = C.boundary_maps(d)
-        f, t = _homology_degree(C.ring, C.rank(d), d_out, d_in, d)
+    for i, d in enumerate(C.degrees):
+        d_out, d_in = (res[j] if 0 <= j < len(res) else None for j in around[i])
+        if d_out is None and d_in is None:
+            f, t = left[i], ()
+        else:
+            f, t = _homology_degree(ring, left[i], d_out, d_in, d)
         free.append(f)
         tors.append(t)
-    return HomologyProfile(C.ring, C.min_degree, tuple(free), tuple(tors))
+    return HomologyProfile(ring, C.min_degree, tuple(free), tuple(tors))
 
 
 def dualize_complex(C: ChainComplex) -> ChainComplex:

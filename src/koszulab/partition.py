@@ -173,17 +173,22 @@ def _check_n(n: int, force: bool):
 
 def nondegenerate_simplices(n: int, force: bool = False):
     """Strict chains one-block = lambda_0 < ... < lambda_s = discrete,
-    grouped by degree s (the basepoint is omitted)."""
+    grouped by degree s (the basepoint is omitted).  The refinements of each
+    partition are computed once per call, however many chains pass it."""
     _check_n(n, force)
     top = one_block(n)
     bottom = discrete(n)
     by_degree = {}
+    finer = {}
 
     def extend(chain):
-        if chain[-1] == bottom:
+        lam = chain[-1]
+        if lam == bottom:
             by_degree.setdefault(len(chain) - 1, []).append(tuple(chain))
             return
-        for mu in strict_refinements(chain[-1]):
+        if lam not in finer:
+            finer[lam] = strict_refinements(lam)
+        for mu in finer[lam]:
             chain.append(mu)
             extend(chain)
             chain.pop()

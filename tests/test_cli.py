@@ -288,20 +288,36 @@ def test_gen_height1_unwritable_path(capsys):
     assert code == EXIT_IO
 
 
+def call_with_deadline(seconds, fn, *args):
+    """fn(*args), or TimeoutError once ``seconds`` of wall time have passed."""
+    def timeout(signum, frame):
+        raise TimeoutError(f"took more than {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_wide_modulus_verify_finishes_quickly(tmp_path):
     # p^N = 27 at kmax 5: this dataset used to stall for minutes in homology
     path = tmp_path / "syn.json"
     save_dataset(synthetic_height1_dataset(3, 3, 5, 9), path)
-
-    def timeout(signum, frame):
-        raise TimeoutError("verify --suite all took more than 10 s")
-
-    old = signal.signal(signal.SIGALRM, timeout)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
-        report, code = run(["verify", str(path), "--suite", "all", "--json"])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
+    report, code = call_with_deadline(
+        10, run, ["verify", str(path), "--suite", "all", "--json"])
     assert code == EXIT_PASS
     assert all(c.status == "pass" for c in report.checks)
+
+
+def test_partition_n6_homology_finishes_quickly():
+    # n = 6 has ranks 201/1865/4245/2700; dense elimination of these did
+    # not finish in 10 minutes
+    report, code = call_with_deadline(
+        30, run, ["partition", "--n", "6", "--p", "2", "--N-trunc", "2", "--json"])
+    assert code == EXIT_PASS
+    payload = report.checks[0].payload
+    assert payload["profile"]["5"] == {"free_rank": 120, "torsion_exponents": []}
+

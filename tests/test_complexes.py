@@ -1,5 +1,6 @@
 """Chain complexes and exact homology, checked against brute-force
-enumeration of kernels and images over Z/4, Z/8 and Z/9."""
+enumeration of kernels and images over Z/4, Z/8 and Z/9, and against
+complexes of known homology over Z/4, Z/8, Z/9 and Z/27."""
 import itertools
 import random
 
@@ -97,6 +98,118 @@ def test_homology_matches_brute_force_enumeration(seed):
 @settings(max_examples=60, deadline=None)
 def test_homology_matches_brute_force_enumeration_wide(ring, seed):
     check_homology_against_brute_force(ring, 3, seed)
+
+
+ORACLE_RINGS = [BaseRing(2, 2), BaseRing(2, 3), BaseRing(3, 2), BaseRing(3, 3)]
+ORACLE_IDS = ["Z/4", "Z/8", "Z/9", "Z/27"]
+
+
+def random_unimodular(rng, ring, n):
+    """(U, U^-1) as row lists, U a random product of unit scalings and
+    elementary row operations over Z/p^N."""
+    m = ring.modulus
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    Ui = [row[:] for row in U]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:            # U <- diag(u at i) U, U^-1 <- U^-1 diag(1/u at i)
+            u = rng.choice([x for x in range(1, m) if x % ring.p])
+            U[i] = [x * u % m for x in U[i]]
+            v = pow(u, -1, m)
+            for row in Ui:
+                row[i] = row[i] * v % m
+        else:                 # U <- (I + c e_ij) U, U^-1 <- U^-1 (I - c e_ij)
+            c = rng.randrange(m)
+            U[i] = [(x + c * y) % m for x, y in zip(U[i], U[j])]
+            for row in Ui:
+                row[j] = (row[j] - c * row[i]) % m
+    return U, Ui
+
+
+def random_exact_complex(rng, ring, orientation):
+    """A complex with known homology: a direct sum of free cells and pieces
+    Z/p^N --p^a--> Z/p^N (H = Z/p^a at both ends for 0 < a < N, acyclic
+    for a = 0, free at both ends for a = N), under a random unimodular
+    change of basis in every degree.  Returns it and its expected
+    (free ranks, torsion) per degree."""
+    p, N, m = ring.p, ring.N, ring.modulus
+    length = rng.randrange(1, 6)
+    cells = [[] for _ in range(length)]      # per position: ids of its cells
+    edges = []                               # (position, lower id, upper id, p^a)
+    free = [0] * length
+    tors = [[] for _ in range(length)]
+    for _ in range(rng.randrange(0, 9)):
+        pos = rng.randrange(length)
+        if pos == length - 1 or rng.random() < 0.3:
+            cells[pos].append(object())
+            free[pos] += 1
+            continue
+        a = rng.randrange(N + 1)
+        lo, hi = object(), object()
+        cells[pos].append(lo)
+        cells[pos + 1].append(hi)
+        edges.append((pos, lo, hi, p ** a % m))
+        for end in (pos, pos + 1):
+            if a == N:
+                free[end] += 1
+            elif a:
+                tors[end].append(a)
+    for c in cells:
+        rng.shuffle(c)
+    index = [{c: i for i, c in enumerate(cs)} for cs in cells]
+    ranks = [len(c) for c in cells]
+    homological = orientation == HOMOLOGICAL
+    bases = [random_unimodular(rng, ring, r) for r in ranks]
+    diffs = []
+    for j in range(length - 1):
+        src, tgt = (j + 1, j) if homological else (j, j + 1)
+        D = [[0] * ranks[src] for _ in range(ranks[tgt])]
+        for pos, lo, hi, x in edges:
+            if pos == j:
+                s, t = (hi, lo) if homological else (lo, hi)
+                D[index[tgt][t]][index[src][s]] = x
+        U = PAdicMatrix(ring, bases[tgt][0], ranks[tgt], ranks[tgt])
+        Vi = PAdicMatrix(ring, bases[src][1], ranks[src], ranks[src])
+        diffs.append(U @ PAdicMatrix(ring, D, ranks[tgt], ranks[src]) @ Vi)
+    C = make_complex(ring, orientation, rng.randrange(-2, 3), ranks, diffs)
+    return C, tuple(free), tuple(tuple(sorted(t)) for t in tors)
+
+
+def assert_matches_unreduced(C, prof):
+    for d in C.degrees:
+        d_out, d_in = C.boundary_maps(d)
+        assert _homology_degree(C.ring, C.rank(d), d_out, d_in, d) == \
+            (prof.free_rank(d), prof.torsion_at(d)), f"degree {d}"
+
+
+@pytest.mark.parametrize("orientation", [HOMOLOGICAL, COHOMOLOGICAL])
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=ORACLE_IDS)
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_reduced_homology_matches_known_and_unreduced(ring, orientation, seed):
+    rng = random.Random(seed)
+    C, free, tors = random_exact_complex(rng, ring, orientation)
+    prof = homology(C)
+    assert (prof.free_ranks, prof.torsion) == (free, tors)
+    assert_matches_unreduced(C, prof)
+    # one perturbed entry: homology refuses exactly what verify_complex does
+    sized = [j for j, d in enumerate(C.differentials) if d.rows and d.cols]
+    if not sized:
+        return
+    j = rng.choice(sized)
+    d = C.differentials[j]
+    rows = d.tolist()
+    rows[rng.randrange(d.rows)][rng.randrange(d.cols)] += rng.randrange(1, ring.modulus)
+    diffs = list(C.differentials)
+    diffs[j] = PAdicMatrix(ring, rows, d.rows, d.cols)
+    bad = make_complex(ring, orientation, C.min_degree, C.ranks, diffs)
+    ok, deg = verify_complex(bad)
+    if ok:
+        assert_matches_unreduced(bad, homology(bad))
+    else:
+        with pytest.raises(ComplexError) as exc:
+            homology(bad)
+        assert str(exc.value) == f"not a complex: d o d != 0 at degree {deg}"
 
 
 def test_known_homology_mod_4():
