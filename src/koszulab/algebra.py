@@ -465,6 +465,16 @@ def _need(d, key, where, kind, default=_REQUIRED):
     return value
 
 
+def _rank(d, where):
+    """``d["rank"]``, which must be an int >= 0; a DatasetError names the
+    JSON path ``where`` otherwise."""
+    r = _need(d, "rank", where, int)
+    if r < 0:
+        raise DatasetError(f"{where}: field 'rank': expected a nonnegative "
+                           f"integer, got {r}")
+    return r
+
+
 def _int_array(data, depth, where):
     """Check that ``data`` is ``depth`` levels of nested lists whose leaves
     are ints; bool, float and string leaves are rejected.  The DatasetError
@@ -533,7 +543,7 @@ def dataset_to_json(ds: Dataset) -> dict:
 def _coefficient_algebra_from_json(ring, d, where) -> CoefficientAlgebra:
     """A commutative algebra given by rank, rank^3 structure constants, a
     unit and optionally generators of its maximal ideal."""
-    r = _need(d, "rank", where, int)
+    r = _rank(d, where)
     mc = _int_array(_need(d, "mult_constants", where, list), 3,
                     f"{where}.mult_constants")
     unit = _int_array(_need(d, "unit", where, list), 1, f"{where}.unit")
@@ -572,7 +582,7 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
     for i, ent in enumerate(_need(alg, "components", "algebra", list)):
         k = _need(ent, "k", f"algebra.components[{i}]", int)
         where = f"algebra.components[k={k}]"
-        r = _need(ent, "rank", where, int)
+        r = _rank(ent, where)
         la = _need(ent, "left_action", where, list)
         ra = _need(ent, "right_action", where, list)
         if len(la) != crank or len(ra) != crank:
@@ -605,7 +615,7 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
     for i, ent in enumerate(_need(doc, "modules", top, list, [])):
         name = _need(ent, "name", f"modules[{i}]", str)
         where = f"modules[{name!r}]"
-        r = _need(ent, "rank", where, int)
+        r = _rank(ent, where)
         base = r * crank
         action = {}
         for a in _need(ent, "action", where, list, []):

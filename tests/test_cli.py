@@ -141,6 +141,16 @@ DROP = object()
                  id="int-components"),
     pytest.param(("algebra", "components", 0, "k"), 1.0,
                  "algebra.components[0]: field 'k'", id="float-component-k"),
+    pytest.param(("modules", 0, "rank"), -1, "modules['triv']: field 'rank'",
+                 id="negative-module-rank"),
+    pytest.param(("coefficient_algebra", "rank"), -1,
+                 "coefficient_algebra: field 'rank'", id="negative-coeff-rank"),
+    pytest.param(("algebra", "components", 0, "rank"), -1,
+                 "algebra.components[k=1]: field 'rank'",
+                 id="negative-component-rank"),
+    pytest.param(("subgroup_package", "orders", 0, "algebra", "rank"), -1,
+                 "subgroup_package.orders[k=1].algebra: field 'rank'",
+                 id="negative-order-rank"),
 ])
 def test_bad_scalar_field_is_reported_with_path(tmp_path, capsys, keys, value,
                                                 path_text):
