@@ -113,6 +113,14 @@ class IOFailure(Exception):
     pass
 
 
+def _ring(p, N) -> BaseRing:
+    """Z/p^N for a --p and an --N-trunc or --N given on the command line."""
+    try:
+        return BaseRing(p, N)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -337,7 +345,7 @@ def cmd_verify(args, checks) -> Dataset:
 
 def cmd_partition(args, checks) -> None:
     try:
-        prof = partition_homology(args.n, BaseRing(args.p, args.N_trunc),
+        prof = partition_homology(args.n, _ring(args.p, args.N_trunc),
                                   force=args.force)
     except PartitionSizeError as exc:
         raise UsageError(str(exc).replace("pass force=True", "pass --force"))
@@ -359,6 +367,7 @@ def cmd_partition(args, checks) -> None:
 def cmd_gen_height1(args, checks) -> Dataset:
     if args.kmax < 1:
         raise UsageError("--kmax must be >= 1")
+    _ring(args.p, args.N)
     if args.seed is not None:
         ds = synthetic_height1_dataset(args.p, args.N, args.kmax, args.seed)
     else:

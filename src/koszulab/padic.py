@@ -39,14 +39,34 @@ class InconsistentSystemError(ExactLinalgError):
     pass
 
 
+#: Miller-Rabin with the first 12 primes as bases is exact below 3.18 * 10^23
+#: (Sorenson and Webster, 2017), so for every p below 2^64, the bound
+#: BaseRing enforces.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_P_LIMIT = 2 ** 64
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for p < 2^64."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -58,6 +78,8 @@ class BaseRing:
     N: int
 
     def __post_init__(self):
+        if self.p >= _P_LIMIT:
+            raise ValueError(f"p = {self.p} is not below 2^64")
         if not _is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.N < 1:

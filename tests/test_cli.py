@@ -331,3 +331,32 @@ def test_partition_n6_homology_finishes_quickly():
     payload = report.checks[0].payload
     assert payload["profile"]["5"] == {"free_rank": 120, "torsion_exponents": []}
 
+
+def test_large_prime_p_finishes_quickly(tmp_path, capsys):
+    # trial division up to sqrt(p) ran for minutes on p = 2^61 - 1
+    p = 2 ** 61 - 1
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    doc["p"] = p
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["koszul", str(path)],
+                 ["partition", "--n", "3", "--p", str(p)]):
+        assert call_with_deadline(10, main, argv) in (EXIT_PASS, EXIT_IO, EXIT_MATH)
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_p_from_2_to_the_64_is_rejected(tmp_path, capsys):
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    doc["p"] = 2 ** 64 + 13
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["koszul", str(path)]) == EXIT_IO
+    assert "top level" in capsys.readouterr().err
+    for argv in (["partition", "--n", "3", "--p", str(2 ** 64 + 13)],
+                 ["partition", "--n", "3", "--p", "4"],
+                 ["gen-height1", "--p", "4", "--N", "1",
+                  "--out", str(tmp_path / "x.json")]):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+

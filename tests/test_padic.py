@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulab.padic import (BaseRing, PAdicMatrix, InconsistentSystemError,
-                            ShapeError, integer_smith, inverse_mod,
+                            ShapeError, _is_prime, integer_smith, inverse_mod,
                             kernel_basis, smith_normal_form, solve)
 
 
@@ -29,6 +29,27 @@ def test_base_ring_rejects_bad_parameters():
         BaseRing(4, 2)
     with pytest.raises(ValueError):
         BaseRing(3, 0)
+
+
+def test_primality_matches_trial_division_below_10000():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(10 ** 4) if _is_prime(n)] == \
+        [n for n in range(10 ** 4) if trial(n)]
+
+
+def test_primality_rejects_strong_pseudoprimes_and_accepts_large_primes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine primes
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 64 - 59)
+    assert not _is_prime((2 ** 31 - 1) * (2 ** 31 - 1))
+
+
+def test_base_ring_rejects_p_from_2_to_the_64():
+    with pytest.raises(ValueError, match="2\\^64"):
+        BaseRing(2 ** 64 + 13, 1)
+    assert BaseRing(2 ** 61 - 1, 1).modulus == 2 ** 61 - 1
 
 
 def test_valuation_and_units():
