@@ -131,19 +131,23 @@ def cmd_bar(args, checks) -> Dataset:
     if k < 0 or k > ds.algebra.max_weight:
         raise UsageError(f"--weight must be in 0..{ds.algebra.max_weight}")
     if args.module is not None:
-        M = ds.module(args.module)
-        bc = bar_complex(ds.algebra, k, M)
+        # degrees 0..k of the module bar complex: it is built one degree
+        # further, so that degree k's homology is Tor_k and not the kernel
+        # of a truncated top degree
+        bc = bar_complex(ds.algebra, k + 1, ds.module(args.module))
     else:
         bc = bar_complex(ds.algebra, k)
     prof = homology(bc.complex)
+    prof = HomologyProfile(prof.ring, 0, prof.free_ranks[:k + 1],
+                           prof.torsion[:k + 1])
     comp_ranks = {str(s): [[list(b.composition), b.tensor.bimodule.rank]
                            for b in bc.degree_blocks(s)]
-                  for s in bc.complex.degrees}
+                  for s in range(k + 1)}
     checks.append(Check(
         "bar-complex",
         f"normalized bar complex at weight {k} is a complex; homology reported",
         "pass",
-        {"ranks": list(bc.complex.ranks),
+        {"ranks": list(bc.complex.ranks[:k + 1]),
          "compositions": comp_ranks,
          **_profile_payload(prof, ds.N)}))
     return ds

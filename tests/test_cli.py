@@ -360,3 +360,19 @@ def test_p_from_2_to_the_64_is_rejected(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "usage error" in err and "Traceback" not in err
 
+
+def test_module_bar_profile_does_not_depend_on_weight(h1_path, capsys):
+    # each reported degree is Tor, so a larger --weight only adds degrees
+    profiles = {}
+    for w in (2, 3, 4):
+        code, doc = run_json(capsys, ["bar", h1_path, "--weight", str(w),
+                                      "--module", "triv", "--json"])
+        assert code == EXIT_PASS
+        payload = next(c for c in doc["checks"]
+                       if c["name"] == "bar-complex")["payload"]
+        assert sorted(payload["profile"]) == [str(s) for s in range(w + 1)]
+        assert len(payload["ranks"]) == w + 1
+        profiles[w] = payload["profile"]
+    for w in (2, 3):
+        for s, deg in profiles[w].items():
+            assert deg == profiles[4][s], f"degree {s} at --weight {w}"
