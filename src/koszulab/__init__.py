@@ -14,7 +14,8 @@ from .complexes import (ChainComplex, HomologyProfile, ComplexError,
                         dualize_complex)
 from .algebra import (CoefficientAlgebra, Bimodule, GradedAugmentedAlgebra,
                       LeftModule, Dataset, DatasetError, NonFreeQuotientError,
-                      tensor_over_coeff, iterated_tensor, trivial_module,
+                      tensor_over_coeff, iterated_tensor, TensorTable,
+                      trivial_module,
                       validate_algebra, validate_module, builtin_height1,
                       dataset_to_json, dataset_from_json, canonical_json,
                       save_dataset, load_dataset)
@@ -23,7 +24,7 @@ from .bar import (BarComplex, KoszulData, KoszulModuleData, KoszulComplexData,
                   koszul_module, koszul_complex, tor_groups, ext_groups,
                   tor_groups_via_bar, verify_koszulness)
 from .isogeny import (SubgroupAlgebra, SubgroupAlgebraPackage, MICError,
-                      build_mic, mic_cohomology, dualize_bar_to_mic,
+                      PackageData, build_mic, mic_cohomology, dualize_bar_to_mic,
                       verify_theorem_10_2, validate_package)
 from .partition import (PartitionSizeError, partition_complex,
                         partition_homology)

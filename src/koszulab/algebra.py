@@ -151,12 +151,11 @@ def tensor_over_coeff(M: Bimodule, N: Bimodule) -> TensorData:
 
 
 def _tensor_bimodule(M: Bimodule, N: Bimodule, proj, sect) -> Bimodule:
-    ring = M.ring
-    eyeN = PAdicMatrix.identity(ring, N.rank)
-    eyeM = PAdicMatrix.identity(ring, M.rank)
-    left = tuple(proj @ M.left[a].kron(eyeN) @ sect for a in range(M.coeff.rank))
-    right = tuple(proj @ eyeM.kron(N.right[a]) @ sect for a in range(M.coeff.rank))
-    return Bimodule(ring, M.coeff, proj.rows, left, right)
+    left = tuple(proj @ M.left[a].kron_apply(1, N.rank, sect)
+                 for a in range(M.coeff.rank))
+    right = tuple(proj @ N.right[a].kron_apply(M.rank, 1, sect)
+                  for a in range(M.coeff.rank))
+    return Bimodule(M.ring, M.coeff, proj.rows, left, right)
 
 
 @dataclass(frozen=True)
@@ -170,22 +169,53 @@ class IteratedTensor:
     factor_ranks: tuple
 
 
+def identity_tensor(B: Bimodule) -> IteratedTensor:
+    """``B`` as a tensor of one factor, with identity maps to its ambient."""
+    eye = PAdicMatrix.identity(B.ring, B.rank)
+    return IteratedTensor(B, eye, eye, (B.rank,))
+
+
+def tensor_step(T: IteratedTensor, B: Bimodule) -> IteratedTensor:
+    """``T`` with ``B`` appended as one more tensor factor."""
+    step = tensor_over_coeff(T.bimodule, B)
+    eyeB = PAdicMatrix.identity(B.ring, B.rank)
+    return IteratedTensor(step.bimodule, step.proj @ T.proj_full.kron(eyeB),
+                          T.sect_full.kron_apply(1, B.rank, step.sect),
+                          T.factor_ranks + (B.rank,))
+
+
 def iterated_tensor(factors) -> IteratedTensor:
     if not factors:
         raise ValueError("iterated_tensor needs at least one factor")
-    ring = factors[0].ring
-    T = factors[0]
-    P = PAdicMatrix.identity(ring, T.rank)
-    S = PAdicMatrix.identity(ring, T.rank)
-    ranks = [factors[0].rank]
+    T = identity_tensor(factors[0])
     for B in factors[1:]:
-        step = tensor_over_coeff(T, B)
-        eyeB = PAdicMatrix.identity(ring, B.rank)
-        P = step.proj @ P.kron(eyeB)
-        S = S.kron(eyeB) @ step.sect
-        T = step.bimodule
-        ranks.append(B.rank)
-    return IteratedTensor(T, P, S, tuple(ranks))
+        T = tensor_step(T, B)
+    return T
+
+
+class TensorTable:
+    """The iterated tensors of compositions, built by prefix recursion: the
+    tensor of (c_1, ..., c_s) is ``tensor_step`` of the tensor of
+    (c_1, ..., c_{s-1}) and ``factor(c_s)``, so each composition costs one
+    step and every entry is built once and then shared.  The empty
+    composition maps to ``empty``.  Entries equal ``iterated_tensor`` of the
+    factors field by field."""
+
+    def __init__(self, factor, empty: IteratedTensor):
+        self.factor = factor
+        self._tensors = {(): empty}
+
+    def __getitem__(self, composition) -> IteratedTensor:
+        comp = tuple(composition)
+        known = len(comp)
+        while comp[:known] not in self._tensors:
+            known -= 1
+        T = self._tensors[comp[:known]]
+        for i in range(known, len(comp)):
+            B = self.factor(comp[i])
+            T = tensor_step(T, B) if i else identity_tensor(B)
+            self._tensors[comp[:i + 1]] = T
+        return T
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,16 @@ with its last-face differential, and Tor/Ext profiles."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from itertools import accumulate
+from operator import mul
 from typing import Optional
 
 from .padic import PAdicMatrix, InconsistentSystemError, kernel_basis, solve
 from .complexes import (ChainComplex, HomologyProfile, HOMOLOGICAL,
                         dualize_complex, homology, make_complex, verify_complex)
 from .algebra import (Bimodule, GradedAugmentedAlgebra, IteratedTensor,
-                      LeftModule, iterated_tensor,
-                      tensor_over_coeff)
+                      LeftModule, TensorTable, identity_tensor,
+                      tensor_over_coeff, tensor_step)
 
 
 class NotKoszulError(Exception):
@@ -52,7 +53,9 @@ def bounded_compositions(parts: int, max_total: int):
 # The bar complexes and the subgroup (isogeny) complex share one shape: the
 # degree-s term is a sum of tensor quotients, one block per composition with
 # s parts, and every face is a block proj_full @ (I_pre (x) m (x) I_post) @
-# sect_full between the ambient tensor products of two compositions.
+# sect_full between the ambient tensor products of two compositions.  The
+# tensor quotients come from a TensorTable, so compositions sharing a prefix
+# share its tensor, and the identity factors of a face are never built.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -62,12 +65,6 @@ class Block:
     composition: tuple
     start: int
     tensor: IteratedTensor
-
-
-def identity_tensor(B: Bimodule) -> IteratedTensor:
-    """``B`` as a tensor of one factor, with identity maps to its ambient."""
-    eye = PAdicMatrix.identity(B.ring, B.rank)
-    return IteratedTensor(B, eye, eye, (B.rank,))
 
 
 def composition_blocks(comps, tensor_of):
@@ -97,24 +94,21 @@ def place_blocks(ring, rows: int, cols: int, placed) -> PAdicMatrix:
 def assemble(ring, src, tgt, rows: int, cols: int, faces) -> PAdicMatrix:
     """The rows x cols differential from the blocks ``src`` to the blocks
     ``tgt``.  ``faces(composition)`` yields each face of a source block as
-    (target composition, sign, pre, m, post): the ambient map
-    I_pre (x) m (x) I_post, read in the quotient coordinates of both blocks."""
+    (target composition, sign, lo, hi, m): the ambient map
+    I_pre (x) m (x) I_post with m on the source's tensor factors lo..hi-1,
+    read in the quotient coordinates of both blocks."""
     by_comp = {b.composition: b for b in tgt}
 
     def placed():
         for b in src:
-            for comp, sign, pre, m, post in faces(b.composition):
+            ranks = b.tensor.factor_ranks
+            pre = list(accumulate(ranks, mul, initial=1))
+            post = list(accumulate(reversed(ranks), mul, initial=1))[::-1]
+            for comp, sign, lo, hi, m in faces(b.composition):
                 tb = by_comp[comp]
-                amb = (PAdicMatrix.identity(ring, pre).kron(m)
-                       .kron(PAdicMatrix.identity(ring, post)))
-                yield (tb.start, b.start, sign,
-                       tb.tensor.proj_full @ amb @ b.tensor.sect_full)
+                yield (tb.start, b.start, sign, tb.tensor.proj_full
+                       @ m.kron_apply(pre[lo], post[hi], b.tensor.sect_full))
     return place_blocks(ring, rows, cols, placed())
-
-
-def rank_product(rank, parts) -> int:
-    """The rank of the ambient tensor product of the parts' components."""
-    return prod(rank(k) for k in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +126,35 @@ class BarComplex:
         return self.blocks[s - self.complex.min_degree]
 
 
+def weight_tensors(A: GradedAugmentedAlgebra) -> TensorTable:
+    """The table of tensors of weight components, one factor per part of a
+    composition; the empty composition is the coefficient algebra."""
+    return TensorTable(A.component, identity_tensor(A.coeff.as_bimodule()))
+
+
 def _bar_complex(A: GradedAugmentedAlgebra, degree_comps,
-                 M: Optional[LeftModule]) -> tuple:
+                 M: Optional[LeftModule], tensors: TensorTable) -> tuple:
     """The bar complex on ``degree_comps`` (the compositions of each degree
     from 0), with ``M`` as the last tensor factor when given; d o d is
     checked.  Its differential is the alternating sum of the merge faces and,
-    with ``M``, of the face acting the last slot on ``M``."""
+    with ``M``, of the face acting the last slot on ``M``.  Tensors of the
+    weight components come from ``tensors``."""
     ring = A.coeff.ring
-    extra = [] if M is None else [M.as_bimodule()]
-    module_rank = 1 if M is None else M.base_rank
+    Mb = None if M is None else M.as_bimodule()
 
     def tensor_of(comp):
-        factors = [A.component(k) for k in comp] + extra
-        if not factors:
-            return identity_tensor(A.coeff.as_bimodule())
-        return iterated_tensor(factors)
+        if Mb is None:
+            return tensors[comp]
+        return tensor_step(tensors[comp], Mb) if comp else identity_tensor(Mb)
 
     def faces(comp):
         for i in range(1, len(comp)):
             yield (comp[:i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1:],
-                   (-1) ** i, rank_product(A.rank, comp[:i - 1]),
-                   A.mult[(comp[i - 1], comp[i])],
-                   rank_product(A.rank, comp[i + 1:]) * module_rank)
+                   (-1) ** i, i - 1, i + 1, A.mult[(comp[i - 1], comp[i])])
         if M is not None and comp:
-            yield (comp[:-1], (-1) ** len(comp), rank_product(A.rank, comp[:-1]),
-                   M.weight_action(comp[-1], A.rank(comp[-1])), 1)
+            s = len(comp)
+            yield (comp[:-1], (-1) ** s, s - 1, s + 1,
+                   M.weight_action(comp[-1], A.rank(comp[-1])))
 
     blocks, ranks = zip(*(composition_blocks(c, tensor_of) for c in degree_comps))
     diffs = [assemble(ring, blocks[s], blocks[s - 1], ranks[s - 1], ranks[s], faces)
@@ -170,30 +168,37 @@ def _bar_complex(A: GradedAugmentedAlgebra, degree_comps,
 
 
 def bar_complex(A: GradedAugmentedAlgebra, k: int,
-                M: Optional[LeftModule] = None) -> BarComplex:
+                M: Optional[LeftModule] = None,
+                tensors: Optional[TensorTable] = None) -> BarComplex:
     """Normalized two-sided bar complex with trivial outer coefficients.
 
     With ``M`` None this is the weight-k graded piece: degree-s term the sum
     over compositions of k into s positive parts of the tensor product of the
     corresponding weight components; faces 0 and s vanish and the differential
     is the alternating sum of the merge faces.  With a module ``M`` see
-    :func:`bar_complex_with_module` (this front-end dispatches).
+    :func:`bar_complex_with_module` (this front-end dispatches).  Tensors of
+    the weight components come from ``tensors`` (see :func:`weight_tensors`)
+    when given.
     """
     if M is not None:
-        return bar_complex_with_module(A, M, k)
+        return bar_complex_with_module(A, M, k, tensors)
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")
-    cx, blocks = _bar_complex(A, [compositions(k, s) for s in range(k + 1)], None)
+    cx, blocks = _bar_complex(A, [compositions(k, s) for s in range(k + 1)], None,
+                              tensors or weight_tensors(A))
     return BarComplex(k, cx, blocks)
 
 
 def bar_complex_with_module(A: GradedAugmentedAlgebra, M: LeftModule,
-                            smax: int) -> BarComplex:
+                            smax: int,
+                            tensors: Optional[TensorTable] = None) -> BarComplex:
     """Normalized bar complex with trivial left and module right coefficients,
     truncated to compositions of total weight <= max_weight (a subcomplex,
-    since the differential never raises total slot weight)."""
+    since the differential never raises total slot weight).  Tensors of the
+    weight components come from ``tensors`` when given."""
     cx, blocks = _bar_complex(
-        A, [bounded_compositions(s, A.max_weight) for s in range(smax + 1)], M)
+        A, [bounded_compositions(s, A.max_weight) for s in range(smax + 1)], M,
+        tensors or weight_tensors(A))
     return BarComplex(None, cx, blocks, M.name)
 
 
@@ -344,17 +349,21 @@ def ext_groups(A: GradedAugmentedAlgebra, M: LeftModule,
 
 
 def tor_groups_via_bar(A: GradedAugmentedAlgebra, M: LeftModule,
-                       smax: Optional[int] = None) -> HomologyProfile:
-    """Independent Tor route through the module bar complex."""
+                       smax: Optional[int] = None,
+                       data: Optional[KoszulData] = None) -> HomologyProfile:
+    """Independent Tor route through the module bar complex, whose weight
+    tensors come from ``data`` when given."""
     if smax is None:
         smax = A.max_weight
-    return homology(bar_complex_with_module(A, M, smax).complex)
+    tensors = data.tensors if data is not None else None
+    return homology(bar_complex_with_module(A, M, smax, tensors).complex)
 
 
 class KoszulData:
-    """The weight-k bar complexes of one algebra with their homology, its
-    Koszul modules C[k], and per module the Koszul complex and its Tor
-    profile, each built on first use and then shared.
+    """The tensors of the weight components over every composition, the
+    weight-k bar complexes of one algebra with their homology, its Koszul
+    modules C[k], and per module the Koszul complex and its Tor profile,
+    each built on first use and then shared.
 
     One command builds one of these and hands it to every function that
     takes a ``data`` argument, so no complex is built or checked twice; the
@@ -364,6 +373,7 @@ class KoszulData:
 
     def __init__(self, A: GradedAugmentedAlgebra):
         self.algebra = A
+        self.tensors = weight_tensors(A)
         self._bars = {}
         self._bar_profiles = {}
         self._modules = {}
@@ -372,7 +382,7 @@ class KoszulData:
 
     def bar(self, k: int) -> BarComplex:
         if k not in self._bars:
-            self._bars[k] = bar_complex(self.algebra, k)
+            self._bars[k] = bar_complex(self.algebra, k, tensors=self.tensors)
         return self._bars[k]
 
     def bar_homology(self, k: int) -> HomologyProfile:

@@ -21,8 +21,8 @@ from .algebra import (Dataset, DatasetError, builtin_height1, canonical_json,
                       load_dataset, save_dataset, trivial_module)
 from .bar import (KoszulData, NotKoszulError, bar_complex, ext_groups,
                   tor_groups, tor_groups_via_bar, verify_koszulness)
-from .isogeny import (MICError, build_mic, dualize_bar_to_mic, mic_cohomology,
-                      verify_theorem_10_2)
+from .isogeny import (MICError, PackageData, build_mic, dualize_bar_to_mic,
+                      mic_cohomology, verify_theorem_10_2)
 from .partition import PartitionSizeError, partition_homology
 from .synthetic import synthetic_height1_dataset
 
@@ -254,7 +254,7 @@ def _suite_koszul(ds, checks, data):
         witness = None
         for M in ds.modules.values():
             t1 = tor_groups(A, M, data)
-            t2 = tor_groups_via_bar(A, M)
+            t2 = tor_groups_via_bar(A, M, data=data)
             for s in range(A.max_weight + 1):
                 if t1.free_rank(s) != t2.free_rank(s) or \
                         t1.torsion_at(s) != t2.torsion_at(s):
@@ -267,7 +267,7 @@ def _suite_koszul(ds, checks, data):
             {} if agree else {"witness": witness}))
 
 
-def _suite_mic_duality(ds, checks, data):
+def _suite_mic_duality(ds, checks, data, pdata):
     pkg = ds.subgroup_package
     if pkg is None:
         checks.append(Check("suite-mic-duality",
@@ -278,7 +278,7 @@ def _suite_mic_duality(ds, checks, data):
 
     def one(k):
         try:
-            res = dualize_bar_to_mic(ds.algebra, pkg, k, data)
+            res = dualize_bar_to_mic(ds.algebra, pkg, k, data, pdata)
             return k, res.commutes, res.witness
         except MICError as exc:
             return k, False, str(exc)
@@ -294,7 +294,7 @@ def _suite_mic_duality(ds, checks, data):
          "witnesses": [f"k={k}: {w}" for k, w in bad]}))
 
 
-def _suite_thm_square(ds, checks, data):
+def _suite_thm_square(ds, checks, data, pdata):
     pkg = ds.subgroup_package
     if pkg is None:
         checks.append(Check("suite-shift-square",
@@ -311,7 +311,7 @@ def _suite_thm_square(ds, checks, data):
 
     def one(k):
         try:
-            res = verify_theorem_10_2(ds.algebra, pkg, M, k, data)
+            res = verify_theorem_10_2(ds.algebra, pkg, M, k, data, pdata)
             payload = {"top": [list(r) for r in res.route_top.entries],
                        "bottom": [list(r) for r in res.route_bottom.entries]}
             return k, res.commutes, res.witness, payload
@@ -332,18 +332,21 @@ def _suite_thm_square(ds, checks, data):
 
 def cmd_verify(args, checks) -> Dataset:
     ds = _load(args.dataset, checks)
-    # every suite reads bar and Koszul complexes from this one object, so
-    # each is built and checked once per run
+    # every suite reads tensors, bar and Koszul complexes from this one
+    # object and flag tensors and pairing inverses from the second, so each
+    # is built and checked once per run
     data = KoszulData(ds.algebra)
+    pkg = ds.subgroup_package
+    pdata = PackageData(pkg) if pkg is not None else None
     suites = ([args.suite] if args.suite != "all"
               else ["koszul", "mic-duality", "thm-square"])
     for s in suites:
         if s == "koszul":
             _suite_koszul(ds, checks, data)
         elif s == "mic-duality":
-            _suite_mic_duality(ds, checks, data)
+            _suite_mic_duality(ds, checks, data, pdata)
         else:
-            _suite_thm_square(ds, checks, data)
+            _suite_thm_square(ds, checks, data, pdata)
     return ds
 
 

@@ -4,6 +4,7 @@ relating the flag refinement maps to the Koszul differential."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .padic import (PAdicMatrix, InconsistentSystemError,
@@ -12,11 +13,11 @@ from .complexes import (ChainComplex, COHOMOLOGICAL,
                         dualize_complex, homology, make_complex, verify_complex)
 from .algebra import (Bimodule, CoefficientAlgebra, Dataset, DatasetError,
                       GradedAugmentedAlgebra, IteratedTensor, LeftModule,
-                      ValidationReport, iterated_tensor, _e,
-                      _coefficient_algebra_from_json, _matrix_from_json, _need)
+                      TensorTable, ValidationReport, identity_tensor,
+                      iterated_tensor, _e, _coefficient_algebra_from_json,
+                      _matrix_from_json, _need)
 from .bar import (KoszulData, assemble, composition_blocks, compositions,
-                  identity_tensor, koszul_module, place_blocks,
-                  rank_product)
+                  koszul_module, place_blocks)
 
 
 class MICError(Exception):
@@ -55,14 +56,46 @@ class SubgroupAlgebraPackage:
         return self.orders[k].rank
 
 
+def _flag_factor(pkg: SubgroupAlgebraPackage, k: int) -> Bimodule:
+    if k not in pkg.orders:
+        raise MICError(f"package has no subgroup algebra of order p^{k}")
+    return pkg.orders[k].bimodule
+
+
 def flag_tensor(pkg: SubgroupAlgebraPackage, composition) -> IteratedTensor:
     """The flag module S_{p^{k_1}} (x)_{E0} ... (x)_{E0} S_{p^{k_s}}."""
     if not composition:
         return identity_tensor(pkg.coeff.as_bimodule())
-    for k in composition:
-        if k not in pkg.orders:
-            raise MICError(f"package has no subgroup algebra of order p^{k}")
-    return iterated_tensor([pkg.orders[k].bimodule for k in composition])
+    return iterated_tensor([_flag_factor(pkg, k) for k in composition])
+
+
+def flag_tensors(pkg: SubgroupAlgebraPackage) -> TensorTable:
+    """The table of flag modules of every composition: entry c equals
+    ``flag_tensor(pkg, c)``, and compositions sharing a prefix share its
+    tensor."""
+    return TensorTable(partial(_flag_factor, pkg),
+                       identity_tensor(pkg.coeff.as_bimodule()))
+
+
+class PackageData:
+    """The flag tensors of one subgroup package and the inverses of its
+    pairings, each built on first use and then shared.
+
+    One command builds one of these and hands it to every function that
+    takes a ``pdata`` argument; the functions build a fresh one when called
+    without it.  Failures are not kept: asking again recomputes and raises
+    again.
+    """
+
+    def __init__(self, pkg: SubgroupAlgebraPackage):
+        self.package = pkg
+        self.flags = flag_tensors(pkg)
+        self._pairing_inverses = {}
+
+    def pairing_inverse(self, k: int) -> PAdicMatrix:
+        if k not in self._pairing_inverses:
+            self._pairing_inverses[k] = inverse_mod(self.package.pairing[k])
+        return self._pairing_inverses[k]
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +109,12 @@ class ModularIsogenyComplex:
     blocks: tuple   # per degree, tuple of bar.Block
 
 
-def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
+def build_mic(pkg: SubgroupAlgebraPackage, k: int,
+              flags: Optional[TensorTable] = None) -> ModularIsogenyComplex:
     """Cochain complex with degree-s term the sum over compositions of k into
     s positive parts of the flag module, and differential the alternating sum
-    of the refinement maps applied in each slot."""
+    of the refinement maps applied in each slot.  The flag modules come from
+    ``flags`` (see :func:`flag_tensors`) when given."""
     ring = pkg.coeff.ring
     if k < 0:
         raise MICError("negative order exponent")
@@ -93,12 +128,11 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
                 if (k1, k2) not in pkg.u1:
                     raise MICError(f"package missing u1 for ({k1},{k2})")
                 yield (comp[:i] + (k1, k2) + comp[i + 1:], (-1) ** (i + 1),
-                       rank_product(pkg.rank, comp[:i]), pkg.u1[(k1, k2)],
-                       rank_product(pkg.rank, comp[i + 1:]))
+                       i, i + 1, pkg.u1[(k1, k2)])
 
     low = 1 if k else 0     # order p^0 is the coefficient ring in degree 0
-    blocks, ranks = zip(*(composition_blocks(compositions(k, s),
-                                             lambda c: flag_tensor(pkg, c))
+    tensor_of = (flags or flag_tensors(pkg)).__getitem__
+    blocks, ranks = zip(*(composition_blocks(compositions(k, s), tensor_of)
                           for s in range(low, k + 1)))
     diffs = [assemble(ring, blocks[j], blocks[j + 1], ranks[j + 1], ranks[j], faces)
              for j in range(len(blocks) - 1)]
@@ -209,13 +243,15 @@ class MICDualityResult:
 
 
 def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
-                       k: int, data: Optional[KoszulData] = None
-                       ) -> MICDualityResult:
+                       k: int, data: Optional[KoszulData] = None,
+                       pdata: Optional[PackageData] = None) -> MICDualityResult:
     """Construct the degreewise isomorphisms from the dual weight-k bar
     complex to the order-p^k complex through the pairing matrices, and assert
     they intertwine the two differentials exactly.  The bar complex comes
-    from ``data`` when given."""
+    from ``data``, and the flag modules and pairing inverses from ``pdata``,
+    when given."""
     ring = A.coeff.ring
+    pdata = pdata or PackageData(pkg)
     for kk in range(1, k + 1):
         P = pkg.pairing.get(kk)
         if P is None:
@@ -223,12 +259,12 @@ def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
         if P.shape != (A.rank(kk), pkg.rank(kk)):
             raise MICError(f"pairing shape mismatch at weight {kk}: "
                            f"{P.shape} vs {(A.rank(kk), pkg.rank(kk))}")
-        inverse_mod(P)  # must be unimodular for the components to be dual
+        pdata.pairing_inverse(kk)  # unimodular, for the components to be dual
     if k == 0:
         return MICDualityResult(0, [PAdicMatrix.identity(ring, A.coeff.rank)],
                                 True, None)
     bc = (data or KoszulData(A)).bar(k)
-    mic = build_mic(pkg, k)
+    mic = build_mic(pkg, k, pdata.flags)
     dual = dualize_complex(bc.complex)
 
     def placed(s):
@@ -279,7 +315,8 @@ class ShiftSquareResult:
 
 def verify_theorem_10_2(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
                         M: LeftModule, k: int,
-                        data: Optional[KoszulData] = None) -> ShiftSquareResult:
+                        data: Optional[KoszulData] = None,
+                        pdata: Optional[PackageData] = None) -> ShiftSquareResult:
     """Square number k (k >= 1): the shift map from the (k-1)-fold flag module
     to the k-fold one, followed by the quotient onto the dual of the Koszul
     term, must agree with the quotient followed by the transposed Koszul
@@ -289,7 +326,7 @@ def verify_theorem_10_2(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
     term into the ambient weight-1 tensor power is dualized through the
     pairings, with the sign (-1)^{j(j+1)/2} in homological degree j coming
     from dualizing a chain complex.  The Koszul complex of M comes from
-    ``data`` when given.
+    ``data``, and the flag modules from ``pdata``, when given.
     """
     if k < 1:
         raise MICError("square index must be >= 1")
@@ -303,10 +340,10 @@ def verify_theorem_10_2(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
         raise MICError("the shift square needs a module free of rank 1 "
                        "over the coefficient algebra")
     unitcol = PAdicMatrix(ring, [[x] for x in A.coeff.unit], A.coeff.rank, 1)
-    d1 = A.rank(1)
+    flags = (pdata or PackageData(pkg)).flags
 
     def quotient_map(jj):
-        flag = flag_tensor(pkg, (1,) * jj)
+        flag = flags[(1,) * jj]
         sign = (-1) ** (jj * (jj + 1) // 2) % mod
         if jj == 0:
             PKm = unitcol

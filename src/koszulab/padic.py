@@ -8,11 +8,14 @@ Cost model.  The complexes built here are almost empty (bar face maps are
 I (x) m (x) I, partition boundaries have at most a few entries per column), so
 the kernel's cost follows the nonzero entries: ``A @ B`` adds a * (row k of B)
 only for the nonzero entries a = A[i, k] and reduces each output row once,
-about nnz(A) * B.cols operations; ``kron`` copies a zero block for a zero
-entry and the other factor's row for an entry 1; a 1x1 identity factor of
-either returns the other factor.  Results the kernel builds are already
-reduced and are wrapped without a second pass mod p^N; only the public
-constructor reduces and shape-checks what callers pass in.
+about nnz(A) * B.cols operations; ``m.kron_apply(pre, post, S)`` applies a
+face (I_pre (x) m (x) I_post) @ S by the same rule without forming the
+Kronecker product or the identities, and ``A @ B`` is its case
+pre = post = 1; ``kron`` copies a zero block for a zero entry and the other
+factor's row for an entry 1; a 1x1 identity factor of either returns the
+other factor.  Results the kernel builds are already reduced and are wrapped
+without a second pass mod p^N; only the public constructor reduces and
+shape-checks what callers pass in.
 
 Every Smith form, inverse, kernel and solution comes from one elimination
 kernel, `_eliminate`.  In Z/p^N every nonzero entry is a unit times p^v, so an
@@ -242,36 +245,17 @@ class PAdicMatrix:
                      self.rows, self.cols)
 
     def __matmul__(self, other: "PAdicMatrix") -> "PAdicMatrix":
-        """Row i of the product is the sum of a * (row k of other) over the
-        nonzero entries a = self[i, k], reduced once: the cost is
-        nnz(self) * other.cols, and a row with a single entry 1 is a row of
-        ``other`` itself.  A 1x1 identity factor returns the other factor."""
+        """The product, as ``kron_apply`` with no identity factors: the cost
+        is nnz(self) * other.cols, and a row with a single entry 1 is a row
+        of ``other`` itself.  A 1x1 identity factor returns the other
+        factor."""
         if self.cols != other.rows:
             raise ShapeError(f"matmul {self.shape} vs {other.shape}")
         if other.entries == _ONE:
             return self
         if self.entries == _ONE:
             return other
-        m = self.ring.modulus
-        B = other.entries
-        zero = (0,) * other.cols
-        out = []
-        for r in self.entries:
-            acc = None
-            for a, b in zip(r, B):
-                if not a:
-                    continue
-                if acc is None:
-                    acc = b if a == 1 else [a * y for y in b]
-                else:
-                    acc = [x + a * y for x, y in zip(acc, b)]
-            if acc is None:
-                out.append(zero)
-            elif type(acc) is tuple:
-                out.append(acc)              # one entry 1: a row of other
-            else:
-                out.append(tuple(x % m for x in acc))
-        return _wrap(self.ring, tuple(out), self.rows, other.cols)
+        return self.kron_apply(1, 1, other)
 
     def transpose(self) -> "PAdicMatrix":
         return _wrap(self.ring, tuple(zip(*self.entries)) if self.rows
@@ -302,6 +286,38 @@ class PAdicMatrix:
                     parts.append(blk)
                 out.append(tuple(chain.from_iterable(parts)))
         return _wrap(self.ring, tuple(out), self.rows * other.rows, self.cols * other.cols)
+
+    def kron_apply(self, pre: int, post: int, S: "PAdicMatrix") -> "PAdicMatrix":
+        """(I_pre (x) self (x) I_post) @ S without forming the Kronecker
+        product: row (a, r, c) of the result sums x * (row (a, j, c) of S)
+        over the nonzero entries x = self[r, j], reduced once, so each
+        nonzero of self costs one row of S, pre * post times."""
+        width = self.cols * post
+        if S.rows != pre * width:
+            raise ShapeError(f"kron_apply {pre} (x) {self.shape} (x) {post} "
+                             f"vs {S.shape}")
+        m = self.ring.modulus
+        B = S.entries
+        zero = (0,) * S.cols
+        terms = [[(j * post, x) for j, x in enumerate(r) if x] for r in self.entries]
+        out = []
+        for a in range(pre):
+            for row_terms in terms:
+                for c in range(a * width, a * width + post):
+                    acc = None
+                    for off, x in row_terms:
+                        b = B[c + off]
+                        if acc is None:
+                            acc = b if x == 1 else [x * y for y in b]
+                        else:
+                            acc = [u + x * y for u, y in zip(acc, b)]
+                    if acc is None:
+                        out.append(zero)
+                    elif type(acc) is tuple:
+                        out.append(acc)          # one entry 1: a row of S
+                    else:
+                        out.append(tuple(u % m for u in acc))
+        return _wrap(self.ring, tuple(out), pre * self.rows * post, S.cols)
 
     def hstack(self, other: "PAdicMatrix") -> "PAdicMatrix":
         if self.rows != other.rows:

@@ -1,8 +1,9 @@
 """Call counts of single CLI runs: `verify --suite all` builds every bar
 complex and every Koszul complex once, homology leaves the d o d check to
-the builders, and `mic` builds its subgroup complex once.  Functions are
-wrapped in every koszulab module that holds them, as the benchmark's tracer
-does."""
+the builders, tensor quotients are built once per composition and pairings
+are inverted once per run, and `mic` builds its subgroup complex once.
+Functions are wrapped in every koszulab module that holds them, as the
+benchmark's tracer does."""
 import sys
 
 from koszulab.algebra import builtin_height1, save_dataset
@@ -10,7 +11,8 @@ from koszulab.cli import EXIT_PASS, run
 
 WRAPPED = (("bar", "bar_complex"), ("bar", "koszul_complex"),
            ("complexes", "homology"), ("complexes", "verify_complex"),
-           ("isogeny", "build_mic"))
+           ("isogeny", "build_mic"), ("isogeny", "dualize_bar_to_mic"),
+           ("algebra", "tensor_over_coeff"), ("padic", "inverse_mod"))
 
 
 def record_calls(monkeypatch):
@@ -57,6 +59,18 @@ def test_verify_builds_each_complex_once(tmp_path, monkeypatch):
     assert any(name == "complexes.homology" for name, _, _ in calls)
     assert not [c for c in calls if c[0] == "complexes.verify_complex"
                 and "complexes.homology" in c[2]]
+
+
+def test_verify_builds_each_tensor_and_inverse_once(tmp_path, monkeypatch):
+    """Built-in p=3 N=2 kmax 5: 343 tensor quotients and 15 pairing inverses
+    when every composition and every k builds its own."""
+    _, path = saved_builtin(tmp_path)
+    calls = record_calls(monkeypatch)
+    report, code = run(["verify", str(path), "--suite", "all", "--json"])
+    assert code == EXIT_PASS and report.passed
+    assert len([c for c in calls if c[0] == "algebra.tensor_over_coeff"]) <= 199
+    assert len([c for c in calls if c[0] == "padic.inverse_mod"
+                and "isogeny.dualize_bar_to_mic" in c[2]]) == 5
 
 
 def test_mic_builds_its_subgroup_complex_once(tmp_path, monkeypatch):

@@ -2,13 +2,13 @@
 the bar complex, and the shift square."""
 import pytest
 
-from koszulab.padic import PAdicMatrix
+from koszulab.padic import ExactLinalgError, PAdicMatrix
 from koszulab.complexes import homology, verify_complex
 from koszulab.algebra import (builtin_height1, canonical_json,
                               dataset_from_json, dataset_to_json)
-from koszulab.bar import koszul_module
-from koszulab.isogeny import (MICError, SubgroupAlgebraPackage, build_mic,
-                              dualize_bar_to_mic, flag_tensor,
+from koszulab.bar import KoszulData, koszul_module
+from koszulab.isogeny import (MICError, PackageData, SubgroupAlgebraPackage,
+                              build_mic, dualize_bar_to_mic, flag_tensor,
                               mic_cohomology, validate_package,
                               verify_theorem_10_2)
 from koszulab.synthetic import perturb_pairing, synthetic_height1_dataset
@@ -160,3 +160,27 @@ def test_missing_pairing_reported():
     with pytest.raises(MICError) as exc:
         dualize_bar_to_mic(ds.algebra, partial, 2)
     assert "pairing" in str(exc.value)
+
+
+def test_bad_pairing_fails_at_the_same_k_with_shared_package_data():
+    """Pairing inverses are shared across k and failures are not: a singular
+    or missing pairing at weight 2 fails every k >= 2, with the same error
+    from a shared PackageData as from a fresh one."""
+    ds = builtin_height1(3, 2, 4)
+    pkg = ds.subgroup_package
+    singular = {**pkg.pairing, 2: PAdicMatrix(pkg.coeff.ring, [[3]], 1, 1)}
+    missing = {k: P for k, P in pkg.pairing.items() if k != 2}
+    for pairing, error in ((singular, ExactLinalgError), (missing, MICError)):
+        bad = SubgroupAlgebraPackage(pkg.coeff, pkg.orders, pkg.t_maps,
+                                     pkg.u1, pkg.shift, pairing)
+        data, pdata = KoszulData(ds.algebra), PackageData(bad)
+        for k in range(5):
+            if k < 2:
+                assert dualize_bar_to_mic(ds.algebra, bad, k, data, pdata).commutes
+                continue
+            messages = []
+            for shared in (pdata, None):
+                with pytest.raises(error) as exc:
+                    dualize_bar_to_mic(ds.algebra, bad, k, data, shared)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]

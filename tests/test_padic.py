@@ -151,6 +151,24 @@ def test_matmul_and_kron_match_naive_definitions(ring, n, k, l, data):
                           for i in range(n) for s in range(k)]
 
 
+@given(st.sampled_from(KERNEL_RINGS), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kron_apply_is_the_product_with_identity_factors(ring, pre, post, r, c,
+                                                          l, data):
+    """A size of 0 is a factor of rank 0, such as a module of rank 0."""
+    m = PAdicMatrix(ring, data.draw(raw_entries(ring, r, c)), r, c)
+    rows = pre * c * post
+    S = PAdicMatrix(ring, data.draw(raw_entries(ring, rows, l)), rows, l)
+    Y = m.kron_apply(pre, post, S)
+    assert_reduced(Y, pre * r * post, l)
+    amb = (PAdicMatrix.identity(ring, pre).kron(m)
+           .kron(PAdicMatrix.identity(ring, post)))
+    assert Y == amb @ S
+    with pytest.raises(ShapeError):
+        m.kron_apply(pre, post, PAdicMatrix.zeros(ring, rows + 1, l))
+
+
 @given(st.sampled_from(KERNEL_RINGS), dims, dims, dims, st.data())
 @settings(max_examples=150, deadline=None)
 def test_reshaping_and_entrywise_ops_match_naive_definitions(ring, n, k, l, data):

@@ -1,0 +1,105 @@
+"""The prefix tables of iterated tensors: every entry equals the tensor that
+`iterated_tensor` (or `flag_tensor`) builds from scratch, the bar blocks hold
+the table's own entries, and a command leaves no tensor or matrix in a
+reference cycle."""
+import gc
+
+from koszulab.algebra import (Bimodule, LeftModule, TensorTable, builtin_height1,
+                              identity_tensor, iterated_tensor, save_dataset)
+from koszulab.bar import (KoszulData, bounded_compositions, tor_groups,
+                          tor_groups_via_bar, weight_tensors)
+from koszulab.cli import EXIT_PASS, run
+from koszulab.isogeny import flag_tensor, flag_tensors
+from koszulab.padic import PAdicMatrix
+
+from test_algebra import dual_numbers
+from test_golden import sym2_dataset
+
+MAX_TOTAL = 4
+
+
+def all_compositions(max_total):
+    return [c for s in range(1, max_total + 1)
+            for c in bounded_compositions(s, max_total)]
+
+
+def assert_same_tensor(got, want):
+    assert got.bimodule == want.bimodule
+    assert got.proj_full == want.proj_full
+    assert got.sect_full == want.sect_full
+    assert got.factor_ranks == want.factor_ranks
+
+
+def sums_of_regular(coeff):
+    """Weight k is E0^k, the sum of k copies of the regular bimodule."""
+    ring = coeff.ring
+
+    def factor(k):
+        acts = tuple(PAdicMatrix.identity(ring, k).kron(coeff.regular_left(a))
+                     for a in range(coeff.rank))
+        return Bimodule(ring, coeff, k * coeff.rank, acts, acts)
+    return factor
+
+
+def test_table_equals_iterated_tensor_over_a_rank_2_coefficient_algebra():
+    coeff = dual_numbers()
+    factor = sums_of_regular(coeff)
+    empty = identity_tensor(coeff.as_bimodule())
+    table = TensorTable(factor, empty)
+    assert table[()] is empty
+    for comp in all_compositions(MAX_TOTAL):
+        assert_same_tensor(table[comp], iterated_tensor([factor(k) for k in comp]))
+    # lookups in another order reuse the entries already built
+    assert table[(1, 2, 1)] is table[(1, 2, 1)]
+
+
+def test_weight_table_equals_iterated_tensor_on_sym2():
+    A = sym2_dataset().algebra
+    table = weight_tensors(A)
+    for comp in reversed(all_compositions(MAX_TOTAL)):
+        assert_same_tensor(table[comp], iterated_tensor([A.component(k) for k in comp]))
+
+
+def test_flag_table_equals_flag_tensor():
+    for ds in (builtin_height1(3, 2, MAX_TOTAL), sym2_dataset()):
+        pkg = ds.subgroup_package
+        table = flag_tensors(pkg)
+        for comp in [()] + all_compositions(MAX_TOTAL):
+            assert_same_tensor(table[comp], flag_tensor(pkg, comp))
+
+
+def test_bar_blocks_hold_the_table_entries():
+    data = KoszulData(sym2_dataset().algebra)
+    bc = data.bar(4)
+    for s in bc.complex.degrees:
+        for b in bc.degree_blocks(s):
+            assert b.tensor is data.tensors[b.composition]
+
+
+def test_a_module_of_rank_zero_has_zero_tor_by_both_routes():
+    A = builtin_height1(3, 2, 4).algebra
+    M = LeftModule("zero", A.coeff, 0, {})
+    data = KoszulData(A)
+    via_bar = tor_groups_via_bar(A, M, data=data)
+    assert via_bar.summary() == tor_groups(A, M, data).summary()
+    assert not any(via_bar.free_ranks) and not any(via_bar.torsion)
+
+
+def test_verify_leaves_no_tensor_or_matrix_in_a_cycle(tmp_path):
+    path = tmp_path / "h1.json"
+    save_dataset(builtin_height1(3, 2, 5), path)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        _, code = run(["verify", str(path), "--suite", "all", "--json"])
+        gc.collect()
+        cyclic = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert code == EXIT_PASS
+    assert not cyclic & {"IteratedTensor", "PAdicMatrix", "TensorTable"}
