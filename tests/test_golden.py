@@ -30,6 +30,9 @@ for _p in (2, 3, 5):
         CASES[f"verify_builtin_p{_p}_N{_N}_k4"] = (
             lambda p=_p, N=_N: builtin_height1(p, N, 4),
             ["verify", "--suite", "all", "--json"])
+# kmax 7: module bar complexes of 128 blocks, d o d rows of several terms
+CASES["verify_builtin_p3_N2_k7"] = (lambda: builtin_height1(3, 2, 7),
+                                    ["verify", "--suite", "all", "--json"])
 for _p, _N, _seed in ((3, 3, 0), (3, 3, 2), (3, 3, 4), (5, 2, 1), (5, 2, 3)):
     CASES[f"verify_synthetic_p{_p}_N{_N}_s{_seed}_k5"] = (
         lambda p=_p, N=_N, s=_seed: synthetic_height1_dataset(p, N, 5, s),
