@@ -3,11 +3,12 @@ with its last-face differential, and Tor/Ext profiles."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import mul
 from typing import Optional
 
-from .padic import PAdicMatrix, InconsistentSystemError, kernel_basis, solve
+from .padic import (PAdicMatrix, InconsistentSystemError, ShapeError,
+                    kernel_basis, solve)
 from .complexes import (ChainComplex, HomologyProfile, HOMOLOGICAL,
                         dualize_complex, homology, make_complex, verify_complex)
 from .algebra import (Bimodule, GradedAugmentedAlgebra, IteratedTensor,
@@ -91,24 +92,65 @@ def place_blocks(ring, rows: int, cols: int, placed) -> PAdicMatrix:
     return PAdicMatrix.from_sparse_rows(ring, rows, cols, nonzeros)
 
 
+def _column_nonzeros(M: PAdicMatrix):
+    """Per column of ``M``, the (row, entry) pairs of its nonzero entries."""
+    cols = [[] for _ in range(M.cols)]
+    everything = range(M.cols)
+    for i, row in enumerate(M.entries):
+        for j in compress(everything, row):
+            cols[j].append((i, row[j]))
+    return cols
+
+
 def assemble(ring, src, tgt, rows: int, cols: int, faces) -> PAdicMatrix:
     """The rows x cols differential from the blocks ``src`` to the blocks
     ``tgt``.  ``faces(composition)`` yields each face of a source block as
     (target composition, sign, lo, hi, m): the ambient map
     I_pre (x) m (x) I_post with m on the source's tensor factors lo..hi-1,
-    read in the quotient coordinates of both blocks."""
-    by_comp = {b.composition: b for b in tgt}
+    read in the quotient coordinates of both blocks.
 
-    def placed():
-        for b in src:
-            ranks = b.tensor.factor_ranks
-            pre = list(accumulate(ranks, mul, initial=1))
-            post = list(accumulate(reversed(ranks), mul, initial=1))[::-1]
-            for comp, sign, lo, hi, m in faces(b.composition):
+    Each face's block proj_full(target) @ (I_pre (x) m (x) I_post) @
+    sect_full(source) is summed straight into the differential's rows, one
+    term per nonzero of m, of the source's sect_full and of the target's
+    proj_full, so no matrix is built per face.  Each of those matrices is
+    read for its nonzeros once per call."""
+    by_comp = {b.composition: b for b in tgt}
+    nonzeros = [{} for _ in range(rows)]
+    m_cols = {}        # id(m) -> (m, its column nonzeros); m kept alive
+    proj_cols = {}     # target composition -> per ambient coordinate, (row dict, entry)
+    for b in src:
+        ranks = b.tensor.factor_ranks
+        pre = list(accumulate(ranks, mul, initial=1))
+        post = list(accumulate(reversed(ranks), mul, initial=1))[::-1]
+        inner = range(b.tensor.sect_full.cols)
+        sect = [[(b.start + j, r[j]) for j in compress(inner, r)]
+                for r in b.tensor.sect_full.entries]
+        for comp, sign, lo, hi, m in faces(b.composition):
+            known = m_cols.get(id(m))
+            if known is None:
+                known = m_cols[id(m)] = (m, _column_nonzeros(m))
+            m_col = known[1]
+            p_col = proj_cols.get(comp)
+            if p_col is None:
                 tb = by_comp[comp]
-                yield (tb.start, b.start, sign, tb.tensor.proj_full
-                       @ m.kron_apply(pre[lo], post[hi], b.tensor.sect_full))
-    return place_blocks(ring, rows, cols, placed())
+                p_col = proj_cols[comp] = [
+                    [(nonzeros[tb.start + i], x) for i, x in col]
+                    for col in _column_nonzeros(tb.tensor.proj_full)]
+            a_in, a_out, c_out = m.cols * post[hi], m.rows * post[hi], post[hi]
+            if pre[lo] * a_in != len(sect) or pre[lo] * a_out != len(p_col):
+                raise ShapeError(f"face {m.shape} on factors {lo}..{hi - 1} of "
+                                 f"{b.composition} does not reach {comp}")
+            for v, s_row in enumerate(sect):
+                if not s_row:
+                    continue
+                a, rest = divmod(v, a_in)
+                jj, c = divmod(rest, c_out)
+                for r, x in m_col[jj]:
+                    for out, p in p_col[a * a_out + r * c_out + c]:
+                        coef = sign * x * p
+                        for j, y in s_row:
+                            out[j] = out.get(j, 0) + coef * y
+    return PAdicMatrix.from_sparse_rows(ring, rows, cols, nonzeros)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +183,8 @@ def _bar_complex(A: GradedAugmentedAlgebra, degree_comps,
     weight components come from ``tensors``."""
     ring = A.coeff.ring
     Mb = None if M is None else M.as_bimodule()
+    actions = None if M is None else {k: M.weight_action(k, A.rank(k))
+                                      for k in range(1, A.max_weight + 1)}
 
     def tensor_of(comp):
         if Mb is None:
@@ -153,8 +197,7 @@ def _bar_complex(A: GradedAugmentedAlgebra, degree_comps,
                    (-1) ** i, i - 1, i + 1, A.mult[(comp[i - 1], comp[i])])
         if M is not None and comp:
             s = len(comp)
-            yield (comp[:-1], (-1) ** s, s - 1, s + 1,
-                   M.weight_action(comp[-1], A.rank(comp[-1])))
+            yield comp[:-1], (-1) ** s, s - 1, s + 1, actions[comp[-1]]
 
     blocks, ranks = zip(*(composition_blocks(c, tensor_of) for c in degree_comps))
     diffs = [assemble(ring, blocks[s], blocks[s - 1], ranks[s - 1], ranks[s], faces)

@@ -6,16 +6,20 @@ touches a float.  Matrices are immutable tuples of row tuples of residues in
 
 Cost model.  The complexes built here are almost empty (bar face maps are
 I (x) m (x) I, partition boundaries have at most a few entries per column), so
-the kernel's cost follows the nonzero entries: ``A @ B`` adds a * (row k of B)
-only for the nonzero entries a = A[i, k] and reduces each output row once,
-about nnz(A) * B.cols operations; ``m.kron_apply(pre, post, S)`` applies a
+the kernel's cost follows the nonzero entries of both factors (Gustavson's
+row-by-row sparse product, ACM TOMS 4, 1978): row i of ``A @ B`` sums
+a * y over the nonzero entries a = A[i, k] and the nonzero entries y of row
+k of B, each row of B read for its nonzeros once per product, and is reduced
+once; a row with no term is one shared zero row and a row whose one term is
+an entry 1 is the row of B itself.  ``m.kron_apply(pre, post, S)`` applies a
 face (I_pre (x) m (x) I_post) @ S by the same rule without forming the
 Kronecker product or the identities, and ``A @ B`` is its case
-pre = post = 1; ``kron`` copies a zero block for a zero entry and the other
-factor's row for an entry 1; a 1x1 identity factor of either returns the
-other factor.  Results the kernel builds are already reduced and are wrapped
-without a second pass mod p^N; only the public constructor reduces and
-shape-checks what callers pass in.
+pre = post = 1.  Only output rows with a nonzero entry are built densely.
+``kron`` copies a zero block for a zero entry and the other factor's row for
+an entry 1.  A 1x1 identity factor of ``@`` or ``kron``, or a 1x1 identity S
+of ``kron_apply``, returns the other factor.  Results the kernel builds are
+already reduced and are wrapped without a second pass mod p^N; only the
+public constructor reduces and shape-checks what callers pass in.
 
 Every Smith form, inverse, kernel and solution comes from one elimination
 kernel, `_eliminate`.  In Z/p^N every nonzero entry is a unit times p^v, so an
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 
@@ -245,14 +249,11 @@ class PAdicMatrix:
                      self.rows, self.cols)
 
     def __matmul__(self, other: "PAdicMatrix") -> "PAdicMatrix":
-        """The product, as ``kron_apply`` with no identity factors: the cost
-        is nnz(self) * other.cols, and a row with a single entry 1 is a row
-        of ``other`` itself.  A 1x1 identity factor returns the other
-        factor."""
+        """The product, as ``kron_apply`` with no identity factors, so its
+        cost is per nonzero of both factors.  A 1x1 identity factor returns
+        the other factor."""
         if self.cols != other.rows:
             raise ShapeError(f"matmul {self.shape} vs {other.shape}")
-        if other.entries == _ONE:
-            return self
         if self.entries == _ONE:
             return other
         return self.kron_apply(1, 1, other)
@@ -290,34 +291,53 @@ class PAdicMatrix:
     def kron_apply(self, pre: int, post: int, S: "PAdicMatrix") -> "PAdicMatrix":
         """(I_pre (x) self (x) I_post) @ S without forming the Kronecker
         product: row (a, r, c) of the result sums x * (row (a, j, c) of S)
-        over the nonzero entries x = self[r, j], reduced once, so each
-        nonzero of self costs one row of S, pre * post times."""
+        over the nonzero entries x = self[r, j].
+
+        The cost is per nonzero of both factors.  An output row with no term
+        is one shared zero row and a term x = 1 alone is the row of S itself;
+        any other row sums x * y over the nonzero entries y of its rows of S,
+        each row of S read for its nonzeros once per call, and is reduced
+        once.  A 1x1 identity S returns ``self``."""
         width = self.cols * post
         if S.rows != pre * width:
             raise ShapeError(f"kron_apply {pre} (x) {self.shape} (x) {post} "
                              f"vs {S.shape}")
+        if S.entries == _ONE:
+            return self
         m = self.ring.modulus
         B = S.entries
-        zero = (0,) * S.cols
-        terms = [[(j * post, x) for j, x in enumerate(r) if x] for r in self.entries]
+        n = S.cols
+        zero = (0,) * n
+        inner, outer = range(self.cols), range(n)
+        terms = [[(j * post, r[j]) for j in compress(inner, r)] for r in self.entries]
+        nonzeros = {}          # row index of S -> [(column, entry)] of its nonzeros
         out = []
         for a in range(pre):
             for row_terms in terms:
                 for c in range(a * width, a * width + post):
-                    acc = None
-                    for off, x in row_terms:
-                        b = B[c + off]
-                        if acc is None:
-                            acc = b if x == 1 else [x * y for y in b]
-                        else:
-                            acc = [u + x * y for u, y in zip(acc, b)]
-                    if acc is None:
+                    if not row_terms:
                         out.append(zero)
-                    elif type(acc) is tuple:
-                        out.append(acc)          # one entry 1: a row of S
-                    else:
-                        out.append(tuple(u % m for u in acc))
-        return _wrap(self.ring, tuple(out), pre * self.rows * post, S.cols)
+                        continue
+                    if len(row_terms) == 1 and row_terms[0][1] == 1:
+                        out.append(B[c + row_terms[0][0]])
+                        continue
+                    acc = {}
+                    for off, x in row_terms:
+                        nz = nonzeros.get(c + off)
+                        if nz is None:
+                            b = B[c + off]
+                            nz = nonzeros[c + off] = [(j, b[j]) for j in compress(outer, b)]
+                        for j, y in nz:
+                            acc[j] = acc.get(j, 0) + x * y
+                    row = None
+                    for j, v in acc.items():
+                        v %= m
+                        if v:
+                            if row is None:
+                                row = [0] * n
+                            row[j] = v
+                    out.append(zero if row is None else tuple(row))
+        return _wrap(self.ring, tuple(out), pre * self.rows * post, n)
 
     def hstack(self, other: "PAdicMatrix") -> "PAdicMatrix":
         if self.rows != other.rows:

@@ -1,7 +1,8 @@
 """Call counts of single CLI runs: `verify --suite all` builds every bar
 complex and every Koszul complex once, homology leaves the d o d check to
 the builders, tensor quotients are built once per composition and pairings
-are inverted once per run, and `mic` builds its subgroup complex once.
+are inverted once per run, assembly forms no matrix product and each d o d
+check one per pair, and `mic` builds its subgroup complex once.
 Functions are wrapped in every koszulab module that holds them, as the
 benchmark's tracer does."""
 import sys
@@ -10,32 +11,42 @@ from koszulab.algebra import builtin_height1, save_dataset
 from koszulab.cli import EXIT_PASS, run
 
 WRAPPED = (("bar", "bar_complex"), ("bar", "koszul_complex"),
+           ("bar", "assemble"),
            ("complexes", "homology"), ("complexes", "verify_complex"),
            ("isogeny", "build_mic"), ("isogeny", "dualize_bar_to_mic"),
            ("algebra", "tensor_over_coeff"), ("padic", "inverse_mod"))
+WRAPPED_METHODS = (("padic", "PAdicMatrix", "__matmul__"),
+                   ("padic", "PAdicMatrix", "kron_apply"))
 
 
 def record_calls(monkeypatch):
-    """Wrap each function in WRAPPED; return the list the wrappers append
-    (name, args, names of the wrapped calls enclosing this one) to."""
+    """Wrap each function in WRAPPED and each method in WRAPPED_METHODS;
+    return the list the wrappers append (name, args, names of the wrapped
+    calls enclosing this one) to."""
     calls, stack = [], []
+
+    def wrap(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args, tuple(stack)))
+            stack.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapper
+
     namespaces = [m for n, m in sys.modules.items()
                   if n == "koszulab" or n.startswith("koszulab.")]
     for module, fname in WRAPPED:
-        name = f"{module}.{fname}"
         original = getattr(sys.modules[f"koszulab.{module}"], fname)
-
-        def wrapper(*args, _name=name, _fn=original, **kwargs):
-            calls.append((_name, args, tuple(stack)))
-            stack.append(_name)
-            try:
-                return _fn(*args, **kwargs)
-            finally:
-                stack.pop()
-
+        wrapper = wrap(f"{module}.{fname}", original)
         for ns in namespaces:
             if getattr(ns, fname, None) is original:
                 monkeypatch.setattr(ns, fname, wrapper)
+    for module, cls_name, method in WRAPPED_METHODS:
+        cls = getattr(sys.modules[f"koszulab.{module}"], cls_name)
+        monkeypatch.setattr(cls, method,
+                            wrap(f"{module}.{cls_name}.{method}", getattr(cls, method)))
     return calls
 
 
@@ -80,3 +91,20 @@ def test_mic_builds_its_subgroup_complex_once(tmp_path, monkeypatch):
     assert code == EXIT_PASS and report.passed
     assert [args[1] for name, args, _ in calls
             if name == "isogeny.build_mic"] == [3]
+
+
+def test_assembly_forms_no_product_and_verify_one_per_pair(tmp_path, monkeypatch):
+    """Faces are summed straight into the differential, and each d o d
+    check is one product per consecutive pair of differentials."""
+    _, path = saved_builtin(tmp_path)
+    calls = record_calls(monkeypatch)
+    report, code = run(["verify", str(path), "--suite", "all", "--json"])
+    assert code == EXIT_PASS and report.passed
+    assert any(name == "bar.assemble" for name, _, _ in calls)
+    products = ("padic.PAdicMatrix.__matmul__", "padic.PAdicMatrix.kron_apply")
+    assert not [c for c in calls if c[0] in products and "bar.assemble" in c[2]]
+    checks = [args[0] for name, args, _ in calls if name == "complexes.verify_complex"]
+    assert checks
+    made = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
+            and c[2][-1:] == ("complexes.verify_complex",)]
+    assert len(made) == sum(max(len(C.differentials) - 1, 0) for C in checks)

@@ -5,9 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszulab.complexes import COHOMOLOGICAL, HOMOLOGICAL
 from koszulab.padic import (BaseRing, PAdicMatrix, InconsistentSystemError,
                             ShapeError, _is_prime, integer_smith, inverse_mod,
                             kernel_basis, smith_normal_form, solve)
+
+from test_complexes import random_exact_complex
 
 
 def rings():
@@ -205,6 +208,76 @@ def test_reshaping_and_entrywise_ops_match_naive_definitions(ring, n, k, l, data
         col = A.column(k - 1)
         assert_reduced(col, n, 1)
         assert col.tolist() == [[r[k - 1]] for r in ra]
+
+
+@st.composite
+def entries_with_empty_lines(draw, ring, rows, cols):
+    """``raw_entries`` with a drawn set of whole rows and columns zeroed."""
+    raw = draw(raw_entries(ring, rows, cols))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
+    zero_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+            for i, r in enumerate(raw)]
+
+
+def naive_kron_apply(ring, pre, post, m, s, cols):
+    """(I_pre (x) m (x) I_post) @ s entry by entry, ``m`` and ``s`` as row
+    lists: entry ((a, r, c), l) sums m[r][j] * s[(a, j, c)][l] over j."""
+    inner = len(m[0]) if m else 0
+    return [[sum(m[r][j] * s[(a * inner + j) * post + c][l] for j in range(inner))
+             % ring.modulus for l in range(cols)]
+            for a in range(pre) for r in range(len(m)) for c in range(post)]
+
+
+@given(st.sampled_from(KERNEL_RINGS), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 5), st.integers(0, 5), st.integers(0, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_products_match_naive_definitions(ring, pre, post, r, c, l, data):
+    """Factors with empty rows and columns, and often 90% zeros; ``@`` is
+    the case pre = post = 1.  A 1x1 identity factor gives the other one."""
+    m = data.draw(entries_with_empty_lines(ring, r, c))
+    rows = pre * c * post
+    s = data.draw(entries_with_empty_lines(ring, rows, l))
+    M, S = PAdicMatrix(ring, m, r, c), PAdicMatrix(ring, s, rows, l)
+    Y = M.kron_apply(pre, post, S)
+    assert_reduced(Y, pre * r * post, l)
+    assert Y.tolist() == naive_kron_apply(ring, pre, post, m, s, l)
+    T = PAdicMatrix(ring, s[:c], c, l)
+    P = M @ T
+    assert_reduced(P, r, l)
+    assert P.tolist() == naive_kron_apply(ring, 1, 1, m, s[:c], l)
+    one = PAdicMatrix(ring, [[1]], 1, 1)
+    if c:
+        col = PAdicMatrix(ring, [row[:1] for row in m], r, 1)
+        assert col.kron_apply(1, 1, one) is col
+        assert col @ one == col
+    if r == 1:
+        assert one @ M is M
+
+
+@pytest.mark.parametrize("orientation", [HOMOLOGICAL, COHOMOLOGICAL])
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=["Z/4", "Z/9", "Z/27"])
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_products_that_vanish_are_shared_zero_rows(ring, orientation, seed,
+                                                   pre, post):
+    """d o d of a complex with known homology, as ``@`` and with identity
+    factors around both differentials."""
+    C, _, _ = random_exact_complex(random.Random(seed), ring, orientation)
+    ds = C.differentials
+    for i, j in ((i, i + 1) if orientation == HOMOLOGICAL else (i + 1, i)
+                 for i in range(len(ds) - 1)):
+        inner, outer = ds[i], ds[j]          # outer is applied first
+        P = inner @ outer
+        assert_reduced(P, inner.rows, outer.cols)
+        assert P.is_zero()
+        assert P.tolist() == naive_kron_apply(ring, 1, 1, inner.tolist(),
+                                              outer.tolist(), outer.cols)
+        wide = (PAdicMatrix.identity(ring, pre).kron(outer)
+                .kron(PAdicMatrix.identity(ring, post)))
+        Y = inner.kron_apply(pre, post, wide)
+        assert_reduced(Y, pre * inner.rows * post, wide.cols)
+        assert Y.is_zero()
 
 
 def test_from_sparse_rows_reduces_and_checks_columns():
