@@ -505,6 +505,13 @@ def _rank(d, where):
     return r
 
 
+def _first(table, key, where):
+    """Check that ``key`` is not yet in ``table``: a keyed entry that
+    appears twice in a JSON list is a DatasetError naming ``where``."""
+    if key in table:
+        raise DatasetError(f"{where}: appears more than once")
+
+
 def _int_array(data, depth, where):
     """Check that ``data`` is ``depth`` levels of nested lists whose leaves
     are ints; bool, float and string leaves are rejected.  The DatasetError
@@ -612,6 +619,7 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
     for i, ent in enumerate(_need(alg, "components", "algebra", list)):
         k = _need(ent, "k", f"algebra.components[{i}]", int)
         where = f"algebra.components[k={k}]"
+        _first(comps, k, where)
         r = _rank(ent, where)
         la = _need(ent, "left_action", where, list)
         ra = _need(ent, "right_action", where, list)
@@ -629,6 +637,7 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
         k = _need(ent, "k", f"algebra.mult[{i}]", int)
         l = _need(ent, "l", f"algebra.mult[{i}]", int)
         where = f"algebra.mult[k={k},l={l}]"
+        _first(mult, (k, l), where)
         if k < 1 or l < 1:
             raise DatasetError(f"{where}: weights must be positive")
         if k + l > max_weight:
@@ -645,6 +654,7 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
     for i, ent in enumerate(_need(doc, "modules", top, list, [])):
         name = _need(ent, "name", f"modules[{i}]", str)
         where = f"modules[{name!r}]"
+        _first(modules, name, where)
         r = _rank(ent, where)
         base = r * crank
         action = {}
@@ -652,6 +662,7 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
             k = _need(a, "k", f"{where}.action[]", int)
             if not 1 <= k <= max_weight:
                 raise DatasetError(f"{where}.action: weight {k} out of range")
+            _first(action, k, f"{where}.action[k={k}]")
             action[k] = _matrix_from_json(
                 ring, _need(a, "matrix", f"{where}.action[k={k}]", list),
                 base, comps[k].rank * base, f"{where}.action[k={k}].matrix")

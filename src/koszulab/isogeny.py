@@ -15,7 +15,7 @@ from .algebra import (Bimodule, CoefficientAlgebra, Dataset, DatasetError,
                       GradedAugmentedAlgebra, IteratedTensor, LeftModule,
                       TensorTable, ValidationReport, identity_tensor,
                       iterated_tensor, _e, _coefficient_algebra_from_json,
-                      _matrix_from_json, _need)
+                      _first, _matrix_from_json, _need)
 from .bar import (KoszulData, assemble, composition_blocks, compositions,
                   koszul_module, place_blocks)
 
@@ -444,6 +444,7 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
     for i, ent in enumerate(_need(doc, "orders", top, list, [])):
         k = _need(ent, "k", f"{top}.orders[{i}]", int)
         where = f"{top}.orders[k={k}]"
+        _first(orders, k, where)
         a = _need(ent, "algebra", where, dict)
         alg = _coefficient_algebra_from_json(ring, a, f"{where}.algebra")
         r = alg.rank
@@ -460,6 +461,7 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
         k1 = _need(ent, "k1", f"{top}.u1[{i}]", int)
         k2 = _need(ent, "k2", f"{top}.u1[{i}]", int)
         where = f"{top}.u1[k1={k1},k2={k2}]"
+        _first(u1, (k1, k2), where)
         if not {k1, k2, k1 + k2} <= orders.keys():
             raise DatasetError(f"{where}: needs the subgroup algebras of orders "
                                f"p^{k1}, p^{k2} and p^{k1 + k2}")
@@ -471,6 +473,9 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
     for i, ent in enumerate(_need(doc, "shift", top, list, [])):
         k = _need(ent, "k", f"{top}.shift[{i}]", int)
         where = f"{top}.shift[k={k}]"
+        _first(shift, k, where)
+        if k < 1:
+            raise DatasetError(f"{where}: k must be at least 1")
         fr = flag_tensor(pkg, (1,) * k).bimodule.rank
         fr1 = flag_tensor(pkg, (1,) * (k + 1)).bimodule.rank
         shift[k] = mat(_need(ent, "matrix", where, list), fr1, fr, where)
@@ -478,6 +483,7 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
     for i, ent in enumerate(_need(doc, "pairing", top, list, [])):
         k = _need(ent, "k", f"{top}.pairing[{i}]", int)
         where = f"{top}.pairing[k={k}]"
+        _first(pairing, k, where)
         if k not in orders or k not in ds.algebra.components:
             raise DatasetError(f"{where}: needs a weight-{k} component and "
                                f"the subgroup algebra of order p^{k}")

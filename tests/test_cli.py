@@ -151,6 +151,12 @@ DROP = object()
     pytest.param(("subgroup_package", "orders", 0, "algebra", "rank"), -1,
                  "subgroup_package.orders[k=1].algebra: field 'rank'",
                  id="negative-order-rank"),
+    pytest.param(("subgroup_package", "shift", 0, "k"), 0,
+                 "subgroup_package.shift[k=0]: k must be at least 1",
+                 id="zero-shift-k"),
+    pytest.param(("subgroup_package", "shift", 0, "k"), -3,
+                 "subgroup_package.shift[k=-3]: k must be at least 1",
+                 id="negative-shift-k"),
 ])
 def test_bad_scalar_field_is_reported_with_path(tmp_path, capsys, keys, value,
                                                 path_text):
@@ -170,6 +176,38 @@ def test_bad_scalar_field_is_reported_with_path(tmp_path, capsys, keys, value,
     assert main(["koszul", str(path)]) == EXIT_IO
     err = capsys.readouterr().err
     assert path_text in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("keys, path_text", [
+    pytest.param(("algebra", "components"), "algebra.components[k=1]", id="component"),
+    pytest.param(("algebra", "mult"), "algebra.mult[k=1,l=1]", id="mult"),
+    pytest.param(("modules",), "modules['triv']", id="module"),
+    pytest.param(("modules", 1, "action"), "modules['sphere'].action[k=1]",
+                 id="module-action"),
+    pytest.param(("subgroup_package", "orders"), "subgroup_package.orders[k=1]",
+                 id="order"),
+    pytest.param(("subgroup_package", "u1"), "subgroup_package.u1[k1=1,k2=1]",
+                 id="u1"),
+    pytest.param(("subgroup_package", "shift"), "subgroup_package.shift[k=1]",
+                 id="shift"),
+    pytest.param(("subgroup_package", "pairing"), "subgroup_package.pairing[k=1]",
+                 id="pairing"),
+])
+def test_keyed_entry_given_twice_is_reported_with_path(tmp_path, capsys, keys,
+                                                       path_text):
+    """A keyed list entry followed by a copy of itself fails the load with
+    exit 1 and names the entry's JSON path; no copy silently wins."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    entries = doc
+    for key in keys:
+        entries = entries[key]
+    entries.insert(1, json.loads(json.dumps(entries[0])))
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    assert main(["koszul", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"{path_text}: appears more than once" in err
     assert "Traceback" not in err
 
 
@@ -376,3 +414,4 @@ def test_module_bar_profile_does_not_depend_on_weight(h1_path, capsys):
     for w in (2, 3):
         for s, deg in profiles[w].items():
             assert deg == profiles[4][s], f"degree {s} at --weight {w}"
+
