@@ -8,6 +8,7 @@ and flags (wall time is printed only in text mode and never serialized).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -394,7 +395,10 @@ def cmd_gen_height1(args, checks) -> Dataset:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser.  It depends on nothing and parsing leaves it
+    unchanged, so a process builds it once, on first use."""
     ap = argparse.ArgumentParser(
         prog="koszulab",
         description="Exact weight-graded homological algebra over Z/p^N")
@@ -455,8 +459,7 @@ _DISPATCH = {
 
 
 def run(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.cmd == "verify" and args.suite == "thm10.2":
         args.suite = "thm-square"
     checks = []

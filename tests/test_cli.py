@@ -1,9 +1,14 @@
 """The command-line interface: exit codes, report schema, determinism."""
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import koszulab
 from koszulab.algebra import builtin_height1, dataset_to_json, save_dataset
 from koszulab.cli import (EXIT_IO, EXIT_MATH, EXIT_PASS,
                           EXIT_USAGE, REPORT_SCHEMA, fingerprint, main, run)
@@ -415,3 +420,37 @@ def test_module_bar_profile_does_not_depend_on_weight(h1_path, capsys):
         for s, deg in profiles[w].items():
             assert deg == profiles[4][s], f"degree {s} at --weight {w}"
 
+
+def report_line(report):
+    return json.dumps(report.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_commands_in_one_process_report_as_fresh_processes_do(h1_path):
+    """The parser is built once per process: subcommands alternating in one
+    process, defaults after explicit values among them, report exactly what
+    a fresh process reports for each."""
+    argvs = [["koszul", h1_path, "--module", "sphere", "--json"],
+             ["bar", h1_path, "--weight", "2", "--json"],
+             ["koszul", h1_path, "--json"],
+             ["mic", h1_path, "--k", "2", "--json"],
+             ["verify", h1_path, "--suite", "koszul", "--json"],
+             ["verify", h1_path, "--json"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(koszulab.__file__).parents[1]))
+    for argv in argvs:
+        report, code = run(argv)
+        fresh = subprocess.run([sys.executable, "-m", "koszulab.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert (fresh.returncode, fresh.stdout) == (code, report_line(report))
+
+
+def test_usage_error_leaves_the_next_run_unaffected(h1_path, capsys):
+    before, _ = run(["bar", h1_path, "--weight", "1", "--module", "sphere", "--json"])
+    for bad in (["bar", h1_path, "--weight", "one"], ["verify", h1_path, "--suite", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            run(bad)
+        assert exc.value.code == EXIT_USAGE
+    after, code = run(["bar", h1_path, "--weight", "1", "--module", "sphere", "--json"])
+    assert code == EXIT_PASS
+    assert report_line(after) == report_line(before)
+    default, _ = run(["bar", h1_path, "--weight", "1", "--json"])
+    assert default.command == ["bar", "--weight=1"]
