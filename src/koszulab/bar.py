@@ -94,12 +94,8 @@ def place_blocks(ring, rows: int, cols: int, placed) -> PAdicMatrix:
 
 def _column_nonzeros(M: PAdicMatrix):
     """Per column of ``M``, the (row, entry) pairs of its nonzero entries."""
-    cols = [[] for _ in range(M.cols)]
-    everything = range(M.cols)
-    for i, row in enumerate(M.entries):
-        for j in compress(everything, row):
-            cols[j].append((i, row[j]))
-    return cols
+    rows = range(M.rows)
+    return [[(i, col[i]) for i in compress(rows, col)] for col in M.transpose().entries]
 
 
 def assemble(ring, src, tgt, rows: int, cols: int, faces) -> PAdicMatrix:
