@@ -333,7 +333,16 @@ def koszul_complex(A: GradedAugmentedAlgebra, M: LeftModule,
     term_ranks = []
     cm_data = []
     for k in range(kmax + 1):
-        Ck = _induced_bimodule(A, kos[k]) if k > 0 else A.coeff.as_bimodule()
+        if k == 0:
+            # C[0] (x) M = E0 (x)_{E0} M is M, and so is its ambient: the
+            # last face of weight 1 lands in M, not in E0 (x)_Z M
+            iotas.append(eye_m)
+            amb_incs.append(eye_m)
+            tm_proj_full.append(eye_m)
+            tm_sect_full.append(eye_m)
+            term_ranks.append(mb)
+            continue
+        Ck = _induced_bimodule(A, kos[k])
         cm = tensor_over_coeff(Ck, M.as_bimodule())
         tm = tensor_over_coeff(tensors[k].bimodule, M.as_bimodule())
         P_full = tm.proj @ tensors[k].proj_full.kron(eye_m)
