@@ -3,6 +3,7 @@ with its last-face differential, and Tor/Ext profiles."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, compress
 from operator import mul
 from typing import Optional
@@ -103,15 +104,21 @@ def assemble(ring, src, tgt, rows: int, cols: int, faces) -> PAdicMatrix:
     ``tgt``.  ``faces(composition)`` yields each face of a source block as
     (target composition, sign, lo, hi, m): the ambient map
     I_pre (x) m (x) I_post with m on the source's tensor factors lo..hi-1,
-    read in the quotient coordinates of both blocks.
+    read in the quotient coordinates of both blocks."""
+    return PAdicMatrix.from_sparse_rows(
+        ring, rows, cols, _add_faces([{} for _ in range(rows)], src, tgt, faces))
+
+
+def _add_faces(nonzeros, src, tgt, faces):
+    """Add the faces of :func:`assemble` to ``nonzeros``, one dict of
+    column -> entry per target coordinate, and return it.
 
     Each face's block proj_full(target) @ (I_pre (x) m (x) I_post) @
-    sect_full(source) is summed straight into the differential's rows, one
-    term per nonzero of m, of the source's sect_full and of the target's
-    proj_full, so no matrix is built per face.  Each of those matrices is
-    read for its nonzeros once per call."""
+    sect_full(source) is summed straight into the rows, one term per
+    nonzero of m, of the source's sect_full and of the target's proj_full,
+    so no matrix is built per face.  Each of those matrices is read for its
+    nonzeros once per call."""
     by_comp = {b.composition: b for b in tgt}
-    nonzeros = [{} for _ in range(rows)]
     m_cols = {}        # id(m) -> (m, its column nonzeros); m kept alive
     proj_cols = {}     # target composition -> per ambient coordinate, (row dict, entry)
     for b in src:
@@ -146,7 +153,7 @@ def assemble(ring, src, tgt, rows: int, cols: int, faces) -> PAdicMatrix:
                         coef = sign * x * p
                         for j, y in s_row:
                             out[j] = out.get(j, 0) + coef * y
-    return PAdicMatrix.from_sparse_rows(ring, rows, cols, nonzeros)
+    return nonzeros
 
 
 # ---------------------------------------------------------------------------
@@ -170,40 +177,21 @@ def weight_tensors(A: GradedAugmentedAlgebra) -> TensorTable:
     return TensorTable(A.component, identity_tensor(A.coeff.as_bimodule()))
 
 
-def _bar_complex(A: GradedAugmentedAlgebra, degree_comps,
-                 M: Optional[LeftModule], tensors: TensorTable) -> tuple:
-    """The bar complex on ``degree_comps`` (the compositions of each degree
-    from 0), with ``M`` as the last tensor factor when given; d o d is
-    checked.  Its differential is the alternating sum of the merge faces and,
-    with ``M``, of the face acting the last slot on ``M``.  Tensors of the
-    weight components come from ``tensors``."""
-    ring = A.coeff.ring
-    Mb = None if M is None else M.as_bimodule()
-    actions = None if M is None else {k: M.weight_action(k, A.rank(k))
-                                      for k in range(1, A.max_weight + 1)}
+def _merge_faces(A: GradedAugmentedAlgebra, comp):
+    """The faces of ``comp`` multiplying two neighbouring slots."""
+    for i in range(1, len(comp)):
+        yield (comp[:i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1:],
+               (-1) ** i, i - 1, i + 1, A.mult[(comp[i - 1], comp[i])])
 
-    def tensor_of(comp):
-        if Mb is None:
-            return tensors[comp]
-        return tensor_step(tensors[comp], Mb) if comp else identity_tensor(Mb)
 
-    def faces(comp):
-        for i in range(1, len(comp)):
-            yield (comp[:i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1:],
-                   (-1) ** i, i - 1, i + 1, A.mult[(comp[i - 1], comp[i])])
-        if M is not None and comp:
-            s = len(comp)
-            yield comp[:-1], (-1) ** s, s - 1, s + 1, actions[comp[-1]]
-
-    blocks, ranks = zip(*(composition_blocks(c, tensor_of) for c in degree_comps))
-    diffs = [assemble(ring, blocks[s], blocks[s - 1], ranks[s - 1], ranks[s], faces)
-             for s in range(1, len(blocks))]
+def _checked_bar(ring, ranks, diffs) -> ChainComplex:
+    """The bar complex with these ranks and differentials; d o d is checked."""
     cx = make_complex(ring, HOMOLOGICAL, 0, ranks, diffs)
     ok, deg = verify_complex(cx)
     if not ok:
         raise NotKoszulError(f"bar differential fails d o d = 0 at degree {deg} "
                              f"(invalid dataset)")
-    return cx, blocks
+    return cx
 
 
 def bar_complex(A: GradedAugmentedAlgebra, k: int,
@@ -214,31 +202,77 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
     With ``M`` None this is the weight-k graded piece: degree-s term the sum
     over compositions of k into s positive parts of the tensor product of the
     corresponding weight components; faces 0 and s vanish and the differential
-    is the alternating sum of the merge faces.  With a module ``M`` see
-    :func:`bar_complex_with_module` (this front-end dispatches).  Tensors of
-    the weight components come from ``tensors`` (see :func:`weight_tensors`)
-    when given.
+    is the alternating sum of the merge faces.  Its tensors come from
+    ``tensors`` (see :func:`weight_tensors`) when given.  With a module ``M``
+    see :func:`bar_complex_with_module` (this front-end dispatches, and
+    builds that complex afresh).
     """
     if M is not None:
-        return bar_complex_with_module(A, M, k, tensors)
+        return bar_complex_with_module(A, M, k)
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")
-    cx, blocks = _bar_complex(A, [compositions(k, s) for s in range(k + 1)], None,
-                              tensors or weight_tensors(A))
-    return BarComplex(k, cx, blocks)
+    ring = A.coeff.ring
+    tensor_of = (tensors or weight_tensors(A)).__getitem__
+    blocks, ranks = zip(*(composition_blocks(compositions(k, s), tensor_of)
+                          for s in range(k + 1)))
+    faces = partial(_merge_faces, A)
+    diffs = [assemble(ring, blocks[s], blocks[s - 1], ranks[s - 1], ranks[s], faces)
+             for s in range(1, k + 1)]
+    return BarComplex(k, _checked_bar(ring, ranks, diffs), blocks)
+
+
+@dataclass(frozen=True)
+class ModuleBarSkeleton:
+    """What the bar complex with coefficients in a module builds without
+    reading the module's action, so every module with one bimodule shares
+    it: per degree the blocks T(c) (x) M, their total ranks, and per
+    differential the sum of its merge faces as rows of column -> entry."""
+    blocks: tuple
+    ranks: tuple
+    merged: tuple
+
+
+def _module_bar_skeleton(A: GradedAugmentedAlgebra, Mb: Bimodule, smax: int,
+                         tensors: TensorTable) -> ModuleBarSkeleton:
+    """The skeleton of the module bar complex in degrees 0..smax for modules
+    whose bimodule is ``Mb``; tensors of the weight components come from
+    ``tensors``."""
+    def tensor_of(comp):
+        return tensor_step(tensors[comp], Mb) if comp else identity_tensor(Mb)
+
+    blocks, ranks = zip(*(composition_blocks(bounded_compositions(s, A.max_weight),
+                                             tensor_of) for s in range(smax + 1)))
+    faces = partial(_merge_faces, A)
+    merged = tuple(_add_faces([{} for _ in range(ranks[s - 1])],
+                              blocks[s], blocks[s - 1], faces)
+                   for s in range(1, smax + 1))
+    return ModuleBarSkeleton(blocks, ranks, merged)
 
 
 def bar_complex_with_module(A: GradedAugmentedAlgebra, M: LeftModule,
                             smax: int,
-                            tensors: Optional[TensorTable] = None) -> BarComplex:
+                            data: Optional[KoszulData] = None) -> BarComplex:
     """Normalized bar complex with trivial left and module right coefficients,
     truncated to compositions of total weight <= max_weight (a subcomplex,
-    since the differential never raises total slot weight).  Tensors of the
-    weight components come from ``tensors`` when given."""
-    cx, blocks = _bar_complex(
-        A, [bounded_compositions(s, A.max_weight) for s in range(smax + 1)], M,
-        tensors or weight_tensors(A))
-    return BarComplex(None, cx, blocks, M.name)
+    since the differential never raises total slot weight).  Its
+    differential is the alternating sum of the merge faces and of the face
+    acting the last slot on ``M``; d o d is checked.  The blocks and the
+    merge faces come from ``data`` (see :meth:`KoszulData.module_bar_skeleton`) when
+    given, so only the action face is added here."""
+    ring = A.coeff.ring
+    actions = {k: M.weight_action(k, A.rank(k)) for k in range(1, A.max_weight + 1)}
+    sk = (data or KoszulData(A)).module_bar_skeleton(M.as_bimodule(), smax)
+
+    def action_face(comp):
+        s = len(comp)
+        yield comp[:-1], (-1) ** s, s - 1, s + 1, actions[comp[-1]]
+
+    diffs = [PAdicMatrix.from_sparse_rows(
+                 ring, sk.ranks[s - 1], sk.ranks[s],
+                 _add_faces([dict(row) for row in sk.merged[s - 1]],
+                            sk.blocks[s], sk.blocks[s - 1], action_face))
+             for s in range(1, smax + 1)]
+    return BarComplex(None, _checked_bar(ring, sk.ranks, diffs), sk.blocks, M.name)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +343,41 @@ class KoszulComplexData:
     module_base_rank: int
 
 
+@dataclass(frozen=True)
+class KoszulSkeleton:
+    """What the Koszul complex C[k] (x) M builds without reading M's
+    action, so every module with one bimodule shares it; all per degree k.
+    The degree-0 term E0 (x)_{E0} M is M itself, with identity maps."""
+    c_ranks: tuple            # rank of C[k]
+    term_ranks: tuple         # rank of C[k] (x) M
+    iotas: tuple              # C[k] (x) M -> T_k (x) M, quotient coordinates
+    ambient_inclusions: tuple  # C[k] (x) M -> full ambient Delta[1]^{(x)k} (x) M
+    proj_full: tuple          # full ambient -> T_k (x) M
+    sect_full: tuple          # T_k (x) M -> full ambient
+
+
+def _koszul_skeleton(data: KoszulData, Mb: Bimodule) -> KoszulSkeleton:
+    """The skeleton of the Koszul complex for modules whose bimodule is
+    ``Mb``; the Koszul modules C[k] come from ``data``."""
+    A = data.algebra
+    eye_m = PAdicMatrix.identity(A.coeff.ring, Mb.rank)
+    kos = [data.koszul_module(k) for k in range(A.max_weight + 1)]
+    iotas, amb_incs, proj_full, sect_full = [eye_m], [eye_m], [eye_m], [eye_m]
+    term_ranks = [Mb.rank]
+    for kd in kos[1:]:
+        T = kd.top_tensor
+        cm = tensor_over_coeff(_induced_bimodule(A, kd), Mb)
+        tm = tensor_over_coeff(T.bimodule, Mb)
+        proj_full.append(tm.proj @ T.proj_full.kron(eye_m))
+        sect_full.append(T.sect_full.kron(eye_m) @ tm.sect)
+        iotas.append(tm.proj @ kd.inclusion.kron(eye_m) @ cm.sect)
+        amb_incs.append((T.sect_full @ kd.inclusion).kron(eye_m) @ cm.sect)
+        term_ranks.append(cm.bimodule.rank)
+    return KoszulSkeleton(tuple(kd.rank for kd in kos), tuple(term_ranks),
+                          tuple(iotas), tuple(amb_incs), tuple(proj_full),
+                          tuple(sect_full))
+
+
 def koszul_complex(A: GradedAugmentedAlgebra, M: LeftModule,
                    data: Optional[KoszulData] = None) -> KoszulComplexData:
     """The complex C[k] (x) M with the (signed) last-face differential.
@@ -316,65 +385,31 @@ def koszul_complex(A: GradedAugmentedAlgebra, M: LeftModule,
     delta_k embeds C[k+1] (x) M into Delta[1]^{(x)(k+1)} (x) M, applies
     (-1)^{k+1} times the action of the last weight-1 slot on M, and solves the
     result back into the C[k] (x) M basis, failing loudly if the image escapes.
-    The Koszul modules C[k] come from ``data`` when given.
+    Everything but the face and the solve comes from ``data`` (see
+    :meth:`KoszulData.koszul_skeleton`) when given.
     """
     ring = A.coeff.ring
-    kmax = A.max_weight
-    mb = M.base_rank
-    eye_m = PAdicMatrix.identity(ring, mb)
     d1 = A.rank(1)
-    data = data or KoszulData(A)
-    kos = [data.koszul_module(k) for k in range(kmax + 1)]
-    tensors = [kd.top_tensor for kd in kos]
-    iotas = []          # C[k] (x) M -> T_k (x) M, quotient coordinates
-    amb_incs = []       # C[k] (x) M -> full ambient
-    tm_proj_full = []
-    tm_sect_full = []
-    term_ranks = []
-    cm_data = []
-    for k in range(kmax + 1):
-        if k == 0:
-            # C[0] (x) M = E0 (x)_{E0} M is M, and so is its ambient: the
-            # last face of weight 1 lands in M, not in E0 (x)_Z M
-            iotas.append(eye_m)
-            amb_incs.append(eye_m)
-            tm_proj_full.append(eye_m)
-            tm_sect_full.append(eye_m)
-            term_ranks.append(mb)
-            continue
-        Ck = _induced_bimodule(A, kos[k])
-        cm = tensor_over_coeff(Ck, M.as_bimodule())
-        tm = tensor_over_coeff(tensors[k].bimodule, M.as_bimodule())
-        P_full = tm.proj @ tensors[k].proj_full.kron(eye_m)
-        S_full = tensors[k].sect_full.kron(eye_m) @ tm.sect
-        iota = tm.proj @ kos[k].inclusion.kron(eye_m) @ cm.sect
-        amb_inc = (tensors[k].sect_full @ kos[k].inclusion).kron(eye_m) @ cm.sect
-        cm_data.append(cm)
-        iotas.append(iota)
-        amb_incs.append(amb_inc)
-        tm_proj_full.append(P_full)
-        tm_sect_full.append(S_full)
-        term_ranks.append(cm.bimodule.rank)
+    sk = (data or KoszulData(A)).koszul_skeleton(M.as_bimodule())
     act1 = M.weight_action(1, d1)
     diffs = []
-    for k in range(kmax):
-        pre = d1 ** k
-        amb_face = PAdicMatrix.identity(ring, pre).kron(act1)
-        F = tm_proj_full[k] @ amb_face @ tm_sect_full[k + 1]
+    for k in range(A.max_weight):
+        amb_face = PAdicMatrix.identity(ring, d1 ** k).kron(act1)
+        F = sk.proj_full[k] @ amb_face @ sk.sect_full[k + 1]
         F = F.scale((-1) ** (k + 1) % ring.modulus)
-        rhs = F @ iotas[k + 1]
+        rhs = F @ sk.iotas[k + 1]
         try:
-            delta = solve(iotas[k], rhs)
+            delta = solve(sk.iotas[k], rhs)
         except InconsistentSystemError as exc:
             raise ImageEscapesError(
                 f"image escapes C[{k}] (x) M at weight {k + 1}: {exc}")
         diffs.append(delta)
-    cx = make_complex(ring, HOMOLOGICAL, 0, term_ranks, diffs)
+    cx = make_complex(ring, HOMOLOGICAL, 0, sk.term_ranks, diffs)
     ok, deg = verify_complex(cx)
     if not ok:
         raise ImageEscapesError(f"Koszul differential fails d o d = 0 at degree {deg}")
-    return KoszulComplexData(M.name, cx, tuple(kd.rank for kd in kos),
-                             tuple(term_ranks), tuple(amb_incs), mb)
+    return KoszulComplexData(M.name, cx, sk.c_ranks, sk.term_ranks,
+                             sk.ambient_inclusions, M.base_rank)
 
 
 def tor_groups(A: GradedAugmentedAlgebra, M: LeftModule,
@@ -399,12 +434,11 @@ def ext_groups(A: GradedAugmentedAlgebra, M: LeftModule,
 def tor_groups_via_bar(A: GradedAugmentedAlgebra, M: LeftModule,
                        smax: Optional[int] = None,
                        data: Optional[KoszulData] = None) -> HomologyProfile:
-    """Independent Tor route through the module bar complex, whose weight
-    tensors come from ``data`` when given."""
+    """Independent Tor route through the module bar complex, whose blocks
+    and merge faces come from ``data`` when given."""
     if smax is None:
         smax = A.max_weight
-    tensors = data.tensors if data is not None else None
-    return homology(bar_complex_with_module(A, M, smax, tensors).complex)
+    return homology(bar_complex_with_module(A, M, smax, data).complex)
 
 
 class KoszulData:
@@ -412,6 +446,14 @@ class KoszulData:
     weight-k bar complexes of one algebra with their homology, its Koszul
     modules C[k], and per module the Koszul complex and its Tor profile,
     each built on first use and then shared.
+
+    What a module's two Tor routes build without reading its action, the
+    skeletons, is shared by every module with the same bimodule
+    ``M.as_bimodule()`` (the coefficient algebra and the module's rank fix
+    it): the module bar complex's blocks and merge faces, keyed on that
+    bimodule and the top degree (:meth:`module_bar_skeleton`), and the
+    Koszul complex's terms and maps (:meth:`koszul_skeleton`), keyed on the
+    bimodule.  Each module then adds only its own action.
 
     One command builds one of these and hands it to every function that
     takes a ``data`` argument, so no complex is built or checked twice; the
@@ -425,6 +467,8 @@ class KoszulData:
         self._bars = {}
         self._bar_profiles = {}
         self._modules = {}
+        self._module_bar_skeletons = {}   # (bimodule, smax) -> ModuleBarSkeleton
+        self._koszul_skeletons = {}       # bimodule -> KoszulSkeleton
         self._complexes = {}   # id(M) -> (M, KoszulComplexData)
         self._tors = {}        # id(M) -> (M, HomologyProfile)
 
@@ -442,6 +486,18 @@ class KoszulData:
         if k not in self._modules:
             self._modules[k] = koszul_module(self.algebra, k, self)
         return self._modules[k]
+
+    def module_bar_skeleton(self, Mb: Bimodule, smax: int) -> ModuleBarSkeleton:
+        key = (Mb, smax)
+        if key not in self._module_bar_skeletons:
+            self._module_bar_skeletons[key] = _module_bar_skeleton(
+                self.algebra, Mb, smax, self.tensors)
+        return self._module_bar_skeletons[key]
+
+    def koszul_skeleton(self, Mb: Bimodule) -> KoszulSkeleton:
+        if Mb not in self._koszul_skeletons:
+            self._koszul_skeletons[Mb] = _koszul_skeleton(self, Mb)
+        return self._koszul_skeletons[Mb]
 
     def koszul_complex(self, M: LeftModule) -> KoszulComplexData:
         # keyed on the module object, which the entry keeps alive

@@ -3,7 +3,8 @@ differential: the block from source composition c to target composition c'
 is the sum over the faces of c landing in c' of sign * proj_full(c') @
 (I_pre (x) m (x) I_post) @ sect_full(c), placed at the two blocks' offsets.
 Every differential of the bar, module-bar and subgroup complexes over a
-rank-2 coefficient algebra and over Sym(V), rank V = 2, is compared."""
+rank-2 coefficient algebra and over Sym(V), rank V = 2, is compared; the
+module-bar faces are written out here."""
 from math import prod
 
 import pytest
@@ -88,6 +89,19 @@ def compared(monkeypatch):
     return seen
 
 
+def module_bar_faces(A, M):
+    """The faces of the bar complex with coefficients in M: multiply two
+    neighbouring slots, or act the last slot on M."""
+    def faces(comp):
+        for i in range(1, len(comp)):
+            yield (comp[:i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1:],
+                   (-1) ** i, i - 1, i + 1, A.mult[(comp[i - 1], comp[i])])
+        s = len(comp)
+        yield (comp[:-1], (-1) ** s, s - 1, s + 1,
+               M.weight_action(comp[-1], A.rank(comp[-1])))
+    return faces
+
+
 @pytest.mark.parametrize("factory", [dual_number_dataset, sym2_dataset])
 def test_assemble_equals_the_per_face_definition(factory, compared):
     ds = factory()
@@ -98,8 +112,16 @@ def test_assemble_equals_the_per_face_definition(factory, compared):
     for k in range(1, KMAX + 1):
         data.bar(k)
         build_mic(pkg, k, flags)
+    # weight k has k bar differentials and k - 1 subgroup ones
+    assert len(compared) == KMAX * KMAX
+    # a module bar complex adds its action face to merge faces shared by
+    # every module of its rank, so its differentials, not the assembly
+    # calls, are compared: KMAX per module
     for M in ds.modules.values():
-        bar_complex_with_module(A, M, KMAX, data.tensors)
-    # weight k has k bar differentials and k - 1 subgroup ones; KMAX per module
+        bc = bar_complex_with_module(A, M, KMAX, data)
+        for s, d in enumerate(bc.complex.differentials, 1):
+            assert d == reference_assemble(A.coeff.ring, bc.blocks[s], bc.blocks[s - 1],
+                                           d.rows, d.cols, module_bar_faces(A, M))
+            compared.append(d)
     assert len(compared) == KMAX * KMAX + KMAX * len(ds.modules)
     assert any(not d.is_zero() for d in compared)

@@ -65,7 +65,7 @@ def test_shared_and_fresh_builds_agree(factory):
     A = ds.algebra
     shared = KoszulData(A)
     for M in ds.modules.values():
-        assert_same_bar(bar_complex_with_module(A, M, A.max_weight, shared.tensors),
+        assert_same_bar(bar_complex_with_module(A, M, A.max_weight, shared),
                         bar_complex_with_module(A, M, A.max_weight))
         assert shared.koszul_complex(M) == koszul_complex(A, M)
         assert shared.tor(M) == tor_groups(A, M)
