@@ -3,7 +3,7 @@ degreewise dualization against the bar complex, and the shift-square check
 relating the flag refinement maps to the Koszul differential."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -41,12 +41,21 @@ class SubgroupAlgebra:
 
 @dataclass
 class SubgroupAlgebraPackage:
+    """The subgroup algebras and their structure maps.  ``flags`` is the
+    table of flag modules of every composition (see :func:`flag_tensors`),
+    filled on use; loading, validation and every command read it, so each
+    flag module is built once per package."""
+
     coeff: CoefficientAlgebra
     orders: dict                      # k >= 1 -> SubgroupAlgebra
     t_maps: dict                      # k -> matrix coeff -> S_{p^k}
     u1: dict                          # (k1, k2) -> matrix S_{p^{k1+k2}} -> ambient tensor
     shift: dict                       # k >= 1 -> matrix on flag quotient coordinates
     pairing: dict                     # k -> matrix (algebra weight-k rank x S rank)
+    flags: TensorTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flags = flag_tensors(self)
 
     @property
     def max_order(self) -> int:
@@ -56,30 +65,32 @@ class SubgroupAlgebraPackage:
         return self.orders[k].rank
 
 
-def _flag_factor(pkg: SubgroupAlgebraPackage, k: int) -> Bimodule:
-    if k not in pkg.orders:
+def _flag_factor(orders: dict, k: int) -> Bimodule:
+    if k not in orders:
         raise MICError(f"package has no subgroup algebra of order p^{k}")
-    return pkg.orders[k].bimodule
+    return orders[k].bimodule
 
 
 def flag_tensor(pkg: SubgroupAlgebraPackage, composition) -> IteratedTensor:
     """The flag module S_{p^{k_1}} (x)_{E0} ... (x)_{E0} S_{p^{k_s}}."""
     if not composition:
         return identity_tensor(pkg.coeff.as_bimodule())
-    return iterated_tensor([_flag_factor(pkg, k) for k in composition])
+    return iterated_tensor([_flag_factor(pkg.orders, k) for k in composition])
 
 
 def flag_tensors(pkg: SubgroupAlgebraPackage) -> TensorTable:
     """The table of flag modules of every composition: entry c equals
     ``flag_tensor(pkg, c)``, and compositions sharing a prefix share its
-    tensor."""
-    return TensorTable(partial(_flag_factor, pkg),
+    tensor.  The table holds the package's orders, not the package, which
+    holds the table."""
+    return TensorTable(partial(_flag_factor, pkg.orders),
                        identity_tensor(pkg.coeff.as_bimodule()))
 
 
 class PackageData:
-    """The flag tensors of one subgroup package and the inverses of its
-    pairings, each built on first use and then shared.
+    """The flag tensors of one subgroup package (the package's own table,
+    which loading and validation have already filled in part) and the
+    inverses of its pairings, each built on first use and then shared.
 
     One command builds one of these and hands it to every function that
     takes a ``pdata`` argument; the functions build a fresh one when called
@@ -89,7 +100,7 @@ class PackageData:
 
     def __init__(self, pkg: SubgroupAlgebraPackage):
         self.package = pkg
-        self.flags = flag_tensors(pkg)
+        self.flags = pkg.flags
         self._pairing_inverses = {}
 
     def pairing_inverse(self, k: int) -> PAdicMatrix:
@@ -114,7 +125,8 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int,
     """Cochain complex with degree-s term the sum over compositions of k into
     s positive parts of the flag module, and differential the alternating sum
     of the refinement maps applied in each slot.  The flag modules come from
-    ``flags`` (see :func:`flag_tensors`) when given."""
+    ``flags`` (see :func:`flag_tensors`) when given, else from the
+    package's own table."""
     ring = pkg.coeff.ring
     if k < 0:
         raise MICError("negative order exponent")
@@ -131,7 +143,7 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int,
                        i, i + 1, pkg.u1[(k1, k2)])
 
     low = 1 if k else 0     # order p^0 is the coefficient ring in degree 0
-    tensor_of = (flags or flag_tensors(pkg)).__getitem__
+    tensor_of = (flags or pkg.flags).__getitem__
     blocks, ranks = zip(*(composition_blocks(compositions(k, s), tensor_of)
                           for s in range(low, k + 1)))
     diffs = [assemble(ring, blocks[j], blocks[j + 1], ranks[j + 1], ranks[j], faces)
@@ -209,7 +221,7 @@ def validate_package(pkg: SubgroupAlgebraPackage) -> ValidationReport:
                            [(a_, b_ + c_), (b_, c_), (a_ + b_, c_), (a_, b_)]):
                     continue
                 ra, rb, rc = pkg.rank(a_), pkg.rank(b_), pkg.rank(c_)
-                triple = flag_tensor(pkg, (a_, b_, c_))
+                triple = pkg.flags[(a_, b_, c_)]
                 route1 = (PAdicMatrix.identity(pkg.coeff.ring, ra)
                           .kron(pkg.u1[(b_, c_)]) @ pkg.u1[(a_, b_ + c_)])
                 route2 = (pkg.u1[(a_, b_)]
@@ -476,8 +488,8 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
         _first(shift, k, where)
         if k < 1:
             raise DatasetError(f"{where}: k must be at least 1")
-        fr = flag_tensor(pkg, (1,) * k).bimodule.rank
-        fr1 = flag_tensor(pkg, (1,) * (k + 1)).bimodule.rank
+        fr = pkg.flags[(1,) * k].bimodule.rank
+        fr1 = pkg.flags[(1,) * (k + 1)].bimodule.rank
         shift[k] = mat(_need(ent, "matrix", where, list), fr1, fr, where)
     pairing = {}
     for i, ent in enumerate(_need(doc, "pairing", top, list, [])):
