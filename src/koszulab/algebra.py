@@ -331,10 +331,11 @@ def validate_algebra(A: GradedAugmentedAlgebra) -> ValidationReport:
     for j in range(c.rank):
         if c.multiply(c.unit, _e(c.rank, j)) != _e(c.rank, j):
             rep.fail("coeff unitality", f"basis element {j}")
+    eyes = {k: PAdicMatrix.identity(ring, A.rank(k)) for k in range(1, A.max_weight + 1)}
     # components: unital, associative, commuting bimodule actions
     for k in range(1, A.max_weight + 1):
         B = A.component(k)
-        eye = PAdicMatrix.identity(ring, B.rank)
+        eye = eyes[k]
         if B.left_of(c.unit) != eye:
             rep.fail("left unitality", f"weight {k}")
         if B.right_of(c.unit) != eye:
@@ -351,8 +352,7 @@ def validate_algebra(A: GradedAugmentedAlgebra) -> ValidationReport:
     # structure maps: coefficient bilinearity, balance, associativity
     for (k, l), m in sorted(A.mult.items()):
         Bk, Bl, Bkl = A.component(k), A.component(l), A.component(k + l)
-        eye_k = PAdicMatrix.identity(ring, Bk.rank)
-        eye_l = PAdicMatrix.identity(ring, Bl.rank)
+        eye_k, eye_l = eyes[k], eyes[l]
         for a in range(c.rank):
             if (m @ (Bk.right[a].kron(eye_l) - eye_k.kron(Bl.left[a]))).is_zero() is False:
                 rep.fail("mult balance", f"weights ({k},{l}), coeff basis {a}")
@@ -365,10 +365,8 @@ def validate_algebra(A: GradedAugmentedAlgebra) -> ValidationReport:
             for mm in range(1, A.max_weight + 1):
                 if k + l + mm > A.max_weight:
                     continue
-                ek = PAdicMatrix.identity(ring, A.rank(k))
-                em = PAdicMatrix.identity(ring, A.rank(mm))
-                lhs = A.mult[(k + l, mm)] @ A.mult[(k, l)].kron(em)
-                rhs = A.mult[(k, l + mm)] @ ek.kron(A.mult[(l, mm)])
+                lhs = A.mult[(k + l, mm)] @ A.mult[(k, l)].kron(eyes[mm])
+                rhs = A.mult[(k, l + mm)] @ eyes[k].kron(A.mult[(l, mm)])
                 if lhs != rhs:
                     rep.fail("mult associativity", f"weight triple ({k},{l},{mm})")
     return rep
@@ -377,22 +375,22 @@ def validate_algebra(A: GradedAugmentedAlgebra) -> ValidationReport:
 def validate_module(A: GradedAugmentedAlgebra, M: LeftModule) -> ValidationReport:
     rep = ValidationReport()
     ring = A.coeff.ring
-    mb = M.base_rank
-    eye_m = PAdicMatrix.identity(ring, mb)
-    for k in range(1, A.max_weight + 1):
-        act_k = M.weight_action(k, A.rank(k))
+    eye_m = PAdicMatrix.identity(ring, M.base_rank)
+    coeff_acts = [M.coeff_action(a) for a in range(A.coeff.rank)]
+    weights = range(1, A.max_weight + 1)
+    acts = {k: M.weight_action(k, A.rank(k)) for k in weights}
+    for k in weights:
+        act_k = acts[k]
         Bk = A.component(k)
         eye_k = PAdicMatrix.identity(ring, Bk.rank)
-        for a in range(A.coeff.rank):
-            if not (act_k @ (Bk.right[a].kron(eye_m) - eye_k.kron(M.coeff_action(a)))).is_zero():
+        for a, act_a in enumerate(coeff_acts):
+            if not (act_k @ (Bk.right[a].kron(eye_m) - eye_k.kron(act_a))).is_zero():
                 rep.fail("module action balance", f"weight {k}, coeff basis {a}")
-            if M.coeff_action(a) @ act_k != act_k @ Bk.left[a].kron(eye_m):
+            if act_a @ act_k != act_k @ Bk.left[a].kron(eye_m):
                 rep.fail("module action linearity", f"weight {k}, coeff basis {a}")
         for l in range(1, A.max_weight + 1 - k):
-            act_l = M.weight_action(l, A.rank(l))
-            act_kl = M.weight_action(k + l, A.rank(k + l))
-            lhs = act_kl @ A.mult[(k, l)].kron(eye_m)
-            rhs = act_k @ eye_k.kron(act_l)
+            lhs = acts[k + l] @ A.mult[(k, l)].kron(eye_m)
+            rhs = act_k @ eye_k.kron(acts[l])
             if lhs != rhs:
                 rep.fail("module associativity",
                          f"module {M.name!r}, weight pair ({k},{l})")
