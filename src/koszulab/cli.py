@@ -209,8 +209,10 @@ def cmd_mic(args, checks) -> Dataset:
     pkg = ds.subgroup_package
     if pkg is None:
         raise UsageError("dataset carries no subgroup package")
-    if args.k < 0 or args.k > pkg.max_order:
-        raise UsageError(f"--k must be in 0..{pkg.max_order}")
+    # the comparison reads the weight-k Koszul module, as verify does
+    kmax = min(pkg.max_order, ds.algebra.max_weight)
+    if args.k < 0 or args.k > kmax:
+        raise UsageError(f"--k must be in 0..{kmax}")
     mic = build_mic(pkg, args.k)
     prof, cmp_ = mic_cohomology(pkg, args.k, ds.algebra, mic)
     payload = {"ranks": list(mic.complex.ranks),

@@ -252,6 +252,26 @@ def test_mic_command(h1_path, capsys):
     assert m["payload"]["concentrated_with_koszul_rank"] is True
 
 
+def test_mic_k_beyond_max_weight_is_usage_error(tmp_path, capsys):
+    """A package of higher order than the algebra's max_weight: the kmax-3
+    algebra with the kmax-4 package minus pairing k=4 loads, validates and
+    verifies, and mic --k 4, whose comparison needs the weight-4 Koszul
+    module, is a usage error naming the bound."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    package = dataset_to_json(builtin_height1(3, 2, 4))["subgroup_package"]
+    package["pairing"] = [e for e in package["pairing"] if e["k"] != 4]
+    doc["subgroup_package"] = package
+    path = tmp_path / "wide_package.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--suite", "all", "--json"]) == EXIT_PASS
+    capsys.readouterr()
+    assert main(["mic", str(path), "--k", "3", "--json"]) == EXIT_PASS
+    capsys.readouterr()
+    assert main(["mic", str(path), "--k", "4", "--json"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--k must be in 0..3" in err and "Traceback" not in err
+
+
 def test_verify_all_passes(h1_path, capsys):
     code, doc = run_json(capsys, ["verify", h1_path, "--suite", "all", "--json"])
     assert code == EXIT_PASS
