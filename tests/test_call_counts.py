@@ -11,12 +11,14 @@ from koszulab.algebra import builtin_height1, save_dataset
 from koszulab.cli import EXIT_PASS, run
 
 WRAPPED = (("bar", "bar_complex"), ("bar", "koszul_complex"),
-           ("bar", "assemble"),
+           ("bar", "assemble"), ("bar", "_induced_bimodule"),
            ("complexes", "homology"), ("complexes", "verify_complex"),
            ("isogeny", "build_mic"), ("isogeny", "dualize_bar_to_mic"),
-           ("algebra", "tensor_over_coeff"), ("padic", "inverse_mod"))
+           ("algebra", "tensor_over_coeff"), ("algebra", "iterated_tensor"),
+           ("algebra", "load_dataset"), ("padic", "inverse_mod"))
 WRAPPED_METHODS = (("padic", "PAdicMatrix", "__matmul__"),
-                   ("padic", "PAdicMatrix", "kron_apply"))
+                   ("padic", "PAdicMatrix", "kron_apply"),
+                   ("algebra", "Dataset", "validate"))
 
 
 def record_calls(monkeypatch):
@@ -74,14 +76,24 @@ def test_verify_builds_each_complex_once(tmp_path, monkeypatch):
 
 def test_verify_builds_each_tensor_and_inverse_once(tmp_path, monkeypatch):
     """Built-in p=3 N=2 kmax 5: 343 tensor quotients and 15 pairing inverses
-    when every composition and every k builds its own."""
-    _, path = saved_builtin(tmp_path)
+    when every composition and every k builds its own, 183 tensor quotients
+    when each module builds its own module bar and Koszul complex parts and
+    loading and validation their own flag modules.  Both modules have rank
+    1, so C[k] gets its coefficient actions once per weight, and the flag
+    modules that loading and validation read come from the package's
+    table."""
+    ds, path = saved_builtin(tmp_path)
     calls = record_calls(monkeypatch)
     report, code = run(["verify", str(path), "--suite", "all", "--json"])
     assert code == EXIT_PASS and report.passed
-    assert len([c for c in calls if c[0] == "algebra.tensor_over_coeff"]) <= 199
+    assert len([c for c in calls if c[0] == "algebra.tensor_over_coeff"]) <= 94
     assert len([c for c in calls if c[0] == "padic.inverse_mod"
                 and "isogeny.dualize_bar_to_mic" in c[2]]) == 5
+    induced = [args[1].weight for name, args, _ in calls if name == "bar._induced_bimodule"]
+    assert sorted(induced) == list(range(1, ds.algebra.max_weight + 1))
+    assert any(name == "algebra.load_dataset" for name, _, _ in calls)
+    assert any(name == "algebra.Dataset.validate" for name, _, _ in calls)
+    assert not [c for c in calls if c[0] == "algebra.iterated_tensor"]
 
 
 def test_mic_builds_its_subgroup_complex_once(tmp_path, monkeypatch):
