@@ -297,7 +297,7 @@ def _suite_mic_duality(ds, checks, data, pdata):
          "witnesses": [f"k={k}: {w}" for k, w in bad]}))
 
 
-def _suite_thm_square(ds, checks, data, pdata):
+def _suite_thm_square(ds, checks, data):
     pkg = ds.subgroup_package
     if pkg is None:
         checks.append(Check("suite-shift-square",
@@ -314,7 +314,7 @@ def _suite_thm_square(ds, checks, data, pdata):
 
     def one(k):
         try:
-            res = verify_theorem_10_2(ds.algebra, pkg, M, k, data, pdata)
+            res = verify_theorem_10_2(ds.algebra, pkg, M, k, data)
             payload = {"top": [list(r) for r in res.route_top.entries],
                        "bottom": [list(r) for r in res.route_bottom.entries]}
             return k, res.commutes, res.witness, payload
@@ -336,8 +336,8 @@ def _suite_thm_square(ds, checks, data, pdata):
 def cmd_verify(args, checks) -> Dataset:
     ds = _load(args.dataset, checks)
     # every suite reads tensors, bar and Koszul complexes from this one
-    # object and flag tensors and pairing inverses from the second, so each
-    # is built and checked once per run
+    # object, pairing inverses from the second and flag tensors from the
+    # package's table, so each is built and checked once per run
     data = KoszulData(ds.algebra)
     pkg = ds.subgroup_package
     pdata = PackageData(pkg) if pkg is not None else None
@@ -349,7 +349,7 @@ def cmd_verify(args, checks) -> Dataset:
         elif s == "mic-duality":
             _suite_mic_duality(ds, checks, data, pdata)
         else:
-            _suite_thm_square(ds, checks, data, pdata)
+            _suite_thm_square(ds, checks, data)
     return ds
 
 

@@ -88,9 +88,9 @@ def flag_tensors(pkg: SubgroupAlgebraPackage) -> TensorTable:
 
 
 class PackageData:
-    """The flag tensors of one subgroup package (the package's own table,
-    which loading and validation have already filled in part) and the
-    inverses of its pairings, each built on first use and then shared.
+    """The inverses of the pairings of one subgroup package, each built on
+    first use and then shared.  (Its flag modules live in the package's own
+    table.)
 
     One command builds one of these and hands it to every function that
     takes a ``pdata`` argument; the functions build a fresh one when called
@@ -100,7 +100,6 @@ class PackageData:
 
     def __init__(self, pkg: SubgroupAlgebraPackage):
         self.package = pkg
-        self.flags = pkg.flags
         self._pairing_inverses = {}
 
     def pairing_inverse(self, k: int) -> PAdicMatrix:
@@ -120,13 +119,11 @@ class ModularIsogenyComplex:
     blocks: tuple   # per degree, tuple of bar.Block
 
 
-def build_mic(pkg: SubgroupAlgebraPackage, k: int,
-              flags: Optional[TensorTable] = None) -> ModularIsogenyComplex:
+def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
     """Cochain complex with degree-s term the sum over compositions of k into
     s positive parts of the flag module, and differential the alternating sum
     of the refinement maps applied in each slot.  The flag modules come from
-    ``flags`` (see :func:`flag_tensors`) when given, else from the
-    package's own table."""
+    the package's table ``pkg.flags``."""
     ring = pkg.coeff.ring
     if k < 0:
         raise MICError("negative order exponent")
@@ -143,7 +140,7 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int,
                        i, i + 1, pkg.u1[(k1, k2)])
 
     low = 1 if k else 0     # order p^0 is the coefficient ring in degree 0
-    tensor_of = (flags or pkg.flags).__getitem__
+    tensor_of = pkg.flags.__getitem__
     blocks, ranks = zip(*(composition_blocks(compositions(k, s), tensor_of)
                           for s in range(low, k + 1)))
     diffs = [assemble(ring, blocks[j], blocks[j + 1], ranks[j + 1], ranks[j], faces)
@@ -260,8 +257,7 @@ def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
     """Construct the degreewise isomorphisms from the dual weight-k bar
     complex to the order-p^k complex through the pairing matrices, and assert
     they intertwine the two differentials exactly.  The bar complex comes
-    from ``data``, and the flag modules and pairing inverses from ``pdata``,
-    when given."""
+    from ``data``, and the pairing inverses from ``pdata``, when given."""
     ring = A.coeff.ring
     pdata = pdata or PackageData(pkg)
     for kk in range(1, k + 1):
@@ -276,7 +272,7 @@ def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
         return MICDualityResult(0, [PAdicMatrix.identity(ring, A.coeff.rank)],
                                 True, None)
     bc = (data or KoszulData(A)).bar(k)
-    mic = build_mic(pkg, k, pdata.flags)
+    mic = build_mic(pkg, k)
     dual = dualize_complex(bc.complex)
 
     def placed(s):
@@ -327,8 +323,7 @@ class ShiftSquareResult:
 
 def verify_theorem_10_2(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
                         M: LeftModule, k: int,
-                        data: Optional[KoszulData] = None,
-                        pdata: Optional[PackageData] = None) -> ShiftSquareResult:
+                        data: Optional[KoszulData] = None) -> ShiftSquareResult:
     """Square number k (k >= 1): the shift map from the (k-1)-fold flag module
     to the k-fold one, followed by the quotient onto the dual of the Koszul
     term, must agree with the quotient followed by the transposed Koszul
@@ -338,7 +333,7 @@ def verify_theorem_10_2(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
     term into the ambient weight-1 tensor power is dualized through the
     pairings, with the sign (-1)^{j(j+1)/2} in homological degree j coming
     from dualizing a chain complex.  The Koszul complex of M comes from
-    ``data``, and the flag modules from ``pdata``, when given.
+    ``data`` when given, and the flag modules from the package's table.
     """
     if k < 1:
         raise MICError("square index must be >= 1")
@@ -352,10 +347,9 @@ def verify_theorem_10_2(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
         raise MICError("the shift square needs a module free of rank 1 "
                        "over the coefficient algebra")
     unitcol = PAdicMatrix(ring, [[x] for x in A.coeff.unit], A.coeff.rank, 1)
-    flags = (pdata or PackageData(pkg)).flags
 
     def quotient_map(jj):
-        flag = flags[(1,) * jj]
+        flag = pkg.flags[(1,) * jj]
         sign = (-1) ** (jj * (jj + 1) // 2) % mod
         if jj == 0:
             PKm = unitcol

@@ -13,8 +13,7 @@ from koszulab import bar, isogeny
 from koszulab.algebra import (Bimodule, Dataset, GradedAugmentedAlgebra,
                               LeftModule, trivial_module)
 from koszulab.bar import KoszulData, bar_complex_with_module, place_blocks
-from koszulab.isogeny import (SubgroupAlgebra, SubgroupAlgebraPackage,
-                              build_mic, flag_tensors)
+from koszulab.isogeny import SubgroupAlgebra, SubgroupAlgebraPackage, build_mic
 from koszulab.padic import PAdicMatrix
 
 from test_algebra import dual_numbers
@@ -108,10 +107,9 @@ def test_assemble_equals_the_per_face_definition(factory, compared):
     assert ds.validate().passed
     A, pkg = ds.algebra, ds.subgroup_package
     data = KoszulData(A)
-    flags = flag_tensors(pkg)
     for k in range(1, KMAX + 1):
         data.bar(k)
-        build_mic(pkg, k, flags)
+        build_mic(pkg, k)
     # weight k has k bar differentials and k - 1 subgroup ones
     assert len(compared) == KMAX * KMAX
     # a module bar complex adds its action face to merge faces shared by
