@@ -221,22 +221,14 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
     return BarComplex(k, _checked_bar(ring, ranks, diffs), blocks)
 
 
-@dataclass(frozen=True)
-class ModuleBarSkeleton:
-    """What the bar complex with coefficients in a module builds without
-    reading the module's action, so every module with one bimodule shares
-    it: per degree the blocks T(c) (x) M, their total ranks, and per
-    differential the sum of its merge faces as rows of column -> entry."""
-    blocks: tuple
-    ranks: tuple
-    merged: tuple
-
-
 def _module_bar_skeleton(A: GradedAugmentedAlgebra, Mb: Bimodule, smax: int,
-                         tensors: TensorTable) -> ModuleBarSkeleton:
-    """The skeleton of the module bar complex in degrees 0..smax for modules
-    whose bimodule is ``Mb``; tensors of the weight components come from
-    ``tensors``."""
+                         tensors: TensorTable) -> tuple:
+    """What the bar complex with coefficients in a module of bimodule ``Mb``
+    builds in degrees 0..smax without reading the module's action, so every
+    such module shares it: (blocks, ranks, merged), per degree the blocks
+    T(c) (x) M and their total rank, and per differential the sum of its
+    merge faces as rows of column -> entry.  Tensors of the weight
+    components come from ``tensors``."""
     def tensor_of(comp):
         return tensor_step(tensors[comp], Mb) if comp else identity_tensor(Mb)
 
@@ -246,7 +238,7 @@ def _module_bar_skeleton(A: GradedAugmentedAlgebra, Mb: Bimodule, smax: int,
     merged = tuple(_add_faces([{} for _ in range(ranks[s - 1])],
                               blocks[s], blocks[s - 1], faces)
                    for s in range(1, smax + 1))
-    return ModuleBarSkeleton(blocks, ranks, merged)
+    return blocks, ranks, merged
 
 
 def bar_complex_with_module(A: GradedAugmentedAlgebra, M: LeftModule,
@@ -257,22 +249,24 @@ def bar_complex_with_module(A: GradedAugmentedAlgebra, M: LeftModule,
     since the differential never raises total slot weight).  Its
     differential is the alternating sum of the merge faces and of the face
     acting the last slot on ``M``; d o d is checked.  The blocks and the
-    merge faces come from ``data`` (see :meth:`KoszulData.module_bar_skeleton`) when
-    given, so only the action face is added here."""
+    merge faces come from ``data`` (see
+    :meth:`KoszulData.module_bar_skeleton`) when given, so only the action
+    face is added here."""
     ring = A.coeff.ring
     actions = {k: M.weight_action(k, A.rank(k)) for k in range(1, A.max_weight + 1)}
-    sk = (data or KoszulData(A)).module_bar_skeleton(M.as_bimodule(), smax)
+    blocks, ranks, merged = (data or KoszulData(A)).module_bar_skeleton(
+        M.as_bimodule(), smax)
 
     def action_face(comp):
         s = len(comp)
         yield comp[:-1], (-1) ** s, s - 1, s + 1, actions[comp[-1]]
 
     diffs = [PAdicMatrix.from_sparse_rows(
-                 ring, sk.ranks[s - 1], sk.ranks[s],
-                 _add_faces([dict(row) for row in sk.merged[s - 1]],
-                            sk.blocks[s], sk.blocks[s - 1], action_face))
+                 ring, ranks[s - 1], ranks[s],
+                 _add_faces([dict(row) for row in merged[s - 1]],
+                            blocks[s], blocks[s - 1], action_face))
              for s in range(1, smax + 1)]
-    return BarComplex(None, _checked_bar(ring, sk.ranks, diffs), sk.blocks, M.name)
+    return BarComplex(None, _checked_bar(ring, ranks, diffs), blocks, M.name)
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +337,14 @@ class KoszulComplexData:
     module_base_rank: int
 
 
-@dataclass(frozen=True)
-class KoszulSkeleton:
-    """What the Koszul complex C[k] (x) M builds without reading M's
-    action, so every module with one bimodule shares it; all per degree k.
+def _koszul_skeleton(data: KoszulData, Mb: Bimodule) -> tuple:
+    """What the Koszul complex C[k] (x) M builds without reading the action
+    of a module M of bimodule ``Mb``, so every such module shares it; the
+    Koszul modules C[k] come from ``data``.  Per degree k: the ranks of C[k]
+    and of C[k] (x) M, the inclusions iota of C[k] (x) M into T_k (x) M
+    (quotient coordinates) and into the full ambient Delta[1]^{(x)k} (x) M,
+    and the maps proj_full and sect_full between that ambient and T_k (x) M.
     The degree-0 term E0 (x)_{E0} M is M itself, with identity maps."""
-    c_ranks: tuple            # rank of C[k]
-    term_ranks: tuple         # rank of C[k] (x) M
-    iotas: tuple              # C[k] (x) M -> T_k (x) M, quotient coordinates
-    ambient_inclusions: tuple  # C[k] (x) M -> full ambient Delta[1]^{(x)k} (x) M
-    proj_full: tuple          # full ambient -> T_k (x) M
-    sect_full: tuple          # T_k (x) M -> full ambient
-
-
-def _koszul_skeleton(data: KoszulData, Mb: Bimodule) -> KoszulSkeleton:
-    """The skeleton of the Koszul complex for modules whose bimodule is
-    ``Mb``; the Koszul modules C[k] come from ``data``."""
     A = data.algebra
     eye_m = PAdicMatrix.identity(A.coeff.ring, Mb.rank)
     kos = [data.koszul_module(k) for k in range(A.max_weight + 1)]
@@ -373,9 +359,8 @@ def _koszul_skeleton(data: KoszulData, Mb: Bimodule) -> KoszulSkeleton:
         iotas.append(tm.proj @ kd.inclusion.kron(eye_m) @ cm.sect)
         amb_incs.append((T.sect_full @ kd.inclusion).kron(eye_m) @ cm.sect)
         term_ranks.append(cm.bimodule.rank)
-    return KoszulSkeleton(tuple(kd.rank for kd in kos), tuple(term_ranks),
-                          tuple(iotas), tuple(amb_incs), tuple(proj_full),
-                          tuple(sect_full))
+    return ([kd.rank for kd in kos], term_ranks, iotas, amb_incs, proj_full,
+            sect_full)
 
 
 def koszul_complex(A: GradedAugmentedAlgebra, M: LeftModule,
@@ -390,26 +375,27 @@ def koszul_complex(A: GradedAugmentedAlgebra, M: LeftModule,
     """
     ring = A.coeff.ring
     d1 = A.rank(1)
-    sk = (data or KoszulData(A)).koszul_skeleton(M.as_bimodule())
+    c_ranks, term_ranks, iotas, amb_incs, proj_full, sect_full = \
+        (data or KoszulData(A)).koszul_skeleton(M.as_bimodule())
     act1 = M.weight_action(1, d1)
     diffs = []
     for k in range(A.max_weight):
         amb_face = PAdicMatrix.identity(ring, d1 ** k).kron(act1)
-        F = sk.proj_full[k] @ amb_face @ sk.sect_full[k + 1]
+        F = proj_full[k] @ amb_face @ sect_full[k + 1]
         F = F.scale((-1) ** (k + 1) % ring.modulus)
-        rhs = F @ sk.iotas[k + 1]
+        rhs = F @ iotas[k + 1]
         try:
-            delta = solve(sk.iotas[k], rhs)
+            delta = solve(iotas[k], rhs)
         except InconsistentSystemError as exc:
             raise ImageEscapesError(
                 f"image escapes C[{k}] (x) M at weight {k + 1}: {exc}")
         diffs.append(delta)
-    cx = make_complex(ring, HOMOLOGICAL, 0, sk.term_ranks, diffs)
+    cx = make_complex(ring, HOMOLOGICAL, 0, term_ranks, diffs)
     ok, deg = verify_complex(cx)
     if not ok:
         raise ImageEscapesError(f"Koszul differential fails d o d = 0 at degree {deg}")
-    return KoszulComplexData(M.name, cx, sk.c_ranks, sk.term_ranks,
-                             sk.ambient_inclusions, M.base_rank)
+    return KoszulComplexData(M.name, cx, tuple(c_ranks), tuple(term_ranks),
+                             tuple(amb_incs), M.base_rank)
 
 
 def tor_groups(A: GradedAugmentedAlgebra, M: LeftModule,
@@ -467,8 +453,8 @@ class KoszulData:
         self._bars = {}
         self._bar_profiles = {}
         self._modules = {}
-        self._module_bar_skeletons = {}   # (bimodule, smax) -> ModuleBarSkeleton
-        self._koszul_skeletons = {}       # bimodule -> KoszulSkeleton
+        self._module_bar_skeletons = {}   # (bimodule, smax) -> skeleton
+        self._koszul_skeletons = {}       # bimodule -> skeleton
         self._complexes = {}   # id(M) -> (M, KoszulComplexData)
         self._tors = {}        # id(M) -> (M, HomologyProfile)
 
@@ -487,14 +473,14 @@ class KoszulData:
             self._modules[k] = koszul_module(self.algebra, k, self)
         return self._modules[k]
 
-    def module_bar_skeleton(self, Mb: Bimodule, smax: int) -> ModuleBarSkeleton:
+    def module_bar_skeleton(self, Mb: Bimodule, smax: int) -> tuple:
         key = (Mb, smax)
         if key not in self._module_bar_skeletons:
             self._module_bar_skeletons[key] = _module_bar_skeleton(
                 self.algebra, Mb, smax, self.tensors)
         return self._module_bar_skeletons[key]
 
-    def koszul_skeleton(self, Mb: Bimodule) -> KoszulSkeleton:
+    def koszul_skeleton(self, Mb: Bimodule) -> tuple:
         if Mb not in self._koszul_skeletons:
             self._koszul_skeletons[Mb] = _koszul_skeleton(self, Mb)
         return self._koszul_skeletons[Mb]

@@ -89,7 +89,8 @@ def test_verify_builds_each_tensor_and_inverse_once(tmp_path, monkeypatch):
     assert len([c for c in calls if c[0] == "algebra.tensor_over_coeff"]) <= 94
     assert len([c for c in calls if c[0] == "padic.inverse_mod"
                 and "isogeny.dualize_bar_to_mic" in c[2]]) == 5
-    induced = [args[1].weight for name, args, _ in calls if name == "bar._induced_bimodule"]
+    induced = [args[1].weight for name, args, _ in calls
+               if name == "bar._induced_bimodule"]
     assert sorted(induced) == list(range(1, ds.algebra.max_weight + 1))
     assert any(name == "algebra.load_dataset" for name, _, _ in calls)
     assert any(name == "algebra.Dataset.validate" for name, _, _ in calls)
