@@ -76,9 +76,9 @@ def test_verify_builds_each_complex_once(tmp_path, monkeypatch):
 
 def test_verify_builds_each_tensor_and_inverse_once(tmp_path, monkeypatch):
     """Built-in p=3 N=2 kmax 5: 343 tensor quotients and 15 pairing inverses
-    when every composition and every k builds its own, 183 tensor quotients
-    when each module builds its own module bar and Koszul complex parts and
-    loading and validation their own flag modules.  Both modules have rank
+    when every composition and every k builds its own, 183 when each module
+    builds its own module bar and Koszul complex parts and loading and
+    validation their own flag modules, 94 now.  Both modules have rank
     1, so C[k] gets its coefficient actions once per weight, and the flag
     modules that loading and validation read come from the package's
     table."""
