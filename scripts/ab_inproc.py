@@ -6,12 +6,14 @@ pass, in one interpreter.
 
 PARENT and CHANGE are repository roots.  Each tree's src/koszulab is loaded
 under its own package name, so both run in this process.  The workload's
-inputs are written once, by CHANGE's bench/workloads.py with CHANGE's
-koszulab.  A first pass runs every operation on both trees, checks each
-answer and requires the two trees' `--json` reports to be identical; an
-operation that misses the deadline on either tree is left out of the timed
-rounds and named.  Each round then times one pass of each tree, the tree
-that goes first alternating from round to round, and takes the ratio
+inputs (workload seed 1) are written once, by CHANGE's bench/workloads.py
+with CHANGE's koszulab.  Passes are run by CHANGE's bench/run.py
+(`run_pass`, with its per-operation deadline DEADLINE_S).  A first pass of
+each tree checks every answer and requires the two trees' `--json` reports
+to be identical; an operation that misses the deadline on either tree is
+left out of the timed rounds and named, and the number kept is printed as
+`# N of M operations`.  Each round then times one pass of each tree, the
+tree that goes first alternating from round to round, and takes the ratio
 change / parent.  The median and quartiles of the ratios and the number of
 rounds the change won are printed.
 
@@ -29,17 +31,8 @@ import signal
 import statistics
 import sys
 import tempfile
-import time
 
-DEADLINE_S = 15.0
-
-
-class DeadlineExceeded(BaseException):
-    """Raised by SIGALRM inside the running operation."""
-
-
-def _alarm(signum, frame):
-    raise DeadlineExceeded()
+SEED = 1
 
 
 def load_tree(root, name):
@@ -59,28 +52,20 @@ def load_tree(root, name):
     return package
 
 
-def import_workloads(root, package):
-    """bench/workloads.py of the checkout ``root``, with ``package`` standing
-    in for koszulab while it is imported."""
+def import_bench(root, package):
+    """bench/workloads.py and bench/run.py of the checkout ``root``, with
+    ``package`` standing in for koszulab while they are imported."""
     prefix = package.__name__
     aliases = {"koszulab" + k[len(prefix):]: m for k, m in list(sys.modules.items())
                if k == prefix or k.startswith(prefix + ".")}
     sys.modules.update(aliases)
     sys.path.insert(0, os.path.join(os.path.abspath(root), "bench"))
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module("workloads"), importlib.import_module("run")
     finally:
         sys.path.pop(0)
         for k in aliases:
             del sys.modules[k]
-
-
-def with_deadline(seconds, fn):
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def main(argv=None):
@@ -89,9 +74,6 @@ def main(argv=None):
     ap.add_argument("change", help="root of the changed checkout")
     ap.add_argument("--workload", choices=("corpus", "suite-w9"), required=True)
     ap.add_argument("--rounds", type=int, default=30)
-    ap.add_argument("--seed", type=int, default=1, help="the workload seed")
-    ap.add_argument("--deadline", type=float, default=DEADLINE_S,
-                    help="seconds one operation may take in the first pass")
     args = ap.parse_args(argv)
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
@@ -99,25 +81,29 @@ def main(argv=None):
     trees = {"parent": load_tree(args.parent, "ab_parent"),
              "change": load_tree(args.change, "ab_change")}
     clis = {side: sys.modules[f"{pkg.__name__}.cli"] for side, pkg in trees.items()}
-    workloads = import_workloads(args.change, trees["change"])
-    signal.signal(signal.SIGALRM, _alarm)
+    workloads, run = import_bench(args.change, trees["change"])
+    signal.signal(signal.SIGALRM, run._alarm)
+
+    def one_pass(side, ops):
+        workloads.cli = clis[side]
+        gc.collect()
+        return run.run_pass(ops, run.DEADLINE_S, lambda c: c())
+
     workdir = tempfile.mkdtemp(prefix="ab-inproc-")
     try:
-        ops = workloads.MAKE[args.workload](args.seed, workdir)
-        kept = []
-        for op in ops:
-            outs = {}
-            try:
-                for side, cli in clis.items():
-                    workloads.cli = cli
-                    outs[side] = with_deadline(args.deadline, op.call)
-            except DeadlineExceeded:
-                print(f"# left out, missed the {args.deadline:g} s deadline: {op.label}")
+        ops = workloads.MAKE[args.workload](SEED, workdir)
+        first = {side: one_pass(side, ops)[2] for side in clis}
+        kept, digests = [], []
+        for op, a, b in zip(ops, first["parent"], first["change"]):
+            if "wrong" in (a[0], b[0]):
+                sys.exit(f"wrong answer on {op.label}: parent {a}, change {b}")
+            if "deadline" in (a[0], b[0]):
+                print(f"# left out, missed the {run.DEADLINE_S:g} s deadline: {op.label}")
                 continue
-            if outs["parent"] != outs["change"]:
+            if a != b:
                 sys.exit(f"reports differ between the trees: {op.label}")
-            op.check(outs["change"])
             kept.append(op)
+            digests.append(a)
         print(f"# {len(kept)} of {len(ops)} operations, reports identical on both trees")
 
         ratios = []
@@ -125,12 +111,10 @@ def main(argv=None):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             seconds = {}
             for side in order:
-                workloads.cli = clis[side]
-                gc.collect()
-                t = time.perf_counter()
-                for op in kept:
-                    op.call()
-                seconds[side] = time.perf_counter() - t
+                seconds[side], _, outcomes = one_pass(side, kept)
+                if outcomes != digests:
+                    sys.exit(f"round {r + 1}: {side} answered differently "
+                             f"from its first pass")
             ratios.append(seconds["change"] / seconds["parent"])
             print(f"round {r + 1}: parent {seconds['parent']:.4f} s, "
                   f"change {seconds['change']:.4f} s, ratio {ratios[-1]:.3f}")

@@ -205,9 +205,13 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
     is the alternating sum of the merge faces.  Its tensors come from
     ``tensors`` (see :func:`weight_tensors`) when given.  With a module ``M``
     see :func:`bar_complex_with_module` (this front-end dispatches, and
-    builds that complex afresh).
+    builds that complex afresh); ``tensors`` cannot be given with ``M``,
+    since the module complex shares through a :class:`KoszulData` instead.
     """
     if M is not None:
+        if tensors is not None:
+            raise TypeError("bar_complex: tensors cannot be given with a module; "
+                            "pass a KoszulData to bar_complex_with_module")
         return bar_complex_with_module(A, M, k)
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")

@@ -149,3 +149,14 @@ def test_bar_weight_exceeding_max_weight_rejected():
     ds = builtin_height1(2, 2, 3)
     with pytest.raises(Exception):
         bar_complex(ds.algebra, 7)
+
+
+def test_bar_complex_refuses_tensor_table_with_module():
+    # a module complex shares through KoszulData, not a tensor table, so a
+    # table given with a module would be silently unused
+    from koszulab.bar import weight_tensors
+    ds = builtin_height1(2, 2, 3)
+    with pytest.raises(TypeError):
+        bar_complex(ds.algebra, 2, ds.module("sphere"), weight_tensors(ds.algebra))
+    bc = bar_complex(ds.algebra, 2, ds.module("sphere"))
+    assert verify_complex(bc.complex)[0]
