@@ -4,18 +4,21 @@ pass, in one interpreter.
 
     python3 scripts/ab_inproc.py PARENT CHANGE --workload corpus --rounds 30
 
-PARENT and CHANGE are repository roots.  Each tree's src/koszulab is loaded
-under its own package name, so both run in this process.  The workload's
-inputs (workload seed 1) are written once, by CHANGE's bench/workloads.py
-with CHANGE's koszulab.  Passes are run by CHANGE's bench/run.py
-(`run_pass`, with its per-operation deadline DEADLINE_S).  A first pass of
-each tree checks every answer and requires the two trees' `--json` reports
-to be identical; an operation that misses the deadline on either tree is
-left out of the timed rounds and named, and the number kept is printed as
-`# N of M operations`.  Each round then times one pass of each tree, the
-tree that goes first alternating from round to round, and takes the ratio
-change / parent.  The median and quartiles of the ratios and the number of
-rounds the change won are printed.
+PARENT and CHANGE are repository roots; the workload is corpus, suite-w9
+or partition.  Each tree's src/koszulab is loaded under its own package
+name, so both run in this process.  The workload's inputs (workload seed 1)
+are written once, by CHANGE's bench/workloads.py with CHANGE's koszulab.
+Before each pass, the names bench/workloads.py calls through (`cli`,
+`kpartition` and `BaseRing`) are pointed at the tree that runs it.  Passes
+are run by CHANGE's bench/run.py (`run_pass`, with its per-operation
+deadline DEADLINE_S).  A first pass of each tree checks every answer and
+requires the two trees' `--json` reports to be identical; an operation that
+misses the deadline on either tree is left out of the timed rounds and
+named, and the number kept is printed as `# N of M operations`.  Each
+round then times one pass of each tree, the tree that goes first
+alternating from round to round, and takes the ratio change / parent.
+The median and quartiles of the ratios and the number of rounds the change
+won are printed.
 
 The machine's speed can drift by a factor of two within minutes, so one
 process per side cannot resolve a 10% change; alternating passes in one
@@ -72,7 +75,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="root of the parent checkout")
     ap.add_argument("change", help="root of the changed checkout")
-    ap.add_argument("--workload", choices=("corpus", "suite-w9"), required=True)
+    ap.add_argument("--workload", choices=("corpus", "suite-w9", "partition"),
+                    required=True)
     ap.add_argument("--rounds", type=int, default=30)
     args = ap.parse_args(argv)
     if args.rounds < 2:
@@ -80,19 +84,21 @@ def main(argv=None):
 
     trees = {"parent": load_tree(args.parent, "ab_parent"),
              "change": load_tree(args.change, "ab_change")}
-    clis = {side: sys.modules[f"{pkg.__name__}.cli"] for side, pkg in trees.items()}
     workloads, run = import_bench(args.change, trees["change"])
     signal.signal(signal.SIGALRM, run._alarm)
 
     def one_pass(side, ops):
-        workloads.cli = clis[side]
+        name = trees[side].__name__
+        workloads.cli = sys.modules[f"{name}.cli"]
+        workloads.kpartition = sys.modules[f"{name}.partition"]
+        workloads.BaseRing = sys.modules[f"{name}.padic"].BaseRing
         gc.collect()
         return run.run_pass(ops, run.DEADLINE_S, lambda c: c())
 
     workdir = tempfile.mkdtemp(prefix="ab-inproc-")
     try:
         ops = workloads.MAKE[args.workload](SEED, workdir)
-        first = {side: one_pass(side, ops)[2] for side in clis}
+        first = {side: one_pass(side, ops)[2] for side in trees}
         kept, digests = [], []
         for op, a, b in zip(ops, first["parent"], first["change"]):
             if "wrong" in (a[0], b[0]):

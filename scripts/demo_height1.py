@@ -50,7 +50,7 @@ def main():
     for k in range(1, args.kmax):
         res = verify_theorem_10_2(ds.algebra, pkg, ds.module("sphere"), k)
         print(f"shift square {k}: {'commutes' if res.commutes else 'FAILS'}; "
-              f"top {res.route_top.entries} bottom {res.route_bottom.entries}")
+              f"top {res.route_top.tolist()} bottom {res.route_bottom.tolist()}")
 
 
 if __name__ == "__main__":

@@ -129,7 +129,7 @@ def tensor_over_coeff(M: Bimodule, N: Bimodule) -> TensorData:
     for a in range(coeff.rank):
         R = M.right[a].kron(eyeN) - eyeM.kron(N.left[a])
         for j in range(mn):
-            rel_cols.append([R.entries[i][j] for i in range(mn)])
+            rel_cols.append([R[i, j] for i in range(mn)])
     relmat = PAdicMatrix(ring, [[col[i] for col in rel_cols] for i in range(mn)],
                          mn, len(rel_cols))
     snf = smith_normal_form(relmat)
@@ -469,7 +469,7 @@ FORMAT = "koszulab-1"
 
 
 def _matrix_to_json(m: PAdicMatrix):
-    return [list(r) for r in m.entries]
+    return m.tolist()
 
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}

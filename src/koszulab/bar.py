@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import mul
 from typing import Optional
 
@@ -85,18 +85,21 @@ def place_blocks(ring, rows: int, cols: int, placed) -> PAdicMatrix:
     (row0, col0, sign, block) in ``placed``."""
     nonzeros = [{} for _ in range(rows)]
     for row0, col0, sign, block in placed:
-        for i, row in enumerate(block.entries, row0):
+        for i, row in enumerate(block.nonzeros, row0):
             out = nonzeros[i]
-            for j, x in enumerate(row, col0):
-                if x:
-                    out[j] = out.get(j, 0) + sign * x
+            for j, x in row.items():
+                j += col0
+                out[j] = out.get(j, 0) + sign * x
     return PAdicMatrix.from_sparse_rows(ring, rows, cols, nonzeros)
 
 
 def _column_nonzeros(M: PAdicMatrix):
     """Per column of ``M``, the (row, entry) pairs of its nonzero entries."""
-    rows = range(M.rows)
-    return [[(i, col[i]) for i in compress(rows, col)] for col in M.transpose().entries]
+    cols = [[] for _ in range(M.cols)]
+    for i, row in enumerate(M.nonzeros):
+        for j, x in row.items():
+            cols[j].append((i, x))
+    return cols
 
 
 def assemble(ring, src, tgt, rows: int, cols: int, faces) -> PAdicMatrix:
@@ -125,9 +128,8 @@ def _add_faces(nonzeros, src, tgt, faces):
         ranks = b.tensor.factor_ranks
         pre = list(accumulate(ranks, mul, initial=1))
         post = list(accumulate(reversed(ranks), mul, initial=1))[::-1]
-        inner = range(b.tensor.sect_full.cols)
-        sect = [[(b.start + j, r[j]) for j in compress(inner, r)]
-                for r in b.tensor.sect_full.entries]
+        sect = [[(b.start + j, x) for j, x in r.items()]
+                for r in b.tensor.sect_full.nonzeros]
         for comp, sign, lo, hi, m in faces(b.composition):
             known = m_cols.get(id(m))
             if known is None:
@@ -488,6 +490,11 @@ class KoszulData:
         if Mb not in self._koszul_skeletons:
             self._koszul_skeletons[Mb] = _koszul_skeleton(self, Mb)
         return self._koszul_skeletons[Mb]
+
+    def drop_skeletons(self):
+        """Forget the module skeletons; they are built again if asked for."""
+        self._module_bar_skeletons.clear()
+        self._koszul_skeletons.clear()
 
     def koszul_complex(self, M: LeftModule) -> KoszulComplexData:
         # keyed on the module object, which the entry keeps alive

@@ -263,6 +263,7 @@ def _suite_koszul(ds, checks, data):
                         t1.torsion_at(s) != t2.torsion_at(s):
                     agree = False
                     witness = f"module {M.name}, degree {s}"
+        data.drop_skeletons()     # the later suites read only the cached complexes
         checks.append(Check(
             "suite-tor-two-routes",
             "Tor from the small complex equals Tor from the module bar complex",
@@ -315,8 +316,8 @@ def _suite_thm_square(ds, checks, data):
     def one(k):
         try:
             res = verify_theorem_10_2(ds.algebra, pkg, M, k, data)
-            payload = {"top": [list(r) for r in res.route_top.entries],
-                       "bottom": [list(r) for r in res.route_bottom.entries]}
+            payload = {"top": res.route_top.tolist(),
+                       "bottom": res.route_bottom.tolist()}
             return k, res.commutes, res.witness, payload
         except (MICError, NotKoszulError) as exc:
             return k, False, str(exc), {}

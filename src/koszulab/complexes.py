@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from typing import Optional, Sequence
 
 from .padic import (BaseRing, PAdicMatrix, ExactLinalgError, ShapeError,
@@ -166,9 +165,8 @@ def _homology_degree(ring: BaseRing, rank: int,
     ComplexError names ``degree - 1``, the lower end of the failing pair.
     """
     p, N, mod = ring.p, ring.N, ring.modulus
-    rows = [list(r) for r in d_out.entries] if d_out is not None else []
-    carried = ([list(r) for r in d_in.entries] if d_in is not None
-               else [[] for _ in range(rank)])
+    rows = d_out.tolist() if d_out is not None else []
+    carried = d_in.tolist() if d_in is not None else [[] for _ in range(rank)]
     vals = _eliminate(rows, rank, ring, companion=carried)
     orders = vals + [N] * (rank - len(vals))
     gens = sum(1 for a in orders if a)
@@ -190,21 +188,17 @@ def _homology_degree(ring: BaseRing, rank: int,
 class _SparseMap:
     """A differential f: X -> Y as it is reduced: ``cols[x]`` maps each row
     y to a nonzero f[y, x] (None once x is deleted), and ``rows[y]`` holds
-    the columns x with f[y, x] != 0."""
+    the columns x with f[y, x] != 0; both copy the matrix's stored rows."""
 
     __slots__ = ("cols", "rows")
 
     def __init__(self, d: PAdicMatrix):
         cols = [{} for _ in range(d.cols)]
-        rows = []
-        everything = range(d.cols)
-        for y, row in enumerate(d.entries):
-            nz = list(compress(everything, row))
-            for x in nz:
-                cols[x][y] = row[x]
-            rows.append(set(nz))
+        for y, row in enumerate(d.nonzeros):
+            for x, v in row.items():
+                cols[x][y] = v
         self.cols = cols
-        self.rows = rows
+        self.rows = [set(row) for row in d.nonzeros]
 
     def drop_row(self, y: int):
         for x in self.rows[y]:

@@ -198,7 +198,7 @@ def validate_package(pkg: SubgroupAlgebraPackage) -> ValidationReport:
         # t is a ring map: unit to unit, products to products
         unit_img = t @ PAdicMatrix(ring, [[x] for x in pkg.coeff.unit],
                                    pkg.coeff.rank, 1)
-        if tuple(r[0] for r in unit_img.entries) != a.unit:
+        if _apply_col(unit_img, 0) != a.unit:
             rep.fail("t unitality", f"order p^{k}")
         for i in range(pkg.coeff.rank):
             for j in range(pkg.coeff.rank):
@@ -232,11 +232,11 @@ def validate_package(pkg: SubgroupAlgebraPackage) -> ValidationReport:
 
 def _apply(mat: PAdicMatrix, vec):
     col = PAdicMatrix(mat.ring, [[x] for x in vec], len(vec), 1)
-    return tuple(r[0] for r in (mat @ col).entries)
+    return _apply_col(mat @ col, 0)
 
 
 def _apply_col(mat: PAdicMatrix, j):
-    return tuple(r[j] for r in mat.entries)
+    return tuple(r.get(j, 0) for r in mat.nonzeros)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +302,7 @@ def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
         if lhs != rhs:
             diff = lhs - rhs
             witness = next((f"degree {s}->{s + 1}, entry ({i},{j})")
-                           for i, row in enumerate(diff.entries)
-                           for j, x in enumerate(row) if x)
+                           for i, row in enumerate(diff.nonzeros) for j in sorted(row))
             return MICDualityResult(k, maps, False, witness)
     return MICDualityResult(k, maps, True, None)
 
@@ -381,8 +380,7 @@ def verify_theorem_10_2(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
     diff = top - bottom
     witness = next(f"basis vector {c0} of the {j}-fold flag module: "
                    f"images differ in coordinate {r}"
-                   for r, row in enumerate(diff.entries)
-                   for c0, x in enumerate(row) if x)
+                   for r, row in enumerate(diff.nonzeros) for c0 in sorted(row))
     return ShiftSquareResult(k, False, top, bottom, witness)
 
 
@@ -414,7 +412,7 @@ def builtin_height1_package(ds: Dataset) -> SubgroupAlgebraPackage:
 
 def package_to_json(pkg: SubgroupAlgebraPackage) -> dict:
     def mat(m):
-        return [list(r) for r in m.entries]
+        return m.tolist()
 
     return {
         "orders": [

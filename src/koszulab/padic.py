@@ -1,36 +1,37 @@
 """Exact matrices over the truncated ring Z/p^N and Smith normal form.
 
 All arithmetic is integer arithmetic on residues mod p^N; nothing here ever
-touches a float.  Matrices are immutable tuples of row tuples of residues in
-[0, p^N).
+touches a float.  A matrix stores only its nonzero entries, one dict per
+row (see :class:`PAdicMatrix`).
 
 Cost model.  The complexes built here are almost empty (bar face maps are
-I (x) m (x) I, partition boundaries have at most a few entries per column), so
-the kernel's cost follows the nonzero entries of both factors (Gustavson's
-row-by-row sparse product, ACM TOMS 4, 1978): row i of ``A @ B`` sums
-a * y over the nonzero entries a = A[i, k] and the nonzero entries y of row
-k of B, each row of B read for its nonzeros once per product, and is reduced
-once; a row with no term is one shared zero row and a row whose one term is
-an entry 1 is the row of B itself.  ``m.kron_apply(pre, post, S)`` applies a
-face (I_pre (x) m (x) I_post) @ S by the same rule without forming the
-Kronecker product or the identities, and ``A @ B`` is its case
-pre = post = 1.  Only output rows with a nonzero entry are built densely.
-``kron`` copies a zero block for a zero entry and the other factor's row for
-an entry 1.  A 1x1 identity factor of ``@`` or ``kron``, or a 1x1 identity S
-of ``kron_apply``, returns the other factor.  Results the kernel builds are
-already reduced and are wrapped without a second pass mod p^N; only the
-public constructor reduces and shape-checks what callers pass in.
+I (x) m (x) I, partition boundaries have at most a few entries per column),
+so every operation costs per stored nonzero and per row, never per cell.
+Products follow Gustavson's row-by-row sparse product (ACM TOMS 4, 1978):
+row i of ``A @ B`` sums a * y over the nonzeros a = A[i, k] and the
+nonzeros y of row k of B, and is reduced once; a row with no term is one
+shared empty row and a row whose one term is an entry 1 is the row of B
+itself.  ``m.kron_apply(pre, post, S)`` applies a face
+(I_pre (x) m (x) I_post) @ S by the same rule without forming the Kronecker
+product or the identities, and ``A @ B`` is its case pre = post = 1.
+``kron`` shifts the other factor's row for an entry 1 and scales it once
+per distinct entry otherwise.  A 1x1 identity factor of ``@`` or ``kron``,
+or a 1x1 identity S of ``kron_apply``, returns the other factor.  Results
+the kernel builds are already reduced and are wrapped without a second pass
+mod p^N; only the constructors reduce and check what callers pass in.
 
-Every Smith form, inverse, kernel and solution comes from one elimination
-kernel, `_eliminate`.  In Z/p^N every nonzero entry is a unit times p^v, so an
-entry of least valuation divides every other entry: elimination with that
-pivot needs no gcd steps and its entries never leave [0, p^N).
+Dense rows are built only on demand: ``entries`` builds each row tuple when
+it is read, ``tolist`` builds lists, which the elimination kernel,
+`_eliminate`, uses as scratch.  Every Smith form, inverse, kernel and
+solution comes from that one kernel.  In Z/p^N every nonzero entry is a
+unit times p^v, so an entry of least valuation divides every other entry:
+elimination with that pivot needs no gcd steps and its entries never leave
+[0, p^N).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
 from typing import Iterable, Sequence
 
 
@@ -119,21 +120,56 @@ class BaseRing:
         return pow(x, -1, self.modulus)
 
 
-_ONE = ((1,),)     # the entries of a 1x1 identity
+_ONE = ({0: 1},)   # the rows of a 1x1 identity
+_EMPTY = {}        # the row of every zero row the kernel builds; never changed
+
+
+class _DenseRows:
+    """A read-only view of a matrix's rows as dense tuples, each built when
+    it is read; it supports indexing, ``len``, iteration and ``==``."""
+
+    __slots__ = ("_rows", "_cols")
+
+    def __init__(self, rows: tuple, cols: int):
+        self._rows, self._cols = rows, cols
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        row = [0] * self._cols
+        for j, v in self._rows[i].items():
+            row[j] = v
+        return tuple(row)
+
+    def __iter__(self):
+        buf = [0] * self._cols
+        for row in self._rows:
+            for j, v in row.items():
+                buf[j] = v
+            yield tuple(buf)
+            for j in row:
+                buf[j] = 0
+
+    def __eq__(self, other):
+        return tuple(self) == other
 
 
 class PAdicMatrix:
-    """Dense exact matrix over Z/p^N.
+    """Exact matrix over Z/p^N, stored as its nonzero entries.
 
-    ``entries`` is a tuple of row tuples of residues in [0, p^N).  The public
-    constructor reduces and shape-checks what it is given; results the kernel
-    builds already have that form and are wrapped by :func:`_wrap` as they are.
+    ``nonzeros`` has one dict per row, column -> residue in [1, p^N).
+    Kernel results share row dicts with their operands, so the dicts are
+    read-only: copy one before changing it.  ``entries`` is a view of the
+    dense rows.  The constructors reduce and check what they are given;
+    kernel results are wrapped by :func:`_wrap` as they are.
     """
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "nonzeros")
 
     def __init__(self, ring: BaseRing, entries: Sequence[Sequence[int]],
                  rows: int | None = None, cols: int | None = None):
+        """The matrix with the given dense rows, reduced mod p^N."""
         if rows is None:
             rows = len(entries)
         if cols is None:
@@ -143,13 +179,13 @@ class PAdicMatrix:
         for r in entries:
             if len(r) != cols:
                 raise ShapeError("ragged rows")
-            data.append(tuple(x % m for x in r))
+            data.append({j: v for j, x in enumerate(r) if (v := x % m)})
         if len(data) != rows:
             raise ShapeError("row count mismatch")
         _set_ring(self, ring)
         _set_rows(self, rows)
         _set_cols(self, cols)
-        _set_entries(self, tuple(data))
+        _set_nonzeros(self, tuple(data))
 
     def __setattr__(self, *a):
         raise AttributeError("PAdicMatrix is immutable")
@@ -158,42 +194,29 @@ class PAdicMatrix:
 
     @staticmethod
     def identity(ring: BaseRing, n: int) -> "PAdicMatrix":
-        row = [0] * n
-        out = []
-        for i in range(n):
-            row[i] = 1
-            out.append(tuple(row))
-            row[i] = 0
-        return _wrap(ring, tuple(out), n, n)
+        return _wrap(ring, tuple([{i: 1} for i in range(n)]), n, n)
 
     @staticmethod
     def zeros(ring: BaseRing, rows: int, cols: int) -> "PAdicMatrix":
-        return _wrap(ring, ((0,) * cols,) * rows, rows, cols)
-
-    @staticmethod
-    def from_flat(ring: BaseRing, rows: int, cols: int, flat: Sequence[int]) -> "PAdicMatrix":
-        if len(flat) != rows * cols:
-            raise ShapeError("flat entry count mismatch")
-        return PAdicMatrix(ring, [flat[i * cols:(i + 1) * cols] for i in range(rows)], rows, cols)
+        return _wrap(ring, (_EMPTY,) * rows, rows, cols)
 
     @staticmethod
     def from_sparse_rows(ring: BaseRing, rows: int, cols: int,
                          nonzeros: Sequence[dict]) -> "PAdicMatrix":
         """The matrix whose row i has entry v at column j for each item j: v
-        of ``nonzeros[i]``; the values are reduced mod p^N, so the cost is
-        one pass per row plus one reduction per listed entry."""
+        of ``nonzeros[i]``.  Each row is kept as a new dict of its entries
+        reduced mod p^N, zeros dropped, so the cost is one reduction per
+        listed entry; the dicts given are not kept or changed."""
         if len(nonzeros) != rows:
             raise ShapeError("row count mismatch")
+        if any(nonzeros):
+            lo = min(map(min, filter(None, nonzeros)))
+            hi = max(map(max, filter(None, nonzeros)))
+            if lo < 0 or hi >= cols:
+                raise ShapeError(f"column {lo if lo < 0 else hi} outside 0..{cols - 1}")
         m = ring.modulus
-        out = []
-        for nz in nonzeros:
-            row = [0] * cols
-            for j, v in nz.items():
-                if not 0 <= j < cols:
-                    raise ShapeError(f"column {j} outside 0..{cols - 1}")
-                row[j] = v % m
-            out.append(tuple(row))
-        return _wrap(ring, tuple(out), rows, cols)
+        return _wrap(ring, tuple([{j: r for j, v in nz.items() if (r := v % m)} if nz
+                                  else _EMPTY for nz in nonzeros]), rows, cols)
 
     # -- basics ------------------------------------------------------------
 
@@ -201,25 +224,44 @@ class PAdicMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
+    @property
+    def entries(self) -> _DenseRows:
+        """The rows as dense tuples, each built when it is read."""
+        return _DenseRows(self.nonzeros, self.cols)
+
     def __eq__(self, other):
         return (isinstance(other, PAdicMatrix) and self.ring == other.ring
-                and self.shape == other.shape and self.entries == other.entries)
+                and self.shape == other.shape and self.nonzeros == other.nonzeros)
 
     def __hash__(self):
-        return hash((self.ring, self.entries))
+        # from the nonzeros as sets, so the order of a row dict's keys,
+        # which depends on how the row was built, does not count
+        return hash((self.ring, self.shape,
+                     tuple(frozenset(r.items()) for r in self.nonzeros)))
 
     def __repr__(self):
         return f"PAdicMatrix({self.rows}x{self.cols} mod {self.ring.p}^{self.ring.N})"
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.entries))
+        return not any(self.nonzeros)
+
+    def _column(self, j: int) -> int:
+        if not -self.cols <= j < self.cols:
+            raise IndexError(f"column {j} outside 0..{self.cols - 1}")
+        return j % self.cols
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self.nonzeros[i].get(self._column(j), 0)
 
     def tolist(self):
-        return [list(r) for r in self.entries]
+        out = []
+        for r in self.nonzeros:
+            row = [0] * self.cols
+            for j, v in r.items():
+                row[j] = v
+            out.append(row)
+        return out
 
     # -- arithmetic --------------------------------------------------------
     #
@@ -230,9 +272,19 @@ class PAdicMatrix:
         if self.shape != other.shape:
             raise ShapeError(f"add {self.shape} vs {other.shape}")
         m = self.ring.modulus
-        return _wrap(self.ring, tuple(
-            tuple((a + b) % m for a, b in zip(r, s))
-            for r, s in zip(self.entries, other.entries)), self.rows, self.cols)
+        out = []
+        for a, b in zip(self.nonzeros, other.nonzeros):
+            if not a:
+                a = b
+            elif b:
+                a = dict(a)
+                for j, y in b.items():
+                    if v := (a.get(j, 0) + y) % m:
+                        a[j] = v
+                    else:
+                        del a[j]
+            out.append(a)
+        return _wrap(self.ring, tuple(out), self.rows, self.cols)
 
     def __sub__(self, other: "PAdicMatrix") -> "PAdicMatrix":
         return self + (-other)
@@ -245,8 +297,8 @@ class PAdicMatrix:
         c %= m
         if c == 1:
             return self
-        return _wrap(self.ring, tuple(tuple(c * a % m for a in r) for r in self.entries),
-                     self.rows, self.cols)
+        return _wrap(self.ring, tuple({j: w for j, v in r.items() if (w := c * v % m)}
+                                      for r in self.nonzeros), self.rows, self.cols)
 
     def __matmul__(self, other: "PAdicMatrix") -> "PAdicMatrix":
         """The product, as ``kron_apply`` with no identity factors, so its
@@ -254,38 +306,45 @@ class PAdicMatrix:
         the other factor."""
         if self.cols != other.rows:
             raise ShapeError(f"matmul {self.shape} vs {other.shape}")
-        if self.entries == _ONE:
+        if self.cols == 1 and self.nonzeros == _ONE:
             return other
         return self.kron_apply(1, 1, other)
 
     def transpose(self) -> "PAdicMatrix":
-        return _wrap(self.ring, tuple(zip(*self.entries)) if self.rows
-                     else ((),) * self.cols, self.cols, self.rows)
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nonzeros):
+            for j, v in r.items():
+                out[j][i] = v
+        return _wrap(self.ring, tuple(out), self.cols, self.rows)
 
     def kron(self, other: "PAdicMatrix") -> "PAdicMatrix":
         """Kronecker product; basis index (i, k) -> i * other.rows + k.
 
-        Block (i, j) is zero for a zero entry self[i, j], ``other`` itself
-        for an entry 1, and is computed only for the other entries.  A 1x1
-        identity factor returns the other factor."""
-        if other.entries == _ONE:
+        Block (i, j) is stored only for a nonzero entry self[i, j]: the row
+        of ``other`` shifted for an entry 1, and that row scaled, once per
+        distinct entry, for any other.  A 1x1 identity factor returns the
+        other factor."""
+        if other.cols == 1 and other.nonzeros == _ONE:
             return self
-        if self.entries == _ONE:
+        if self.cols == 1 and self.nonzeros == _ONE:
             return other
-        m = self.ring.modulus
-        zero = (0,) * other.cols
-        scaled = [{0: zero, 1: b} for b in other.entries]   # per row of other
+        m, width = self.ring.modulus, other.cols
+        scaled = [{1: b} for b in other.nonzeros]   # per row of other: x -> x * row
         out = []
-        for r in self.entries:
-            for k, b in enumerate(other.entries):
-                blocks = scaled[k]
-                parts = []
-                for a in r:
-                    blk = blocks.get(a)
+        for r in self.nonzeros:
+            terms = [(j * width, x) for j, x in r.items()]
+            for b, blocks in zip(other.nonzeros, scaled):
+                if not b:
+                    out.append(_EMPTY)
+                    continue
+                row = {}
+                for off, x in terms:
+                    blk = blocks.get(x)
                     if blk is None:
-                        blk = blocks[a] = tuple(a * y % m for y in b)
-                    parts.append(blk)
-                out.append(tuple(chain.from_iterable(parts)))
+                        blk = blocks[x] = {l: w for l, y in b.items() if (w := x * y % m)}
+                    for l, w in blk.items():
+                        row[off + l] = w
+                out.append(row or _EMPTY)
         return _wrap(self.ring, tuple(out), self.rows * other.rows, self.cols * other.cols)
 
     def kron_apply(self, pre: int, post: int, S: "PAdicMatrix") -> "PAdicMatrix":
@@ -294,85 +353,76 @@ class PAdicMatrix:
         over the nonzero entries x = self[r, j].
 
         The cost is per nonzero of both factors.  An output row with no term
-        is one shared zero row and a term x = 1 alone is the row of S itself;
-        any other row sums x * y over the nonzero entries y of its rows of S,
-        each row of S read for its nonzeros once per call, and is reduced
-        once.  A 1x1 identity S returns ``self``."""
+        is one shared empty row and a term x = 1 alone is the row of S
+        itself; any other row sums x * y over the nonzeros y of its rows of
+        S and is reduced once.  A 1x1 identity S returns ``self``."""
         width = self.cols * post
         if S.rows != pre * width:
             raise ShapeError(f"kron_apply {pre} (x) {self.shape} (x) {post} "
                              f"vs {S.shape}")
-        if S.entries == _ONE:
+        if S.cols == 1 and S.nonzeros == _ONE:
             return self
         m = self.ring.modulus
-        B = S.entries
-        n = S.cols
-        zero = (0,) * n
-        inner, outer = range(self.cols), range(n)
-        terms = [[(j * post, r[j]) for j in compress(inner, r)] for r in self.entries]
-        nonzeros = {}          # row index of S -> [(column, entry)] of its nonzeros
+        B = S.nonzeros
+        terms = [[(j * post, x) for j, x in r.items()] for r in self.nonzeros]
         out = []
         for a in range(pre):
             for row_terms in terms:
                 for c in range(a * width, a * width + post):
                     if not row_terms:
-                        out.append(zero)
+                        out.append(_EMPTY)
                         continue
                     if len(row_terms) == 1 and row_terms[0][1] == 1:
                         out.append(B[c + row_terms[0][0]])
                         continue
                     acc = {}
                     for off, x in row_terms:
-                        nz = nonzeros.get(c + off)
-                        if nz is None:
-                            b = B[c + off]
-                            nz = nonzeros[c + off] = [(j, b[j]) for j in compress(outer, b)]
-                        for j, y in nz:
+                        for j, y in B[c + off].items():
                             acc[j] = acc.get(j, 0) + x * y
-                    row = None
-                    for j, v in acc.items():
-                        v %= m
-                        if v:
-                            if row is None:
-                                row = [0] * n
-                            row[j] = v
-                    out.append(zero if row is None else tuple(row))
-        return _wrap(self.ring, tuple(out), pre * self.rows * post, n)
+                    out.append({j: r for j, v in acc.items() if (r := v % m)} or _EMPTY)
+        return _wrap(self.ring, tuple(out), pre * self.rows * post, S.cols)
 
     def hstack(self, other: "PAdicMatrix") -> "PAdicMatrix":
         if self.rows != other.rows:
             raise ShapeError("hstack row mismatch")
-        return _wrap(self.ring, tuple(a + b for a, b in zip(self.entries, other.entries)),
-                     self.rows, self.cols + other.cols)
+        c = self.cols
+        return _wrap(self.ring, tuple({**a, **{j + c: v for j, v in b.items()}} if b else a
+                                      for a, b in zip(self.nonzeros, other.nonzeros)),
+                     self.rows, c + other.cols)
 
     def column(self, j: int) -> "PAdicMatrix":
-        return _wrap(self.ring, tuple((r[j],) for r in self.entries), self.rows, 1)
+        j = self._column(j)
+        return _wrap(self.ring, tuple({0: r[j]} if j in r else _EMPTY for r in self.nonzeros),
+                     self.rows, 1)
 
     def select_rows(self, idx: Iterable[int]) -> "PAdicMatrix":
-        rows = tuple(self.entries[i] for i in idx)
+        rows = tuple(self.nonzeros[i] for i in idx)
         return _wrap(self.ring, rows, len(rows), self.cols)
 
     def select_cols(self, idx: Iterable[int]) -> "PAdicMatrix":
-        idx = list(idx)
-        return _wrap(self.ring, tuple(tuple(r[j] for j in idx) for r in self.entries),
-                     self.rows, len(idx))
+        idx = [self._column(j) for j in idx]
+        at = {}            # column of self -> its positions in the result
+        for n, j in enumerate(idx):
+            at.setdefault(j, []).append(n)
+        return _wrap(self.ring, tuple({n: v for j, v in r.items() for n in at.get(j, ())}
+                                      for r in self.nonzeros), self.rows, len(idx))
 
 
 # The slots' own setters, which bypass the class's __setattr__.
-_set_ring, _set_rows, _set_cols, _set_entries = (
+_set_ring, _set_rows, _set_cols, _set_nonzeros = (
     PAdicMatrix.__dict__[name].__set__ for name in PAdicMatrix.__slots__)
 _new = object.__new__
 
 
-def _wrap(ring: BaseRing, entries: tuple, rows: int, cols: int) -> PAdicMatrix:
-    """Wrap ``entries``, already a tuple of ``rows`` tuples of ``cols``
-    residues in [0, p^N), as a matrix without copying, reducing or checking
-    it.  Only the kernel calls this, on results it built itself."""
+def _wrap(ring: BaseRing, nonzeros: tuple, rows: int, cols: int) -> PAdicMatrix:
+    """Wrap ``nonzeros``, ``rows`` dicts of column (below ``cols``) -> residue
+    in [1, p^N), as a matrix without copying, reducing or checking them.
+    Only the kernel calls this, on results it built itself."""
     self = _new(PAdicMatrix)
     _set_ring(self, ring)
     _set_rows(self, rows)
     _set_cols(self, cols)
-    _set_entries(self, entries)
+    _set_nonzeros(self, nonzeros)
     return self
 
 
@@ -599,18 +649,16 @@ class SmithDecomposition:
     right: PAdicMatrix
 
     def diagonal_matrix(self, rows: int, cols: int) -> PAdicMatrix:
-        ring = self.left.ring
-        out = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(self.invariants):
-            out[i][i] = d
-        return PAdicMatrix(ring, out, rows, cols)
+        diag = [{i: self.invariants[i]} if i < len(self.invariants) else {}
+                for i in range(rows)]
+        return PAdicMatrix.from_sparse_rows(self.left.ring, rows, cols, diag)
 
 
 def smith_normal_form(A: PAdicMatrix) -> SmithDecomposition:
     """Smith form over Z/p^N by minimum-valuation elimination."""
     ring = A.ring
     left, right = _identity_rows(A.rows), _identity_rows(A.cols)
-    vals = _eliminate([list(r) for r in A.entries], A.cols, ring, left, right)
+    vals = _eliminate(A.tolist(), A.cols, ring, left, right)
     invariants = [ring.p ** v for v in vals]
     invariants += [0] * (min(A.rows, A.cols) - len(vals))
     return SmithDecomposition(tuple(invariants),
@@ -654,7 +702,7 @@ def inverse_mod(A: PAdicMatrix) -> PAdicMatrix:
     if A.cols != n:
         raise ShapeError("inverse of non-square matrix")
     left, right = _identity_rows(n), _identity_rows(n)
-    vals = _eliminate([list(r) for r in A.entries], n, ring, left, right)
+    vals = _eliminate(A.tolist(), n, ring, left, right)
     if len(vals) < n or any(vals):
         raise ExactLinalgError("matrix is not invertible mod p^N")
     return PAdicMatrix(ring, list(zip(*right)), n, n) @ PAdicMatrix(ring, left, n, n)
@@ -675,8 +723,7 @@ def solve(A: PAdicMatrix, B: PAdicMatrix) -> PAdicMatrix:
     for i in range(A.rows):
         inv = snf.invariants[i] if i < len(snf.invariants) else None
         a = ring.N if inv is None or inv == 0 else ring.valuation(inv)
-        for j in range(B.cols):
-            c = C.entries[i][j]
+        for j, c in sorted(C.nonzeros[i].items()):     # a zero c is always solved
             if ring.valuation(c) < a:
                 raise InconsistentSystemError(
                     f"no solution: row {i}, col {j} (valuation {ring.valuation(c)} < {a})")

@@ -7,10 +7,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszulab.algebra import builtin_height1
+from koszulab.bar import KoszulData, bar_complex_with_module
 from koszulab.padic import BaseRing, PAdicMatrix, ShapeError
 from koszulab.complexes import (COHOMOLOGICAL, HOMOLOGICAL, ComplexError,
                                 _homology_degree, dualize_complex, homology,
                                 make_complex, verify_complex)
+from koszulab.partition import partition_complex
 
 RING22 = BaseRing(2, 2)
 # the brute-force oracles also run over these, with ranks at most 3 to keep
@@ -329,3 +332,23 @@ def test_euler_characteristic_matches_alternating_free_ranks():
 def test_empty_complex():
     C = make_complex(RING22, HOMOLOGICAL, 3, [], [])
     assert homology(C).is_zero()
+
+
+def test_homology_leaves_its_input_unchanged():
+    """homology reduces copies of the stored nonzeros: afterwards every
+    differential has the same entries and the same hash, and a second call
+    gives the same profile.  The complexes are the partition complex at
+    n = 4 and a bar, a module bar and a Koszul complex taken from one
+    KoszulData (the module bar rows start as copies of shared merge rows),
+    with the dual of the last."""
+    ds = builtin_height1(3, 2, 5)
+    data = KoszulData(ds.algebra)
+    koszul = data.koszul_complex(ds.module("sphere")).complex
+    complexes = [partition_complex(4, RING22).complex, data.bar(4).complex,
+                 bar_complex_with_module(ds.algebra, ds.module("triv"), 5, data).complex,
+                 koszul, dualize_complex(koszul)]
+    for C in complexes:
+        before = [(d.tolist(), hash(d)) for d in C.differentials]
+        first = homology(C)
+        assert [(d.tolist(), hash(d)) for d in C.differentials] == before
+        assert homology(C) == first

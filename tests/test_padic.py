@@ -119,13 +119,19 @@ def raw_entries(draw, ring, rows, cols):
 
 
 def assert_reduced(M, rows, cols):
-    """The invariant the kernel's unreduced wrapping relies on."""
+    """The storage invariant the kernel's unchecked wrapping relies on: per
+    row only nonzero residues, each an int in [1, p^N) at a column in
+    range; and the dense view yields ``rows`` tuples of length ``cols``."""
     m = M.ring.modulus
     assert M.shape == (rows, cols)
-    assert type(M.entries) is tuple and len(M.entries) == rows
-    for r in M.entries:
-        assert type(r) is tuple and len(r) == cols
-        assert all(type(x) is int and 0 <= x < m for x in r)
+    assert type(M.nonzeros) is tuple and len(M.nonzeros) == rows
+    for r in M.nonzeros:
+        assert type(r) is dict
+        assert all(type(j) is int and 0 <= j < cols for j in r)
+        assert all(type(x) is int and 0 < x < m for x in r.values())
+    dense = list(M.entries)
+    assert len(M.entries) == len(dense) == rows
+    assert all(type(r) is tuple and len(r) == cols for r in dense)
 
 
 def naive(ring, raw):
@@ -172,44 +178,6 @@ def test_kron_apply_is_the_product_with_identity_factors(ring, pre, post, r, c,
         m.kron_apply(pre, post, PAdicMatrix.zeros(ring, rows + 1, l))
 
 
-@given(st.sampled_from(KERNEL_RINGS), dims, dims, dims, st.data())
-@settings(max_examples=150, deadline=None)
-def test_reshaping_and_entrywise_ops_match_naive_definitions(ring, n, k, l, data):
-    m = ring.modulus
-    a = data.draw(raw_entries(ring, n, k))
-    b = data.draw(raw_entries(ring, n, k))
-    c = data.draw(raw_entries(ring, n, l))
-    A, B, C = (PAdicMatrix(ring, a, n, k), PAdicMatrix(ring, b, n, k),
-               PAdicMatrix(ring, c, n, l))
-    ra, rb, rc = naive(ring, a), naive(ring, b), naive(ring, c)
-    T = A.transpose()
-    assert_reduced(T, k, n)
-    assert T.tolist() == [[ra[i][j] for i in range(n)] for j in range(k)]
-    H = A.hstack(C)
-    assert_reduced(H, n, k + l)
-    assert H.tolist() == [ra[i] + rc[i] for i in range(n)]
-    ri = data.draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
-    ci = data.draw(st.lists(st.integers(0, k - 1), max_size=6)) if k else []
-    R, S = A.select_rows(ri), A.select_cols(ci)
-    assert_reduced(R, len(ri), k)
-    assert_reduced(S, n, len(ci))
-    assert R.tolist() == [ra[i] for i in ri]
-    assert S.tolist() == [[ra[i][j] for j in ci] for i in range(n)]
-    c0 = data.draw(st.integers(-2 * m, 2 * m))
-    for M, want in ((A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)]),
-                    (A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)]),
-                    (-A, [[-x for x in r] for r in ra]),
-                    (A.scale(c0), [[c0 * x for x in r] for r in ra])):
-        assert_reduced(M, n, k)
-        assert M.tolist() == naive(ring, want)
-    for M in (PAdicMatrix.identity(ring, n), PAdicMatrix.zeros(ring, n, k)):
-        assert_reduced(M, n, M.cols)
-    if k:
-        col = A.column(k - 1)
-        assert_reduced(col, n, 1)
-        assert col.tolist() == [[r[k - 1]] for r in ra]
-
-
 @st.composite
 def entries_with_empty_lines(draw, ring, rows, cols):
     """``raw_entries`` with a drawn set of whole rows and columns zeroed."""
@@ -253,6 +221,85 @@ def test_sparse_products_match_naive_definitions(ring, pre, post, r, c, l, data)
         assert col @ one == col
     if r == 1:
         assert one @ M is M
+
+
+@given(st.sampled_from(KERNEL_RINGS), dims, dims, dims, st.data())
+@settings(max_examples=150, deadline=None)
+def test_reshaping_and_entrywise_ops_match_naive_definitions(ring, n, k, l, data):
+    """Each operation, on factors with empty rows and columns and often 90%
+    zeros, against the dense reference; the stored rows of every result hold
+    only nonzero residues."""
+    m = ring.modulus
+    a, b = (data.draw(entries_with_empty_lines(ring, n, k)) for _ in range(2))
+    c = data.draw(entries_with_empty_lines(ring, n, l))
+    e = data.draw(entries_with_empty_lines(ring, l, l))
+    A, B, C, E = (PAdicMatrix(ring, a, n, k), PAdicMatrix(ring, b, n, k),
+                  PAdicMatrix(ring, c, n, l), PAdicMatrix(ring, e, l, l))
+    ra, rb, rc, re = naive(ring, a), naive(ring, b), naive(ring, c), naive(ring, e)
+    c0 = data.draw(st.sampled_from([0, 1, -1, m, data.draw(st.integers(-2 * m, 2 * m))]))
+    ri = data.draw(st.lists(st.integers(-n, n - 1), max_size=6)) if n else []
+    ci = data.draw(st.lists(st.integers(-k, k - 1), max_size=6)) if k else []
+    cases = [
+        (A.transpose(), [[ra[i][j] for i in range(n)] for j in range(k)]),
+        (A.kron(E), [[ra[i][j] * re[s][t] for j in range(k) for t in range(l)]
+                     for i in range(n) for s in range(l)]),
+        (E.kron(A), [[re[s][t] * ra[i][j] for t in range(l) for j in range(k)]
+                     for s in range(l) for i in range(n)]),
+        (A.hstack(C), [ra[i] + rc[i] for i in range(n)]),
+        (A.select_rows(ri), [ra[i] for i in ri]),
+        (A.select_cols(ci), [[ra[i][j] for j in ci] for i in range(n)]),
+        (A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)]),
+        (A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)]),
+        (A - A, [[0] * k for _ in range(n)]),
+        (-A, [[-x for x in r] for r in ra]),
+        (A.scale(c0), [[c0 * x for x in r] for r in ra]),
+        (PAdicMatrix.identity(ring, n), [[int(i == j) for j in range(n)] for i in range(n)]),
+        (PAdicMatrix.zeros(ring, n, k), [[0] * k for _ in range(n)]),
+    ]
+    if k:
+        j = data.draw(st.integers(-k, k - 1))
+        cases.append((A.column(j), [[r[j]] for r in ra]))
+    for M, want in cases:
+        want = naive(ring, want)
+        assert_reduced(M, len(want), len(want[0]) if want else M.cols)
+        assert M.tolist() == want
+        assert M.is_zero() == (not any(map(any, want)))
+        assert [list(r) for r in M.entries] == want
+        assert all(M[i, j] == x for i, r in enumerate(want) for j, x in enumerate(r))
+
+
+def test_products_of_zero_divisors_store_no_zero():
+    """2 * 2 = 0 in Z/4: every entry of these results cancels, and none is
+    stored."""
+    ring = BaseRing(2, 2)
+    two = PAdicMatrix(ring, [[2, 2], [0, 2]], 2, 2)
+    for M in (two @ two, two.kron(two), two.kron_apply(2, 1, two.kron(two)),
+              two.scale(2), two + two, two - two):
+        assert_reduced(M, *M.shape)
+        assert M.is_zero() and not any(M.nonzeros)
+
+
+@given(st.sampled_from(KERNEL_RINGS), dims, dims, st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_matrix_built_three_ways_is_equal_and_hashes_alike(ring, n, k, data):
+    """The dense constructor, sparse rows with explicit zeros, values >= p^N
+    and columns listed backwards, and kernel results give equal matrices
+    with equal hashes (KoszulData keys its skeletons on bimodule values)."""
+    m = ring.modulus
+    raw = data.draw(entries_with_empty_lines(ring, n, k))
+    dense = PAdicMatrix(ring, raw, n, k)
+    lifted = [{j: raw[i][j] % m + m * ((i + j) % 3 == 0)
+               for j in reversed(range(k))} for i in range(n)]
+    sparse = PAdicMatrix.from_sparse_rows(ring, n, k, lifted)
+    built = [dense, sparse, PAdicMatrix.identity(ring, n) @ sparse,
+             sparse.transpose().transpose(),
+             PAdicMatrix.identity(ring, n).kron_apply(1, 1, dense)]
+    for M in built:
+        assert_reduced(M, n, k)
+        assert M == dense and M.tolist() == naive(ring, raw)
+        assert hash(M) == hash(dense)
+        assert M.entries == dense.entries == tuple(map(tuple, naive(ring, raw)))
+    assert len({M for M in built}) == 1
 
 
 @pytest.mark.parametrize("orientation", [HOMOLOGICAL, COHOMOLOGICAL])
