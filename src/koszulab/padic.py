@@ -121,7 +121,7 @@ class BaseRing:
 
 
 _ONE = ({0: 1},)   # the rows of a 1x1 identity
-_EMPTY = {}        # the row of every zero row the kernel builds; never changed
+_EMPTY = {}        # one empty row that zero rows share; never changed
 
 
 class _DenseRows:
