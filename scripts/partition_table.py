@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Tabulate the partition complex: nondegenerate simplex counts per degree,
-reduced homology, and wall time, for a range of n and primes.
+"""Tabulate the partition complex: predicted simplex counts per degree for
+every n up to --nmax, and, where the size guardrail admits n (or --force is
+given), the enumerated counts, reduced homology and wall time, for a range
+of primes.
 
-The top-degree rank should be (n-1)!; everything else should vanish.
+The enumerated counts must equal the predicted ones; the top-degree rank
+should be (n-1)!; everything else should vanish.
 """
 import argparse
 import math
 import time
 
 from koszulab.padic import BaseRing
-from koszulab.partition import nondegenerate_simplices, partition_homology
+from koszulab.partition import (SIMPLEX_BUDGET, chain_counts,
+                                nondegenerate_simplices, partition_homology)
 
 
 def main():
@@ -21,10 +25,20 @@ def main():
     ap.add_argument("--force", action="store_true")
     args = ap.parse_args()
 
-    for n in range(1, args.nmax + 1):
-        counts = {s: len(c) for s, c in
-                  sorted(nondegenerate_simplices(n, args.force).items())}
-        print(f"n={n}: nondegenerate simplices per degree {counts}")
+    mismatches = 0
+    for n, predicted in zip(range(1, args.nmax + 1), chain_counts()):
+        total = sum(predicted)
+        print(f"n={n}: predicted simplices per degree {predicted} "
+              f"({total:,} in all)")
+        if total > SIMPLEX_BUDGET and not args.force:
+            print(f"  above the budget of {SIMPLEX_BUDGET:,}: not built "
+                  "(--force to build it)")
+            continue
+        by_degree = nondegenerate_simplices(n, args.force)
+        counts = tuple(len(by_degree.get(s, ())) for s in range(n))
+        same = counts == predicted
+        mismatches += not same
+        print(f"  enumerated {'equal the prediction' if same else counts}")
         for p in args.primes:
             t0 = time.monotonic()
             prof = partition_homology(n, BaseRing(p, args.N), force=args.force)
@@ -35,7 +49,8 @@ def main():
                           for d in prof.degrees if d != n - 1))
             print(f"  p={p}, N={args.N}: free ranks {prof.free_ranks} "
                   f"[{'ok' if ok else 'UNEXPECTED'}] ({dt:.2f}s)")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -1,21 +1,26 @@
-"""The pointed simplicial set of weak chains in the partition lattice of
-{1,...,n} from the one-block partition to the discrete one, its normalized
-(reduced) chain complex, and exact homology over Z/p^N."""
+"""The pointed partition complex: strict chains from the one-block to the
+discrete partition of {1,...,n}, their normalized reduced chain complex (end
+faces hit the basepoint), and its exact homology over Z/p^N.
+
+Within one call each set partition is a tuple of block bitmasks (bit i-1
+for letter i, blocks by least letter) interned to a small int id, chains
+are tuples of ids, and an interior face is a slice of its chain.  Before it
+enumerates, a build predicts its chain counts and refuses a size above
+SIMPLEX_BUDGET unless forced."""
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .padic import BaseRing, PAdicMatrix
 from .complexes import (HOMOLOGICAL, ChainComplex, HomologyProfile,
                         homology, make_complex)
 
-BASEPOINT = "*"
-
-#: Hard size guardrail: the number of simplices grows faster than the Bell
-#: numbers, so anything past n = 8 is rejected unless forced.
-MAX_N = 8
+#: The most nondegenerate simplices a build makes unless forced.  n = 7 has
+#: 262,760 (about 2 s and 250 MB); n = 8 would have 10,270,696.
+SIMPLEX_BUDGET = 10 ** 6
 
 
 class PartitionSizeError(ValueError):
@@ -23,131 +28,122 @@ class PartitionSizeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Set partitions
+# The partition lattice on ids
 # ---------------------------------------------------------------------------
-
-def canonical(blocks):
-    """Canonical form: blocks as sorted tuples, ordered by least element."""
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-
 
 @lru_cache(maxsize=None)
 def _partitions_of_range(m: int):
-    """All set partitions of range(m), canonical, via restricted growth."""
+    """All set partitions of range(m), canonical, in restricted-growth order:
+    m - 1 joins each block of a partition of range(m - 1), then a new one."""
     if m == 0:
         return ((),)
-    out = []
-
-    def grow(i, labels, kmax):
-        if i == m:
-            blocks = [[] for _ in range(kmax + 1)]
-            for x, lab in enumerate(labels):
-                blocks[lab].append(x)
-            out.append(canonical(blocks))
-            return
-        for lab in range(kmax + 2):
-            grow(i + 1, labels + [lab], max(kmax, lab))
-
-    grow(1, [0], 0)
-    return tuple(out)
+    return tuple(part[:j] + (part[j] + (m - 1,),) + part[j + 1:]
+                 if j < len(part) else part + ((m - 1,),)
+                 for part in _partitions_of_range(m - 1)
+                 for j in range(len(part) + 1))
 
 
-def set_partitions(elements):
-    """All partitions of a finite iterable, canonical form."""
-    elements = sorted(elements)
-    m = len(elements)
-    result = []
-    for part in _partitions_of_range(m):
-        result.append(canonical(tuple(elements[i] for i in b) for b in part))
-    return result
+def id_lattice(n: int):
+    """(blocks, finer): blocks[i] is partition i of {1,...,n} as bitmasks
+    ordered by least letter, id 0 the one-block partition, and finer[i] the
+    ids of its strict refinements: one set partition of each block, each in
+    restricted-growth order, varied lexicographically over the blocks."""
+    blocks = [((1 << n) - 1,)]
+    ids = {blocks[0]: 0}
+    splits = {}       # block -> its set partitions, as tuples of bitmasks
+    finer = []
+    for lam in blocks:                 # blocks grows as partitions are met
+        choices = []
+        for b in lam:
+            if b not in splits:
+                bits = [1 << i for i in range(n) if b >> i & 1]
+                splits[b] = [tuple(sum(bits[i] for i in blk) for blk in part)
+                             for part in _partitions_of_range(len(bits))]
+            choices.append(splits[b])
+        out = []
+        # the first choice splits no block: lam itself
+        for combo in itertools.islice(itertools.product(*choices), 1, None):
+            mu = tuple(sorted(itertools.chain.from_iterable(combo),
+                              key=lambda b: b & -b))     # by least letter
+            if mu not in ids:
+                ids[mu] = len(blocks)
+                blocks.append(mu)
+            out.append(ids[mu])
+        finer.append(out)
+    return blocks, finer
 
 
-def one_block(n: int):
-    return canonical([range(1, n + 1)])
-
-
-def discrete(n: int):
-    return canonical([i] for i in range(1, n + 1))
-
-
-def strict_refinements(lam):
-    """All partitions strictly finer than lam, canonical form."""
-    choices = [set_partitions(b) for b in lam]
-    out = []
-    for combo in itertools.product(*choices):
-        if all(len(part) == 1 for part in combo):
-            continue  # nothing split: lam itself
-        out.append(canonical(itertools.chain.from_iterable(combo)))
-    return out
+def decode(n: int, blocks, chains):
+    """Per degree, the chains of ids as chains of canonical partitions."""
+    part = [tuple(tuple(i + 1 for i in range(n) if b >> i & 1) for b in lam)
+            for lam in blocks]
+    return [[tuple(part[i] for i in c) for c in cs] for cs in chains]
 
 
 # ---------------------------------------------------------------------------
-# The pointed simplicial set
+# Size prediction and chain enumeration
 # ---------------------------------------------------------------------------
 
-def face(chain, i: int):
-    """d_i deletes lambda_i.  Deleting an end element breaks the boundary
-    conditions (the chain must run from the one-block partition to the
-    discrete one), so the result collapses to the basepoint — unless the end
-    element is repeated, in which case the conditions survive.  On strict
-    chains this is the usual rule "the two end faces hit the basepoint"."""
-    if chain == BASEPOINT:
-        return BASEPOINT
-    s = len(chain) - 1
-    if s == 0:
-        raise IndexError("no faces in degree 0")
-    if not 0 <= i <= s:
-        raise IndexError(f"face index {i} outside 0..{s}")
-    if i == 0:
-        return chain[1:] if chain[0] == chain[1] else BASEPOINT
-    if i == s:
-        return chain[:-1] if chain[s - 1] == chain[s] else BASEPOINT
-    return chain[:i] + chain[i + 1:]
+def chain_counts():
+    """Yield, for n = 1, 2, ..., the strict chain counts of degree 0..n-1
+    on n letters, enumerating none.  weak[k][m] counts chains of m weak steps
+    on k letters: a first step splits them into blocks that go their own ways,
+    so by the block of the least letter weak[k][m] = sum over j of C(k-1, j-1)
+    weak[j][m-1] weak[k-j][m]; binomial inversion gives the strict counts."""
+    def step(k, m):
+        return sum(comb(k - 1, j - 1) * weak[j][m - 1] * weak[k - j][m]
+                   for j in range(1, k + 1))
 
-
-def degeneracy(chain, i: int):
-    """s_i repeats lambda_i."""
-    if chain == BASEPOINT:
-        return BASEPOINT
-    s = len(chain) - 1
-    if not 0 <= i <= s:
-        raise IndexError(f"degeneracy index {i} outside 0..{s}")
-    return chain[:i + 1] + chain[i:]
+    weak = [[]]                        # weak[0][m] = 1: no letters
+    for n in itertools.count(1):
+        for k, row in enumerate(weak):     # column m = n - 1 for k < n
+            row.append(step(k, n - 1) if k else 1)
+        row = [int(n == 1)]
+        weak.append(row)
+        for m in range(1, n):
+            row.append(step(n, m))
+        yield tuple(sum((-1) ** (s - m) * comb(s, m) * row[m]
+                        for m in range(s + 1)) for s in range(n))
 
 
 def _check_n(n: int, force: bool):
+    """Refuse n < 1 and, unless forced, a predicted simplex count above
+    SIMPLEX_BUDGET.  Counts grow with n (a chain on n-1 letters, {n} added,
+    one-block put first, is one on n), so prediction stops at the first size
+    over the budget."""
     if n < 1:
         raise PartitionSizeError("n must be >= 1")
-    if n > MAX_N and not force:
-        raise PartitionSizeError(
-            f"n = {n} exceeds the guardrail {MAX_N}; pass force=True to "
-            "attempt it anyway (simplex counts grow super-exponentially)")
+    if force:
+        return
+    for k, counts in zip(range(1, n + 1), chain_counts()):
+        total = sum(counts)
+        if total > SIMPLEX_BUDGET:
+            size = (f"{total:,} nondegenerate simplices (per degree {counts})"
+                    if k == n else f"more simplices than the {total:,} of n = {k}")
+            raise PartitionSizeError(
+                f"n = {n} predicts {size}, above the budget of "
+                f"{SIMPLEX_BUDGET:,}; pass force=True to attempt it anyway")
+
+
+def _chains(n: int, force: bool):
+    """(blocks, chains): the lattice's partitions and, per degree s from 0,
+    the strict chains one-block = lambda_0 < ... < lambda_s = discrete as
+    tuples of ids, in lexicographic order of refinement position."""
+    _check_n(n, force)
+    blocks, finer = id_lattice(n)
+    bottom = blocks.index(tuple(1 << i for i in range(n)))
+    chains = []
+    level = [(0,)]
+    while level:
+        chains.append([c for c in level if c[-1] == bottom])
+        level = [c + (mu,) for c in level for mu in finer[c[-1]]]
+    return blocks, chains
 
 
 def nondegenerate_simplices(n: int, force: bool = False):
-    """Strict chains one-block = lambda_0 < ... < lambda_s = discrete,
-    grouped by degree s (the basepoint is omitted).  The refinements of each
-    partition are computed once per call, however many chains pass it."""
-    _check_n(n, force)
-    top = one_block(n)
-    bottom = discrete(n)
-    by_degree = {}
-    finer = {}
-
-    def extend(chain):
-        lam = chain[-1]
-        if lam == bottom:
-            by_degree.setdefault(len(chain) - 1, []).append(tuple(chain))
-            return
-        if lam not in finer:
-            finer[lam] = strict_refinements(lam)
-        for mu in finer[lam]:
-            chain.append(mu)
-            extend(chain)
-            chain.pop()
-
-    extend([top])
-    return by_degree
+    """The strict chains as tuples of canonical partitions, grouped by
+    degree s (the basepoint is omitted)."""
+    return {s: cs for s, cs in enumerate(decode(n, *_chains(n, force))) if cs}
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +154,13 @@ def nondegenerate_simplices(n: int, force: bool = False):
 class PartitionComplexData:
     n: int
     complex: ChainComplex
-    simplices: tuple   # per degree (from 0), tuple of chains
+    chains: tuple     # per degree (from 0), tuple of chains of partition ids
+    blocks: tuple     # partition id -> blocks as bitmasks
+
+    @property
+    def simplices(self) -> tuple:
+        """Per degree, the chains of canonical partitions, decoded when read."""
+        return tuple(map(tuple, decode(self.n, self.blocks, self.chains)))
 
 
 def partition_complex(n: int, ring: BaseRing,
@@ -166,22 +168,20 @@ def partition_complex(n: int, ring: BaseRing,
     """Normalized reduced chain complex: basis the nondegenerate non-basepoint
     simplices, boundary the alternating sum of the interior faces (the two end
     faces land on the collapsed basepoint)."""
-    by_degree = nondegenerate_simplices(n, force)
-    top_degree = max(by_degree) if by_degree else 0
-    simplices = tuple(tuple(by_degree.get(s, ())) for s in range(top_degree + 1))
-    ranks = [len(sx) for sx in simplices]
-    index = [{c: i for i, c in enumerate(sx)} for sx in simplices]
+    blocks, chains = _chains(n, force)
+    ranks = [len(cs) for cs in chains]
     diffs = []
-    for s in range(1, top_degree + 1):
+    for s in range(1, len(chains)):
+        index = {c: i for i, c in enumerate(chains[s - 1])}
         nonzeros = [{} for _ in range(ranks[s - 1])]   # per row: column -> entry
-        for col, chain in enumerate(simplices[s]):
-            for i in range(1, s):
-                row = nonzeros[index[s - 1][face(chain, i)]]
-                row[col] = row.get(col, 0) + (-1) ** i
+        signs = [(i, -1 if i & 1 else 1) for i in range(1, s)]
+        for col, c in enumerate(chains[s]):
+            for i, sign in signs:          # distinct i give distinct faces
+                nonzeros[index[c[:i] + c[i + 1:]]][col] = sign
         diffs.append(PAdicMatrix.from_sparse_rows(ring, ranks[s - 1], ranks[s],
                                                   nonzeros))
     cx = make_complex(ring, HOMOLOGICAL, 0, ranks, diffs)
-    return PartitionComplexData(n, cx, simplices)
+    return PartitionComplexData(n, cx, tuple(map(tuple, chains)), tuple(blocks))
 
 
 def partition_homology(n: int, ring: BaseRing,

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import koszulab
+from koszulab import partition
 from koszulab.algebra import builtin_height1, dataset_to_json, save_dataset
 from koszulab.cli import (EXIT_IO, EXIT_MATH, EXIT_PASS,
                           EXIT_USAGE, REPORT_SCHEMA, fingerprint, main, run)
@@ -316,6 +317,15 @@ def test_partition_guardrail(capsys):
     assert main(["partition", "--n", "9", "--p", "2"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "--force" in err
+
+
+def test_partition_n8_is_refused_with_its_predicted_size(monkeypatch, capsys):
+    def enumerate_nothing(n):
+        raise AssertionError("n = 8 reached the chain enumeration")
+    monkeypatch.setattr(partition, "id_lattice", enumerate_nothing)
+    assert main(["partition", "--n", "8", "--p", "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "10,270,696" in err and "--force" in err
 
 
 def test_json_reports_are_byte_identical(h1_path, capsys):

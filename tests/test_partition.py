@@ -1,5 +1,6 @@
 """The pointed partition complex: combinatorics, simplicial identities,
-and reduced homology."""
+the size guardrail, and reduced homology."""
+import itertools
 import math
 import random
 import tracemalloc
@@ -7,15 +8,18 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszulab import partition
 from koszulab.padic import BaseRing
 from koszulab.complexes import verify_complex
-from koszulab.partition import (BASEPOINT, PartitionSizeError, canonical,
-                                degeneracy, discrete, face,
-                                nondegenerate_simplices, one_block,
-                                partition_complex, partition_homology,
-                                set_partitions, strict_refinements)
+from koszulab.partition import (SIMPLEX_BUDGET, PartitionSizeError,
+                                chain_counts, decode, id_lattice,
+                                nondegenerate_simplices, partition_complex,
+                                partition_homology)
 
-from partition_helpers import (is_degenerate, refines,
+from partition_helpers import (BASEPOINT, canonical, degeneracy, discrete,
+                               face, falling_and_rising, is_degenerate,
+                               one_block, refines, set_partitions,
+                               strict_refinements,
                                verify_simplicial_identities)
 from test_padic import assert_reduced
 
@@ -183,3 +187,77 @@ def test_the_n6_build_holds_no_dense_row():
         tracemalloc.stop()
     assert data.complex.ranks == (0, 1, 201, 1865, 4245, 2700)
     assert peak < 32 * 2 ** 20, peak
+
+
+def test_id_lattice_refinements_are_strict_refinements_in_order():
+    """Each id's refinement list decodes to strict_refinements' list, in
+    the same order, so chains and differentials keep their order."""
+    for n in range(1, 7):
+        blocks, finer = id_lattice(n)
+        assert len(blocks) == BELL[n]
+        part = decode(n, blocks, [[tuple(range(len(blocks)))]])[0][0]
+        assert part[0] == one_block(n)
+        for lam, refs in zip(part, finer):
+            assert [part[i] for i in refs] == strict_refinements(lam), (n, lam)
+
+
+def test_simplices_decode_the_chains_of_nondegenerate_simplices():
+    data = partition_complex(5, BaseRing(3, 1))
+    by_degree = nondegenerate_simplices(5)
+    assert data.simplices == tuple(tuple(by_degree.get(s, ()))
+                                   for s in range(5))
+    assert all(c[0] == one_block(5) and c[-1] == discrete(5)
+               for cs in data.simplices for c in cs)
+
+
+N7_COUNTS = (0, 1, 875, 16674, 74165, 114345, 56700)
+N8_COUNTS = (0, 1, 4138, 155477, 1208830, 3394790, 3919860, 1587600)
+
+
+def test_predicted_counts_equal_enumerated_counts():
+    for n, counts in zip(range(1, 7), chain_counts()):
+        by_degree = nondegenerate_simplices(n)
+        assert counts == tuple(len(by_degree.get(s, ())) for s in range(n))
+
+
+def _refuse_to_enumerate(n):
+    raise AssertionError(f"the guardrail let n = {n} through to enumeration")
+
+
+def test_predicted_counts_at_n7_and_n8_without_enumerating(monkeypatch):
+    monkeypatch.setattr(partition, "id_lattice", _refuse_to_enumerate)
+    counts = list(itertools.islice(chain_counts(), 8))
+    assert counts[6] == N7_COUNTS and sum(N7_COUNTS) == 262760
+    assert counts[7] == N8_COUNTS and sum(N8_COUNTS) == 10270696
+    # the top degree counts maximal chains: n!(n-1)!/2^(n-1)
+    assert all(c[-1] == math.factorial(n) * math.factorial(n - 1) // 2 ** (n - 1)
+               for n, c in enumerate(counts, 1))
+
+
+def test_guardrail_refuses_n8_and_n9_before_enumerating(monkeypatch):
+    monkeypatch.setattr(partition, "id_lattice", _refuse_to_enumerate)
+    with pytest.raises(PartitionSizeError) as exc:
+        partition_complex(8, BaseRing(2, 1))
+    assert "10,270,696" in str(exc.value) and str(N8_COUNTS) in str(exc.value)
+    assert f"{SIMPLEX_BUDGET:,}" in str(exc.value)
+    for n in (9, 10 ** 6):    # prediction stops at the first size over
+        with pytest.raises(PartitionSizeError, match="10,270,696 of n = 8"):
+            nondegenerate_simplices(n)
+        with pytest.raises(PartitionSizeError):
+            partition_homology(n, BaseRing(2, 1))
+
+
+def test_force_passes_the_guardrail(monkeypatch):
+    monkeypatch.setattr(partition, "id_lattice", _refuse_to_enumerate)
+    with pytest.raises(AssertionError, match="n = 8"):
+        partition_complex(8, BaseRing(2, 1), force=True)
+    assert sum(N7_COUNTS) <= SIMPLEX_BUDGET < sum(N8_COUNTS)
+
+
+def test_el_labelling_has_factorial_falling_chains_and_one_rising():
+    """Björner's EL-labelling of the partition lattice: (n-1)! falling
+    maximal chains, the rank of the top homology, and one rising chain.
+    The check reads the enumerated chains only, not the elimination."""
+    for n in range(2, 7):
+        top = partition_complex(n, BaseRing(2, 1)).simplices[n - 1]
+        assert falling_and_rising(top) == (math.factorial(n - 1), 1), n
