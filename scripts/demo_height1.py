@@ -8,7 +8,7 @@ complex with its bar-duality check, and the shift squares.
 import argparse
 
 from koszulab.algebra import builtin_height1
-from koszulab.bar import ext_groups, koszul_complex, tor_groups, verify_koszulness
+from koszulab.bar import KoszulData, ext_groups, verify_koszulness
 from koszulab.complexes import homology
 from koszulab.isogeny import build_mic, dualize_bar_to_mic, verify_theorem_10_2
 
@@ -24,31 +24,32 @@ def main():
     print(f"dataset: p={args.p}, N={args.N}, kmax={args.kmax}")
     print(f"validation: {'ok' if ds.validate().passed else 'FAILED'}\n")
 
-    rep = verify_koszulness(ds.algebra, args.kmax)
+    data = KoszulData(ds.algebra)
+    rep = verify_koszulness(data)
     print("bar homology per weight:")
     print(rep)
     print(f"C-ranks: {rep.c_ranks}\n")
 
     for name in ("triv", "sphere"):
         M = ds.module(name)
-        kc = koszul_complex(ds.algebra, M)
+        kc = data.koszul_complex(M)
         print(f"module {name}: small complex term ranks {kc.term_ranks}")
-        print(f"  Tor free ranks: {tor_groups(ds.algebra, M).free_ranks}")
-        print(f"  Ext free ranks: {ext_groups(ds.algebra, M).free_ranks}")
+        print(f"  Tor free ranks: {data.tor(M).free_ranks}")
+        print(f"  Ext free ranks: {ext_groups(data, M).free_ranks}")
     print()
 
     pkg = ds.subgroup_package
     for k in range(args.kmax + 1):
         mic = build_mic(pkg, k)
         prof = homology(mic.complex)
-        dual = dualize_bar_to_mic(ds.algebra, pkg, k)
+        dual = dualize_bar_to_mic(data, pkg, k)
         print(f"subgroup complex k={k}: ranks {mic.complex.ranks}, "
               f"cohomology free ranks {prof.free_ranks}, "
               f"bar duality {'commutes' if dual.commutes else 'FAILS'}")
     print()
 
     for k in range(1, args.kmax):
-        res = verify_theorem_10_2(ds.algebra, pkg, ds.module("sphere"), k)
+        res = verify_theorem_10_2(data, pkg, ds.module("sphere"), k)
         print(f"shift square {k}: {'commutes' if res.commutes else 'FAILS'}; "
               f"top {res.route_top.tolist()} bottom {res.route_bottom.tolist()}")
 

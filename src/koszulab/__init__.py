@@ -21,10 +21,10 @@ from .algebra import (CoefficientAlgebra, Bimodule, GradedAugmentedAlgebra,
                       save_dataset, load_dataset)
 from .bar import (BarComplex, KoszulData, KoszulModuleData, KoszulComplexData,
                   NotKoszulError, bar_complex, bar_complex_with_module,
-                  koszul_module, koszul_complex, tor_groups, ext_groups,
+                  koszul_module, koszul_complex, ext_groups,
                   tor_groups_via_bar, verify_koszulness)
 from .isogeny import (SubgroupAlgebra, SubgroupAlgebraPackage, MICError,
-                      PackageData, build_mic, mic_cohomology, dualize_bar_to_mic,
+                      build_mic, mic_cohomology, dualize_bar_to_mic,
                       verify_theorem_10_2, validate_package)
 from .partition import (PartitionSizeError, partition_complex,
                         partition_homology)

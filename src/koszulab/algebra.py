@@ -312,25 +312,34 @@ class ValidationReport:
         return "\n".join(f"FAIL {c}: {w}" for c, w in self.failures)
 
 
+def validate_commutative_algebra(rep: ValidationReport, c: CoefficientAlgebra,
+                                 name: str, where: str) -> None:
+    """Check that ``c`` is commutative, associative and unital.  Failures go
+    to ``rep`` as "<name> commutativity", "<name> associativity" and
+    "<name> unitality", each witness a basis tuple after the prefix
+    ``where``."""
+    e = [_e(c.rank, i) for i in range(c.rank)]
+    for i in range(c.rank):
+        for j in range(c.rank):
+            eij = c.multiply(e[i], e[j])
+            if eij != c.multiply(e[j], e[i]):
+                rep.fail(f"{name} commutativity", f"{where}basis pair ({i},{j})")
+            for k in range(c.rank):
+                if c.multiply(eij, e[k]) != c.multiply(e[i], c.multiply(e[j], e[k])):
+                    rep.fail(f"{name} associativity",
+                             f"{where}basis triple ({i},{j},{k})")
+    for j in range(c.rank):
+        if c.multiply(c.unit, e[j]) != e[j]:
+            rep.fail(f"{name} unitality", f"{where}basis element {j}")
+
+
 def validate_algebra(A: GradedAugmentedAlgebra) -> ValidationReport:
     """Check associativity, unitality, bimodule compatibility and the
     augmentation axioms; every failure names a witnessing basis tuple."""
     rep = ValidationReport()
     c = A.coeff
     ring = c.ring
-    # coefficient algebra: commutative, associative, unital
-    for i in range(c.rank):
-        for j in range(c.rank):
-            if c.multiply(_e(c.rank, i), _e(c.rank, j)) != c.multiply(_e(c.rank, j), _e(c.rank, i)):
-                rep.fail("coeff commutativity", f"basis pair ({i},{j})")
-            for k in range(c.rank):
-                lhs = c.multiply(c.multiply(_e(c.rank, i), _e(c.rank, j)), _e(c.rank, k))
-                rhs = c.multiply(_e(c.rank, i), c.multiply(_e(c.rank, j), _e(c.rank, k)))
-                if lhs != rhs:
-                    rep.fail("coeff associativity", f"basis triple ({i},{j},{k})")
-    for j in range(c.rank):
-        if c.multiply(c.unit, _e(c.rank, j)) != _e(c.rank, j):
-            rep.fail("coeff unitality", f"basis element {j}")
+    validate_commutative_algebra(rep, c, "coeff", "")
     eyes = {k: PAdicMatrix.identity(ring, A.rank(k)) for k in range(1, A.max_weight + 1)}
     # components: unital, associative, commuting bimodule actions
     for k in range(1, A.max_weight + 1):
@@ -613,6 +622,9 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
     crank = coeff.rank
     alg = _need(doc, "algebra", top, dict)
     max_weight = _need(alg, "max_weight", "algebra", int)
+    if max_weight < 1:
+        raise DatasetError(f"algebra: field 'max_weight': expected a positive "
+                           f"integer, got {max_weight}")
     comps = {}
     for i, ent in enumerate(_need(alg, "components", "algebra", list)):
         k = _need(ent, "k", f"algebra.components[{i}]", int)

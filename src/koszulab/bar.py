@@ -1,5 +1,10 @@
 """Weight-graded bar complexes, Koszul modules C[k], the small Koszul complex
-with its last-face differential, and Tor/Ext profiles."""
+with its last-face differential, and Tor/Ext profiles.
+
+Everything past the bar complex of one weight reads a :class:`KoszulData`,
+the one context a command builds for its algebra: every function of the
+chain (bar homology, C[k], the Koszul complex, Tor and Ext) takes it as its
+first argument, so each piece is built once per command."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -197,28 +202,18 @@ def _checked_bar(ring, ranks, diffs) -> ChainComplex:
 
 
 def bar_complex(A: GradedAugmentedAlgebra, k: int,
-                M: Optional[LeftModule] = None,
-                tensors: Optional[TensorTable] = None) -> BarComplex:
-    """Normalized two-sided bar complex with trivial outer coefficients.
-
-    With ``M`` None this is the weight-k graded piece: degree-s term the sum
-    over compositions of k into s positive parts of the tensor product of the
-    corresponding weight components; faces 0 and s vanish and the differential
-    is the alternating sum of the merge faces.  Its tensors come from
-    ``tensors`` (see :func:`weight_tensors`) when given.  With a module ``M``
-    see :func:`bar_complex_with_module` (this front-end dispatches, and
-    builds that complex afresh); ``tensors`` cannot be given with ``M``,
-    since the module complex shares through a :class:`KoszulData` instead.
+                tensors: TensorTable) -> BarComplex:
+    """The weight-k piece of the normalized two-sided bar complex with
+    trivial outer coefficients: degree-s term the sum over compositions of k
+    into s positive parts of the tensor product of the corresponding weight
+    components; faces 0 and s vanish and the differential is the alternating
+    sum of the merge faces.  Its tensors come from ``tensors`` (see
+    :func:`weight_tensors`).
     """
-    if M is not None:
-        if tensors is not None:
-            raise TypeError("bar_complex: tensors cannot be given with a module; "
-                            "pass a KoszulData to bar_complex_with_module")
-        return bar_complex_with_module(A, M, k)
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")
     ring = A.coeff.ring
-    tensor_of = (tensors or weight_tensors(A)).__getitem__
+    tensor_of = tensors.__getitem__
     blocks, ranks = zip(*(composition_blocks(compositions(k, s), tensor_of)
                           for s in range(k + 1)))
     faces = partial(_merge_faces, A)
@@ -227,16 +222,17 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
     return BarComplex(k, _checked_bar(ring, ranks, diffs), blocks)
 
 
-def _module_bar_skeleton(A: GradedAugmentedAlgebra, Mb: Bimodule, smax: int,
-                         tensors: TensorTable) -> tuple:
+def _module_bar_skeleton(data: KoszulData, Mb: Bimodule, smax: int) -> tuple:
     """What the bar complex with coefficients in a module of bimodule ``Mb``
     builds in degrees 0..smax without reading the module's action, so every
     such module shares it: (blocks, ranks, merged), per degree the blocks
     T(c) (x) M and their total rank, and per differential the sum of its
     merge faces as rows of column -> entry.  Tensors of the weight
-    components come from ``tensors``."""
+    components come from ``data.tensors``."""
+    A = data.algebra
+
     def tensor_of(comp):
-        return tensor_step(tensors[comp], Mb) if comp else identity_tensor(Mb)
+        return tensor_step(data.tensors[comp], Mb) if comp else identity_tensor(Mb)
 
     blocks, ranks = zip(*(composition_blocks(bounded_compositions(s, A.max_weight),
                                              tensor_of) for s in range(smax + 1)))
@@ -247,21 +243,20 @@ def _module_bar_skeleton(A: GradedAugmentedAlgebra, Mb: Bimodule, smax: int,
     return blocks, ranks, merged
 
 
-def bar_complex_with_module(A: GradedAugmentedAlgebra, M: LeftModule,
-                            smax: int,
-                            data: Optional[KoszulData] = None) -> BarComplex:
+def bar_complex_with_module(data: KoszulData, M: LeftModule,
+                            smax: int) -> BarComplex:
     """Normalized bar complex with trivial left and module right coefficients,
     truncated to compositions of total weight <= max_weight (a subcomplex,
     since the differential never raises total slot weight).  Its
     differential is the alternating sum of the merge faces and of the face
     acting the last slot on ``M``; d o d is checked.  The blocks and the
     merge faces come from ``data`` (see
-    :meth:`KoszulData.module_bar_skeleton`) when given, so only the action
-    face is added here."""
+    :meth:`KoszulData.module_bar_skeleton`), so only the action face is
+    added here."""
+    A = data.algebra
     ring = A.coeff.ring
     actions = {k: M.weight_action(k, A.rank(k)) for k in range(1, A.max_weight + 1)}
-    blocks, ranks, merged = (data or KoszulData(A)).module_bar_skeleton(
-        M.as_bimodule(), smax)
+    blocks, ranks, merged = data.module_bar_skeleton(M.as_bimodule(), smax)
 
     def action_face(comp):
         s = len(comp)
@@ -287,18 +282,17 @@ class KoszulModuleData:
     top_tensor: IteratedTensor
 
 
-def koszul_module(A: GradedAugmentedAlgebra, k: int,
-                  data: Optional[KoszulData] = None) -> KoszulModuleData:
+def koszul_module(data: KoszulData, k: int) -> KoszulModuleData:
     """C[k] as the kernel of the top bar differential at weight k.
 
     Requires the weight-k bar homology to be concentrated in degree k with a
     free top class; otherwise raises NotKoszulError with the witnessing degree.
-    The bar complex and its homology come from ``data`` when given.
+    The bar complex and its homology come from ``data``.
     """
+    A = data.algebra
     if k == 0:
         return KoszulModuleData(0, PAdicMatrix.identity(A.coeff.ring, A.coeff.rank),
                                 A.coeff.rank, identity_tensor(A.coeff.as_bimodule()))
-    data = data or KoszulData(A)
     bc, prof = data.bar(k), data.bar_homology(k)
     for s in bc.complex.degrees:
         if s != k and (prof.free_rank(s) or prof.torsion_at(s)):
@@ -340,7 +334,6 @@ class KoszulComplexData:
     c_ranks: tuple                  # rank of C[k] per degree k
     term_ranks: tuple               # rank of C[k] (x) M per degree k
     ambient_inclusions: tuple       # C[k] (x) M -> full ambient Delta[1]^{(x)k} (x) M
-    module_base_rank: int
 
 
 def _koszul_skeleton(data: KoszulData, Mb: Bimodule) -> tuple:
@@ -369,20 +362,20 @@ def _koszul_skeleton(data: KoszulData, Mb: Bimodule) -> tuple:
             sect_full)
 
 
-def koszul_complex(A: GradedAugmentedAlgebra, M: LeftModule,
-                   data: Optional[KoszulData] = None) -> KoszulComplexData:
+def koszul_complex(data: KoszulData, M: LeftModule) -> KoszulComplexData:
     """The complex C[k] (x) M with the (signed) last-face differential.
 
     delta_k embeds C[k+1] (x) M into Delta[1]^{(x)(k+1)} (x) M, applies
     (-1)^{k+1} times the action of the last weight-1 slot on M, and solves the
     result back into the C[k] (x) M basis, failing loudly if the image escapes.
     Everything but the face and the solve comes from ``data`` (see
-    :meth:`KoszulData.koszul_skeleton`) when given.
+    :meth:`KoszulData.koszul_skeleton`).
     """
+    A = data.algebra
     ring = A.coeff.ring
     d1 = A.rank(1)
     c_ranks, term_ranks, iotas, amb_incs, proj_full, sect_full = \
-        (data or KoszulData(A)).koszul_skeleton(M.as_bimodule())
+        data.koszul_skeleton(M.as_bimodule())
     act1 = M.weight_action(1, d1)
     diffs = []
     for k in range(A.max_weight):
@@ -401,43 +394,31 @@ def koszul_complex(A: GradedAugmentedAlgebra, M: LeftModule,
     if not ok:
         raise ImageEscapesError(f"Koszul differential fails d o d = 0 at degree {deg}")
     return KoszulComplexData(M.name, cx, tuple(c_ranks), tuple(term_ranks),
-                             tuple(amb_incs), M.base_rank)
+                             tuple(amb_incs))
 
 
-def tor_groups(A: GradedAugmentedAlgebra, M: LeftModule,
-               data: Optional[KoszulData] = None) -> HomologyProfile:
-    """Tor against the trivial bimodule, computed from the Koszul complex
-    (taken from ``data`` when given)."""
-    return (data or KoszulData(A)).tor(M)
-
-
-def ext_groups(A: GradedAugmentedAlgebra, M: LeftModule,
-               data: Optional[KoszulData] = None) -> HomologyProfile:
-    """Ext(M, trivial), computed as cohomology of the dual Koszul complex
-    (taken from ``data`` when given).
+def ext_groups(data: KoszulData, M: LeftModule) -> HomologyProfile:
+    """Ext(M, trivial), computed as cohomology of the dual of the Koszul
+    complex of M in ``data``.
 
     M is free over the coefficient algebra by construction of the dataset
     format, which is exactly the projectivity this dualization needs.
     """
-    kc = (data or KoszulData(A)).koszul_complex(M)
-    return homology(dualize_complex(kc.complex))
+    return homology(dualize_complex(data.koszul_complex(M).complex))
 
 
-def tor_groups_via_bar(A: GradedAugmentedAlgebra, M: LeftModule,
-                       smax: Optional[int] = None,
-                       data: Optional[KoszulData] = None) -> HomologyProfile:
-    """Independent Tor route through the module bar complex, whose blocks
-    and merge faces come from ``data`` when given."""
-    if smax is None:
-        smax = A.max_weight
-    return homology(bar_complex_with_module(A, M, smax, data).complex)
+def tor_groups_via_bar(data: KoszulData, M: LeftModule) -> HomologyProfile:
+    """Tor in degrees 0..max_weight by the route independent of the Koszul
+    complex (whose Tor is ``data.tor(M)``): the homology of the module bar
+    complex, whose blocks and merge faces come from ``data``."""
+    return homology(bar_complex_with_module(data, M, data.algebra.max_weight).complex)
 
 
 class KoszulData:
-    """The tensors of the weight components over every composition, the
-    weight-k bar complexes of one algebra with their homology, its Koszul
-    modules C[k], and per module the Koszul complex and its Tor profile,
-    each built on first use and then shared.
+    """The context of one command: the tensors of the weight components
+    over every composition, the weight-k bar complexes of one algebra with
+    their homology, its Koszul modules C[k], and per module the Koszul
+    complex and its Tor profile, each built on first use and then shared.
 
     What a module's two Tor routes build without reading its action, the
     skeletons, is shared by every module with the same bimodule
@@ -447,9 +428,9 @@ class KoszulData:
     Koszul complex's terms and maps (:meth:`koszul_skeleton`), keyed on the
     bimodule.  Each module then adds only its own action.
 
-    One command builds one of these and hands it to every function that
-    takes a ``data`` argument, so no complex is built or checked twice; the
-    functions build a fresh one when called without it.  Failures are not
+    One command builds one of these and hands it to every function of the
+    chain, each of which requires it, so no complex is built or checked
+    twice.  A fresh build is a fresh ``KoszulData(A)``.  Failures are not
     kept: asking again rebuilds and raises again.
     """
 
@@ -466,7 +447,7 @@ class KoszulData:
 
     def bar(self, k: int) -> BarComplex:
         if k not in self._bars:
-            self._bars[k] = bar_complex(self.algebra, k, tensors=self.tensors)
+            self._bars[k] = bar_complex(self.algebra, k, self.tensors)
         return self._bars[k]
 
     def bar_homology(self, k: int) -> HomologyProfile:
@@ -476,14 +457,13 @@ class KoszulData:
 
     def koszul_module(self, k: int) -> KoszulModuleData:
         if k not in self._modules:
-            self._modules[k] = koszul_module(self.algebra, k, self)
+            self._modules[k] = koszul_module(self, k)
         return self._modules[k]
 
     def module_bar_skeleton(self, Mb: Bimodule, smax: int) -> tuple:
         key = (Mb, smax)
         if key not in self._module_bar_skeletons:
-            self._module_bar_skeletons[key] = _module_bar_skeleton(
-                self.algebra, Mb, smax, self.tensors)
+            self._module_bar_skeletons[key] = _module_bar_skeleton(self, Mb, smax)
         return self._module_bar_skeletons[key]
 
     def koszul_skeleton(self, Mb: Bimodule) -> tuple:
@@ -499,7 +479,7 @@ class KoszulData:
     def koszul_complex(self, M: LeftModule) -> KoszulComplexData:
         # keyed on the module object, which the entry keeps alive
         if id(M) not in self._complexes:
-            self._complexes[id(M)] = (M, koszul_complex(self.algebra, M, self))
+            self._complexes[id(M)] = (M, koszul_complex(self, M))
         return self._complexes[id(M)][1]
 
     def tor(self, M: LeftModule) -> HomologyProfile:
@@ -533,15 +513,11 @@ class KoszulnessReport:
         return "\n".join(lines)
 
 
-def verify_koszulness(A: GradedAugmentedAlgebra, kmax: int,
-                      data: Optional[KoszulData] = None) -> KoszulnessReport:
-    """Per weight k <= kmax: full bar homology profile and a concentration
-    flag.  Bar complexes and profiles come from ``data`` when given."""
-    if kmax > A.max_weight:
-        raise ValueError(f"kmax {kmax} exceeds max_weight {A.max_weight}")
-    data = data or KoszulData(A)
+def verify_koszulness(data: KoszulData) -> KoszulnessReport:
+    """Per weight k <= max_weight: full bar homology profile and a
+    concentration flag.  Bar complexes and profiles come from ``data``."""
     entries = []
-    for k in range(kmax + 1):
+    for k in range(data.algebra.max_weight + 1):
         prof = data.bar_homology(k)
         conc = all((prof.free_rank(s) == 0 and not prof.torsion_at(s))
                    for s in prof.degrees if s != k) and not prof.torsion_at(k)

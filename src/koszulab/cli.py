@@ -20,9 +20,9 @@ from .padic import BaseRing, ExactLinalgError
 from .complexes import ComplexError, HomologyProfile, homology
 from .algebra import (Dataset, DatasetError, builtin_height1, canonical_json,
                       load_dataset, save_dataset, trivial_module)
-from .bar import (KoszulData, NotKoszulError, bar_complex, ext_groups,
-                  tor_groups, tor_groups_via_bar, verify_koszulness)
-from .isogeny import (MICError, PackageData, build_mic, dualize_bar_to_mic,
+from .bar import (KoszulData, NotKoszulError, bar_complex_with_module,
+                  ext_groups, tor_groups_via_bar, verify_koszulness)
+from .isogeny import (MICError, build_mic, dualize_bar_to_mic,
                       mic_cohomology, verify_theorem_10_2)
 from .partition import PartitionSizeError, partition_homology
 from .synthetic import synthetic_height1_dataset
@@ -131,13 +131,14 @@ def cmd_bar(args, checks) -> Dataset:
     k = args.weight
     if k < 0 or k > ds.algebra.max_weight:
         raise UsageError(f"--weight must be in 0..{ds.algebra.max_weight}")
+    data = KoszulData(ds.algebra)
     if args.module is not None:
         # degrees 0..k of the module bar complex: it is built one degree
         # further, so that degree k's homology is Tor_k and not the kernel
         # of a truncated top degree
-        bc = bar_complex(ds.algebra, k + 1, ds.module(args.module))
+        bc = bar_complex_with_module(data, ds.module(args.module), k + 1)
     else:
-        bc = bar_complex(ds.algebra, k)
+        bc = data.bar(k)
     prof = homology(bc.complex)
     prof = HomologyProfile(prof.ring, 0, prof.free_ranks[:k + 1],
                            prof.torsion[:k + 1])
@@ -156,9 +157,8 @@ def cmd_bar(args, checks) -> Dataset:
 
 def cmd_koszul(args, checks) -> Dataset:
     ds = _load(args.dataset, checks)
-    A = ds.algebra
-    data = KoszulData(A)
-    rep = verify_koszulness(A, A.max_weight, data)
+    data = KoszulData(ds.algebra)
+    rep = verify_koszulness(data)
     checks.append(Check(
         "koszulness",
         "weight-k bar homology is free and concentrated in degree k",
@@ -183,9 +183,8 @@ def cmd_koszul(args, checks) -> Dataset:
 
 def cmd_ext(args, checks) -> Dataset:
     ds = _load(args.dataset, checks)
-    A = ds.algebra
-    data = KoszulData(A)
-    rep = verify_koszulness(A, A.max_weight, data)
+    data = KoszulData(ds.algebra)
+    rep = verify_koszulness(data)
     if not rep.passed:
         checks.append(Check(
             "koszulness",
@@ -195,7 +194,7 @@ def cmd_ext(args, checks) -> Dataset:
                             for k, _, conc, _ in rep.entries]}))
         return ds
     M = ds.module(args.module)
-    prof = ext_groups(A, M, data)
+    prof = ext_groups(data, M)
     checks.append(Check(
         "ext-profile",
         f"Ext against the trivial module from the dual small complex, module {M.name}",
@@ -214,25 +213,21 @@ def cmd_mic(args, checks) -> Dataset:
     if args.k < 0 or args.k > kmax:
         raise UsageError(f"--k must be in 0..{kmax}")
     mic = build_mic(pkg, args.k)
-    prof, cmp_ = mic_cohomology(pkg, args.k, ds.algebra, mic)
-    payload = {"ranks": list(mic.complex.ranks),
-               **_profile_payload(prof, ds.N)}
-    status = "pass"
-    if cmp_ is not None:
-        payload["koszul_rank"] = cmp_["koszul_rank"]
-        payload["concentrated_with_koszul_rank"] = cmp_["matches"]
-        status = "pass" if cmp_["matches"] else "fail"
+    prof, cmp_ = mic_cohomology(KoszulData(ds.algebra), mic)
     checks.append(Check(
         "mic-cohomology",
         f"order-p^{args.k} subgroup complex: cohomology concentrated in "
         f"degree {args.k} with the weight-{args.k} Koszul rank",
-        status, payload))
+        "pass" if cmp_["matches"] else "fail",
+        {"ranks": list(mic.complex.ranks), **_profile_payload(prof, ds.N),
+         "koszul_rank": cmp_["koszul_rank"],
+         "concentrated_with_koszul_rank": cmp_["matches"]}))
     return ds
 
 
 def _suite_koszul(ds, checks, data):
     A = ds.algebra
-    rep = verify_koszulness(A, A.max_weight, data)
+    rep = verify_koszulness(data)
     checks.append(Check(
         "suite-koszul",
         "weight-k bar homology is free and concentrated in degree k",
@@ -256,8 +251,8 @@ def _suite_koszul(ds, checks, data):
         agree = True
         witness = None
         for M in ds.modules.values():
-            t1 = tor_groups(A, M, data)
-            t2 = tor_groups_via_bar(A, M, data=data)
+            t1 = data.tor(M)
+            t2 = tor_groups_via_bar(data, M)
             for s in range(A.max_weight + 1):
                 if t1.free_rank(s) != t2.free_rank(s) or \
                         t1.torsion_at(s) != t2.torsion_at(s):
@@ -271,7 +266,7 @@ def _suite_koszul(ds, checks, data):
             {} if agree else {"witness": witness}))
 
 
-def _suite_mic_duality(ds, checks, data, pdata):
+def _suite_mic_duality(ds, checks, data):
     pkg = ds.subgroup_package
     if pkg is None:
         checks.append(Check("suite-mic-duality",
@@ -282,7 +277,7 @@ def _suite_mic_duality(ds, checks, data, pdata):
 
     def one(k):
         try:
-            res = dualize_bar_to_mic(ds.algebra, pkg, k, data, pdata)
+            res = dualize_bar_to_mic(data, pkg, k)
             return k, res.commutes, res.witness
         except MICError as exc:
             return k, False, str(exc)
@@ -315,7 +310,7 @@ def _suite_thm_square(ds, checks, data):
 
     def one(k):
         try:
-            res = verify_theorem_10_2(ds.algebra, pkg, M, k, data)
+            res = verify_theorem_10_2(data, pkg, M, k)
             payload = {"top": res.route_top.tolist(),
                        "bottom": res.route_bottom.tolist()}
             return k, res.commutes, res.witness, payload
@@ -337,18 +332,16 @@ def _suite_thm_square(ds, checks, data):
 def cmd_verify(args, checks) -> Dataset:
     ds = _load(args.dataset, checks)
     # every suite reads tensors, bar and Koszul complexes from this one
-    # object, pairing inverses from the second and flag tensors from the
-    # package's table, so each is built and checked once per run
+    # object, and flag tensors and pairing inverses from the package, so
+    # each is built and checked once per run
     data = KoszulData(ds.algebra)
-    pkg = ds.subgroup_package
-    pdata = PackageData(pkg) if pkg is not None else None
     suites = ([args.suite] if args.suite != "all"
               else ["koszul", "mic-duality", "thm-square"])
     for s in suites:
         if s == "koszul":
             _suite_koszul(ds, checks, data)
         elif s == "mic-duality":
-            _suite_mic_duality(ds, checks, data, pdata)
+            _suite_mic_duality(ds, checks, data)
         else:
             _suite_thm_square(ds, checks, data)
     return ds

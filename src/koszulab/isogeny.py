@@ -1,6 +1,12 @@
 """The modular isogeny complex built from subgroup-algebra packages, the
 degreewise dualization against the bar complex, and the shift-square check
-relating the flag refinement maps to the Koszul differential."""
+relating the flag refinement maps to the Koszul differential.
+
+A :class:`SubgroupAlgebraPackage` holds what every command shares about its
+package (the flag modules and the pairing inverses); the bar and Koszul
+complexes come from the command's :class:`bar.KoszulData`, which the
+comparison, duality and shift-square functions take as their first
+argument."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -12,12 +18,12 @@ from .padic import (PAdicMatrix, InconsistentSystemError,
 from .complexes import (ChainComplex, COHOMOLOGICAL,
                         dualize_complex, homology, make_complex, verify_complex)
 from .algebra import (Bimodule, CoefficientAlgebra, Dataset, DatasetError,
-                      GradedAugmentedAlgebra, IteratedTensor, LeftModule,
-                      TensorTable, ValidationReport, identity_tensor,
-                      iterated_tensor, _e, _coefficient_algebra_from_json,
-                      _first, _matrix_from_json, _need)
+                      IteratedTensor, LeftModule, TensorTable, ValidationReport,
+                      identity_tensor, iterated_tensor, validate_commutative_algebra,
+                      _e, _coefficient_algebra_from_json, _first,
+                      _matrix_from_json, _need)
 from .bar import (KoszulData, assemble, composition_blocks, compositions,
-                  koszul_module, place_blocks)
+                  place_blocks)
 
 
 class MICError(Exception):
@@ -41,10 +47,12 @@ class SubgroupAlgebra:
 
 @dataclass
 class SubgroupAlgebraPackage:
-    """The subgroup algebras and their structure maps.  ``flags`` is the
-    table of flag modules of every composition (see :func:`flag_tensors`),
-    filled on use; loading, validation and every command read it, so each
-    flag module is built once per package."""
+    """The subgroup algebras and their structure maps, with what is derived
+    from them once per package and then shared: ``flags``, the table of flag
+    modules of every composition (see :func:`flag_tensors`), filled on use
+    and read by loading, validation and every command; and the inverses of
+    the pairings (:meth:`pairing_inverse`).  Failures are not kept: a
+    singular pairing raises each time it is asked for."""
 
     coeff: CoefficientAlgebra
     orders: dict                      # k >= 1 -> SubgroupAlgebra
@@ -53,6 +61,8 @@ class SubgroupAlgebraPackage:
     shift: dict                       # k >= 1 -> matrix on flag quotient coordinates
     pairing: dict                     # k -> matrix (algebra weight-k rank x S rank)
     flags: TensorTable = field(init=False, repr=False, compare=False)
+    _pairing_inverses: dict = field(init=False, repr=False, compare=False,
+                                    default_factory=dict)
 
     def __post_init__(self):
         self.flags = flag_tensors(self)
@@ -63,6 +73,11 @@ class SubgroupAlgebraPackage:
 
     def rank(self, k: int) -> int:
         return self.orders[k].rank
+
+    def pairing_inverse(self, k: int) -> PAdicMatrix:
+        if k not in self._pairing_inverses:
+            self._pairing_inverses[k] = inverse_mod(self.pairing[k])
+        return self._pairing_inverses[k]
 
 
 def _flag_factor(orders: dict, k: int) -> Bimodule:
@@ -85,27 +100,6 @@ def flag_tensors(pkg: SubgroupAlgebraPackage) -> TensorTable:
     holds the table."""
     return TensorTable(partial(_flag_factor, pkg.orders),
                        identity_tensor(pkg.coeff.as_bimodule()))
-
-
-class PackageData:
-    """The inverses of the pairings of one subgroup package, each built on
-    first use and then shared.  (Its flag modules live in the package's own
-    table.)
-
-    One command builds one of these and hands it to every function that
-    takes a ``pdata`` argument; the functions build a fresh one when called
-    without it.  Failures are not kept: asking again recomputes and raises
-    again.
-    """
-
-    def __init__(self, pkg: SubgroupAlgebraPackage):
-        self.package = pkg
-        self._pairing_inverses = {}
-
-    def pairing_inverse(self, k: int) -> PAdicMatrix:
-        if k not in self._pairing_inverses:
-            self._pairing_inverses[k] = inverse_mod(self.package.pairing[k])
-        return self._pairing_inverses[k]
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +149,17 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
     return ModularIsogenyComplex(k, cx, blocks)
 
 
-def mic_cohomology(pkg: SubgroupAlgebraPackage, k: int,
-                   algebra: Optional[GradedAugmentedAlgebra] = None,
-                   mic: Optional[ModularIsogenyComplex] = None):
-    """Cohomology profile of the order-p^k complex (``mic`` when already
-    built); when the matching graded algebra is supplied, also reports
-    whether the profile is concentrated in degree k with the Koszul
-    submodule rank."""
-    prof = homology((mic or build_mic(pkg, k)).complex)
-    comparison = None
-    if algebra is not None:
-        ck = koszul_module(algebra, k).rank
-        concentrated = all((prof.free_rank(s) == 0 and not prof.torsion_at(s))
-                           for s in prof.degrees if s != k) and not prof.torsion_at(k)
-        comparison = {"koszul_rank": ck,
-                      "matches": concentrated and prof.free_rank(k) == ck}
-    return prof, comparison
+def mic_cohomology(data: KoszulData, mic: ModularIsogenyComplex):
+    """Cohomology profile of the order-p^k complex ``mic``, and whether it is
+    concentrated in degree k with the rank of the Koszul module C[k] of
+    ``data``'s algebra."""
+    k = mic.k
+    prof = homology(mic.complex)
+    ck = data.koszul_module(k).rank
+    concentrated = all((prof.free_rank(s) == 0 and not prof.torsion_at(s))
+                       for s in prof.degrees if s != k) and not prof.torsion_at(k)
+    return prof, {"koszul_rank": ck,
+                  "matches": concentrated and prof.free_rank(k) == ck}
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +171,7 @@ def validate_package(pkg: SubgroupAlgebraPackage) -> ValidationReport:
     ring = pkg.coeff.ring
     for k, S in sorted(pkg.orders.items()):
         a = S.algebra
-        for i in range(a.rank):
-            for j in range(a.rank):
-                if a.multiply(_e(a.rank, i), _e(a.rank, j)) != \
-                        a.multiply(_e(a.rank, j), _e(a.rank, i)):
-                    rep.fail("subgroup algebra commutativity",
-                             f"order p^{k}, pair ({i},{j})")
-        for j in range(a.rank):
-            if a.multiply(a.unit, _e(a.rank, j)) != _e(a.rank, j):
-                rep.fail("subgroup algebra unitality", f"order p^{k}, basis {j}")
+        validate_commutative_algebra(rep, a, "subgroup algebra", f"order p^{k}, ")
         t = pkg.t_maps.get(k)
         if t is None:
             rep.fail("missing t map", f"order p^{k}")
@@ -251,15 +232,14 @@ class MICDualityResult:
     witness: Optional[str]
 
 
-def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
-                       k: int, data: Optional[KoszulData] = None,
-                       pdata: Optional[PackageData] = None) -> MICDualityResult:
+def dualize_bar_to_mic(data: KoszulData, pkg: SubgroupAlgebraPackage,
+                       k: int) -> MICDualityResult:
     """Construct the degreewise isomorphisms from the dual weight-k bar
     complex to the order-p^k complex through the pairing matrices, and assert
     they intertwine the two differentials exactly.  The bar complex comes
-    from ``data``, and the pairing inverses from ``pdata``, when given."""
+    from ``data``, and the pairing inverses from the package."""
+    A = data.algebra
     ring = A.coeff.ring
-    pdata = pdata or PackageData(pkg)
     for kk in range(1, k + 1):
         P = pkg.pairing.get(kk)
         if P is None:
@@ -267,11 +247,11 @@ def dualize_bar_to_mic(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
         if P.shape != (A.rank(kk), pkg.rank(kk)):
             raise MICError(f"pairing shape mismatch at weight {kk}: "
                            f"{P.shape} vs {(A.rank(kk), pkg.rank(kk))}")
-        pdata.pairing_inverse(kk)  # unimodular, for the components to be dual
+        pkg.pairing_inverse(kk)  # unimodular, for the components to be dual
     if k == 0:
         return MICDualityResult(0, [PAdicMatrix.identity(ring, A.coeff.rank)],
                                 True, None)
-    bc = (data or KoszulData(A)).bar(k)
+    bc = data.bar(k)
     mic = build_mic(pkg, k)
     dual = dualize_complex(bc.complex)
 
@@ -320,9 +300,8 @@ class ShiftSquareResult:
     witness: Optional[str]
 
 
-def verify_theorem_10_2(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
-                        M: LeftModule, k: int,
-                        data: Optional[KoszulData] = None) -> ShiftSquareResult:
+def verify_theorem_10_2(data: KoszulData, pkg: SubgroupAlgebraPackage,
+                        M: LeftModule, k: int) -> ShiftSquareResult:
     """Square number k (k >= 1): the shift map from the (k-1)-fold flag module
     to the k-fold one, followed by the quotient onto the dual of the Koszul
     term, must agree with the quotient followed by the transposed Koszul
@@ -332,16 +311,17 @@ def verify_theorem_10_2(A: GradedAugmentedAlgebra, pkg: SubgroupAlgebraPackage,
     term into the ambient weight-1 tensor power is dualized through the
     pairings, with the sign (-1)^{j(j+1)/2} in homological degree j coming
     from dualizing a chain complex.  The Koszul complex of M comes from
-    ``data`` when given, and the flag modules from the package's table.
+    ``data``, and the flag modules from the package's table.
     """
     if k < 1:
         raise MICError("square index must be >= 1")
+    A = data.algebra
     ring = A.coeff.ring
     mod = ring.modulus
     j = k - 1
     if j + 1 > A.max_weight:
         raise MICError(f"square {k} needs weight {j + 1} <= max_weight")
-    kc = (data or KoszulData(A)).koszul_complex(M)
+    kc = data.koszul_complex(M)
     if M.rank != 1:
         raise MICError("the shift square needs a module free of rank 1 "
                        "over the coefficient algebra")
@@ -449,6 +429,8 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
         k = _need(ent, "k", f"{top}.orders[{i}]", int)
         where = f"{top}.orders[k={k}]"
         _first(orders, k, where)
+        if k < 1:
+            raise DatasetError(f"{where}: k must be at least 1")
         a = _need(ent, "algebra", where, dict)
         alg = _coefficient_algebra_from_json(ring, a, f"{where}.algebra")
         r = alg.rank

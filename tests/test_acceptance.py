@@ -8,10 +8,10 @@ import time
 from koszulab.padic import BaseRing, PAdicMatrix
 from koszulab.complexes import HOMOLOGICAL, homology, make_complex, verify_complex
 from koszulab.algebra import builtin_height1
-from koszulab.bar import (bar_complex, bar_complex_with_module, ext_groups,
-                          koszul_complex, tor_groups, tor_groups_via_bar,
-                          verify_koszulness)
-from koszulab.isogeny import dualize_bar_to_mic, mic_cohomology, verify_theorem_10_2
+from koszulab.bar import (KoszulData, bar_complex_with_module, ext_groups,
+                          koszul_complex, tor_groups_via_bar, verify_koszulness)
+from koszulab.isogeny import (build_mic, dualize_bar_to_mic, mic_cohomology,
+                              verify_theorem_10_2)
 from koszulab.partition import partition_homology
 from koszulab.synthetic import synthetic_height1_dataset
 
@@ -46,7 +46,7 @@ def test_criterion_1_koszul_concentration(capsys):
     def check():
         for p, N in BUILTIN_GRID:
             ds = builtin_height1(p, N, 4)
-            rep = verify_koszulness(ds.algebra, 4)
+            rep = verify_koszulness(KoszulData(ds.algebra))
             assert rep.passed, (p, N)
             assert rep.c_ranks == (1, 1, 0, 0, 0), (p, N, rep.c_ranks)
     report(capsys, 1, "weight-k bar homology concentrated in degree k", 1.0, check)
@@ -55,7 +55,7 @@ def test_criterion_1_koszul_concentration(capsys):
 def test_criterion_2_trivial_tor_identification(capsys):
     def check():
         for ds in corpus():
-            kc = koszul_complex(ds.algebra, ds.module("triv"))
+            kc = koszul_complex(KoszulData(ds.algebra), ds.module("triv"))
             assert all(d.is_zero() for d in kc.complex.differentials), ds.provenance
             prof = homology(kc.complex)
             assert tuple(prof.free_ranks) == kc.c_ranks, ds.provenance
@@ -73,12 +73,13 @@ def test_criterion_3_mic_duality(capsys):
         assert len(packages) >= 101
         for ds in packages:
             pkg = ds.subgroup_package
+            data = KoszulData(ds.algebra)
             for k in range(5):
-                res = dualize_bar_to_mic(ds.algebra, pkg, k)
+                res = dualize_bar_to_mic(data, pkg, k)
                 assert res.commutes, (ds.provenance, k, res.witness)
             # consequence: cohomology concentrated in degree k, Koszul rank
             for k in range(5):
-                _, cmp_ = mic_cohomology(pkg, k, ds.algebra)
+                _, cmp_ = mic_cohomology(data, build_mic(pkg, k))
                 assert cmp_["matches"], (ds.provenance, k)
     report(capsys, 3, "dual bar complex isomorphic to the subgroup complex, "
            "cohomology concentrated with Koszul ranks", 10.0, check)
@@ -87,14 +88,16 @@ def test_criterion_3_mic_duality(capsys):
 def test_criterion_4_shift_square(capsys):
     def check():
         ds = builtin_height1(3, 2, 4)
+        data = KoszulData(ds.algebra)
         for k in (1, 2, 3):
-            res = verify_theorem_10_2(ds.algebra, ds.subgroup_package,
+            res = verify_theorem_10_2(data, ds.subgroup_package,
                                       ds.module("sphere"), k)
             assert res.commutes, (k, res.witness)
         for seed in range(25):
             syn = synthetic_height1_dataset(3, 2, 4, seed)
+            data = KoszulData(syn.algebra)
             for k in (1, 2, 3, 4):
-                res = verify_theorem_10_2(syn.algebra, syn.subgroup_package,
+                res = verify_theorem_10_2(data, syn.subgroup_package,
                                           syn.module("sphere"), k)
                 assert res.commutes, (seed, k, res.witness)
     report(capsys, 4, "flag shift square commutes with the dual small-complex "
@@ -118,7 +121,7 @@ def test_criterion_6_height1_ext_vanishing(capsys):
     def check():
         for p, N in BUILTIN_GRID:
             ds = builtin_height1(p, N, 4)
-            prof = ext_groups(ds.algebra, ds.module("sphere"))
+            prof = ext_groups(KoszulData(ds.algebra), ds.module("sphere"))
             for s in range(5):
                 assert prof.free_rank(s) == 0, (p, N, s)
                 assert not prof.torsion_at(s), (p, N, s)
@@ -174,8 +177,8 @@ def test_criterion_7_oracle_suites(capsys):
         for ds in corpus():
             for name in ("triv", "sphere"):
                 M = ds.module(name)
-                t1 = tor_groups(ds.algebra, M)
-                t2 = tor_groups_via_bar(ds.algebra, M)
+                t1 = KoszulData(ds.algebra).tor(M)
+                t2 = tor_groups_via_bar(KoszulData(ds.algebra), M)
                 for s in range(5):
                     assert t1.free_rank(s) == t2.free_rank(s), (ds.provenance, name, s)
                     assert t1.torsion_at(s) == t2.torsion_at(s), (ds.provenance, name, s)
@@ -184,11 +187,12 @@ def test_criterion_7_oracle_suites(capsys):
                                 (3, 3), (5, 1), (5, 2), (5, 3)])
         for seed, (p, N) in zip(range(1000), grid):
             ds = synthetic_height1_dataset(p, N, 4, seed)
+            data = KoszulData(ds.algebra)
             for k in range(5):
-                ok, deg = verify_complex(bar_complex(ds.algebra, k).complex)
+                ok, deg = verify_complex(data.bar(k).complex)
                 assert ok, (p, N, seed, k, deg)
             ok, deg = verify_complex(
-                bar_complex_with_module(ds.algebra, ds.module("sphere"), 4).complex)
+                bar_complex_with_module(data, ds.module("sphere"), 4).complex)
             assert ok, (p, N, seed, deg)
     report(capsys, 7, "oracle suites: brute-force homology, two Tor routes, "
            "d o d = 0 on 1000 seeded datasets", 120.0, check)

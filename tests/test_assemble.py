@@ -116,7 +116,7 @@ def test_assemble_equals_the_per_face_definition(factory, compared):
     # every module of its rank, so its differentials, not the assembly
     # calls, are compared: KMAX per module
     for M in ds.modules.values():
-        bc = bar_complex_with_module(A, M, KMAX, data)
+        bc = bar_complex_with_module(data, M, KMAX)
         for s, d in enumerate(bc.complex.differentials, 1):
             assert d == reference_assemble(A.coeff.ring, bc.blocks[s], bc.blocks[s - 1],
                                            d.rows, d.cols, module_bar_faces(A, M))

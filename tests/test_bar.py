@@ -5,10 +5,10 @@ import pytest
 from koszulab.padic import PAdicMatrix
 from koszulab.complexes import homology, verify_complex
 from koszulab.algebra import GradedAugmentedAlgebra, builtin_height1
-from koszulab.bar import (NotKoszulError, bar_complex, bar_complex_with_module,
+from koszulab.bar import (KoszulData, NotKoszulError, bar_complex_with_module,
                           bounded_compositions, compositions, ext_groups,
-                          koszul_complex, koszul_module, tor_groups,
-                          tor_groups_via_bar, verify_koszulness)
+                          koszul_complex, koszul_module, tor_groups_via_bar,
+                          verify_koszulness)
 from koszulab.synthetic import synthetic_height1_dataset
 
 
@@ -28,7 +28,7 @@ def test_bounded_compositions():
 
 def test_bar_weight3_ranks_and_acyclicity():
     ds = builtin_height1(2, 2, 4)
-    bc = bar_complex(ds.algebra, 3)
+    bc = KoszulData(ds.algebra).bar(3)
     assert bc.complex.ranks == (0, 1, 2, 1)
     assert [b.composition for b in bc.degree_blocks(2)] == [(1, 2), (2, 1)]
     prof = homology(bc.complex)
@@ -37,7 +37,7 @@ def test_bar_weight3_ranks_and_acyclicity():
 
 def test_bar_weight1_has_top_homology_rank_one():
     ds = builtin_height1(3, 1, 4)
-    bc = bar_complex(ds.algebra, 1)
+    bc = KoszulData(ds.algebra).bar(1)
     prof = homology(bc.complex)
     assert prof.free_rank(1) == 1 and not prof.torsion_at(1)
     assert prof.free_rank(0) == 0
@@ -45,7 +45,7 @@ def test_bar_weight1_has_top_homology_rank_one():
 
 def test_bar_weight0_is_coefficients():
     ds = builtin_height1(3, 2, 4)
-    bc = bar_complex(ds.algebra, 0)
+    bc = KoszulData(ds.algebra).bar(0)
     assert bc.complex.ranks == (1,)
     prof = homology(bc.complex)
     assert prof.free_rank(0) == 1
@@ -53,23 +53,26 @@ def test_bar_weight0_is_coefficients():
 
 def test_bar_differential_squares_to_zero_at_all_weights():
     ds = builtin_height1(5, 3, 4)
+    data = KoszulData(ds.algebra)
     for k in range(5):
-        bc = bar_complex(ds.algebra, k)
+        bc = data.bar(k)
         ok, _ = verify_complex(bc.complex)
         assert ok
 
 
 def test_koszul_module_ranks_height1():
     ds = builtin_height1(2, 3, 4)
-    ranks = [koszul_module(ds.algebra, k).rank for k in range(5)]
+    data = KoszulData(ds.algebra)
+    ranks = [koszul_module(data, k).rank for k in range(5)]
     assert ranks == [1, 1, 0, 0, 0]
 
 
 def test_koszul_module_inclusion_is_in_kernel():
     ds = builtin_height1(3, 2, 4)
-    kd = koszul_module(ds.algebra, 1)
+    data = KoszulData(ds.algebra)
+    kd = koszul_module(data, 1)
     assert kd.inclusion.shape == (1, 1)
-    bc = bar_complex(ds.algebra, 1)
+    bc = data.bar(1)
     # the top differential vanishes on the inclusion columns
     top = bc.complex.differentials[0]
     assert (top @ kd.inclusion).is_zero()
@@ -77,7 +80,7 @@ def test_koszul_module_inclusion_is_in_kernel():
 
 def test_verify_koszulness_builtin():
     ds = builtin_height1(3, 2, 4)
-    rep = verify_koszulness(ds.algebra, 4)
+    rep = verify_koszulness(KoszulData(ds.algebra))
     assert rep.passed
     assert rep.c_ranks == (1, 1, 0, 0, 0)
     assert "pass" in str(rep)
@@ -91,16 +94,16 @@ def test_non_koszul_detection():
     A = ds.algebra
     bad_mult = {(1, 1): PAdicMatrix(ds.ring, [[0]], 1, 1)}
     bad = GradedAugmentedAlgebra(A.coeff, A.q_label, 2, A.components, bad_mult)
-    rep = verify_koszulness(bad, 2)
+    rep = verify_koszulness(KoszulData(bad))
     assert not rep.passed
     with pytest.raises(NotKoszulError):
-        koszul_module(bad, 2)
+        koszul_module(KoszulData(bad), 2)
 
 
 def test_koszul_complex_trivial_module_zero_differential():
     for p, N in [(2, 1), (3, 2), (5, 3)]:
         ds = builtin_height1(p, N, 4)
-        kc = koszul_complex(ds.algebra, ds.module("triv"))
+        kc = koszul_complex(KoszulData(ds.algebra), ds.module("triv"))
         assert all(d.is_zero() for d in kc.complex.differentials)
         prof = homology(kc.complex)
         assert tuple(prof.free_ranks) == kc.c_ranks == (1, 1, 0, 0, 0)
@@ -109,16 +112,17 @@ def test_koszul_complex_trivial_module_zero_differential():
 
 def test_koszul_complex_sphere_is_acyclic():
     ds = builtin_height1(3, 2, 4)
-    kc = koszul_complex(ds.algebra, ds.module("sphere"))
+    kc = koszul_complex(KoszulData(ds.algebra), ds.module("sphere"))
     prof = homology(kc.complex)
     assert prof.is_zero()
 
 
 def test_ext_profiles_height1():
     ds = builtin_height1(2, 2, 4)
-    ext_triv = ext_groups(ds.algebra, ds.module("triv"))
+    data = KoszulData(ds.algebra)
+    ext_triv = ext_groups(data, ds.module("triv"))
     assert ext_triv.free_ranks == (1, 1, 0, 0, 0)
-    ext_sphere = ext_groups(ds.algebra, ds.module("sphere"))
+    ext_sphere = ext_groups(data, ds.module("sphere"))
     assert ext_sphere.is_zero()
 
 
@@ -127,11 +131,11 @@ def test_module_bar_complex_is_complex_and_matches_tor():
         ds = synthetic_height1_dataset(3, 2, 4, seed)
         for name in ("triv", "sphere"):
             M = ds.module(name)
-            bc = bar_complex_with_module(ds.algebra, M, 4)
+            bc = bar_complex_with_module(KoszulData(ds.algebra), M, 4)
             ok, _ = verify_complex(bc.complex)
             assert ok
-            t1 = tor_groups(ds.algebra, M)
-            t2 = tor_groups_via_bar(ds.algebra, M)
+            t1 = KoszulData(ds.algebra).tor(M)
+            t2 = tor_groups_via_bar(KoszulData(ds.algebra), M)
             for s in range(5):
                 assert t1.free_rank(s) == t2.free_rank(s), (seed, name, s)
                 assert t1.torsion_at(s) == t2.torsion_at(s), (seed, name, s)
@@ -140,7 +144,7 @@ def test_module_bar_complex_is_complex_and_matches_tor():
 def test_synthetic_algebras_are_koszul():
     for seed in (0, 1, 2):
         ds = synthetic_height1_dataset(2, 3, 4, seed)
-        rep = verify_koszulness(ds.algebra, 4)
+        rep = verify_koszulness(KoszulData(ds.algebra))
         assert rep.passed
         assert rep.c_ranks == (1, 1, 0, 0, 0)
 
@@ -148,15 +152,4 @@ def test_synthetic_algebras_are_koszul():
 def test_bar_weight_exceeding_max_weight_rejected():
     ds = builtin_height1(2, 2, 3)
     with pytest.raises(Exception):
-        bar_complex(ds.algebra, 7)
-
-
-def test_bar_complex_refuses_tensor_table_with_module():
-    # a module complex shares through KoszulData, not a tensor table, so a
-    # table given with a module would be silently unused
-    from koszulab.bar import weight_tensors
-    ds = builtin_height1(2, 2, 3)
-    with pytest.raises(TypeError):
-        bar_complex(ds.algebra, 2, ds.module("sphere"), weight_tensors(ds.algebra))
-    bc = bar_complex(ds.algebra, 2, ds.module("sphere"))
-    assert verify_complex(bc.complex)[0]
+        KoszulData(ds.algebra).bar(7)

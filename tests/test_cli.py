@@ -217,6 +217,39 @@ def test_keyed_entry_given_twice_is_reported_with_path(tmp_path, capsys, keys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("max_weight", [0, -1])
+def test_max_weight_below_one_is_reported_with_path(tmp_path, capsys, max_weight):
+    """An algebra with no positive weight, given with no components,
+    products, actions or package, fails the load with exit 1 naming
+    `algebra`; no command reaches its missing weight-1 component."""
+    doc = dataset_to_json(builtin_height1(3, 2, 1))
+    doc["algebra"].update(max_weight=max_weight, components=[], mult=[])
+    for module in doc["modules"]:
+        module["action"] = []
+    del doc["subgroup_package"]
+    path = tmp_path / "weightless.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("verify", "koszul"):
+        assert main([cmd, str(path), "--json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "algebra: field 'max_weight'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_order_below_one_is_reported_with_path(tmp_path, capsys, k):
+    """A subgroup algebra of order p^k with k < 1, given beside the valid
+    orders, fails the load with exit 1 naming its JSON path."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    orders = doc["subgroup_package"]["orders"]
+    orders.append({**orders[0], "k": k})
+    path = tmp_path / "order_below_one.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--json"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"subgroup_package.orders[k={k}]: k must be at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_invalid_dataset_is_math_failure(tmp_path, capsys):
     doc = dataset_to_json(builtin_height1(3, 2, 4))
     for ent in doc["algebra"]["mult"]:

@@ -345,7 +345,7 @@ def test_homology_leaves_its_input_unchanged():
     data = KoszulData(ds.algebra)
     koszul = data.koszul_complex(ds.module("sphere")).complex
     complexes = [partition_complex(4, RING22).complex, data.bar(4).complex,
-                 bar_complex_with_module(ds.algebra, ds.module("triv"), 5, data).complex,
+                 bar_complex_with_module(data, ds.module("triv"), 5).complex,
                  koszul, dualize_complex(koszul)]
     for C in complexes:
         before = [(d.tolist(), hash(d)) for d in C.differentials]

@@ -4,10 +4,10 @@ import pytest
 
 from koszulab.padic import ExactLinalgError, PAdicMatrix
 from koszulab.complexes import homology, verify_complex
-from koszulab.algebra import (builtin_height1, canonical_json,
+from koszulab.algebra import (CoefficientAlgebra, builtin_height1, canonical_json,
                               dataset_from_json, dataset_to_json)
 from koszulab.bar import KoszulData, koszul_module
-from koszulab.isogeny import (MICError, PackageData, SubgroupAlgebraPackage,
+from koszulab.isogeny import (MICError, SubgroupAlgebra, SubgroupAlgebraPackage,
                               build_mic, dualize_bar_to_mic, flag_tensor,
                               mic_cohomology, validate_package,
                               verify_theorem_10_2)
@@ -43,13 +43,14 @@ def test_mic_is_complex_and_cohomology_concentrated():
     for p, N in [(2, 1), (3, 2), (5, 3)]:
         ds = builtin_height1(p, N, 4)
         pkg = ds.subgroup_package
+        data = KoszulData(ds.algebra)
         for k in range(5):
             mic = build_mic(pkg, k)
             ok, _ = verify_complex(mic.complex)
             assert ok
-            prof, cmp_ = mic_cohomology(pkg, k, ds.algebra)
+            prof, cmp_ = mic_cohomology(data, mic)
             assert cmp_["matches"], (p, N, k, prof.summary())
-            assert prof.free_rank(k) == koszul_module(ds.algebra, k).rank
+            assert prof.free_rank(k) == koszul_module(data, k).rank
 
 
 def test_mic_rejects_order_beyond_package():
@@ -74,8 +75,9 @@ def test_broken_coassociativity_surfaces_as_dd_nonzero():
 
 def test_duality_builtin_all_orders():
     ds = builtin_height1(3, 2, 4)
+    data = KoszulData(ds.algebra)
     for k in range(5):
-        res = dualize_bar_to_mic(ds.algebra, ds.subgroup_package, k)
+        res = dualize_bar_to_mic(data, ds.subgroup_package, k)
         assert res.commutes, (k, res.witness)
         # the maps are unimodular squares degreewise
         for m in res.maps:
@@ -86,16 +88,18 @@ def test_duality_synthetic_corpus():
     for seed in range(10):
         for p, N in [(2, 3), (3, 2), (5, 2)]:
             ds = synthetic_height1_dataset(p, N, 4, seed)
+            data = KoszulData(ds.algebra)
             for k in range(5):
-                res = dualize_bar_to_mic(ds.algebra, ds.subgroup_package, k)
+                res = dualize_bar_to_mic(data, ds.subgroup_package, k)
                 assert res.commutes, (p, N, seed, k, res.witness)
 
 
 def test_perturbed_pairing_breaks_duality_with_witness():
     ds = perturb_pairing(synthetic_height1_dataset(3, 2, 4, 7), 5)
     bad = []
+    data = KoszulData(ds.algebra)
     for k in range(5):
-        res = dualize_bar_to_mic(ds.algebra, ds.subgroup_package, k)
+        res = dualize_bar_to_mic(data, ds.subgroup_package, k)
         if not res.commutes:
             assert res.witness is not None
             assert "degree" in res.witness
@@ -106,11 +110,12 @@ def test_perturbed_pairing_breaks_duality_with_witness():
 def test_shift_square_builtin():
     ds = builtin_height1(3, 2, 4)
     M = ds.module("sphere")
+    data = KoszulData(ds.algebra)
     for k in (1, 2, 3):
-        res = verify_theorem_10_2(ds.algebra, ds.subgroup_package, M, k)
+        res = verify_theorem_10_2(data, ds.subgroup_package, M, k)
         assert res.commutes, (k, res.witness)
     # square 1 carries the only nonzero 1x1 routes at height 1
-    res = verify_theorem_10_2(ds.algebra, ds.subgroup_package, M, 1)
+    res = verify_theorem_10_2(data, ds.subgroup_package, M, 1)
     assert res.route_top.shape == (1, 1)
     assert res.route_top == res.route_bottom
     assert not res.route_top.is_zero()
@@ -120,8 +125,9 @@ def test_shift_square_synthetic_corpus():
     for seed in range(10):
         ds = synthetic_height1_dataset(3, 2, 4, seed)
         M = ds.module("sphere")
+        data = KoszulData(ds.algebra)
         for k in (1, 2, 3, 4):
-            res = verify_theorem_10_2(ds.algebra, ds.subgroup_package, M, k)
+            res = verify_theorem_10_2(data, ds.subgroup_package, M, k)
             assert res.commutes, (seed, k, res.witness)
 
 
@@ -135,7 +141,7 @@ def test_shift_square_fails_with_witness_when_action_inconsistent():
     v = bad_action[1].entries[0][0]
     bad_action[1] = PAdicMatrix(ds.ring, [[v * 2 % ds.ring.modulus]], 1, 1)
     bad = LeftModule("bad", sphere.coeff, 1, bad_action)
-    res = verify_theorem_10_2(ds.algebra, ds.subgroup_package, bad, 1)
+    res = verify_theorem_10_2(KoszulData(ds.algebra), ds.subgroup_package, bad, 1)
     assert not res.commutes
     assert res.witness is not None
 
@@ -147,8 +153,9 @@ def test_package_json_roundtrip():
     ds2 = dataset_from_json(doc)
     assert canonical_json(ds2) == canonical_json(ds)
     pkg2 = ds2.subgroup_package
+    data = KoszulData(ds2.algebra)
     for k in range(5):
-        assert dualize_bar_to_mic(ds2.algebra, pkg2, k).commutes
+        assert dualize_bar_to_mic(data, pkg2, k).commutes
 
 
 def test_missing_pairing_reported():
@@ -158,29 +165,63 @@ def test_missing_pairing_reported():
                                      pkg.u1, pkg.shift,
                                      {1: pkg.pairing[1]})
     with pytest.raises(MICError) as exc:
-        dualize_bar_to_mic(ds.algebra, partial, 2)
+        dualize_bar_to_mic(KoszulData(ds.algebra), partial, 2)
     assert "pairing" in str(exc.value)
 
 
-def test_bad_pairing_fails_at_the_same_k_with_shared_package_data():
-    """Pairing inverses are shared across k and failures are not: a singular
-    or missing pairing at weight 2 fails every k >= 2, with the same error
-    from a shared PackageData as from a fresh one."""
+def test_bad_pairing_fails_at_the_same_k_when_the_package_is_reused():
+    """Pairing inverses are shared across k, on the package, and failures
+    are not: a singular or missing pairing at weight 2 fails every k >= 2,
+    with the same error from a reused package as from a fresh one."""
     ds = builtin_height1(3, 2, 4)
     pkg = ds.subgroup_package
     singular = {**pkg.pairing, 2: PAdicMatrix(pkg.coeff.ring, [[3]], 1, 1)}
     missing = {k: P for k, P in pkg.pairing.items() if k != 2}
+
+    def package(pairing):
+        return SubgroupAlgebraPackage(pkg.coeff, pkg.orders, pkg.t_maps,
+                                      pkg.u1, pkg.shift, pairing)
+
     for pairing, error in ((singular, ExactLinalgError), (missing, MICError)):
-        bad = SubgroupAlgebraPackage(pkg.coeff, pkg.orders, pkg.t_maps,
-                                     pkg.u1, pkg.shift, pairing)
-        data, pdata = KoszulData(ds.algebra), PackageData(bad)
+        bad = package(pairing)
+        data = KoszulData(ds.algebra)
         for k in range(5):
             if k < 2:
-                assert dualize_bar_to_mic(ds.algebra, bad, k, data, pdata).commutes
+                assert dualize_bar_to_mic(data, bad, k).commutes
                 continue
             messages = []
-            for shared in (pdata, None):
+            for reused in (bad, package(pairing)):
                 with pytest.raises(error) as exc:
-                    dualize_bar_to_mic(ds.algebra, bad, k, data, shared)
+                    dualize_bar_to_mic(data, reused, k)
                 messages.append(str(exc.value))
             assert messages[0] == messages[1]
+        assert sorted(bad._pairing_inverses) == [1]
+
+
+def test_non_associative_subgroup_algebra_fails_validation():
+    """A commutative, unital order algebra of rank 3 that is not
+    associative: e1 e1 = e2, e1 e2 = 0, e2 e2 = e1, so (e1 e1) e2 = e1 and
+    e1 (e1 e2) = 0.  The package check shares the coefficient algebra's
+    loops and names the failure."""
+    ds = builtin_height1(3, 2, 2)
+    pkg = ds.subgroup_package
+    ring = pkg.coeff.ring
+    # e_i e_j = e_k for (min, max) of (i, j) -> k below, and 0 otherwise
+    table = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 2, (2, 2): 1}
+
+    def product(i, j):
+        k = table.get((min(i, j), max(i, j)))
+        return tuple(int(k == c) for c in range(3))
+    mc = tuple(tuple(product(i, j) for j in range(3)) for i in range(3))
+    alg = CoefficientAlgebra(ring, 3, mc, (1, 0, 0))
+    assert alg.multiply((0, 1, 0), (0, 1, 0)) == (0, 0, 1)
+    assert alg.multiply((0, 1, 0), (0, 0, 1)) == (0, 0, 0)
+    orders = {**pkg.orders, 1: SubgroupAlgebra(1, alg, pkg.orders[1].bimodule)}
+    t_maps = {**pkg.t_maps, 1: PAdicMatrix(ring, [[1], [0], [0]], 3, 1)}
+    bad = SubgroupAlgebraPackage(pkg.coeff, orders, t_maps, pkg.u1,
+                                 pkg.shift, pkg.pairing)
+    rep = validate_package(bad)
+    assert {c for c, _ in rep.failures} == {"subgroup algebra associativity"}
+    assert ("subgroup algebra associativity",
+            "order p^1, basis triple (1,1,2)") in rep.failures
+    assert validate_package(pkg).passed

@@ -1,7 +1,7 @@
 """A module's bar complex and Koszul complex do not depend on whether the
 parts that do not read the module's action are shared through one
-`KoszulData` or built afresh for the module: differentials, ranks, blocks
-and Tor are equal both ways.  A module of another rank over the same
+`KoszulData` or built afresh, in a `KoszulData` of their own, for the
+module: differentials, ranks, blocks and Tor are equal both ways.  A module of another rank over the same
 algebra gets its own parts: Tor of M (+) M is twice Tor of M by both
 routes."""
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from koszulab.algebra import LeftModule, builtin_height1, validate_module
 from koszulab import cli
 from koszulab.bar import (KoszulData, _koszul_skeleton, bar_complex_with_module,
-                          koszul_complex, tor_groups, tor_groups_via_bar)
+                          koszul_complex, tor_groups_via_bar)
 from koszulab.complexes import HomologyProfile
 from koszulab.padic import PAdicMatrix
 
@@ -60,11 +60,11 @@ def test_shared_and_fresh_builds_agree(factory):
     shared = KoszulData(A)
     for M in ds.modules.values():
         # differentials, ranks, blocks (tensors and offsets) and module name
-        assert bar_complex_with_module(A, M, A.max_weight, shared) == \
-            bar_complex_with_module(A, M, A.max_weight)
-        assert shared.koszul_complex(M) == koszul_complex(A, M)
-        assert shared.tor(M) == tor_groups(A, M)
-        assert tor_groups_via_bar(A, M, data=shared) == tor_groups_via_bar(A, M)
+        assert bar_complex_with_module(shared, M, A.max_weight) == \
+            bar_complex_with_module(KoszulData(A), M, A.max_weight)
+        assert shared.koszul_complex(M) == koszul_complex(KoszulData(A), M)
+        assert shared.tor(M) == KoszulData(A).tor(M)
+        assert tor_groups_via_bar(shared, M) == tor_groups_via_bar(KoszulData(A), M)
 
 
 @pytest.mark.parametrize("factory,name", [(builtin_p3_N2_k5, "sphere"),
@@ -84,10 +84,10 @@ def test_a_module_of_twice_the_rank_has_twice_the_tor(factory, name):
     assert validate_module(A, M2).passed
     data = KoszulData(A)
     once = data.tor(M)
-    assert tor_groups_via_bar(A, M, data=data) == once
+    assert tor_groups_via_bar(data, M) == once
     assert once.is_zero() == (name != "triv")
     assert data.tor(M2) == twice(once)
-    assert tor_groups_via_bar(A, M2, data=data) == twice(once)
+    assert tor_groups_via_bar(data, M2) == twice(once)
 
 
 def test_the_koszul_suite_drops_the_skeletons_it_built(monkeypatch):

@@ -6,8 +6,8 @@ import gc
 
 from koszulab.algebra import (Bimodule, LeftModule, TensorTable, builtin_height1,
                               identity_tensor, iterated_tensor, save_dataset)
-from koszulab.bar import (KoszulData, bounded_compositions, tor_groups,
-                          tor_groups_via_bar, weight_tensors)
+from koszulab.bar import (KoszulData, bounded_compositions, tor_groups_via_bar,
+                          weight_tensors)
 from koszulab.cli import EXIT_PASS, run
 from koszulab.isogeny import flag_tensor, flag_tensors
 from koszulab.padic import PAdicMatrix
@@ -80,8 +80,8 @@ def test_a_module_of_rank_zero_has_zero_tor_by_both_routes():
     A = builtin_height1(3, 2, 4).algebra
     M = LeftModule("zero", A.coeff, 0, {})
     data = KoszulData(A)
-    via_bar = tor_groups_via_bar(A, M, data=data)
-    assert via_bar.summary() == tor_groups(A, M, data).summary()
+    via_bar = tor_groups_via_bar(data, M)
+    assert via_bar.summary() == data.tor(M).summary()
     assert not any(via_bar.free_ranks) and not any(via_bar.torsion)
 
 
