@@ -3,15 +3,16 @@
 pass, in one interpreter.
 
     python3 scripts/ab_inproc.py PARENT CHANGE --workload corpus --rounds 30
+    python3 scripts/ab_inproc.py PARENT CHANGE --workload corpus --setup
 
 PARENT and CHANGE are repository roots; the workload is corpus, suite-w9
 or partition.  Each tree's src/koszulab is loaded under its own package
 name, so both run in this process.  The workload's inputs (workload seed 1)
 are written once, by CHANGE's bench/workloads.py with CHANGE's koszulab.
-Before each pass, the names bench/workloads.py calls through (`cli`,
-`kpartition` and `BaseRing`) are pointed at the tree that runs it.  Passes
-are run by CHANGE's bench/run.py (`run_pass`, with its per-operation
-deadline DEADLINE_S).  A first pass of each tree checks every answer and
+Before each pass, the names bench/workloads.py calls through (`algebra`,
+`synthetic`, `cli`, `kpartition` and `BaseRing`) are pointed at the tree
+that runs it.  Passes are run by CHANGE's bench/run.py (`run_pass`, with
+its per-operation deadline DEADLINE_S).  A first pass of each tree checks every answer and
 requires the two trees' `--json` reports to be identical; an operation that
 misses the deadline on either tree is left out of the timed rounds and
 named, and the number kept is printed as `# N of M operations`.  Each
@@ -19,6 +20,16 @@ round then times one pass of each tree, the tree that goes first
 alternating from round to round, and takes the ratio change / parent.
 The median and quartiles of the ratios and the number of rounds the change
 won are printed.
+
+With --setup, each round times one set-up of each tree instead, the tree
+that goes first alternating as for passes.  A set-up is what the bench's
+`setup_s` times of koszulab: a fresh import of the tree's src/koszulab
+(`load_tree` under a package name not used before), then writing the
+workload's inputs with CHANGE's bench/workloads.py pointed at that tree, so
+they are generated and saved by the tree's own `save_dataset`.  Bytecode is
+neither written nor, where no `__pycache__` exists, read, so each import
+compiles from source, as in the bench's runs under PYTHONDONTWRITEBYTECODE=1.
+The same summary line is printed.
 
 The machine's speed can drift by a factor of two within minutes, so one
 process per side cannot resolve a 10% change; alternating passes in one
@@ -34,6 +45,7 @@ import signal
 import statistics
 import sys
 import tempfile
+import time
 
 SEED = 1
 
@@ -71,6 +83,76 @@ def import_bench(root, package):
             del sys.modules[k]
 
 
+def point_workloads(workloads, name):
+    """Point the names bench/workloads.py calls through at the tree loaded
+    as ``name``."""
+    workloads.algebra = sys.modules[f"{name}.algebra"]
+    workloads.synthetic = sys.modules[f"{name}.synthetic"]
+    workloads.cli = sys.modules[f"{name}.cli"]
+    workloads.kpartition = sys.modules[f"{name}.partition"]
+    workloads.BaseRing = sys.modules[f"{name}.padic"].BaseRing
+
+
+def sides(r):
+    """The order of the trees in round ``r``: the first alternates."""
+    return ("parent", "change") if r % 2 == 0 else ("change", "parent")
+
+
+def time_passes(args, trees, workloads, run, workdir):
+    """Per round, the seconds of one pass of each tree, by side."""
+    signal.signal(signal.SIGALRM, run._alarm)
+
+    def one_pass(side, ops):
+        point_workloads(workloads, trees[side].__name__)
+        gc.collect()
+        return run.run_pass(ops, run.DEADLINE_S, lambda c: c())
+
+    ops = workloads.MAKE[args.workload](SEED, workdir)
+    first = {side: one_pass(side, ops)[2] for side in trees}
+    kept, digests = [], []
+    for op, a, b in zip(ops, first["parent"], first["change"]):
+        if "wrong" in (a[0], b[0]):
+            sys.exit(f"wrong answer on {op.label}: parent {a}, change {b}")
+        if "deadline" in (a[0], b[0]):
+            print(f"# left out, missed the {run.DEADLINE_S:g} s deadline: {op.label}")
+            continue
+        if a != b:
+            sys.exit(f"reports differ between the trees: {op.label}")
+        kept.append(op)
+        digests.append(a)
+    print(f"# {len(kept)} of {len(ops)} operations, reports identical on both trees")
+
+    for r in range(args.rounds):
+        seconds = {}
+        for side in sides(r):
+            seconds[side], _, outcomes = one_pass(side, kept)
+            if outcomes != digests:
+                sys.exit(f"round {r + 1}: {side} answered differently "
+                         f"from its first pass")
+        yield seconds
+
+
+def time_setups(args, roots, workloads, workdir):
+    """Per round, the seconds of one set-up of each tree, by side."""
+    sys.dont_write_bytecode = True
+    print(f"# set-ups: a fresh import of the tree, then the {args.workload} inputs")
+    for r in range(args.rounds):
+        seconds = {}
+        for side in sides(r):
+            name = f"ab_{side}_{r}"
+            out = tempfile.mkdtemp(prefix=f"setup-{side}-", dir=workdir)
+            gc.collect()
+            t = time.perf_counter()
+            load_tree(roots[side], name)
+            point_workloads(workloads, name)
+            workloads.MAKE[args.workload](SEED, out)
+            seconds[side] = time.perf_counter() - t
+            for k in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+                del sys.modules[k]
+            shutil.rmtree(out)
+        yield seconds
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="root of the parent checkout")
@@ -78,49 +160,21 @@ def main(argv=None):
     ap.add_argument("--workload", choices=("corpus", "suite-w9", "partition"),
                     required=True)
     ap.add_argument("--rounds", type=int, default=30)
+    ap.add_argument("--setup", action="store_true",
+                    help="time set-ups (import and input writes), not passes")
     args = ap.parse_args(argv)
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
 
-    trees = {"parent": load_tree(args.parent, "ab_parent"),
-             "change": load_tree(args.change, "ab_change")}
+    roots = {"parent": args.parent, "change": args.change}
+    trees = {side: load_tree(root, f"ab_{side}") for side, root in roots.items()}
     workloads, run = import_bench(args.change, trees["change"])
-    signal.signal(signal.SIGALRM, run._alarm)
-
-    def one_pass(side, ops):
-        name = trees[side].__name__
-        workloads.cli = sys.modules[f"{name}.cli"]
-        workloads.kpartition = sys.modules[f"{name}.partition"]
-        workloads.BaseRing = sys.modules[f"{name}.padic"].BaseRing
-        gc.collect()
-        return run.run_pass(ops, run.DEADLINE_S, lambda c: c())
-
     workdir = tempfile.mkdtemp(prefix="ab-inproc-")
     try:
-        ops = workloads.MAKE[args.workload](SEED, workdir)
-        first = {side: one_pass(side, ops)[2] for side in trees}
-        kept, digests = [], []
-        for op, a, b in zip(ops, first["parent"], first["change"]):
-            if "wrong" in (a[0], b[0]):
-                sys.exit(f"wrong answer on {op.label}: parent {a}, change {b}")
-            if "deadline" in (a[0], b[0]):
-                print(f"# left out, missed the {run.DEADLINE_S:g} s deadline: {op.label}")
-                continue
-            if a != b:
-                sys.exit(f"reports differ between the trees: {op.label}")
-            kept.append(op)
-            digests.append(a)
-        print(f"# {len(kept)} of {len(ops)} operations, reports identical on both trees")
-
+        rounds = (time_setups(args, roots, workloads, workdir) if args.setup
+                  else time_passes(args, trees, workloads, run, workdir))
         ratios = []
-        for r in range(args.rounds):
-            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
-            seconds = {}
-            for side in order:
-                seconds[side], _, outcomes = one_pass(side, kept)
-                if outcomes != digests:
-                    sys.exit(f"round {r + 1}: {side} answered differently "
-                             f"from its first pass")
+        for r, seconds in enumerate(rounds):
             ratios.append(seconds["change"] / seconds["parent"])
             print(f"round {r + 1}: parent {seconds['parent']:.4f} s, "
                   f"change {seconds['change']:.4f} s, ratio {ratios[-1]:.3f}")
@@ -129,7 +183,8 @@ def main(argv=None):
 
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     wins = sum(x < 1 for x in ratios)
-    print(f"# {args.workload}: change/parent median {median:.3f} "
+    what = f"{args.workload} set-up" if args.setup else args.workload
+    print(f"# {what}: change/parent median {median:.3f} "
           f"(quartiles {q1:.3f}, {q3:.3f}), change won {wins} of {len(ratios)} rounds")
     return 0
 

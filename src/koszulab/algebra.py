@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .padic import (BaseRing, PAdicMatrix,
                     inverse_mod, smith_normal_form)
@@ -28,8 +28,7 @@ class NonFreeQuotientError(DatasetError):
 # Coefficient algebras and bimodules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientAlgebra:
+class CoefficientAlgebra(NamedTuple):
     """Commutative unital algebra over Z/p^N given by structure constants.
 
     ``mult_constants[i][j][k]`` is the e_k-coordinate of e_i * e_j.
@@ -66,8 +65,7 @@ class CoefficientAlgebra:
         return Bimodule(self.ring, self, self.rank, acts, acts)
 
 
-@dataclass(frozen=True)
-class Bimodule:
+class Bimodule(NamedTuple):
     """Finite free Z/p^N-module with commuting left/right coefficient actions."""
 
     ring: BaseRing
@@ -91,8 +89,7 @@ class Bimodule:
         return out
 
 
-@dataclass(frozen=True)
-class TensorData:
+class TensorData(NamedTuple):
     """M (x)_{E0} N presented on a free basis.
 
     ``proj``/``sect`` relate the ambient Z/p^N tensor product (kron index
@@ -158,8 +155,7 @@ def _tensor_bimodule(M: Bimodule, N: Bimodule, proj, sect) -> Bimodule:
     return Bimodule(M.ring, M.coeff, proj.rows, left, right)
 
 
-@dataclass(frozen=True)
-class IteratedTensor:
+class IteratedTensor(NamedTuple):
     """An s-fold tensor over E0 with cumulative maps from the full ambient
     Z/p^N tensor product (product of the factor ranks, left-major order)."""
 
@@ -222,8 +218,7 @@ class TensorTable:
 # The weight-graded augmented algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradedAugmentedAlgebra:
+class GradedAugmentedAlgebra(NamedTuple):
     """Weight components with two-sided coefficient actions and structure maps.
 
     ``components[k]`` (k >= 1) is the weight-k bimodule; weight 0 is the
@@ -250,8 +245,7 @@ class GradedAugmentedAlgebra:
         return self.components[k]
 
 
-@dataclass(frozen=True)
-class LeftModule:
+class LeftModule(NamedTuple):
     """Left module over the graded algebra, free over the coefficient algebra.
 
     ``rank`` counts generators over E0; base coordinates are pairs
@@ -599,6 +593,9 @@ def _coefficient_algebra_from_json(ring, d, where) -> CoefficientAlgebra:
                            f"rank^3 = {r}^3 entries")
     if len(unit) != r:
         raise DatasetError(f"{where}.unit: wrong length")
+    for i, g in enumerate(ideal):
+        if len(g) != r:
+            raise DatasetError(f"{where}.maximal_ideal[{i}]: wrong length")
     m = ring.modulus
     return CoefficientAlgebra(
         ring, r,
@@ -695,9 +692,9 @@ def canonical_json(ds: Dataset) -> str:
 
 
 def save_dataset(ds: Dataset, path) -> None:
+    """Write the canonical JSON of ``ds``, which the fingerprint hashes."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_json(ds), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(canonical_json(ds) + "\n")
 
 
 def load_dataset(path, validate: bool = True) -> Dataset:

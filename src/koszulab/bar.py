@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .padic import (PAdicMatrix, InconsistentSystemError, ShapeError,
                     kernel_basis, solve)
@@ -65,8 +65,7 @@ def bounded_compositions(parts: int, max_total: int):
 # share its tensor, and the identity factors of a face are never built.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One composition's summand in one degree: its tensor quotient and the
     first coordinate it occupies."""
     composition: tuple
@@ -167,8 +166,7 @@ def _add_faces(nonzeros, src, tgt, faces):
 # Bar complexes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BarComplex:
+class BarComplex(NamedTuple):
     weight: Optional[int]          # None for the module-coefficient complex
     complex: ChainComplex
     blocks: tuple                  # per degree, tuple of Block
@@ -274,8 +272,7 @@ def bar_complex_with_module(data: KoszulData, M: LeftModule,
 # Koszul modules and the Koszul complex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KoszulModuleData:
+class KoszulModuleData(NamedTuple):
     weight: int
     inclusion: PAdicMatrix   # columns: generators of C[k] inside Delta[1]^{(x)k}
     rank: int
@@ -327,8 +324,7 @@ def _induced_bimodule(A: GradedAugmentedAlgebra, kd: KoszulModuleData) -> Bimodu
     return Bimodule(ring, A.coeff, kd.rank, tuple(lefts), tuple(rights))
 
 
-@dataclass(frozen=True)
-class KoszulComplexData:
+class KoszulComplexData(NamedTuple):
     module_name: str
     complex: ChainComplex
     c_ranks: tuple                  # rank of C[k] per degree k

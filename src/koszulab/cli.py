@@ -24,7 +24,7 @@ from .bar import (KoszulData, NotKoszulError, bar_complex_with_module,
                   ext_groups, tor_groups_via_bar, verify_koszulness)
 from .isogeny import (MICError, build_mic, dualize_bar_to_mic,
                       mic_cohomology, verify_theorem_10_2)
-from .partition import PartitionSizeError, partition_homology
+from .partition import PartitionSizeError, partition_homology, predicted_size
 from .synthetic import synthetic_height1_dataset
 
 REPORT_SCHEMA = "koszulab-report-1"
@@ -348,6 +348,9 @@ def cmd_verify(args, checks) -> Dataset:
 
 
 def cmd_partition(args, checks) -> None:
+    if args.force and args.n >= 1:
+        print(f"partition: n = {args.n} predicts {predicted_size(args.n)}",
+              file=sys.stderr)
     try:
         prof = partition_homology(args.n, _ring(args.p, args.N_trunc),
                                   force=args.force)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .padic import (BaseRing, PAdicMatrix, ExactLinalgError, ShapeError,
                     _eliminate)
@@ -109,8 +109,7 @@ def verify_complex(C: ChainComplex):
     return True, None
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Per degree: rank of the free part and a multiset of torsion exponents.
 
     Torsion is recorded as a sorted tuple of exponents a with 0 < a < N,

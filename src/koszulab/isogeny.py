@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .padic import (PAdicMatrix, InconsistentSystemError,
                     inverse_mod, solve)
@@ -30,8 +30,7 @@ class MICError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SubgroupAlgebra:
+class SubgroupAlgebra(NamedTuple):
     """One ring of functions on order-p^k subgroup flags: its own ring
     structure plus the two coefficient-module structures (structural on the
     left, deformation-twisted on the right)."""
@@ -106,8 +105,7 @@ def flag_tensors(pkg: SubgroupAlgebraPackage) -> TensorTable:
 # The complex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModularIsogenyComplex:
+class ModularIsogenyComplex(NamedTuple):
     k: int
     complex: ChainComplex
     blocks: tuple   # per degree, tuple of bar.Block

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class ExactLinalgError(Exception):
@@ -636,8 +636,7 @@ def _eliminate(rows, ncols, ring, left=None, right=None, companion=None):
 # Smith normal form, inverses, kernels and solutions over Z/p^N
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """left @ matrix @ right == diag(invariants) over Z/p^N.
 
     Each invariant is a canonical p-power residue: 1, p, ..., p^{N-1}, or 0

@@ -10,9 +10,9 @@ SIMPLEX_BUDGET unless forced."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .padic import BaseRing, PAdicMatrix
 from .complexes import (HOMOLOGICAL, ChainComplex, HomologyProfile,
@@ -106,6 +106,12 @@ def chain_counts():
                         for m in range(s + 1)) for s in range(n))
 
 
+def predicted_size(n: int) -> str:
+    """The predicted size of the build on n >= 1 letters, enumerating none."""
+    counts = next(itertools.islice(chain_counts(), n - 1, None))
+    return f"{sum(counts):,} nondegenerate simplices (per degree {counts})"
+
+
 def _check_n(n: int, force: bool):
     """Refuse n < 1 and, unless forced, a predicted simplex count above
     SIMPLEX_BUDGET.  Counts grow with n (a chain on n-1 letters, {n} added,
@@ -118,8 +124,8 @@ def _check_n(n: int, force: bool):
     for k, counts in zip(range(1, n + 1), chain_counts()):
         total = sum(counts)
         if total > SIMPLEX_BUDGET:
-            size = (f"{total:,} nondegenerate simplices (per degree {counts})"
-                    if k == n else f"more simplices than the {total:,} of n = {k}")
+            size = (predicted_size(n) if k == n
+                    else f"more simplices than the {total:,} of n = {k}")
             raise PartitionSizeError(
                 f"n = {n} predicts {size}, above the budget of "
                 f"{SIMPLEX_BUDGET:,}; pass force=True to attempt it anyway")
@@ -150,8 +156,7 @@ def nondegenerate_simplices(n: int, force: bool = False):
 # Normalized chains and homology
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartitionComplexData:
+class PartitionComplexData(NamedTuple):
     n: int
     complex: ChainComplex
     chains: tuple     # per degree (from 0), tuple of chains of partition ids

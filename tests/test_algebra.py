@@ -1,9 +1,11 @@
 """Coefficient algebras, graded components, tensor products over the
 coefficients, dataset validation and serialization."""
+import hashlib
 import json
 
 import pytest
 
+from koszulab.cli import fingerprint
 from koszulab.padic import BaseRing, PAdicMatrix
 from koszulab.algebra import (Bimodule, CoefficientAlgebra, Dataset,
                               DatasetError, GradedAugmentedAlgebra,
@@ -13,6 +15,9 @@ from koszulab.algebra import (Bimodule, CoefficientAlgebra, Dataset,
                               iterated_tensor, load_dataset, save_dataset,
                               tensor_over_coeff, trivial_module,
                               validate_algebra, validate_module)
+from koszulab.synthetic import synthetic_height1_dataset
+
+from test_golden import sym2_dataset
 
 
 def dual_numbers(p=2, N=2):
@@ -136,6 +141,42 @@ def test_json_roundtrip_preserves_fingerprint(tmp_path):
     assert ds2.p == 3 and ds2.N == 2
     assert set(ds2.modules) == {"triv", "sphere"}
     assert ds2.subgroup_package is not None
+
+
+DATASETS = {
+    "builtin_p3_N2_k4": lambda: builtin_height1(3, 2, 4),
+    "synthetic_p5_N2_k4_s1": lambda: synthetic_height1_dataset(5, 2, 4, 1),
+    "sym2_p3_N2_k5": sym2_dataset,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_saved_file_is_the_fingerprinted_canonical_json(name, tmp_path):
+    """A saved file is the canonical JSON and a newline, so its SHA-256
+    without the newline is the dataset fingerprint."""
+    ds = DATASETS[name]()
+    path = tmp_path / "ds.json"
+    save_dataset(ds, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == canonical_json(ds) + "\n"
+    assert hashlib.sha256(text[:-1].encode("utf-8")).hexdigest() == \
+        fingerprint(ds)
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_indented_file_loads_as_the_canonical_one(name, tmp_path):
+    """A file in the indented layout earlier versions wrote loads to the
+    same dataset, with the same fingerprint, as the canonical file."""
+    ds = DATASETS[name]()
+    old, new = tmp_path / "indented.json", tmp_path / "canonical.json"
+    with open(old, "w", encoding="utf-8") as fh:
+        json.dump(dataset_to_json(ds), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    save_dataset(ds, new)
+    assert old.read_text() != new.read_text()
+    from_old, from_new = load_dataset(old), load_dataset(new)
+    assert from_old == from_new
+    assert fingerprint(from_old) == fingerprint(from_new) == fingerprint(ds)
 
 
 def test_canonical_json_is_deterministic():

@@ -250,6 +250,22 @@ def test_order_below_one_is_reported_with_path(tmp_path, capsys, k):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("generator", [[3, 1], []])
+def test_maximal_ideal_generator_of_wrong_length_is_reported_with_path(
+        tmp_path, capsys, generator):
+    """A maximal-ideal generator must have one coordinate per basis element
+    of the coefficient algebra: one of another length fails the load with
+    exit 1 naming its JSON path, and never reaches the fingerprint."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    doc["coefficient_algebra"]["maximal_ideal"].append(generator)
+    path = tmp_path / "long_generator.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--json"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert "coefficient_algebra.maximal_ideal[1]" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_invalid_dataset_is_math_failure(tmp_path, capsys):
     doc = dataset_to_json(builtin_height1(3, 2, 4))
     for ent in doc["algebra"]["mult"]:
@@ -359,6 +375,28 @@ def test_partition_n8_is_refused_with_its_predicted_size(monkeypatch, capsys):
     assert main(["partition", "--n", "8", "--p", "2"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "10,270,696" in err and "--force" in err
+
+
+def test_forced_partition_states_its_predicted_size_before_it_builds(
+        monkeypatch, capsys):
+    def enumerate_nothing(n):
+        raise AssertionError("n = 8 reached the chain enumeration")
+    monkeypatch.setattr(partition, "id_lattice", enumerate_nothing)
+    with pytest.raises(AssertionError, match="reached the chain enumeration"):
+        main(["partition", "--n", "8", "--p", "2", "--force"])
+    captured = capsys.readouterr()
+    assert "n = 8 predicts 10,270,696 nondegenerate simplices" in captured.err
+    assert captured.out == ""
+
+
+def test_forced_partition_json_is_the_unforced_profile(capsys):
+    argv = ["partition", "--n", "4", "--p", "2", "--N-trunc", "2", "--json"]
+    code, doc = run_json(capsys, argv)
+    assert main(argv + ["--force"]) == code == EXIT_PASS
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["checks"] == doc["checks"]
+    assert "n = 4 predicts 32 nondegenerate simplices (per degree " \
+        "(0, 1, 13, 18))" in captured.err
 
 
 def test_json_reports_are_byte_identical(h1_path, capsys):

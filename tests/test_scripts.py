@@ -16,6 +16,18 @@ ROOT = Path(__file__).resolve().parents[1]
     ["partition_table.py", "--nmax", "4"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv):
+    run_script(argv)
+
+
+def test_ab_inproc_times_setups_of_the_repo_against_itself():
+    out = run_script(["ab_inproc.py", str(ROOT), str(ROOT), "--workload",
+                      "corpus", "--setup", "--rounds", "2"])
+    assert "# corpus set-up: change/parent median" in out
+
+
+def run_script(argv):
+    """The stdout of scripts/<argv[0]> run with ``argv[1:]``, which must exit
+    0 and print something."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -23,3 +35,4 @@ def test_script_runs(argv):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    return proc.stdout
