@@ -61,22 +61,6 @@ class ChainComplex:
     def rank(self, degree: int) -> int:
         return self.ranks[degree - self.min_degree]
 
-    def boundary_maps(self, degree: int):
-        """(d_out, d_in) for the given degree; None where the complex ends."""
-        i = degree - self.min_degree
-        if not (0 <= i < len(self.ranks)):
-            raise IndexError(f"degree {degree} outside complex")
-        if self.orientation == HOMOLOGICAL:
-            d_out = self.differentials[i - 1] if i > 0 else None
-            d_in = self.differentials[i] if i < len(self.differentials) else None
-        else:
-            d_out = self.differentials[i] if i < len(self.differentials) else None
-            d_in = self.differentials[i - 1] if i > 0 else None
-        return d_out, d_in
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * self.rank(d) for d in self.degrees)
-
 
 def make_complex(ring: BaseRing, orientation: str, min_degree: int,
                  ranks: Sequence[int],

@@ -18,7 +18,9 @@ product or the identities, and ``A @ B`` is its case pre = post = 1.
 per distinct entry otherwise.  A 1x1 identity factor of ``@`` or ``kron``,
 or a 1x1 identity S of ``kron_apply``, returns the other factor.  Results
 the kernel builds are already reduced and are wrapped without a second pass
-mod p^N; only the constructors reduce and check what callers pass in.
+mod p^N; only the constructors reduce and check what callers pass in.  The
+partition builder wraps its differentials the same way, since it writes
+each entry itself as the residue 1 or p^N - 1.
 
 Dense rows are built only on demand: ``entries`` builds each row tuple when
 it is read, ``tolist`` builds lists, which the elimination kernel,
@@ -162,7 +164,8 @@ class PAdicMatrix:
     Kernel results share row dicts with their operands, so the dicts are
     read-only: copy one before changing it.  ``entries`` is a view of the
     dense rows.  The constructors reduce and check what they are given;
-    kernel results are wrapped by :func:`_wrap` as they are.
+    kernel results, and the partition differentials, are wrapped by
+    :func:`_wrap` as they are.
     """
 
     __slots__ = ("ring", "rows", "cols", "nonzeros")
@@ -417,7 +420,8 @@ _new = object.__new__
 def _wrap(ring: BaseRing, nonzeros: tuple, rows: int, cols: int) -> PAdicMatrix:
     """Wrap ``nonzeros``, ``rows`` dicts of column (below ``cols``) -> residue
     in [1, p^N), as a matrix without copying, reducing or checking them.
-    Only the kernel calls this, on results it built itself."""
+    The kernel calls this on results it built itself, and
+    `partition.partition_complex` on rows of residues it wrote itself."""
     self = _new(PAdicMatrix)
     _set_ring(self, ring)
     _set_rows(self, rows)

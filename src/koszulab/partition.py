@@ -3,10 +3,12 @@ discrete partition of {1,...,n}, their normalized reduced chain complex (end
 faces hit the basepoint), and its exact homology over Z/p^N.
 
 Within one call each set partition is a tuple of block bitmasks (bit i-1
-for letter i, blocks by least letter) interned to a small int id, chains
-are tuples of ids, and an interior face is a slice of its chain.  Before it
-enumerates, a build predicts its chain counts and refuses a size above
-SIMPLEX_BUDGET unless forced."""
+for letter i, blocks by least letter) interned to a small int id.  A chain
+is coded as one int whose digits, ``width`` bits each, are its ids, the
+first id most significant; an interior face drops one digit with two shifts
+and a mask, and chains are decoded to ids and partitions only when read.
+Before it enumerates, a build predicts its chain counts and refuses a size
+above SIMPLEX_BUDGET unless forced."""
 from __future__ import annotations
 
 import itertools
@@ -14,12 +16,12 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .padic import BaseRing, PAdicMatrix
+from .padic import BaseRing, _wrap
 from .complexes import (HOMOLOGICAL, ChainComplex, HomologyProfile,
                         homology, make_complex)
 
 #: The most nondegenerate simplices a build makes unless forced.  n = 7 has
-#: 262,760 (about 2 s and 250 MB); n = 8 would have 10,270,696.
+#: 262,760 (about 1 s and 100 MB to build); n = 8 would have 10,270,696.
 SIMPLEX_BUDGET = 10 ** 6
 
 
@@ -49,7 +51,7 @@ def id_lattice(n: int):
     ids of its strict refinements: one set partition of each block, each in
     restricted-growth order, varied lexicographically over the blocks."""
     blocks = [((1 << n) - 1,)]
-    ids = {blocks[0]: 0}
+    ids = {frozenset(blocks[0]): 0}    # keyed by block set: sorted once, when new
     splits = {}       # block -> its set partitions, as tuples of bitmasks
     finer = []
     for lam in blocks:                 # blocks grows as partitions are met
@@ -63,12 +65,12 @@ def id_lattice(n: int):
         out = []
         # the first choice splits no block: lam itself
         for combo in itertools.islice(itertools.product(*choices), 1, None):
-            mu = tuple(sorted(itertools.chain.from_iterable(combo),
-                              key=lambda b: b & -b))     # by least letter
-            if mu not in ids:
-                ids[mu] = len(blocks)
-                blocks.append(mu)
-            out.append(ids[mu])
+            key = frozenset(itertools.chain.from_iterable(combo))
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(blocks)
+                blocks.append(tuple(sorted(key, key=lambda b: b & -b)))  # by least letter
+            out.append(i)
         finer.append(out)
     return blocks, finer
 
@@ -78,6 +80,17 @@ def decode(n: int, blocks, chains):
     part = [tuple(tuple(i + 1 for i in range(n) if b >> i & 1) for b in lam)
             for lam in blocks]
     return [[tuple(part[i] for i in c) for c in cs] for cs in chains]
+
+
+def unpack(width: int, codes):
+    """Per degree s, the coded chains of ``codes[s]`` as tuples of their
+    s + 1 ids, first id first."""
+    mask = (1 << width) - 1
+    out = []
+    for s, cs in enumerate(codes):
+        shifts = [width * k for k in range(s, -1, -1)]
+        out.append([tuple(c >> k & mask for k in shifts) for c in cs])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +145,30 @@ def _check_n(n: int, force: bool):
 
 
 def _chains(n: int, force: bool):
-    """(blocks, chains): the lattice's partitions and, per degree s from 0,
-    the strict chains one-block = lambda_0 < ... < lambda_s = discrete as
-    tuples of ids, in lexicographic order of refinement position."""
+    """(blocks, width, chains): the lattice's partitions, the bits of one id,
+    and, per degree s from 0, the strict chains one-block = lambda_0 < ... <
+    lambda_s = discrete, each coded as the int whose s + 1 digits of
+    ``width`` bits are its ids, in lexicographic order of refinement
+    position."""
     _check_n(n, force)
     blocks, finer = id_lattice(n)
+    width = (len(blocks) - 1).bit_length()
+    mask = (1 << width) - 1
     bottom = blocks.index(tuple(1 << i for i in range(n)))
     chains = []
-    level = [(0,)]
+    level = [0]                        # the chain (one-block,), id 0
     while level:
-        chains.append([c for c in level if c[-1] == bottom])
-        level = [c + (mu,) for c in level for mu in finer[c[-1]]]
-    return blocks, chains
+        chains.append([c for c in level if c & mask == bottom])
+        level = [c << width | mu for c in level for mu in finer[c & mask]]
+    return blocks, width, chains
 
 
 def nondegenerate_simplices(n: int, force: bool = False):
     """The strict chains as tuples of canonical partitions, grouped by
     degree s (the basepoint is omitted)."""
-    return {s: cs for s, cs in enumerate(decode(n, *_chains(n, force))) if cs}
+    blocks, width, codes = _chains(n, force)
+    return {s: cs for s, cs in enumerate(decode(n, blocks, unpack(width, codes)))
+            if cs}
 
 
 # ---------------------------------------------------------------------------
@@ -159,34 +178,40 @@ def nondegenerate_simplices(n: int, force: bool = False):
 class PartitionComplexData(NamedTuple):
     n: int
     complex: ChainComplex
-    chains: tuple     # per degree (from 0), tuple of chains of partition ids
+    chains: tuple     # per degree (from 0), tuple of coded chains
     blocks: tuple     # partition id -> blocks as bitmasks
+    width: int        # the bits of one id in a coded chain
 
     @property
     def simplices(self) -> tuple:
         """Per degree, the chains of canonical partitions, decoded when read."""
-        return tuple(map(tuple, decode(self.n, self.blocks, self.chains)))
+        return tuple(map(tuple, decode(self.n, self.blocks,
+                                       unpack(self.width, self.chains))))
 
 
 def partition_complex(n: int, ring: BaseRing,
                       force: bool = False) -> PartitionComplexData:
     """Normalized reduced chain complex: basis the nondegenerate non-basepoint
     simplices, boundary the alternating sum of the interior faces (the two end
-    faces land on the collapsed basepoint)."""
-    blocks, chains = _chains(n, force)
+    faces land on the collapsed basepoint).  Each entry is written once, as
+    the residue 1 or p^N - 1, and the rows are wrapped as built."""
+    blocks, width, chains = _chains(n, force)
     ranks = [len(cs) for cs in chains]
+    minus = ring.modulus - 1
     diffs = []
     for s in range(1, len(chains)):
         index = {c: i for i, c in enumerate(chains[s - 1])}
         nonzeros = [{} for _ in range(ranks[s - 1])]   # per row: column -> entry
-        signs = [(i, -1 if i & 1 else 1) for i in range(1, s)]
+        # face i drops digit i: the digits above it shift down onto those below
+        faces = [(width * (s - i + 1), width * (s - i), (1 << width * (s - i)) - 1,
+                  minus if i & 1 else 1) for i in range(1, s)]
         for col, c in enumerate(chains[s]):
-            for i, sign in signs:          # distinct i give distinct faces
-                nonzeros[index[c[:i] + c[i + 1:]]][col] = sign
-        diffs.append(PAdicMatrix.from_sparse_rows(ring, ranks[s - 1], ranks[s],
-                                                  nonzeros))
+            for hi, lo, low, entry in faces:    # distinct i give distinct faces
+                nonzeros[index[c >> hi << lo | c & low]][col] = entry
+        diffs.append(_wrap(ring, tuple(nonzeros), ranks[s - 1], ranks[s]))
     cx = make_complex(ring, HOMOLOGICAL, 0, ranks, diffs)
-    return PartitionComplexData(n, cx, tuple(map(tuple, chains)), tuple(blocks))
+    return PartitionComplexData(n, cx, tuple(map(tuple, chains)), tuple(blocks),
+                                width)
 
 
 def partition_homology(n: int, ring: BaseRing,

@@ -15,6 +15,8 @@ from koszulab.isogeny import (build_mic, dualize_bar_to_mic, mic_cohomology,
 from koszulab.partition import partition_homology
 from koszulab.synthetic import synthetic_height1_dataset
 
+from complex_helpers import boundary_maps
+
 BUILTIN_GRID = [(p, N) for p in (2, 3, 5) for N in (1, 2, 3)]
 
 
@@ -144,7 +146,7 @@ def _random_complex_mod4(rng):
 
 def _brute_degree(ring, C, d):
     rank = C.rank(d)
-    d_out, d_in = C.boundary_maps(d)
+    d_out, d_in = boundary_maps(C, d)
     kernel = [v for v in itertools.product(range(4), repeat=rank)
               if d_out is None or all(
                   sum(d_out.entries[i][j] * v[j] for j in range(rank)) % 4 == 0

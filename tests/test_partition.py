@@ -1,5 +1,6 @@
 """The pointed partition complex: combinatorics, simplicial identities,
 the size guardrail, and reduced homology."""
+import functools
 import itertools
 import math
 import random
@@ -9,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulab import partition
-from koszulab.padic import BaseRing
+from koszulab.padic import BaseRing, PAdicMatrix
 from koszulab.complexes import verify_complex
 from koszulab.partition import (SIMPLEX_BUDGET, PartitionSizeError,
                                 chain_counts, decode, id_lattice,
                                 nondegenerate_simplices, partition_complex,
-                                partition_homology)
+                                partition_homology, unpack)
 
 from partition_helpers import (BASEPOINT, canonical, degeneracy, discrete,
                                face, falling_and_rising, is_degenerate,
@@ -177,8 +178,10 @@ def test_sparse_assembly_matches_dense_assembly():
 
 def test_the_n6_build_holds_no_dense_row():
     """The n = 6 differentials have 19.8M cells and 27k nonzeros.  Built
-    from their nonzeros alone the build allocates at most 32 MB at its
-    peak; a dense row per row of the differentials peaked at 154 MB."""
+    from coded chains and their nonzeros alone the build allocates about
+    2.7 MB at its peak, and must stay below 8 MB; chains as tuples of ids
+    peaked at 4.4 MB, and a dense row per row of the differentials at
+    154 MB."""
     tracemalloc.start()
     try:
         data = partition_complex(6, BaseRing(2, 2))
@@ -186,7 +189,52 @@ def test_the_n6_build_holds_no_dense_row():
     finally:
         tracemalloc.stop()
     assert data.complex.ranks == (0, 1, 201, 1865, 4245, 2700)
-    assert peak < 32 * 2 ** 20, peak
+    assert peak < 8 * 2 ** 20, peak
+
+
+BENCH_RINGS = ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2))
+
+
+def encode(width, ids):
+    """The coded chain of ``ids``: one ``width``-bit digit each, first id
+    most significant."""
+    return functools.reduce(lambda c, i: c << width | i, ids, 0)
+
+
+@pytest.mark.parametrize("p,N", BENCH_RINGS)
+def test_coded_faces_equal_the_faces_of_sliced_id_tuples(p, N):
+    """Each differential, whose faces drop a digit of a coded chain by
+    shifts, equals the one assembled from faces found by slicing the id
+    tuples, over Z/2 too where -1 = 1; its entries, written without a
+    second reduction, are residues in [1, p^N) at columns in range."""
+    ring = BaseRing(p, N)
+    for n in range(1, 6):
+        data = partition_complex(n, ring)
+        ids = unpack(data.width, data.chains)
+        assert [[encode(data.width, c) for c in cs] for cs in ids] == \
+            list(map(list, data.chains))
+        for s in range(1, len(ids)):
+            index = {c: i for i, c in enumerate(ids[s - 1])}
+            rows = [{} for _ in ids[s - 1]]
+            for col, c in enumerate(ids[s]):
+                for i in range(1, s):
+                    rows[index[c[:i] + c[i + 1:]]][col] = (-1) ** i
+            d = data.complex.differentials[s - 1]
+            assert d == PAdicMatrix.from_sparse_rows(ring, len(ids[s - 1]),
+                                                     len(ids[s]), rows), (n, s)
+            assert_reduced(d, *d.shape)
+
+
+def test_a_code_wider_than_64_bits_decodes_exactly():
+    """At n = 7 an id takes 10 bits and a top chain 7 of them.  A chain
+    starts at id 0, so its code has at most 60 significant bits, but
+    decoding must not depend on that: a 70-bit code, built here without
+    building n = 7, gives back every digit."""
+    assert (BELL[7] - 1).bit_length() == 10
+    chains = [(0, 1023, 512, 1, 876, 0, 1022), (1023, 0, 876, 1, 512, 1023, 0)]
+    codes = [encode(10, c) for c in chains]
+    assert codes[1].bit_length() == 70
+    assert unpack(10, [[]] * 6 + [codes])[6] == chains
 
 
 def test_id_lattice_refinements_are_strict_refinements_in_order():
@@ -206,8 +254,11 @@ def test_simplices_decode_the_chains_of_nondegenerate_simplices():
     by_degree = nondegenerate_simplices(5)
     assert data.simplices == tuple(tuple(by_degree.get(s, ()))
                                    for s in range(5))
-    assert all(c[0] == one_block(5) and c[-1] == discrete(5)
-               for cs in data.simplices for c in cs)
+    for cs in data.simplices:
+        assert len(set(cs)) == len(cs)
+        for c in cs:
+            assert c[0] == one_block(5) and c[-1] == discrete(5)
+            assert all(refines(b, a) and a != b for a, b in zip(c, c[1:]))
 
 
 N7_COUNTS = (0, 1, 875, 16674, 74165, 114345, 56700)
