@@ -3,6 +3,7 @@
 pass, in one interpreter.
 
     python3 scripts/ab_inproc.py PARENT CHANGE --workload corpus --rounds 30
+    python3 scripts/ab_inproc.py PARENT CHANGE --workload partition --ops
     python3 scripts/ab_inproc.py PARENT CHANGE --workload corpus --setup
 
 PARENT and CHANGE are repository roots; the workload is corpus, suite-w9
@@ -20,6 +21,13 @@ round then times one pass of each tree, the tree that goes first
 alternating from round to round, and takes the ratio change / parent.
 The median and quartiles of the ratios and the number of rounds the change
 won are printed.
+
+With --ops, each operation's median latency over the rounds is printed
+for each tree, with their ratio, and then the pooled median of each tree,
+the median of all its operation latencies over all rounds, with its ratio:
+the quantity the bench's `op_p50_s` reports.  A pass ratio can hide an
+operation ratio: on `partition` the bench's own answer check of the n=6
+build takes most of a pass.
 
 With --setup, each round times one set-up of each tree instead, the tree
 that goes first alternating as for passes.  A set-up is what the bench's
@@ -98,8 +106,10 @@ def sides(r):
     return ("parent", "change") if r % 2 == 0 else ("change", "parent")
 
 
-def time_passes(args, trees, workloads, run, workdir):
-    """Per round, the seconds of one pass of each tree, by side."""
+def time_passes(args, trees, workloads, run, workdir, labels, latencies):
+    """Per round, the seconds of one pass of each tree, by side.  The
+    labels of the timed operations are put in ``labels``, and each pass's
+    operation latencies appended to ``latencies[side]``."""
     signal.signal(signal.SIGALRM, run._alarm)
 
     def one_pass(side, ops):
@@ -121,14 +131,16 @@ def time_passes(args, trees, workloads, run, workdir):
         kept.append(op)
         digests.append(a)
     print(f"# {len(kept)} of {len(ops)} operations, reports identical on both trees")
+    labels.extend(op.label for op in kept)
 
     for r in range(args.rounds):
         seconds = {}
         for side in sides(r):
-            seconds[side], _, outcomes = one_pass(side, kept)
+            seconds[side], lat, outcomes = one_pass(side, kept)
             if outcomes != digests:
                 sys.exit(f"round {r + 1}: {side} answered differently "
                          f"from its first pass")
+            latencies[side].append(lat)
         yield seconds
 
 
@@ -153,6 +165,24 @@ def time_setups(args, roots, workloads, workdir):
         yield seconds
 
 
+def report_ops(labels, latencies):
+    """Print each operation's median latency per tree and the pooled median
+    of each tree's operation latencies, with the ratios change / parent."""
+    rounds = len(latencies["parent"])
+    print(f"# per-operation median latency over {rounds} rounds: "
+          "parent, change, change/parent")
+    for i, label in enumerate(labels):
+        med = {side: statistics.median(lat[i] for lat in passes)
+               for side, passes in latencies.items()}
+        print(f"{label}: {med['parent'] * 1e3:.3f} ms, "
+              f"{med['change'] * 1e3:.3f} ms, ratio {med['change'] / med['parent']:.3f}")
+    pooled = {side: statistics.median(x for lat in passes for x in lat)
+              for side, passes in latencies.items()}
+    print(f"# pooled median operation latency: parent {pooled['parent'] * 1e3:.3f} ms, "
+          f"change {pooled['change'] * 1e3:.3f} ms, "
+          f"change/parent {pooled['change'] / pooled['parent']:.3f}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="root of the parent checkout")
@@ -162,17 +192,23 @@ def main(argv=None):
     ap.add_argument("--rounds", type=int, default=30)
     ap.add_argument("--setup", action="store_true",
                     help="time set-ups (import and input writes), not passes")
+    ap.add_argument("--ops", action="store_true",
+                    help="also print per-operation and pooled median latencies")
     args = ap.parse_args(argv)
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
+    if args.ops and args.setup:
+        ap.error("--ops times passes, not set-ups")
 
     roots = {"parent": args.parent, "change": args.change}
     trees = {side: load_tree(root, f"ab_{side}") for side, root in roots.items()}
     workloads, run = import_bench(args.change, trees["change"])
     workdir = tempfile.mkdtemp(prefix="ab-inproc-")
+    labels, latencies = [], {"parent": [], "change": []}
     try:
         rounds = (time_setups(args, roots, workloads, workdir) if args.setup
-                  else time_passes(args, trees, workloads, run, workdir))
+                  else time_passes(args, trees, workloads, run, workdir,
+                                   labels, latencies))
         ratios = []
         for r, seconds in enumerate(rounds):
             ratios.append(seconds["change"] / seconds["parent"])
@@ -186,6 +222,8 @@ def main(argv=None):
     what = f"{args.workload} set-up" if args.setup else args.workload
     print(f"# {what}: change/parent median {median:.3f} "
           f"(quartiles {q1:.3f}, {q3:.3f}), change won {wins} of {len(ratios)} rounds")
+    if args.ops:
+        report_ops(labels, latencies)
     return 0
 
 

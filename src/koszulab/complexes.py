@@ -5,11 +5,16 @@ cancellation of every unit entry with its two cells (which keeps homology
 exactly), and the dense elimination of :func:`_homology_degree` on what is
 left, whose differentials have no unit entry.  The complexes built here are
 almost empty and their entries almost all units, so little is left.
+
+d o d = 0 is checked once per complex.  The builders of the bar, Koszul and
+subgroup complexes check it with :func:`verify_complex` as they build; a
+passing check marks the complex (and :func:`dualize_complex` carries the
+mark to its dual), and :func:`homology` checks only unmarked complexes,
+such as the partition complex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .padic import (BaseRing, PAdicMatrix, ExactLinalgError, ShapeError,
@@ -32,6 +37,9 @@ class ChainComplex:
     homological orientation it goes downward, C_{j+1} -> C_j, with shape
     (ranks[j], ranks[j+1]); for the cohomological orientation it goes upward
     with the transposed shape.  Zero-rank degrees are represented explicitly.
+
+    ``checked`` is set by a passing :func:`verify_complex` only; it is not
+    an argument and takes no part in equality or hashing.
     """
 
     ring: BaseRing
@@ -39,6 +47,7 @@ class ChainComplex:
     min_degree: int
     ranks: tuple
     differentials: tuple
+    checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.orientation not in (HOMOLOGICAL, COHOMOLOGICAL):
@@ -84,12 +93,14 @@ def verify_complex(C: ChainComplex):
     """(True, None) if every consecutive composite vanishes, else (False, degree).
 
     The reported degree is the lower degree of the failing pair, the degree
-    :func:`homology` names for the same complex.
+    :func:`homology` names for the same complex.  A pass marks ``C`` as
+    checked, so :func:`homology` does not check it again.
     """
     ds = C.differentials
     for deg, i, j in _pairs(C):
         if not (ds[j] @ ds[i]).is_zero():
             return False, deg
+    object.__setattr__(C, "checked", True)
     return True, None
 
 
@@ -202,11 +213,13 @@ def _composite_vanishes(first: _SparseMap, second: _SparseMap, mod: int) -> bool
         if not col:
             continue
         acc = {}
+        get = acc.get
         for y, v in col.items():
             for z, w in scols[y].items():
-                acc[z] = acc.get(z, 0) + v * w
-        if any(s % mod for s in acc.values()):
-            return False
+                acc[z] = get(z, 0) + v * w
+        for s in acc.values():
+            if s % mod:
+                return False
     return True
 
 
@@ -217,20 +230,20 @@ def _reduce(f: _SparseMap, into: Optional[_SparseMap],
     from every other column x, delete column b and row a of f, row b of the
     map ``into`` X and column a of the map ``out`` of Y.  The result is
     chain homotopy equivalent to the complex before, so its homology is the
-    same.  Pivots are taken from the column with the fewest nonzeros, then
-    the row with the fewest nonzeros, ties by index.
+    same.  Columns are swept once, in index order (a coreduction sweep:
+    Mrozek and Batko, Discrete Comput. Geom. 41, 2009); a column's pivot
+    row is its unit row with the fewest nonzeros, ties by index.  One pass
+    is enough: a cancellation changes only columns that are still to come
+    or that had no unit, and those keep none, since all they gain is a
+    multiple of their own entry in the pivot row, a non-unit.
 
     Returns the sets of deleted columns (cells of X) and rows (cells of Y).
     """
     cols, rows = f.cols, f.rows
-    heap = [(len(c), x) for x, c in enumerate(cols) if c]
-    heapify(heap)
     gone_x, gone_y = set(), set()
-    while heap:
-        n, b = heappop(heap)
-        colb = cols[b]
-        if colb is None or len(colb) != n:
-            continue                      # deleted, or queued again since
+    for b, colb in enumerate(cols):
+        if not colb:
+            continue
         units = [y for y, v in colb.items() if v % p]
         if not units:
             continue
@@ -251,7 +264,6 @@ def _reduce(f: _SparseMap, into: Optional[_SparseMap],
                 elif y in colx:
                     del colx[y]
                     rows[y].discard(x)
-            heappush(heap, (len(colx), x))
         rows[a] = set()
         if into is not None:
             into.drop_row(b)
@@ -276,25 +288,29 @@ def _residual(f: _SparseMap, ring: BaseRing, keep_rows, keep_cols) -> PAdicMatri
 def homology(C: ChainComplex) -> HomologyProfile:
     """Exact homology (or cohomology) profile of a bounded complex.
 
-    Three steps.  First d o d = 0 is certified for every consecutive pair,
-    one nonzero at a time, in ascending order, so a non-complex raises
-    ComplexError naming the lower degree of its first failing pair, the
-    degree :func:`verify_complex` reports (which is not called here: the
-    builders of bar, Koszul and subgroup complexes run it once, when they
-    build).  Then every unit entry of every differential is cancelled with
-    its two cells (see :func:`_reduce`; Kaczynski, Mrozek and Slusarek,
-    "Homology computation by reduction of chain complexes", 1998), which
-    preserves homology exactly over Z/p^N.  Last, each degree of the much
-    smaller complex that remains, whose differentials have no unit entry,
-    goes through :func:`_homology_degree`; a degree whose remaining
-    differentials are zero is free of its remaining rank.
+    Three steps.  First, unless ``C`` is marked checked (a passing
+    :func:`verify_complex` marks it: the builders of bar, Koszul and
+    subgroup complexes run it once, when they build, and the dual of a
+    checked complex is checked), d o d = 0 is certified for every
+    consecutive pair, one nonzero at a time, in ascending order, so a
+    non-complex raises ComplexError naming the lower degree of its first
+    failing pair, the degree :func:`verify_complex` reports.  Then every
+    unit entry of every differential is cancelled with its two cells, in
+    one sweep of its columns in index order (see :func:`_reduce`;
+    Kaczynski, Mrozek and Slusarek, "Homology computation by reduction of
+    chain complexes", 1998), which preserves homology exactly over Z/p^N.
+    Last, each degree of the much smaller complex that remains, whose
+    differentials have no unit entry, goes through :func:`_homology_degree`;
+    a degree whose remaining differentials are zero is free of its
+    remaining rank.
     """
     ring = C.ring
     p, mod = ring.p, ring.modulus
     maps = [_SparseMap(d) for d in C.differentials]
-    for deg, i, j in _pairs(C):
-        if not _composite_vanishes(maps[i], maps[j], mod):
-            raise ComplexError(f"not a complex: d o d != 0 at degree {deg}")
+    if not C.checked:
+        for deg, i, j in _pairs(C):
+            if not _composite_vanishes(maps[i], maps[j], mod):
+                raise ComplexError(f"not a complex: d o d != 0 at degree {deg}")
     gone = [set() for _ in C.ranks]
     homological = C.orientation == HOMOLOGICAL
     # per map: (source, target) positions; per position: (map out, map in)
@@ -333,7 +349,11 @@ def dualize_complex(C: ChainComplex) -> ChainComplex:
 
     All modules are free, so dualization is literally transposition; ranks and
     degree labels are preserved and the double dual is the original complex.
+    The dual of a checked complex is checked: its composites are the
+    transposes of the original's.
     """
     flipped = COHOMOLOGICAL if C.orientation == HOMOLOGICAL else HOMOLOGICAL
-    return ChainComplex(C.ring, flipped, C.min_degree, C.ranks,
+    dual = ChainComplex(C.ring, flipped, C.min_degree, C.ranks,
                         tuple(d.transpose() for d in C.differentials))
+    object.__setattr__(dual, "checked", C.checked)
+    return dual

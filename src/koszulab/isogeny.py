@@ -331,9 +331,12 @@ def verify_theorem_10_2(data: KoszulData, pkg: SubgroupAlgebraPackage,
         if jj == 0:
             PKm = unitcol
         else:
-            PK = pkg.pairing[1]
+            P1 = pkg.pairing.get(1)
+            if P1 is None:
+                raise MICError("package missing pairing for weight 1")
+            PK = P1
             for _ in range(jj - 1):
-                PK = PK.kron(pkg.pairing[1])
+                PK = PK.kron(P1)
             PKm = PK.kron(unitcol)
         q = kc.ambient_inclusions[jj].transpose() @ PKm @ flag.sect_full
         return q.scale(sign), flag
@@ -432,12 +435,15 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
         a = _need(ent, "algebra", where, dict)
         alg = _coefficient_algebra_from_json(ring, a, f"{where}.algebra")
         r = alg.rank
+        la = _need(a, "left_action", f"{where}.algebra", list)
+        ra = _need(a, "right_action", f"{where}.algebra", list)
+        if len(la) != coeff.rank or len(ra) != coeff.rank:
+            raise DatasetError(f"{where}.algebra: need one action "
+                               "matrix per coefficient basis element")
         bm = Bimodule(
             ring, coeff, r,
-            tuple(mat(m, r, r, f"{where}.left_action")
-                  for m in _need(a, "left_action", f"{where}.algebra", list)),
-            tuple(mat(m, r, r, f"{where}.right_action")
-                  for m in _need(a, "right_action", f"{where}.algebra", list)))
+            tuple(mat(m, r, r, f"{where}.left_action") for m in la),
+            tuple(mat(m, r, r, f"{where}.right_action") for m in ra))
         orders[k] = SubgroupAlgebra(k, alg, bm)
         t_maps[k] = mat(_need(ent, "t", where, list), r, coeff.rank, f"{where}.t")
     u1 = {}

@@ -1,6 +1,7 @@
 """Call counts of single CLI runs: `verify --suite all` builds every bar
-complex and every Koszul complex once, homology leaves the d o d check to
-the builders, tensor quotients are built once per composition and pairings
+complex and every Koszul complex once, homology does not check d o d again
+on a complex its builder checked (and still checks one no builder did),
+tensor quotients are built once per composition and pairings
 are inverted once per run, assembly forms no matrix product and each d o d
 check one per pair, and `mic` builds its subgroup complex once.
 Functions are wrapped in every koszulab module that holds them, as the
@@ -13,6 +14,7 @@ from koszulab.cli import EXIT_PASS, run
 WRAPPED = (("bar", "bar_complex"), ("bar", "koszul_complex"),
            ("bar", "assemble"), ("bar", "_induced_bimodule"),
            ("complexes", "homology"), ("complexes", "verify_complex"),
+           ("complexes", "_composite_vanishes"),
            ("isogeny", "build_mic"), ("isogeny", "dualize_bar_to_mic"),
            ("algebra", "tensor_over_coeff"), ("algebra", "iterated_tensor"),
            ("algebra", "load_dataset"), ("padic", "inverse_mod"))
@@ -72,6 +74,38 @@ def test_verify_builds_each_complex_once(tmp_path, monkeypatch):
     assert any(name == "complexes.homology" for name, _, _ in calls)
     assert not [c for c in calls if c[0] == "complexes.verify_complex"
                 and "complexes.homology" in c[2]]
+
+
+def test_homology_checks_d_o_d_only_where_no_builder_did(tmp_path, monkeypatch):
+    """Every complex whose homology `verify --suite all` takes passed its
+    builder's verify_complex (bar, module bar, Koszul and subgroup
+    complexes), and homology checks none of them again; `ext` takes the
+    homology of the dual of a checked Koszul complex, also without a check.
+    The partition complex has no builder check, so `partition` checks each
+    consecutive pair inside homology, once."""
+    _, path = saved_builtin(tmp_path)
+    calls = record_calls(monkeypatch)
+    report, code = run(["verify", str(path), "--suite", "all", "--json"])
+    assert code == EXIT_PASS and report.passed
+    checked = {id(args[0]) for name, args, _ in calls
+               if name == "complexes.verify_complex"}
+    taken = [args[0] for name, args, _ in calls if name == "complexes.homology"]
+    assert taken and all(id(C) in checked for C in taken)
+    assert not [c for c in calls if c[0] == "complexes._composite_vanishes"]
+
+    calls.clear()
+    report, code = run(["ext", str(path), "--module", "sphere", "--json"])
+    assert code == EXIT_PASS
+    assert any(name == "complexes.homology" for name, _, _ in calls)
+    assert not [c for c in calls if c[0] == "complexes._composite_vanishes"]
+
+    calls.clear()
+    report, code = run(["partition", "--n", "4", "--p", "2", "--json"])
+    assert code == EXIT_PASS
+    [(_, (C,), _)] = [c for c in calls if c[0] == "complexes.homology"]
+    pairs = [c for c in calls if c[0] == "complexes._composite_vanishes"]
+    assert len(pairs) == len(C.differentials) - 1
+    assert all(c[2] == ("complexes.homology",) for c in pairs)
 
 
 def test_verify_builds_each_tensor_and_inverse_once(tmp_path, monkeypatch):

@@ -266,6 +266,43 @@ def test_maximal_ideal_generator_of_wrong_length_is_reported_with_path(
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("side", ["left_action", "right_action"])
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_subgroup_action_list_of_wrong_length_is_reported_with_path(
+        tmp_path, capsys, side, change):
+    """A subgroup algebra needs one action matrix per coefficient basis
+    element on each side: one matrix short or one too many fails the load
+    with exit 1 naming its JSON path."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    algebra = doc["subgroup_package"]["orders"][0]["algebra"]
+    actions = algebra[side]
+    algebra[side] = actions[:-1] if change == "short" else actions + actions[:1]
+    path = tmp_path / "action_length.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--suite", "all", "--json"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert ("subgroup_package.orders[k=1].algebra: need one action matrix "
+            "per coefficient basis element") in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_package_without_weight1_pairing_fails_with_witness(tmp_path, capsys):
+    """A package with no pairing for weight 1 fails the duality and the
+    shift-square checks with a witness, exit 3, not a traceback."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    package = doc["subgroup_package"]
+    package["pairing"] = [e for e in package["pairing"] if e["k"] != 1]
+    path = tmp_path / "no_pairing_1.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["verify", str(path), "--suite", "all",
+                                     "--json"])
+    assert code == EXIT_MATH
+    square = next(c for c in report["checks"] if c["name"] == "suite-shift-square")
+    assert square["status"] == "fail"
+    assert square["payload"]["witnesses"][0] == \
+        "square 1: package missing pairing for weight 1"
+
+
 def test_invalid_dataset_is_math_failure(tmp_path, capsys):
     doc = dataset_to_json(builtin_height1(3, 2, 4))
     for ent in doc["algebra"]["mult"]:
@@ -468,12 +505,15 @@ def test_wide_modulus_verify_finishes_quickly(tmp_path):
 
 def test_partition_n6_homology_finishes_quickly():
     # n = 6 has ranks 201/1865/4245/2700; dense elimination of these did
-    # not finish in 10 minutes
+    # not finish in 10 minutes.  Over Z/4 the homology is free of rank 5! in
+    # degree 5 and zero elsewhere.
     report, code = call_with_deadline(
         30, run, ["partition", "--n", "6", "--p", "2", "--N-trunc", "2", "--json"])
     assert code == EXIT_PASS
     payload = report.checks[0].payload
-    assert payload["profile"]["5"] == {"free_rank": 120, "torsion_exponents": []}
+    assert payload["profile"] == {
+        str(d): {"free_rank": 120 if d == 5 else 0, "torsion_exponents": []}
+        for d in range(6)}
 
 
 def test_large_prime_p_finishes_quickly(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Chain complexes and exact homology, checked against brute-force
 enumeration of kernels and images over Z/4, Z/8 and Z/9, and against
 complexes of known homology over Z/4, Z/8, Z/9 and Z/27."""
+import inspect
 import itertools
 import random
 
@@ -10,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from koszulab.algebra import builtin_height1
 from koszulab.bar import KoszulData, bar_complex_with_module
 from koszulab.padic import BaseRing, PAdicMatrix, ShapeError
-from koszulab.complexes import (COHOMOLOGICAL, HOMOLOGICAL, ComplexError,
+from koszulab import complexes
+from koszulab.complexes import (COHOMOLOGICAL, HOMOLOGICAL, ChainComplex,
+                                ComplexError,
                                 _homology_degree, dualize_complex, homology,
                                 make_complex, verify_complex)
 from koszulab.partition import partition_complex
@@ -354,3 +357,54 @@ def test_homology_leaves_its_input_unchanged():
         first = homology(C)
         assert [(d.tolist(), hash(d)) for d in C.differentials] == before
         assert homology(C) == first
+
+
+def test_only_a_passing_check_marks_a_complex(monkeypatch):
+    """A complex starts unchecked; a failing verify_complex leaves it so and
+    homology still refuses it, a passing one marks it and its dual, and then
+    homology runs no d o d check of its own.  The mark is no constructor
+    argument, takes no part in equality or hashing, and homology has no
+    option for it."""
+    eye = PAdicMatrix.identity(RING22, 1)
+    two = PAdicMatrix(RING22, [[2]], 1, 1)
+    bad = make_complex(RING22, HOMOLOGICAL, 0, [1, 1, 1], [eye, eye])
+    assert verify_complex(bad) == (False, 0) and not bad.checked
+    with pytest.raises(ComplexError):
+        homology(bad)
+
+    C = make_complex(RING22, HOMOLOGICAL, 0, [1, 1, 1], [two, two])
+    fresh = make_complex(RING22, HOMOLOGICAL, 0, [1, 1, 1], [two, two])
+    unchecked = homology(C)
+    assert not C.checked and not dualize_complex(C).checked
+    assert verify_complex(C) == (True, None) and C.checked
+    assert C == fresh and hash(C) == hash(fresh) and not fresh.checked
+    assert dualize_complex(C).checked
+
+    pairs = []
+    original = complexes._composite_vanishes
+    monkeypatch.setattr(complexes, "_composite_vanishes",
+                        lambda *a: pairs.append(a) or original(*a))
+    assert homology(C) == unchecked
+    assert homology(dualize_complex(C)).free_ranks == unchecked.free_ranks
+    assert not pairs
+    homology(fresh)
+    assert len(pairs) == 1
+
+    with pytest.raises(TypeError):
+        ChainComplex(RING22, HOMOLOGICAL, 0, (1, 1), (eye,), True)
+    assert list(inspect.signature(homology).parameters) == ["C"]
+
+
+@pytest.mark.parametrize("p, want", [(3, ((), ())), (2, ((1,), (1,)))])
+def test_sweep_cancels_a_unit_made_by_fill_in(p, want):
+    """d = [[1,1,0],[1,0,1],[0,1,1]], det -2, over Z/p^2.  The sweep cancels
+    f[0, 0] (rows 0 and 1 tie on two nonzeros), which fills column 1 in
+    with -1 in row 1; cancelling that entry leaves f[2, 2] = 2, a unit over
+    Z/9, where the complex is acyclic, and over Z/4 the residual Z/2 in
+    each degree."""
+    ring = BaseRing(p, 2)
+    d = PAdicMatrix(ring, [[1, 1, 0], [1, 0, 1], [0, 1, 1]], 3, 3)
+    C = make_complex(ring, HOMOLOGICAL, 0, [3, 3], [d])
+    prof = homology(C)
+    assert prof.free_ranks == (0, 0) and prof.torsion == want
+    assert_matches_unreduced(C, prof)

@@ -25,6 +25,15 @@ def test_ab_inproc_times_setups_of_the_repo_against_itself():
     assert "# corpus set-up: change/parent median" in out
 
 
+def test_ab_inproc_prints_operation_latencies_of_the_repo_against_itself():
+    out = run_script(["ab_inproc.py", str(ROOT), str(ROOT), "--workload",
+                      "partition", "--ops", "--rounds", "2"])
+    assert "# partition: change/parent median" in out
+    assert "# per-operation median latency over 2 rounds" in out
+    assert "partition_complex n=6 p=2 N=2: " in out
+    assert "# pooled median operation latency: parent" in out
+
+
 def run_script(argv):
     """The stdout of scripts/<argv[0]> run with ``argv[1:]``, which must exit
     0 and print something."""
