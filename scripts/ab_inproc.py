@@ -3,7 +3,6 @@
 pass, in one interpreter.
 
     python3 scripts/ab_inproc.py PARENT CHANGE --workload corpus --rounds 30
-    python3 scripts/ab_inproc.py PARENT CHANGE --workload partition --ops
     python3 scripts/ab_inproc.py PARENT CHANGE --workload corpus --setup
 
 PARENT and CHANGE are repository roots; the workload is corpus, suite-w9
@@ -20,13 +19,11 @@ named, and the number kept is printed as `# N of M operations`.  Each
 round then times one pass of each tree, the tree that goes first
 alternating from round to round, and takes the ratio change / parent.
 The median and quartiles of the ratios and the number of rounds the change
-won are printed.
-
-With --ops, each operation's median latency over the rounds is printed
-for each tree, with their ratio, and then the pooled median of each tree,
-the median of all its operation latencies over all rounds, with its ratio:
-the quantity the bench's `op_p50_s` reports.  A pass ratio can hide an
-operation ratio: on `partition` the bench's own answer check of the n=6
+won are printed.  Then each operation's median latency over the rounds is
+printed for each tree, with their ratio, and the pooled median of each
+tree, the median of all its operation latencies over all rounds, with its
+ratio: the quantity the bench's `op_p50_s` reports.  A pass ratio can hide
+an operation ratio: on `partition` the bench's own answer check of the n=6
 build takes most of a pass.
 
 With --setup, each round times one set-up of each tree instead, the tree
@@ -106,10 +103,9 @@ def sides(r):
     return ("parent", "change") if r % 2 == 0 else ("change", "parent")
 
 
-def time_passes(args, trees, workloads, run, workdir, labels, latencies):
-    """Per round, the seconds of one pass of each tree, by side.  The
-    labels of the timed operations are put in ``labels``, and each pass's
-    operation latencies appended to ``latencies[side]``."""
+def time_passes(args, trees, workloads, run, workdir):
+    """Per round, the seconds of one pass of each tree and that pass's
+    operation latencies as (label, seconds) pairs, each by side."""
     signal.signal(signal.SIGALRM, run._alarm)
 
     def one_pass(side, ops):
@@ -131,21 +127,22 @@ def time_passes(args, trees, workloads, run, workdir, labels, latencies):
         kept.append(op)
         digests.append(a)
     print(f"# {len(kept)} of {len(ops)} operations, reports identical on both trees")
-    labels.extend(op.label for op in kept)
+    labels = [op.label for op in kept]
 
     for r in range(args.rounds):
-        seconds = {}
+        seconds, latencies = {}, {}
         for side in sides(r):
             seconds[side], lat, outcomes = one_pass(side, kept)
             if outcomes != digests:
                 sys.exit(f"round {r + 1}: {side} answered differently "
                          f"from its first pass")
-            latencies[side].append(lat)
-        yield seconds
+            latencies[side] = list(zip(labels, lat))
+        yield seconds, latencies
 
 
 def time_setups(args, roots, workloads, workdir):
-    """Per round, the seconds of one set-up of each tree, by side."""
+    """Per round, the seconds of one set-up of each tree, by side, and
+    None: a set-up has no operations."""
     sys.dont_write_bytecode = True
     print(f"# set-ups: a fresh import of the tree, then the {args.workload} inputs")
     for r in range(args.rounds):
@@ -162,22 +159,22 @@ def time_setups(args, roots, workloads, workdir):
             for k in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
                 del sys.modules[k]
             shutil.rmtree(out)
-        yield seconds
+        yield seconds, None
 
 
-def report_ops(labels, latencies):
+def report_ops(latencies):
     """Print each operation's median latency per tree and the pooled median
-    of each tree's operation latencies, with the ratios change / parent."""
-    rounds = len(latencies["parent"])
-    print(f"# per-operation median latency over {rounds} rounds: "
+    of each tree's operation latencies, with the ratios change / parent;
+    ``latencies`` holds the rounds of :func:`time_passes`."""
+    print(f"# per-operation median latency over {len(latencies)} rounds: "
           "parent, change, change/parent")
-    for i, label in enumerate(labels):
-        med = {side: statistics.median(lat[i] for lat in passes)
-               for side, passes in latencies.items()}
+    for i, (label, _) in enumerate(latencies[0]["parent"]):
+        med = {side: statistics.median(rnd[side][i][1] for rnd in latencies)
+               for side in ("parent", "change")}
         print(f"{label}: {med['parent'] * 1e3:.3f} ms, "
               f"{med['change'] * 1e3:.3f} ms, ratio {med['change'] / med['parent']:.3f}")
-    pooled = {side: statistics.median(x for lat in passes for x in lat)
-              for side, passes in latencies.items()}
+    pooled = {side: statistics.median(x for rnd in latencies for _, x in rnd[side])
+              for side in ("parent", "change")}
     print(f"# pooled median operation latency: parent {pooled['parent'] * 1e3:.3f} ms, "
           f"change {pooled['change'] * 1e3:.3f} ms, "
           f"change/parent {pooled['change'] / pooled['parent']:.3f}")
@@ -192,26 +189,21 @@ def main(argv=None):
     ap.add_argument("--rounds", type=int, default=30)
     ap.add_argument("--setup", action="store_true",
                     help="time set-ups (import and input writes), not passes")
-    ap.add_argument("--ops", action="store_true",
-                    help="also print per-operation and pooled median latencies")
     args = ap.parse_args(argv)
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
-    if args.ops and args.setup:
-        ap.error("--ops times passes, not set-ups")
 
     roots = {"parent": args.parent, "change": args.change}
     trees = {side: load_tree(root, f"ab_{side}") for side, root in roots.items()}
     workloads, run = import_bench(args.change, trees["change"])
     workdir = tempfile.mkdtemp(prefix="ab-inproc-")
-    labels, latencies = [], {"parent": [], "change": []}
     try:
         rounds = (time_setups(args, roots, workloads, workdir) if args.setup
-                  else time_passes(args, trees, workloads, run, workdir,
-                                   labels, latencies))
-        ratios = []
-        for r, seconds in enumerate(rounds):
+                  else time_passes(args, trees, workloads, run, workdir))
+        ratios, latencies = [], []
+        for r, (seconds, lat) in enumerate(rounds):
             ratios.append(seconds["change"] / seconds["parent"])
+            latencies.append(lat)
             print(f"round {r + 1}: parent {seconds['parent']:.4f} s, "
                   f"change {seconds['change']:.4f} s, ratio {ratios[-1]:.3f}")
     finally:
@@ -222,8 +214,8 @@ def main(argv=None):
     what = f"{args.workload} set-up" if args.setup else args.workload
     print(f"# {what}: change/parent median {median:.3f} "
           f"(quartiles {q1:.3f}, {q3:.3f}), change won {wins} of {len(ratios)} rounds")
-    if args.ops:
-        report_ops(labels, latencies)
+    if not args.setup:
+        report_ops(latencies)
     return 0
 
 

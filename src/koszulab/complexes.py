@@ -213,13 +213,11 @@ def _composite_vanishes(first: _SparseMap, second: _SparseMap, mod: int) -> bool
         if not col:
             continue
         acc = {}
-        get = acc.get
         for y, v in col.items():
             for z, w in scols[y].items():
-                acc[z] = get(z, 0) + v * w
-        for s in acc.values():
-            if s % mod:
-                return False
+                acc[z] = acc.get(z, 0) + v * w
+        if any(s % mod for s in acc.values()):
+            return False
     return True
 
 

@@ -45,29 +45,6 @@ def _partitions_of_range(m: int):
                  for j in range(len(part) + 1))
 
 
-@lru_cache(maxsize=None)
-def _local_masks(m: int):
-    """The set partitions of range(m), in the order of
-    :func:`_partitions_of_range`, each block as a bitmask (bit i for i)."""
-    return tuple(tuple(sum(1 << i for i in blk) for blk in part)
-                 for part in _partitions_of_range(m))
-
-
-def _block_splits(b: int):
-    """The set partitions of the block bitmask ``b``, blocks as bitmasks, in
-    restricted-growth order of its letters.  ``spread`` maps a local mask
-    (bit i for the i-th lowest letter of b) to the mask in b; it doubles once
-    per letter, so each local partition is read off by lookup."""
-    spread = [0]
-    rest = b
-    while rest:
-        low = rest & -rest
-        spread += [s | low for s in spread]
-        rest ^= low
-    return [tuple(map(spread.__getitem__, part))
-            for part in _local_masks(b.bit_count())]
-
-
 def id_lattice(n: int):
     """(blocks, finer): blocks[i] is partition i of {1,...,n} as bitmasks
     ordered by least letter, id 0 the one-block partition, and finer[i] the
@@ -81,7 +58,9 @@ def id_lattice(n: int):
         choices = []
         for b in lam:
             if b not in splits:
-                splits[b] = _block_splits(b)
+                bits = [1 << i for i in range(n) if b >> i & 1]
+                splits[b] = [tuple(sum(bits[i] for i in blk) for blk in part)
+                             for part in _partitions_of_range(len(bits))]
             choices.append(splits[b])
         out = []
         # the first choice splits no block: lam itself

@@ -1,6 +1,5 @@
 """Reference code on the pointed partition complex that only the tests use:
-set partitions and refinements in canonical form, the partition lattice on
-ids enumerated directly, the simplicial structure
+set partitions and refinements in canonical form, the simplicial structure
 (faces, degeneracies and their identities), the refinement order, and
 Björner's EL-labelling of the maximal chains."""
 import itertools
@@ -42,25 +41,6 @@ def strict_refinements(lam):
             continue  # nothing split: lam itself
         out.append(canonical(itertools.chain.from_iterable(combo)))
     return out
-
-
-def direct_id_lattice(n: int):
-    """``partition.id_lattice(n)`` from canonical partitions: ids in order of
-    first appearance, breadth first from the one-block partition, each id's
-    refinements those of strict_refinements, blocks as bitmasks."""
-    order = [one_block(n)]
-    ids = {order[0]: 0}
-    finer = []
-    for lam in order:                  # order grows as partitions are met
-        out = []
-        for mu in strict_refinements(lam):
-            if mu not in ids:
-                ids[mu] = len(order)
-                order.append(mu)
-            out.append(ids[mu])
-        finer.append(out)
-    blocks = [tuple(sum(1 << (x - 1) for x in b) for b in lam) for lam in order]
-    return blocks, finer
 
 
 def face(chain, i: int):

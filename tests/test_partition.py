@@ -17,8 +17,8 @@ from koszulab.partition import (SIMPLEX_BUDGET, PartitionSizeError,
                                 nondegenerate_simplices, partition_complex,
                                 partition_homology, unpack)
 
-from partition_helpers import (BASEPOINT, canonical, degeneracy,
-                               direct_id_lattice, discrete, face, falling_and_rising, is_degenerate,
+from partition_helpers import (BASEPOINT, canonical, degeneracy, discrete,
+                               face, falling_and_rising, is_degenerate,
                                one_block, refines, set_partitions,
                                strict_refinements,
                                verify_simplicial_identities)
@@ -247,13 +247,6 @@ def test_id_lattice_refinements_are_strict_refinements_in_order():
         assert part[0] == one_block(n)
         for lam, refs in zip(part, finer):
             assert [part[i] for i in refs] == strict_refinements(lam), (n, lam)
-
-
-def test_id_lattice_equals_a_direct_enumeration():
-    """Up to n = 7, (blocks, finer) equals that of a direct enumeration
-    that splits each block by summing its letters' bits."""
-    for n in range(1, 8):
-        assert id_lattice(n) == direct_id_lattice(n), n
 
 
 def test_simplices_decode_the_chains_of_nondegenerate_simplices():

@@ -27,7 +27,7 @@ def test_ab_inproc_times_setups_of_the_repo_against_itself():
 
 def test_ab_inproc_prints_operation_latencies_of_the_repo_against_itself():
     out = run_script(["ab_inproc.py", str(ROOT), str(ROOT), "--workload",
-                      "partition", "--ops", "--rounds", "2"])
+                      "partition", "--rounds", "2"])
     assert "# partition: change/parent median" in out
     assert "# per-operation median latency over 2 rounds" in out
     assert "partition_complex n=6 p=2 N=2: " in out
