@@ -434,9 +434,13 @@ class Dataset:
         for M in self.modules.values():
             sub = validate_module(self.algebra, M)
             rep.failures.extend(sub.failures)
-        if self.subgroup_package is not None:
+        pkg = self.subgroup_package
+        if pkg is not None:
             from .isogeny import validate_package
-            rep.failures.extend(validate_package(self.subgroup_package).failures)
+            rep.failures.extend(validate_package(pkg).failures)
+            top = min(pkg.max_order, self.algebra.max_weight)
+            rep.failures += [("missing pairing", f"subgroup_package.pairing[k={k}]")
+                             for k in range(1, top + 1) if k not in pkg.pairing]
         return rep
 
 

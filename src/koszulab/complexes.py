@@ -1,16 +1,16 @@
 """Bounded complexes of finite free Z/p^N-modules and their exact homology.
 
-Homology is computed in three steps: a sparse check of d o d = 0, the
+Homology is computed in three steps: a check of d o d = 0, the
 cancellation of every unit entry with its two cells (which keeps homology
 exactly), and the dense elimination of :func:`_homology_degree` on what is
 left, whose differentials have no unit entry.  The complexes built here are
 almost empty and their entries almost all units, so little is left.
 
-d o d = 0 is checked once per complex.  The builders of the bar, Koszul and
-subgroup complexes check it with :func:`verify_complex` as they build; a
-passing check marks the complex (and :func:`dualize_complex` carries the
-mark to its dual), and :func:`homology` checks only unmarked complexes,
-such as the partition complex.
+d o d = 0 is checked once per complex, by one kernel: the products of
+:func:`verify_complex`.  The builders of the bar, Koszul and subgroup
+complexes run it as they build; a passing check marks the complex (and
+:func:`dualize_complex` carries the mark to its dual), and :func:`homology`
+runs it on unmarked complexes only, such as the partition complex.
 """
 from __future__ import annotations
 
@@ -206,21 +206,6 @@ class _SparseMap:
         self.cols[x] = None
 
 
-def _composite_vanishes(first: _SparseMap, second: _SparseMap, mod: int) -> bool:
-    """Whether second o first = 0, computed one nonzero of first at a time."""
-    scols = second.cols
-    for col in first.cols:
-        if not col:
-            continue
-        acc = {}
-        for y, v in col.items():
-            for z, w in scols[y].items():
-                acc[z] = acc.get(z, 0) + v * w
-        if any(s % mod for s in acc.values()):
-            return False
-    return True
-
-
 def _reduce(f: _SparseMap, into: Optional[_SparseMap],
             out: Optional[_SparseMap], p: int, mod: int):
     """Cancel unit entries of f: X -> Y until none is left, by the Gaussian
@@ -286,15 +271,12 @@ def _residual(f: _SparseMap, ring: BaseRing, keep_rows, keep_cols) -> PAdicMatri
 def homology(C: ChainComplex) -> HomologyProfile:
     """Exact homology (or cohomology) profile of a bounded complex.
 
-    Three steps.  First, unless ``C`` is marked checked (a passing
-    :func:`verify_complex` marks it: the builders of bar, Koszul and
-    subgroup complexes run it once, when they build, and the dual of a
-    checked complex is checked), d o d = 0 is certified for every
-    consecutive pair, one nonzero at a time, in ascending order, so a
-    non-complex raises ComplexError naming the lower degree of its first
-    failing pair, the degree :func:`verify_complex` reports.  Then every
-    unit entry of every differential is cancelled with its two cells, in
-    one sweep of its columns in index order (see :func:`_reduce`;
+    Three steps.  First, unless ``C`` is marked checked (by its builder, see
+    the module docstring), :func:`verify_complex` certifies d o d = 0 and
+    marks ``C``; a non-complex raises ComplexError naming the degree that
+    :func:`verify_complex` reports, the lower end of its first failing pair.
+    Then every unit entry of every differential is cancelled with its two
+    cells, in one sweep of its columns in index order (see :func:`_reduce`;
     Kaczynski, Mrozek and Slusarek, "Homology computation by reduction of
     chain complexes", 1998), which preserves homology exactly over Z/p^N.
     Last, each degree of the much smaller complex that remains, whose
@@ -304,11 +286,11 @@ def homology(C: ChainComplex) -> HomologyProfile:
     """
     ring = C.ring
     p, mod = ring.p, ring.modulus
-    maps = [_SparseMap(d) for d in C.differentials]
     if not C.checked:
-        for deg, i, j in _pairs(C):
-            if not _composite_vanishes(maps[i], maps[j], mod):
-                raise ComplexError(f"not a complex: d o d != 0 at degree {deg}")
+        ok, deg = verify_complex(C)
+        if not ok:
+            raise ComplexError(f"not a complex: d o d != 0 at degree {deg}")
+    maps = [_SparseMap(d) for d in C.differentials]
     gone = [set() for _ in C.ranks]
     homological = C.orientation == HOMOLOGICAL
     # per map: (source, target) positions; per position: (map out, map in)

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .padic import (PAdicMatrix, InconsistentSystemError,
-                    inverse_mod, solve)
+from .padic import PAdicMatrix, inverse_mod
 from .complexes import (ChainComplex, COHOMOLOGICAL,
                         dualize_complex, homology, make_complex, verify_complex)
 from .algebra import (Bimodule, CoefficientAlgebra, Dataset, DatasetError,
@@ -235,7 +234,12 @@ def dualize_bar_to_mic(data: KoszulData, pkg: SubgroupAlgebraPackage,
     """Construct the degreewise isomorphisms from the dual weight-k bar
     complex to the order-p^k complex through the pairing matrices, and assert
     they intertwine the two differentials exactly.  The bar complex comes
-    from ``data``, and the pairing inverses from the package."""
+    from ``data``, and the pairing inverses from the package.
+
+    Block c is the one X with PK @ sect_mic @ X = proj_bar^T (PK the tensor
+    product of c's pairings, unimodular; proj_mic @ sect_mic = 1): X = proj_mic
+    @ Q for Q = PK^-1 @ proj_bar^T, if sect_mic @ X = Q.  Else the pairing does
+    not descend: MICError names the first entry of Q outside sect_mic's image."""
     A = data.algebra
     ring = A.coeff.ring
     for kk in range(1, k + 1):
@@ -255,15 +259,17 @@ def dualize_bar_to_mic(data: KoszulData, pkg: SubgroupAlgebraPackage,
 
     def placed(s):
         for bb, mb in zip(bc.degree_blocks(s), mic.blocks[s - 1]):
-            PK = pkg.pairing[bb.composition[0]]
+            inv = pkg.pairing_inverse(bb.composition[0])
             for kk in bb.composition[1:]:
-                PK = PK.kron(pkg.pairing[kk])
-            try:
-                block = solve(PK @ mb.tensor.sect_full,
-                              bb.tensor.proj_full.transpose())
-            except InconsistentSystemError as exc:
+                inv = inv.kron(pkg.pairing_inverse(kk))
+            Q = inv @ bb.tensor.proj_full.transpose()
+            block = mb.tensor.proj_full @ Q
+            miss = mb.tensor.sect_full @ block - Q
+            if not miss.is_zero():
+                i, j = next((i, min(r)) for i, r in enumerate(miss.nonzeros) if r)
                 raise MICError(f"pairing does not descend at degree {s}, "
-                               f"composition {bb.composition}: {exc}")
+                               f"composition {bb.composition}: entry ({i},{j}) "
+                               f"lies outside the image of the flag module")
             yield mb.start, bb.start, 1, block
 
     maps = []

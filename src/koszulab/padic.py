@@ -367,22 +367,21 @@ class PAdicMatrix:
             return self
         m = self.ring.modulus
         B = S.nonzeros
-        terms = [[(j * post, x) for j, x in r.items()] for r in self.nonzeros]
         out = []
         for a in range(pre):
-            for row_terms in terms:
+            for r in self.nonzeros:
                 for c in range(a * width, a * width + post):
-                    if not row_terms:
+                    if not r:
                         out.append(_EMPTY)
                         continue
-                    if len(row_terms) == 1 and row_terms[0][1] == 1:
-                        out.append(B[c + row_terms[0][0]])
+                    if len(r) == 1 and 1 in r.values():
+                        out.append(B[c + next(iter(r)) * post])
                         continue
                     acc = {}
-                    for off, x in row_terms:
-                        for j, y in B[c + off].items():
-                            acc[j] = acc.get(j, 0) + x * y
-                    out.append({j: r for j, v in acc.items() if (r := v % m)} or _EMPTY)
+                    for j, x in r.items():
+                        for k, y in B[c + j * post].items():
+                            acc[k] = acc.get(k, 0) + x * y
+                    out.append({k: w for k, v in acc.items() if (w := v % m)} or _EMPTY)
         return _wrap(self.ring, tuple(out), pre * self.rows * post, S.cols)
 
     def hstack(self, other: "PAdicMatrix") -> "PAdicMatrix":

@@ -3,10 +3,11 @@ discrete partition of {1,...,n}, their normalized reduced chain complex (end
 faces hit the basepoint), and its exact homology over Z/p^N.
 
 Within one call each set partition is a tuple of block bitmasks (bit i-1
-for letter i, blocks by least letter) interned to a small int id.  A chain
-is coded as one int whose digits, ``width`` bits each, are its ids, the
-first id most significant; an interior face drops one digit with two shifts
-and a mask, and chains are decoded to ids and partitions only when read.
+for letter i, blocks by least letter) interned to a small int id, and its
+refinements are read off per-block split tables.  A chain is coded as one
+int whose digits, ``width`` bits each, are its ids, the first id most
+significant; an interior face drops one digit with two shifts and a mask,
+and chains are decoded to ids and partitions only when read.
 Before it enumerates, a build predicts its chain counts and refuses a size
 above SIMPLEX_BUDGET unless forced."""
 from __future__ import annotations
@@ -35,14 +36,25 @@ class PartitionSizeError(ValueError):
 
 @lru_cache(maxsize=None)
 def _partitions_of_range(m: int):
-    """All set partitions of range(m), canonical, in restricted-growth order:
-    m - 1 joins each block of a partition of range(m - 1), then a new one."""
+    """All set partitions of range(m) as index bitmasks, in restricted-growth
+    order: m - 1 joins each block of a partition of range(m - 1), then a new one."""
     if m == 0:
         return ((),)
-    return tuple(part[:j] + (part[j] + (m - 1,),) + part[j + 1:]
-                 if j < len(part) else part + ((m - 1,),)
+    bit = 1 << m - 1
+    return tuple(part[:j] + (part[j] | bit,) + part[j + 1:]
+                 if j < len(part) else part + (bit,)
                  for part in _partitions_of_range(m - 1)
                  for j in range(len(part) + 1))
+
+
+@lru_cache(maxsize=None)
+def _split_keys(b: int):
+    """The keys of the set partitions of block b, in restricted-growth order."""
+    table = [0]                        # subset x of b's letters -> its letter mask
+    for bit in (1 << i for i in range(b.bit_length()) if b >> i & 1):
+        table += [t | bit for t in table]
+    return tuple(sum(1 << table[x] for x in part)
+                 for part in _partitions_of_range(b.bit_count()))
 
 
 def id_lattice(n: int):
@@ -51,25 +63,22 @@ def id_lattice(n: int):
     ids of its strict refinements: one set partition of each block, each in
     restricted-growth order, varied lexicographically over the blocks."""
     blocks = [((1 << n) - 1,)]
-    ids = {frozenset(blocks[0]): 0}    # keyed by block set: sorted once, when new
-    splits = {}       # block -> its set partitions, as tuples of bitmasks
+    ids = {1 << blocks[0][0]: 0}       # keyed by the sum of 1 << block
     finer = []
     for lam in blocks:                 # blocks grows as partitions are met
-        choices = []
+        keys = [0]
         for b in lam:
-            if b not in splits:
-                bits = [1 << i for i in range(n) if b >> i & 1]
-                splits[b] = [tuple(sum(bits[i] for i in blk) for blk in part)
-                             for part in _partitions_of_range(len(bits))]
-            choices.append(splits[b])
+            keys = [k + x for k in keys for x in _split_keys(b)]   # product order
         out = []
-        # the first choice splits no block: lam itself
-        for combo in itertools.islice(itertools.product(*choices), 1, None):
-            key = frozenset(itertools.chain.from_iterable(combo))
+        for key in itertools.islice(keys, 1, None):   # keys[0] splits no block
             i = ids.get(key)
             if i is None:
                 i = ids[key] = len(blocks)
-                blocks.append(tuple(sorted(key, key=lambda b: b & -b)))  # by least letter
+                new = []
+                while key:
+                    new.append((key & -key).bit_length() - 1)
+                    key &= key - 1
+                blocks.append(tuple(sorted(new, key=lambda b: b & -b)))  # by least letter
             out.append(i)
         finer.append(out)
     return blocks, finer

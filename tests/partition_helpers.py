@@ -20,7 +20,8 @@ def set_partitions(elements):
     m = len(elements)
     result = []
     for part in _partitions_of_range(m):
-        result.append(canonical(tuple(elements[i] for i in b) for b in part))
+        result.append(canonical(tuple(e for i, e in enumerate(elements) if b >> i & 1)
+                                for b in part))
     return result
 
 

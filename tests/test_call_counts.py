@@ -1,9 +1,10 @@
 """Call counts of single CLI runs: `verify --suite all` builds every bar
 complex and every Koszul complex once, homology does not check d o d again
-on a complex its builder checked (and still checks one no builder did),
-tensor quotients are built once per composition and pairings
-are inverted once per run, assembly forms no matrix product and each d o d
-check one per pair, and `mic` builds its subgroup complex once.
+on a complex its builder checked (and checks one no builder did with the
+same product check), tensor quotients are built once per composition,
+pairings are inverted once per run and the duality solves no system,
+assembly forms no matrix product and each d o d check one per pair, and
+`mic` builds its subgroup complex once.
 Functions are wrapped in every koszulab module that holds them, as the
 benchmark's tracer does."""
 import sys
@@ -14,7 +15,7 @@ from koszulab.cli import EXIT_PASS, run
 WRAPPED = (("bar", "bar_complex"), ("bar", "koszul_complex"),
            ("bar", "assemble"), ("bar", "_induced_bimodule"),
            ("complexes", "homology"), ("complexes", "verify_complex"),
-           ("complexes", "_composite_vanishes"),
+           ("padic", "solve"),
            ("isogeny", "build_mic"), ("isogeny", "dualize_bar_to_mic"),
            ("algebra", "tensor_over_coeff"), ("algebra", "iterated_tensor"),
            ("algebra", "load_dataset"), ("padic", "inverse_mod"))
@@ -81,8 +82,9 @@ def test_homology_checks_d_o_d_only_where_no_builder_did(tmp_path, monkeypatch):
     builder's verify_complex (bar, module bar, Koszul and subgroup
     complexes), and homology checks none of them again; `ext` takes the
     homology of the dual of a checked Koszul complex, also without a check.
-    The partition complex has no builder check, so `partition` checks each
-    consecutive pair inside homology, once."""
+    The partition complex has no builder check, so `partition` runs
+    verify_complex once, inside homology, and it forms one product per
+    consecutive pair; the passing check marks the complex."""
     _, path = saved_builtin(tmp_path)
     calls = record_calls(monkeypatch)
     report, code = run(["verify", str(path), "--suite", "all", "--json"])
@@ -91,21 +93,26 @@ def test_homology_checks_d_o_d_only_where_no_builder_did(tmp_path, monkeypatch):
                if name == "complexes.verify_complex"}
     taken = [args[0] for name, args, _ in calls if name == "complexes.homology"]
     assert taken and all(id(C) in checked for C in taken)
-    assert not [c for c in calls if c[0] == "complexes._composite_vanishes"]
+    assert not [c for c in calls if c[0] == "complexes.verify_complex"
+                and "complexes.homology" in c[2]]
 
     calls.clear()
     report, code = run(["ext", str(path), "--module", "sphere", "--json"])
     assert code == EXIT_PASS
     assert any(name == "complexes.homology" for name, _, _ in calls)
-    assert not [c for c in calls if c[0] == "complexes._composite_vanishes"]
+    assert not [c for c in calls if c[0] == "complexes.verify_complex"
+                and "complexes.homology" in c[2]]
 
     calls.clear()
     report, code = run(["partition", "--n", "4", "--p", "2", "--json"])
     assert code == EXIT_PASS
     [(_, (C,), _)] = [c for c in calls if c[0] == "complexes.homology"]
-    pairs = [c for c in calls if c[0] == "complexes._composite_vanishes"]
+    [check] = [c for c in calls if c[0] == "complexes.verify_complex"]
+    assert check[1][0] is C and check[2] == ("complexes.homology",)
+    pairs = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
+             and c[2][-1:] == ("complexes.verify_complex",)]
     assert len(pairs) == len(C.differentials) - 1
-    assert all(c[2] == ("complexes.homology",) for c in pairs)
+    assert C.checked
 
 
 def test_verify_builds_each_tensor_and_inverse_once(tmp_path, monkeypatch):
@@ -115,7 +122,8 @@ def test_verify_builds_each_tensor_and_inverse_once(tmp_path, monkeypatch):
     validation their own flag modules, 94 now.  Both modules have rank
     1, so C[k] gets its coefficient actions once per weight, and the flag
     modules that loading and validation read come from the package's
-    table."""
+    table.  The duality forms each block from the pairing inverses and
+    solves no linear system."""
     ds, path = saved_builtin(tmp_path)
     calls = record_calls(monkeypatch)
     report, code = run(["verify", str(path), "--suite", "all", "--json"])
@@ -123,6 +131,9 @@ def test_verify_builds_each_tensor_and_inverse_once(tmp_path, monkeypatch):
     assert len([c for c in calls if c[0] == "algebra.tensor_over_coeff"]) <= 94
     assert len([c for c in calls if c[0] == "padic.inverse_mod"
                 and "isogeny.dualize_bar_to_mic" in c[2]]) == 5
+    assert any(name == "isogeny.dualize_bar_to_mic" for name, _, _ in calls)
+    assert not [c for c in calls if c[0] == "padic.solve"
+                and "isogeny.dualize_bar_to_mic" in c[2]]
     induced = [args[1].weight for name, args, _ in calls
                if name == "bar._induced_bimodule"]
     assert sorted(induced) == list(range(1, ds.algebra.max_weight + 1))

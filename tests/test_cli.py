@@ -287,8 +287,9 @@ def test_subgroup_action_list_of_wrong_length_is_reported_with_path(
 
 
 def test_package_without_weight1_pairing_fails_with_witness(tmp_path, capsys):
-    """A package with no pairing for weight 1 fails the duality and the
-    shift-square checks with a witness, exit 3, not a traceback."""
+    """A package with no pairing for weight 1 fails validation naming the
+    missing entry, and the duality and the shift-square checks with a
+    witness, exit 3, not a traceback."""
     doc = dataset_to_json(builtin_height1(3, 2, 3))
     package = doc["subgroup_package"]
     package["pairing"] = [e for e in package["pairing"] if e["k"] != 1]
@@ -297,6 +298,10 @@ def test_package_without_weight1_pairing_fails_with_witness(tmp_path, capsys):
     code, report = run_json(capsys, ["verify", str(path), "--suite", "all",
                                      "--json"])
     assert code == EXIT_MATH
+    valid = next(c for c in report["checks"] if c["name"] == "dataset-validation")
+    assert valid["status"] == "fail"
+    assert valid["payload"]["witnesses"] == \
+        ["missing pairing: subgroup_package.pairing[k=1]"]
     square = next(c for c in report["checks"] if c["name"] == "suite-shift-square")
     assert square["status"] == "fail"
     assert square["payload"]["witnesses"][0] == \

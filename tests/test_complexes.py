@@ -361,34 +361,41 @@ def test_homology_leaves_its_input_unchanged():
 
 def test_only_a_passing_check_marks_a_complex(monkeypatch):
     """A complex starts unchecked; a failing verify_complex leaves it so and
-    homology still refuses it, a passing one marks it and its dual, and then
-    homology runs no d o d check of its own.  The mark is no constructor
-    argument, takes no part in equality or hashing, and homology has no
-    option for it."""
+    homology refuses it through that same check, each time it is asked; a
+    passing one marks it and its dual, and then homology runs no d o d check
+    of its own.  On an unmarked complex homology runs verify_complex once,
+    and the pass marks the complex.  The mark is no constructor argument,
+    takes no part in equality or hashing, and homology has no option for
+    it."""
+    checks = []
+    original = complexes.verify_complex
+    monkeypatch.setattr(complexes, "verify_complex",
+                        lambda C: checks.append(C) or original(C))
     eye = PAdicMatrix.identity(RING22, 1)
     two = PAdicMatrix(RING22, [[2]], 1, 1)
     bad = make_complex(RING22, HOMOLOGICAL, 0, [1, 1, 1], [eye, eye])
     assert verify_complex(bad) == (False, 0) and not bad.checked
-    with pytest.raises(ComplexError):
-        homology(bad)
+    for _ in range(2):
+        with pytest.raises(ComplexError, match="d o d != 0 at degree 0$"):
+            homology(bad)
+    assert len(checks) == 2 and all(c is bad for c in checks)
+    assert not bad.checked
 
+    checks.clear()
     C = make_complex(RING22, HOMOLOGICAL, 0, [1, 1, 1], [two, two])
     fresh = make_complex(RING22, HOMOLOGICAL, 0, [1, 1, 1], [two, two])
-    unchecked = homology(C)
     assert not C.checked and not dualize_complex(C).checked
     assert verify_complex(C) == (True, None) and C.checked
     assert C == fresh and hash(C) == hash(fresh) and not fresh.checked
     assert dualize_complex(C).checked
 
-    pairs = []
-    original = complexes._composite_vanishes
-    monkeypatch.setattr(complexes, "_composite_vanishes",
-                        lambda *a: pairs.append(a) or original(*a))
-    assert homology(C) == unchecked
-    assert homology(dualize_complex(C)).free_ranks == unchecked.free_ranks
-    assert not pairs
-    homology(fresh)
-    assert len(pairs) == 1
+    profile = homology(C)
+    assert homology(dualize_complex(C)).free_ranks == profile.free_ranks
+    assert not checks
+    assert homology(fresh) == profile
+    assert len(checks) == 1 and checks[0] is fresh and fresh.checked
+    assert homology(fresh) == profile
+    assert len(checks) == 1
 
     with pytest.raises(TypeError):
         ChainComplex(RING22, HOMOLOGICAL, 0, (1, 1), (eye,), True)

@@ -13,6 +13,8 @@ from koszulab.isogeny import (MICError, SubgroupAlgebra, SubgroupAlgebraPackage,
                               verify_theorem_10_2)
 from koszulab.synthetic import perturb_pairing, synthetic_height1_dataset
 
+from test_assemble import dual_number_dataset
+
 
 def test_builtin_package_validates():
     ds = builtin_height1(3, 2, 4)
@@ -107,6 +109,23 @@ def test_perturbed_pairing_breaks_duality_with_witness():
     assert bad, "perturbation must break commutation somewhere"
 
 
+def test_dual_number_pairing_fails_to_descend_with_its_location():
+    """Over the dual numbers (the rank-2 dataset of test_assemble), the
+    identity pairings dualize weight 1, and every k from 2 to 4 fails at
+    degree 2, on its first composition (1, k - 1), naming the first entry of
+    the dualized projection outside the flag module's image."""
+    ds = dual_number_dataset()
+    data = KoszulData(ds.algebra)
+    for k in range(2):
+        assert dualize_bar_to_mic(data, ds.subgroup_package, k).commutes
+    for k in range(2, 5):
+        with pytest.raises(MICError) as exc:
+            dualize_bar_to_mic(data, ds.subgroup_package, k)
+        assert str(exc.value) == (
+            f"pairing does not descend at degree 2, composition (1, {k - 1}): "
+            "entry (1,0) lies outside the image of the flag module")
+
+
 def test_shift_square_builtin():
     ds = builtin_height1(3, 2, 4)
     M = ds.module("sphere")
@@ -167,6 +186,19 @@ def test_missing_pairing_reported():
     with pytest.raises(MICError) as exc:
         dualize_bar_to_mic(KoszulData(ds.algebra), partial, 2)
     assert "pairing" in str(exc.value)
+
+
+def test_validation_names_each_missing_pairing():
+    """Dataset validation needs a pairing for each weight up to the smaller
+    of the package's top order and the algebra's max_weight."""
+    ds = builtin_height1(3, 2, 4)
+    pkg = ds.subgroup_package
+    ds.subgroup_package = SubgroupAlgebraPackage(
+        pkg.coeff, pkg.orders, pkg.t_maps, pkg.u1, pkg.shift,
+        {k: P for k, P in pkg.pairing.items() if k in (1, 3)})
+    assert ds.validate().failures == [
+        ("missing pairing", f"subgroup_package.pairing[k={k}]") for k in (2, 4)]
+    assert validate_package(ds.subgroup_package).passed
 
 
 def test_bad_pairing_fails_at_the_same_k_when_the_package_is_reused():
