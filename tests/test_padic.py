@@ -1,16 +1,19 @@
 """Exact linear algebra over Z/p^N: Smith forms, kernels, solving."""
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszulab.bar import KoszulData
 from koszulab.complexes import COHOMOLOGICAL, HOMOLOGICAL
 from koszulab.padic import (BaseRing, PAdicMatrix, InconsistentSystemError,
                             ShapeError, _is_prime, integer_smith, inverse_mod,
                             kernel_basis, smith_normal_form, solve)
 
 from test_complexes import random_exact_complex
+from test_golden import sym2_dataset
 
 
 def rings():
@@ -503,3 +506,80 @@ def test_inverse_mod_roundtrip():
                 continue
         assert A @ Ainv == PAdicMatrix.identity(ring, n)
         assert Ainv @ A == PAdicMatrix.identity(ring, n)
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs: the transforms, kernels, solutions and inverses are not
+# unique, and the reports built from them quote them, so any rewrite of the
+# elimination must give these exact matrices.
+# ---------------------------------------------------------------------------
+
+PINNED_RINGS = [BaseRing(2, 1), BaseRing(2, 2), BaseRing(2, 3), BaseRing(3, 1),
+                BaseRing(3, 2), BaseRing(5, 2), BaseRing(3, 3)]
+
+
+def mixed_valuation_matrix(rng, ring, rows, cols):
+    """Entries zero about a third of the time, else a unit times p^v with
+    v uniform in 0..N-1; every third matrix is a product through a smaller
+    inner dimension, so it is rank-deficient."""
+    def entry():
+        if rng.random() < 0.35:
+            return 0
+        u = rng.randrange(1, ring.modulus)
+        while u % ring.p == 0:
+            u = rng.randrange(1, ring.modulus)
+        return u * ring.p ** rng.randrange(ring.N)
+
+    def dense(r, c):
+        return PAdicMatrix(ring, [[entry() for _ in range(c)] for _ in range(r)], r, c)
+    if rng.randrange(3) == 0:
+        inner = rng.randrange(1, min(rows, cols) + 1)
+        return dense(rows, inner) @ dense(inner, cols)
+    return dense(rows, cols)
+
+
+def unimodular_matrix(rng, ring, n):
+    """A lower unitriangular times an upper triangular matrix with unit
+    diagonal, with its rows in a random order."""
+    m = ring.modulus
+    units = [u for u in range(1, m) if u % ring.p]
+    lower = [[1 if i == j else (rng.randrange(m) if j < i else 0)
+              for j in range(n)] for i in range(n)]
+    upper = [[rng.choice(units) if i == j else (rng.randrange(m) if j > i else 0)
+              for j in range(n)] for i in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    A = PAdicMatrix(ring, lower, n, n) @ PAdicMatrix(ring, upper, n, n)
+    return A.select_rows(order)
+
+
+PINNED_ELIMINATION = "4bcd6fbe7f63de28b95c61168a9c9230dcc603f7ff142aca27aad13a7a2c3e44"
+PINNED_SYM2_INCLUSIONS = "969ed4770d53c64858d9913816111a4417d2ed53e8c82080d9203c914260f4d2"
+
+
+def digest(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_elimination_outputs_are_pinned():
+    rng = random.Random(20240)
+    out = []
+    for ring in PINNED_RINGS:
+        for _ in range(40):
+            rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+            A = mixed_valuation_matrix(rng, ring, rows, cols)
+            snf = smith_normal_form(A)
+            X = mixed_valuation_matrix(rng, ring, cols, rng.randrange(1, 4))
+            out.append((ring.p, ring.N, A.tolist(), snf.invariants,
+                        snf.left.tolist(), snf.right.tolist(),
+                        kernel_basis(A).tolist(), solve(A, A @ X).tolist()))
+        for n in range(1, 8):
+            out.append(inverse_mod(unimodular_matrix(rng, ring, n)).tolist())
+    assert digest(out) == PINNED_ELIMINATION
+
+
+def test_sym2_c_inclusions_are_pinned():
+    data = KoszulData(sym2_dataset().algebra)
+    out = [data.koszul_module(k).inclusion.tolist() for k in range(6)]
+    assert digest(out) == PINNED_SYM2_INCLUSIONS
+
