@@ -8,6 +8,7 @@ that complex differentials can be written as honest matrices.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -120,15 +121,10 @@ def tensor_over_coeff(M: Bimodule, N: Bimodule) -> TensorData:
         ident = PAdicMatrix.identity(ring, mn)
         bm = _tensor_bimodule(M, N, ident, ident)
         return TensorData(bm, ident, ident)
-    rel_cols = []
     eyeN = PAdicMatrix.identity(ring, N.rank)
     eyeM = PAdicMatrix.identity(ring, M.rank)
-    for a in range(coeff.rank):
-        R = M.right[a].kron(eyeN) - eyeM.kron(N.left[a])
-        for j in range(mn):
-            rel_cols.append([R[i, j] for i in range(mn)])
-    relmat = PAdicMatrix(ring, [[col[i] for col in rel_cols] for i in range(mn)],
-                         mn, len(rel_cols))
+    relmat = functools.reduce(PAdicMatrix.hstack, (
+        M.right[a].kron(eyeN) - eyeM.kron(N.left[a]) for a in range(coeff.rank)))
     snf = smith_normal_form(relmat)
     free_rows = []
     for i in range(mn):

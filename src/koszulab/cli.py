@@ -20,8 +20,9 @@ from .padic import BaseRing, ExactLinalgError
 from .complexes import ComplexError, HomologyProfile, homology
 from .algebra import (Dataset, DatasetError, builtin_height1, canonical_json,
                       load_dataset, save_dataset, trivial_module)
-from .bar import (KoszulData, NotKoszulError, bar_complex_with_module,
-                  ext_groups, tor_groups_via_bar, verify_koszulness)
+from .bar import (ImageEscapesError, KoszulData, NotKoszulError,
+                  bar_complex_with_module, ext_groups, tor_groups_via_bar,
+                  verify_koszulness)
 from .isogeny import (MICError, build_mic, dualize_bar_to_mic,
                       mic_cohomology, verify_theorem_10_2)
 from .partition import PartitionSizeError, partition_homology, predicted_size
@@ -473,8 +474,8 @@ def run(argv=None):
     except IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_IO
-    except (NotKoszulError, MICError, ComplexError, DatasetError,
-            ExactLinalgError) as exc:
+    except (NotKoszulError, ImageEscapesError, MICError, ComplexError,
+            DatasetError, ExactLinalgError) as exc:
         checks.append(Check("computation", "requested computation completes",
                             "fail", {"witness": str(exc)}))
         code = EXIT_MATH

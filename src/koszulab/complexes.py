@@ -2,9 +2,9 @@
 
 Homology is computed in three steps: a check of d o d = 0, the
 cancellation of every unit entry with its two cells (which keeps homology
-exactly), and the dense elimination of :func:`_homology_degree` on what is
-left, whose differentials have no unit entry.  The complexes built here are
-almost empty and their entries almost all units, so little is left.
+exactly), and Smith forms of what is left, whose differentials have no unit
+entry, in :func:`_homology_degree`.  The complexes built here are almost
+empty and their entries almost all units, so little is left.
 
 d o d = 0 is checked once per complex, by one kernel: the products of
 :func:`verify_complex`.  The builders of the bar, Koszul and subgroup
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .padic import (BaseRing, PAdicMatrix, ExactLinalgError, ShapeError,
-                    _eliminate)
+                    _EMPTY, _eliminate, _wrap, inverse_mod)
 
 HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
@@ -146,36 +146,41 @@ def _homology_degree(ring: BaseRing, rank: int,
                      d_in: Optional[PAdicMatrix], degree: int = 1):
     """(free rank, torsion exponents) of ker(d_out)/im(d_in) in one degree.
 
-    Eliminating d_out changes coordinates on this degree by some R; d_in is
-    carried along as R^-1 @ d_in.  A coordinate whose invariant is p^a
-    contributes p^(N-a) Z/p^N, cyclic of order p^a, to the kernel (a = N for
-    invariant 0 and for trailing columns).  Dividing each carried row by
-    p^(N-a) writes the image in those generators, and a second elimination
-    of [carried rows | diag(p^a)] presents the quotient.
+    The Smith form left @ d_out @ R of d_out changes coordinates on this
+    degree by R, and R^-1 @ d_in writes the image in them.  A coordinate
+    whose invariant is p^a contributes p^(N-a) Z/p^N, cyclic of order p^a,
+    to the kernel (a = N for invariant 0 and for trailing columns).
+    Dividing each row of R^-1 @ d_in by p^(N-a) writes the image in those
+    generators, and the Smith form of [those rows | diag(p^a)] presents the
+    quotient.
 
-    A carried row that p^(N-a) does not divide is exactly a nonzero row of
+    A row that p^(N-a) does not divide is exactly a nonzero row of
     diag(p^a) @ R^-1 @ d_in, that is of d_out @ d_in up to invertible row
     operations, so the division step certifies d_out @ d_in = 0.  Otherwise
     ComplexError names ``degree - 1``, the lower end of the failing pair.
     """
-    p, N, mod = ring.p, ring.N, ring.modulus
-    rows = d_out.tolist() if d_out is not None else []
-    carried = d_in.tolist() if d_in is not None else [[] for _ in range(rank)]
-    vals = _eliminate(rows, rank, ring, companion=carried)
+    p, N = ring.p, ring.N
+    vals, carried = [], d_in
+    if d_out is not None:
+        vals, _, right = _eliminate(d_out)
+        if d_in is not None:
+            carried = inverse_mod(right) @ d_in
     orders = vals + [N] * (rank - len(vals))
-    gens = sum(1 for a in orders if a)
+    rows = carried.nonzeros if carried is not None else (_EMPTY,) * rank
+    ncarried = carried.cols if carried is not None else 0
     pres = []
-    for row, a in zip(carried, orders):
+    for row, a in zip(rows, orders):
         s = p ** (N - a)
-        if any(x % s for x in row):
+        if any(x % s for x in row.values()):
             raise ComplexError(
                 f"not a complex: d o d != 0 at degree {degree - 1}")
         if a:
-            rel = [0] * gens
-            rel[len(pres)] = p ** a % mod
-            pres.append([x // s for x in row] + rel)
-    ncarried = d_in.cols if d_in is not None else 0
-    invariants = _eliminate(pres, ncarried + gens, ring)
+            row = {j: x // s for j, x in row.items()}
+            if a < N:
+                row[ncarried + len(pres)] = p ** a
+            pres.append(row)
+    gens = len(pres)
+    invariants = _eliminate(_wrap(ring, tuple(pres), gens, ncarried + gens))[0]
     return gens - len(invariants), tuple(v for v in invariants if v)
 
 
@@ -280,9 +285,9 @@ def homology(C: ChainComplex) -> HomologyProfile:
     Kaczynski, Mrozek and Slusarek, "Homology computation by reduction of
     chain complexes", 1998), which preserves homology exactly over Z/p^N.
     Last, each degree of the much smaller complex that remains, whose
-    differentials have no unit entry, goes through :func:`_homology_degree`;
-    a degree whose remaining differentials are zero is free of its
-    remaining rank.
+    differentials have no unit entry, goes through the sparse Smith forms
+    of :func:`_homology_degree`; a degree whose remaining differentials are
+    zero is free of its remaining rank.
     """
     ring = C.ring
     p, mod = ring.p, ring.modulus

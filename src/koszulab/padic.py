@@ -23,10 +23,11 @@ partition builder wraps its differentials the same way, since it writes
 each entry itself as the residue 1 or p^N - 1.
 
 Dense rows are built only on demand: ``entries`` builds each row tuple when
-it is read, ``tolist`` builds lists, which the elimination kernel,
-`_eliminate`, uses as scratch.  Every Smith form, inverse, kernel and
-solution comes from that one kernel.  In Z/p^N every nonzero entry is a
-unit times p^v, so an entry of least valuation divides every other entry:
+it is read and ``tolist`` builds lists; nothing in the package computes on
+them.  Every Smith form, inverse, kernel and solution comes from one
+kernel, `_eliminate`, which works on the matrix's own row dicts and builds
+both transforms as dict rows.  In Z/p^N every nonzero entry is a unit
+times p^v, so an entry of least valuation divides every other entry:
 elimination with that pivot needs no gcd steps and its entries never leave
 [0, p^N).
 """
@@ -275,19 +276,9 @@ class PAdicMatrix:
         if self.shape != other.shape:
             raise ShapeError(f"add {self.shape} vs {other.shape}")
         m = self.ring.modulus
-        out = []
-        for a, b in zip(self.nonzeros, other.nonzeros):
-            if not a:
-                a = b
-            elif b:
-                a = dict(a)
-                for j, y in b.items():
-                    if v := (a.get(j, 0) + y) % m:
-                        a[j] = v
-                    else:
-                        del a[j]
-            out.append(a)
-        return _wrap(self.ring, tuple(out), self.rows, self.cols)
+        return _wrap(self.ring, tuple(_sub(a, -1, b, m) if a and b else a or b
+                                      for a, b in zip(self.nonzeros, other.nonzeros)),
+                     self.rows, self.cols)
 
     def __sub__(self, other: "PAdicMatrix") -> "PAdicMatrix":
         return self + (-other)
@@ -429,6 +420,17 @@ def _wrap(ring: BaseRing, nonzeros: tuple, rows: int, cols: int) -> PAdicMatrix:
     return self
 
 
+def _sub(row: dict, q: int, top: dict, mod: int) -> dict:
+    """A new dict: ``row - q * top`` mod ``mod``, zeros dropped."""
+    out = dict(row)
+    for j, y in top.items():
+        if w := (out.get(j, 0) - q * y) % mod:
+            out[j] = w
+        else:
+            out.pop(j, None)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Integer Smith normal form.  Nothing in the package calls it: the tests use
 # it as an independent reference for the valuations of Smith forms mod p^N.
@@ -558,81 +560,78 @@ def integer_smith(mat: Sequence[Sequence[int]], m: int, n: int,
 # The elimination kernel over Z/p^N
 # ---------------------------------------------------------------------------
 
-def _identity_rows(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _eliminate(A: PAdicMatrix):
+    """(valuations, left, right) with left @ A @ right diagonal.
 
+    Step t takes the first entry of least valuation v in row-major order of
+    the remaining block as pivot, moves it to (t, t), scales its row so the
+    pivot is exactly p^v, and clears its column by row operations and its
+    row by column operations.  The pivot divides every remaining entry, so
+    every quotient is exact and the remaining block keeps valuations >= v.
 
-def _eliminate(rows, ncols, ring, left=None, right=None, companion=None):
-    """Diagonalize the matrix given by ``rows`` (lists of residues mod p^N).
+    The rows are A's own row dicts, each replaced by a new dict when it
+    changes, so A is not touched.  They stay keyed by A's columns: a column
+    swap only swaps two entries of ``col`` (position -> column of A) and of
+    its inverse ``pos``.  Column operations clear only the pivot row, which
+    is not read again, so they are made on R alone: ``cols`` holds R's
+    columns, one dict per position.  Both transforms are dict rows, wrapped
+    as they are.
 
-    Step t takes the first entry of least valuation v in the remaining block
-    as pivot, moves it to (t, t), scales its row so the pivot is exactly p^v,
-    and clears its column by row operations and its row by column operations.
-    The pivot divides every remaining entry, so every quotient is exact and
-    the remaining block keeps valuations >= v.
-
-    ``rows`` is scratch space.  Row operations are repeated on ``left``, so
-    afterwards left @ A @ R is diagonal.  ``right`` holds R transposed, one
-    row per column of A: a column operation on A is the same row operation on
-    it.  ``companion`` has one row per column of A and receives the inverse of
-    every column operation as a row operation, so it ends as R^-1 @ companion.
-
-    Returns the valuations of the pivots, which are nondecreasing; the
-    diagonal is zero past them.
+    The valuations are those of the pivots, nondecreasing; the diagonal is
+    zero past them.
     """
+    ring = A.ring
     p, N, mod = ring.p, ring.N, ring.modulus
     pw = [p ** k for k in range(N + 1)]
-    m = len(rows)
+    m, n = A.rows, A.cols
+    rows = list(A.nonzeros)
+    left = [{i: 1} for i in range(m)]
+    cols = [{j: 1} for j in range(n)]
+    col, pos = list(range(n)), list(range(n))
     vals = []
-    for t in range(min(m, ncols)):
+    for t in range(min(m, n)):
         best, v = None, N
         for i in range(t, m):
-            row = rows[i]
-            for j in range(t, ncols):
-                if row[j] % pw[v]:          # valuation below v
-                    best, v = (i, j), ring.valuation(row[j])
-                    if v == 0:
-                        break
-            if v == 0:
-                break
+            c, w = None, v        # this row's first entry of least valuation w < v
+            for j, x in rows[i].items():
+                if x % pw[w]:
+                    c, w = j, ring.valuation(x)
+                elif c is not None and pos[j] < pos[c] and x % pw[w + 1]:
+                    c = j
+            if c is not None:
+                best, v = (i, c), w
+                if v == 0:
+                    break
         if best is None:
             break
-        i, j = best
+        i, c = best
         if i != t:
             rows[t], rows[i] = rows[i], rows[t]
-            if left is not None:
-                left[t], left[i] = left[i], left[t]
+            left[t], left[i] = left[i], left[t]
+        j = pos[c]
         if j != t:
-            for r in range(t, m):
-                row = rows[r]
-                row[t], row[j] = row[j], row[t]
-            for T in (right, companion):
-                if T is not None:
-                    T[t], T[j] = T[j], T[t]
+            col[t], col[j] = c, col[t]
+            pos[c], pos[col[j]] = t, j
+            cols[t], cols[j] = cols[j], cols[t]
         pv = pw[v]
         top = rows[t]
-        u = pow(top[t] // pv, -1, mod)
+        u = pow(top[c] // pv, -1, mod)
         if u != 1:
-            rows[t] = top = [x * u % mod for x in top]
-            if left is not None:
-                left[t] = [x * u % mod for x in left[t]]
+            top = {k: x * u % mod for k, x in top.items()}
+            left[t] = {k: x * u % mod for k, x in left[t].items()}
         for i in range(t + 1, m):
-            row = rows[i]
-            if row[t]:
-                q = row[t] // pv
-                rows[i] = [(x - q * y) % mod for x, y in zip(row, top)]
-                if left is not None:
-                    left[i] = [(x - q * y) % mod for x, y in zip(left[i], left[t])]
-        for j in range(t + 1, ncols):
-            if top[j]:
-                q = top[j] // pv
-                if right is not None:
-                    right[j] = [(x - q * y) % mod for x, y in zip(right[j], right[t])]
-                if companion is not None:
-                    companion[t] = [(x + q * y) % mod
-                                    for x, y in zip(companion[t], companion[j])]
+            x = rows[i].get(c)
+            if x:
+                q = x // pv
+                rows[i] = _sub(rows[i], q, top, mod)
+                left[i] = _sub(left[i], q, left[t], mod)
+        for k, x in top.items():
+            if k != c:
+                j = pos[k]
+                cols[j] = _sub(cols[j], x // pv, cols[t], mod)
         vals.append(v)
-    return vals
+    return (vals, _wrap(ring, tuple(left), m, m),
+            _wrap(ring, tuple(cols), n, n).transpose())
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +657,10 @@ class SmithDecomposition(NamedTuple):
 
 def smith_normal_form(A: PAdicMatrix) -> SmithDecomposition:
     """Smith form over Z/p^N by minimum-valuation elimination."""
-    ring = A.ring
-    left, right = _identity_rows(A.rows), _identity_rows(A.cols)
-    vals = _eliminate(A.tolist(), A.cols, ring, left, right)
-    invariants = [ring.p ** v for v in vals]
+    vals, left, right = _eliminate(A)
+    invariants = [A.ring.p ** v for v in vals]
     invariants += [0] * (min(A.rows, A.cols) - len(vals))
-    return SmithDecomposition(tuple(invariants),
-                              PAdicMatrix(ring, left, A.rows, A.rows),
-                              PAdicMatrix(ring, list(zip(*right)), A.cols, A.cols))
+    return SmithDecomposition(tuple(invariants), left, right)
 
 
 def kernel_basis(A: PAdicMatrix) -> PAdicMatrix:
@@ -675,43 +670,31 @@ def kernel_basis(A: PAdicMatrix) -> PAdicMatrix:
     invariant p^a, and right col i for invariant 0 / free trailing columns.
     """
     ring = A.ring
-    if A.cols == 0:
-        return PAdicMatrix.zeros(ring, 0, 0)
-    if A.rows == 0:
-        return PAdicMatrix.identity(ring, A.cols)
-    snf = smith_normal_form(A)
-    gens = []
-    for i in range(A.cols):
-        inv = snf.invariants[i] if i < len(snf.invariants) else 0
-        a = ring.valuation(inv)
-        if a == 0:
-            continue  # unit invariant: coordinate forced to zero
-        scalar = ring.p ** (ring.N - a)
-        gens.append(snf.right.column(i).scale(scalar))
-    if not gens:
-        return PAdicMatrix.zeros(ring, A.cols, 0)
-    out = gens[0]
-    for g in gens[1:]:
-        out = out.hstack(g)
-    return out
+    p, N, mod = ring.p, ring.N, ring.modulus
+    vals, _, right = _eliminate(A)
+    orders = vals + [N] * (A.cols - len(vals))
+    gens = [{r: w for r, x in c.items() if (w := x * p ** (N - a) % mod)}
+            for c, a in zip(right.transpose().nonzeros, orders) if a]
+    return _wrap(ring, tuple(gens), len(gens), A.cols).transpose()
 
 
 def inverse_mod(A: PAdicMatrix) -> PAdicMatrix:
     """Inverse of a matrix invertible over Z/p^N: right @ left for the Smith
     transforms, which is defined when every invariant factor is 1."""
-    ring = A.ring
-    n = A.rows
-    if A.cols != n:
+    if A.cols != A.rows:
         raise ShapeError("inverse of non-square matrix")
-    left, right = _identity_rows(n), _identity_rows(n)
-    vals = _eliminate(A.tolist(), n, ring, left, right)
-    if len(vals) < n or any(vals):
+    vals, left, right = _eliminate(A)
+    if len(vals) < A.rows or any(vals):
         raise ExactLinalgError("matrix is not invertible mod p^N")
-    return PAdicMatrix(ring, list(zip(*right)), n, n) @ PAdicMatrix(ring, left, n, n)
+    return right @ left
 
 
 def solve(A: PAdicMatrix, B: PAdicMatrix) -> PAdicMatrix:
-    """A canonical solution X of A @ X = B, or InconsistentSystemError."""
+    """A canonical solution X of A @ X = B, or InconsistentSystemError.
+
+    With left @ A @ right = diag(p^a_i), row i of left @ B must be divisible
+    by p^a_i (and vanish where the diagonal is 0); X = right @ Y for Y the
+    quotients."""
     ring = A.ring
     if A.rows != B.rows:
         raise ShapeError(f"solve {A.shape} vs {B.shape}")
@@ -719,16 +702,14 @@ def solve(A: PAdicMatrix, B: PAdicMatrix) -> PAdicMatrix:
         if not B.is_zero():
             raise InconsistentSystemError("zero-column system with nonzero rhs")
         return PAdicMatrix.zeros(ring, 0, B.cols)
-    snf = smith_normal_form(A)
-    C = snf.left @ B
-    Y = [[0] * B.cols for _ in range(A.cols)]
-    for i in range(A.rows):
-        inv = snf.invariants[i] if i < len(snf.invariants) else None
-        a = ring.N if inv is None or inv == 0 else ring.valuation(inv)
-        for j, c in sorted(C.nonzeros[i].items()):     # a zero c is always solved
-            if ring.valuation(c) < a:
+    vals, left, right = _eliminate(A)
+    C = (left @ B).nonzeros
+    for i, row in enumerate(C):
+        a = vals[i] if i < len(vals) else ring.N
+        for j, c in sorted(row.items()):
+            if c % ring.p ** a:
                 raise InconsistentSystemError(
                     f"no solution: row {i}, col {j} (valuation {ring.valuation(c)} < {a})")
-            if i < A.cols and a < ring.N:
-                Y[i][j] = c // (ring.p ** a)
-    return snf.right @ PAdicMatrix(ring, Y, A.cols, B.cols)
+    Y = [{j: c // ring.p ** a for j, c in row.items()} for row, a in zip(C, vals)]
+    Y += [_EMPTY] * (A.cols - len(vals))
+    return right @ _wrap(ring, tuple(Y), A.cols, B.cols)

@@ -11,6 +11,9 @@ import sys
 
 from koszulab.algebra import builtin_height1, save_dataset
 from koszulab.cli import EXIT_PASS, run
+from koszulab.complexes import HOMOLOGICAL, homology, make_complex
+from koszulab.padic import (BaseRing, PAdicMatrix, inverse_mod, kernel_basis,
+                            smith_normal_form, solve)
 
 WRAPPED = (("bar", "bar_complex"), ("bar", "koszul_complex"),
            ("bar", "assemble"), ("bar", "_induced_bimodule"),
@@ -166,3 +169,37 @@ def test_assembly_forms_no_product_and_verify_one_per_pair(tmp_path, monkeypatch
     made = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
             and c[2][-1:] == ("complexes.verify_complex",)]
     assert len(made) == sum(max(len(C.differentials) - 1, 0) for C in checks)
+
+
+def test_elimination_builds_no_dense_scratch(monkeypatch):
+    """Smith forms, kernels, solutions, inverses and the homology of a
+    complex with torsion eliminate on the matrices' own row dicts: none of
+    them builds a matrix from dense rows or reads one as dense lists."""
+    ring = BaseRing(3, 2)
+    A = PAdicMatrix(ring, [[3, 1, 0, 6], [0, 3, 6, 0], [3, 4, 6, 6]], 3, 4)
+    X = PAdicMatrix(ring, [[1, 2], [0, 3], [4, 0], [5, 1]], 4, 2)
+    U = PAdicMatrix(ring, [[2, 1, 0], [3, 1, 1], [0, 6, 1]], 3, 3)
+    # Z/9 <-3- Z/9 <-(3 0)- Z/9 (+) Z/9 <-(0 1)- Z/9: Z/3 in degrees 0 and 2
+    C = make_complex(ring, HOMOLOGICAL, 0, (1, 1, 2, 1),
+                     (PAdicMatrix(ring, [[3]], 1, 1),
+                      PAdicMatrix(ring, [[3, 0]], 1, 2),
+                      PAdicMatrix(ring, [[0], [1]], 2, 1)))
+    AX = A @ X
+    dense = []
+
+    def forbid(name):
+        original = getattr(PAdicMatrix, name)
+
+        def wrapper(*args, **kwargs):
+            dense.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(PAdicMatrix, name, wrapper)
+
+    forbid("__init__")
+    forbid("tolist")
+    smith_normal_form(A)
+    kernel_basis(A)
+    assert A @ solve(A, AX) == AX
+    inverse_mod(U)
+    assert homology(C).torsion == ((1,), (), (1,), ())
+    assert dense == []

@@ -15,6 +15,8 @@ from koszulab.cli import (EXIT_IO, EXIT_MATH, EXIT_PASS,
                           EXIT_USAGE, REPORT_SCHEMA, fingerprint, main, run)
 from koszulab.synthetic import perturb_pairing, synthetic_height1_dataset
 
+from test_golden import sym2_dataset
+
 
 @pytest.fixture
 def h1_path(tmp_path):
@@ -317,6 +319,26 @@ def test_invalid_dataset_is_math_failure(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code = main(["koszul", str(path)])
     assert code == EXIT_MATH
+
+
+@pytest.mark.parametrize("argv", [["koszul"], ["ext", "--module", "triv"],
+                                  ["verify", "--suite", "koszul"],
+                                  ["verify", "--suite", "all"]])
+def test_action_that_escapes_c_is_math_failure(tmp_path, capsys, argv):
+    """Sym^2 with one off-diagonal entry of the weight-1 right action set
+    to 1: the action no longer preserves C[2], and each command that builds
+    C[2] fails its computation with that witness, exit 3, not a traceback."""
+    doc = dataset_to_json(sym2_dataset())
+    weight1 = next(c for c in doc["algebra"]["components"] if c["k"] == 1)
+    weight1["right_action"][0][0][1] = 1
+    path = tmp_path / "escapes.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, argv[:1] + [str(path)] + argv[1:] + ["--json"])
+    assert code == EXIT_MATH
+    failed = next(c for c in report["checks"] if c["name"] == "computation")
+    assert failed["status"] == "fail"
+    assert failed["payload"]["witness"] == \
+        "coefficient action does not preserve C[2]"
 
 
 def test_koszul_and_ext(h1_path, capsys):

@@ -56,10 +56,10 @@ def non_koszul_dataset():
                    ds.modules, ds.subgroup_package)
 
 
-def sym2_dataset():
-    """Sym(V) with rank V = 2 over Z/9 up to weight 5, the tensor square of
-    the built-in height-1 algebra: weight k has basis x^a y^(k-a) (rank
-    k+1) and x^a y^(k-a) * x^b y^(l-b) = x^(a+b) y^(k+l-a-b).  It is Koszul
+def sym2_dataset(kmax=5):
+    """Sym(V) with rank V = 2 over Z/9 up to weight ``kmax``, the tensor
+    square of the built-in height-1 algebra: weight k has basis x^a y^(k-a)
+    (rank k+1) and x^a y^(k-a) * x^b y^(l-b) = x^(a+b) y^(k+l-a-b).  It is Koszul
     with C[k] ranks binomial(2, k) (Polishchuk-Positselski, Quadratic
     Algebras, ch. 3).  Unlike the rank-1 datasets, a face I_pre (x) m (x)
     I_post with pre != post here has a layout that a swap of the identity
@@ -71,7 +71,6 @@ def sym2_dataset():
     module the shift-square suite is skipped."""
     coeff = builtin_height1(3, 2, 1).algebra.coeff
     ring = coeff.ring
-    kmax = 5
 
     def eye(n):
         return PAdicMatrix.identity(ring, n)

@@ -16,6 +16,15 @@ def test_sym2_validates_and_c_ranks_are_binomial():
     assert rep.c_ranks == (1, 2, 1, 0, 0, 0)
 
 
+def test_sym2_c_ranks_at_kmax_8():
+    """Weight 8 has a top bar degree of rank 2^8, so C[k] for every k up to
+    8 goes through kernels and solves of matrices with hundreds of columns."""
+    ds = sym2_dataset(kmax=8)
+    rep = verify_koszulness(KoszulData(ds.algebra))
+    assert rep.passed, str(rep)
+    assert rep.c_ranks == (1, 2, 1) + (0,) * 6
+
+
 def test_sym2_tor_agrees_by_both_routes():
     ds = sym2_dataset()
     for M in ds.modules.values():
