@@ -190,8 +190,8 @@ def main(argv=None):
     ap.add_argument("--setup", action="store_true",
                     help="time set-ups (import and input writes), not passes")
     args = ap.parse_args(argv)
-    if args.rounds < 2:
-        ap.error("--rounds must be at least 2")
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
 
     roots = {"parent": args.parent, "change": args.change}
     trees = {side: load_tree(root, f"ab_{side}") for side, root in roots.items()}
@@ -209,7 +209,8 @@ def main(argv=None):
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    # one round is its own median and quartiles
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     wins = sum(x < 1 for x in ratios)
     what = f"{args.workload} set-up" if args.setup else args.workload
     print(f"# {what}: change/parent median {median:.3f} "

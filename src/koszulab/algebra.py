@@ -437,6 +437,9 @@ class Dataset:
             top = min(pkg.max_order, self.algebra.max_weight)
             rep.failures += [("missing pairing", f"subgroup_package.pairing[k={k}]")
                              for k in range(1, top + 1) if k not in pkg.pairing]
+            rep.failures += [("singular pairing", f"subgroup_package.pairing[k={k}]")
+                             for k, P in sorted(pkg.pairing.items()) if P.rows != P.cols
+                             or set(smith_normal_form(P).invariants) - {1}]
         return rep
 
 

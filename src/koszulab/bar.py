@@ -8,12 +8,10 @@ first argument, so each piece is built once per command."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate
-from operator import mul
+from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .padic import (PAdicMatrix, InconsistentSystemError, ShapeError,
+from .padic import (PAdicMatrix, InconsistentSystemError, _EMPTY, _wrap,
                     kernel_basis, solve)
 from .complexes import (ChainComplex, HomologyProfile, HOMOLOGICAL,
                         dualize_complex, homology, make_complex, verify_complex)
@@ -30,47 +28,30 @@ class ImageEscapesError(Exception):
     """A last-face image left the span of the Koszul submodule."""
 
 
-def compositions(total: int, parts: int):
-    """All compositions of ``total`` into exactly ``parts`` positive parts, lex order."""
-    if parts == 0:
-        return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)] if total > 0 else []
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
-
-
-def bounded_compositions(parts: int, max_total: int):
-    """Compositions of any total <= max_total into exactly ``parts`` positive
-    parts, lex order."""
-    out = []
-    if parts == 0:
-        return [()]
-    for total in range(parts, max_total + 1):
-        out.extend(compositions(total, parts))
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # Complexes indexed by compositions
 #
-# The bar complexes and the subgroup (isogeny) complex share one shape: the
-# degree-s term is a sum of tensor quotients, one block per composition with
-# s parts, and every face is a block proj_full @ (I_pre (x) m (x) I_post) @
-# sect_full between the ambient tensor products of two compositions.  The
-# tensor quotients come from a TensorTable, so compositions sharing a prefix
-# share its tensor, and the identity factors of a face are never built.
+# The bar, module-bar and subgroup (isogeny) complexes share one shape: the
+# degree-s term sums tensor quotients, one block per composition with s
+# parts, and the differential sums faces I (x) m (x) I on the ambient
+# (Kronecker, left-major) products, read in the blocks' quotient
+# coordinates.  In lex order the degree-s compositions of a level L (a
+# weight, a bound or an order) group by first part a; group a is
+# A_a (x) (degree s - 1 of level L - a), on which the ambient differential
+# is -(I_{r_a} (x) d_{L-a}) - (the faces on the first part) (Priddy,
+# "Koszul resolutions", Trans. AMS 152, 1970; Polishchuk and Positselski,
+# "Quadratic Algebras", 2005, ch. 1).  An AmbientTable builds each level so.
+# The quotient differential is blockdiag(proj_full) @ d @
+# blockdiag(sect_full), and d itself over a coefficient algebra of rank 1.
 # ---------------------------------------------------------------------------
 
 class Block(NamedTuple):
-    """One composition's summand in one degree: its tensor quotient and the
-    first coordinate it occupies."""
+    """One composition's summand in one degree: its first coordinate, rank
+    and tensor quotient (None for a module bar block over a rank-1 E0)."""
     composition: tuple
     start: int
-    tensor: IteratedTensor
+    rank: int
+    tensor: Optional[IteratedTensor]
 
 
 def composition_blocks(comps, tensor_of):
@@ -79,7 +60,7 @@ def composition_blocks(comps, tensor_of):
     start = 0
     for comp in comps:
         t = tensor_of(comp)
-        blocks.append(Block(comp, start, t))
+        blocks.append(Block(comp, start, t.bimodule.rank, t))
         start += t.bimodule.rank
     return tuple(blocks), start
 
@@ -97,69 +78,149 @@ def place_blocks(ring, rows: int, cols: int, placed) -> PAdicMatrix:
     return PAdicMatrix.from_sparse_rows(ring, rows, cols, nonzeros)
 
 
-def _column_nonzeros(M: PAdicMatrix):
-    """Per column of ``M``, the (row, entry) pairs of its nonzero entries."""
-    cols = [[] for _ in range(M.cols)]
-    for i, row in enumerate(M.nonzeros):
-        for j, x in row.items():
-            cols[j].append((i, x))
-    return cols
+def _block_diagonal(ring, mats) -> PAdicMatrix:
+    placed, rows, cols = [], 0, 0
+    for m in mats:
+        placed.append((rows, cols, 1, m))
+        rows, cols = rows + m.rows, cols + m.cols
+    return place_blocks(ring, rows, cols, placed)
 
 
-def assemble(ring, src, tgt, rows: int, cols: int, faces) -> PAdicMatrix:
-    """The rows x cols differential from the blocks ``src`` to the blocks
-    ``tgt``.  ``faces(composition)`` yields each face of a source block as
-    (target composition, sign, lo, hi, m): the ambient map
-    I_pre (x) m (x) I_post with m on the source's tensor factors lo..hi-1,
-    read in the quotient coordinates of both blocks."""
-    return PAdicMatrix.from_sparse_rows(
-        ring, rows, cols, _add_faces([{} for _ in range(rows)], src, tgt, faces))
+def _quotient(coeff, D: PAdicMatrix, tgt, src) -> PAdicMatrix:
+    """The ambient differential ``D`` from the blocks ``src`` to the blocks
+    ``tgt`` in their quotient coordinates: two products over E0 of rank > 1."""
+    if coeff.rank == 1:
+        return D
+    return (_block_diagonal(coeff.ring, [b.tensor.proj_full for b in tgt]) @ D
+            @ _block_diagonal(coeff.ring, [b.tensor.sect_full for b in src]))
 
 
-def _add_faces(nonzeros, src, tgt, faces):
-    """Add the faces of :func:`assemble` to ``nonzeros``, one dict of
-    column -> entry per target coordinate, and return it.
+class AmbientLevel(NamedTuple):
+    """Level L of an AmbientTable: per degree s = 0..L the compositions in
+    lex order, their first ambient coordinates and ambient ranks, the first
+    coordinate of each first part's group and the degree's ambient rank;
+    diffs[s - 1] is the ambient differential between degrees s - 1 and s."""
+    comps: tuple
+    starts: tuple
+    dims: tuple
+    groups: tuple
+    sizes: tuple
+    diffs: tuple
 
-    Each face's block proj_full(target) @ (I_pre (x) m (x) I_post) @
-    sect_full(source) is summed straight into the rows, one term per
-    nonzero of m, of the source's sect_full and of the target's proj_full,
-    so no matrix is built per face.  Each of those matrices is read for its
-    nonzeros once per call."""
-    by_comp = {b.composition: b for b in tgt}
-    m_cols = {}        # id(m) -> (m, its column nonzeros); m kept alive
-    proj_cols = {}     # target composition -> per ambient coordinate, (row dict, entry)
-    for b in src:
-        ranks = b.tensor.factor_ranks
-        pre = list(accumulate(ranks, mul, initial=1))
-        post = list(accumulate(reversed(ranks), mul, initial=1))[::-1]
-        sect = [[(b.start + j, x) for j, x in r.items()]
-                for r in b.tensor.sect_full.nonzeros]
-        for comp, sign, lo, hi, m in faces(b.composition):
-            known = m_cols.get(id(m))
-            if known is None:
-                known = m_cols[id(m)] = (m, _column_nonzeros(m))
-            m_col = known[1]
-            p_col = proj_cols.get(comp)
-            if p_col is None:
-                tb = by_comp[comp]
-                p_col = proj_cols[comp] = [
-                    [(nonzeros[tb.start + i], x) for i, x in col]
-                    for col in _column_nonzeros(tb.tensor.proj_full)]
-            a_in, a_out, c_out = m.cols * post[hi], m.rows * post[hi], post[hi]
-            if pre[lo] * a_in != len(sect) or pre[lo] * a_out != len(p_col):
-                raise ShapeError(f"face {m.shape} on factors {lo}..{hi - 1} of "
-                                 f"{b.composition} does not reach {comp}")
-            for v, s_row in enumerate(sect):
-                if not s_row:
-                    continue
-                a, rest = divmod(v, a_in)
-                jj, c = divmod(rest, c_out)
-                for r, x in m_col[jj]:
-                    for out, p in p_col[a * a_out + r * c_out + c]:
-                        coef = sign * x * p
-                        for j, y in s_row:
-                            out[j] = out.get(j, 0) + coef * y
-    return nonzeros
+
+def _copies(level: AmbientLevel, s: int, r: int, off: int):
+    """Per coordinate x of degree s of ``level``: (x0, step) with copy i of x
+    in A (x) (that degree), rank A = r, laid out from ``off``, at x0 + i*step."""
+    out = []
+    for st, dm in zip(level.starts[s], level.dims[s]):
+        out += [(off + (r - 1) * st + x, dm) for x in range(st, st + dm)]
+    return out
+
+
+class AmbientTable:
+    """The ambient complexes of one family of compositions, level by level,
+    each built on first use from the lower ones (see the comment above).
+    ``rank(a)`` is the rank of a part a; ``pair(x, y)`` the face between the
+    parts (x, y) and (x + y): a product A_x (x) A_y -> A_{x+y} (homological)
+    or a refinement S_{x+y} -> S_x (x) S_y (cohomological).  Level 0 is the
+    empty composition, of ambient rank ``empty``, level L the compositions
+    of L.  With ``action`` (a -> A_a (x) M -> M) it is the bar complex with
+    coefficients in M: level L holds the compositions of total <= L, and M
+    (the empty composition) in degree 0, on which degree 1 acts."""
+
+    def __init__(self, ring, rank, pair, cohomological=False, empty=1,
+                 action=None):
+        self.ring, self.rank, self.pair = ring, rank, pair
+        self.cohomological, self.empty, self.action = cohomological, empty, action
+        self._levels = []
+        self._terms = {}      # (x, y) -> the nonzeros (t, j, -m[t, j]) of pair(x, y)
+
+    def level(self, L: int) -> AmbientLevel:
+        while len(self._levels) <= L:
+            self._levels.append(self._build(len(self._levels)))
+        return self._levels[L]
+
+    def _build(self, L: int) -> AmbientLevel:
+        # per degree: compositions, starts, ranks, groups and total rank
+        degrees = [(((),), (0,), (self.empty,), {}, self.empty)
+                   if L == 0 or self.action is not None else ((), (), (), {}, 0)]
+        for s in range(1, L + 1):
+            cs, st, dm, gr, off = [], [], [], {}, 0
+            for a in range(1, L - s + 2):
+                low, r = self._levels[L - a], self.rank(a)
+                gr[a] = off
+                cs += [(a,) + c for c in low.comps[s - 1]]
+                st += [off + r * x for x in low.starts[s - 1]]
+                dm += [r * x for x in low.dims[s - 1]]
+                off += r * low.sizes[s - 1]
+            degrees.append((tuple(cs), tuple(st), tuple(dm), gr, off))
+        lv = AmbientLevel(*zip(*degrees), ())
+        return lv._replace(diffs=tuple(self._differential(L, lv, s)
+                                       for s in range(1, L + 1)))
+
+    def _differential(self, L: int, lv: AmbientLevel, s: int) -> PAdicMatrix:
+        """The differential of level L between degrees s - 1 and s.  Each
+        nonzero comes from one face and is written once, negated: every
+        face, and the copy of d_{L-a}, has the sign -1."""
+        mod, rank, levels = self.ring.modulus, self.rank, self._levels
+        hom = not self.cohomological
+        tgt, src = (s - 1, s) if hom else (s, s - 1)
+        rows = [{} for _ in range(lv.sizes[tgt])]
+        if s == 1:      # no lower differential and no head of two parts
+            for a, g in lv.groups[1].items() if self.action else ():
+                for t, mrow in enumerate(self.action[a].nonzeros):
+                    for j, v in mrow.items():
+                        rows[t][g + j] = mod - v
+            return _wrap(self.ring, tuple(r or _EMPTY for r in rows),
+                         lv.sizes[tgt], lv.sizes[src])
+        for a, g_hi in lv.groups[s].items():
+            # -(I_{r_a} (x) d_{L-a}) on group a
+            low, r, g_lo = levels[L - a], rank(a), lv.groups[s - 1][a]
+            g_row, g_col = (g_lo, g_hi) if hom else (g_hi, g_lo)
+            d = low.diffs[s - 2].nonzeros
+            if r == 1:
+                for y, row in enumerate(d, g_row):
+                    if row:
+                        rows[y] = {g_col + x: mod - v for x, v in row.items()}
+                continue
+            xs = _copies(low, src - 1, r, g_col)
+            for (y0, ystep), row in zip(_copies(low, tgt - 1, r, g_row), d):
+                if row:
+                    moved = [(xs[x], mod - v) for x, v in row.items()]
+                    for i in range(r):
+                        rows[y0 + i * ystep] = {x0 + i * step: w for (x0, step), w in moved}
+        for x in range(1, L - s + 2):
+            # the faces between (x, y) + tail and (x + y) + tail
+            low, rx = levels[L - x], rank(x)
+            for y in range(1, L - x - s + 3):
+                tail, rxy, terms = levels[L - x - y], rank(x + y), self._face(x, y)
+                g_long = lv.groups[s][x] + rx * low.groups[s - 1][y]
+                g_short, r_long = lv.groups[s - 1][x + y], rx * rank(y)
+                for st, post in zip(tail.starts[s - 2], tail.dims[s - 2]):
+                    i0, j0 = g_long + r_long * st, g_short + rxy * st
+                    if hom:
+                        i0, j0 = j0, i0
+                    for t, j, w in terms:
+                        for c in range(post):
+                            rows[i0 + t * post + c][j0 + j * post + c] = w
+        return _wrap(self.ring, tuple(r or _EMPTY for r in rows),
+                     lv.sizes[tgt], lv.sizes[src])
+
+    def _face(self, x: int, y: int):
+        if (x, y) not in self._terms:
+            mod = self.ring.modulus
+            self._terms[(x, y)] = [(t, j, mod - v) for t, row in
+                                   enumerate(self.pair(x, y).nonzeros)
+                                   for j, v in row.items()]
+        return self._terms[(x, y)]
+
+
+class CompositionTable(TensorTable):
+    """A TensorTable with ``ambient``, its family's AmbientTable."""
+
+    def __init__(self, factor, empty: IteratedTensor, ambient: AmbientTable):
+        super().__init__(factor, empty)
+        self.ambient = ambient
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +237,13 @@ class BarComplex(NamedTuple):
         return self.blocks[s - self.complex.min_degree]
 
 
-def weight_tensors(A: GradedAugmentedAlgebra) -> TensorTable:
+def weight_tensors(A: GradedAugmentedAlgebra) -> CompositionTable:
     """The table of tensors of weight components, one factor per part of a
-    composition; the empty composition is the coefficient algebra."""
-    return TensorTable(A.component, identity_tensor(A.coeff.as_bimodule()))
-
-
-def _merge_faces(A: GradedAugmentedAlgebra, comp):
-    """The faces of ``comp`` multiplying two neighbouring slots."""
-    for i in range(1, len(comp)):
-        yield (comp[:i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1:],
-               (-1) ** i, i - 1, i + 1, A.mult[(comp[i - 1], comp[i])])
+    composition (the empty composition is the coefficient algebra), with
+    the ambient bar complexes of every weight."""
+    return CompositionTable(
+        A.component, identity_tensor(A.coeff.as_bimodule()),
+        AmbientTable(A.coeff.ring, A.rank, lambda x, y: A.mult[(x, y)]))
 
 
 def _checked_bar(ring, ranks, diffs) -> ChainComplex:
@@ -200,45 +257,41 @@ def _checked_bar(ring, ranks, diffs) -> ChainComplex:
 
 
 def bar_complex(A: GradedAugmentedAlgebra, k: int,
-                tensors: TensorTable) -> BarComplex:
+                tensors: CompositionTable) -> BarComplex:
     """The weight-k piece of the normalized two-sided bar complex with
     trivial outer coefficients: degree-s term the sum over compositions of k
     into s positive parts of the tensor product of the corresponding weight
     components; faces 0 and s vanish and the differential is the alternating
-    sum of the merge faces.  Its tensors come from ``tensors`` (see
+    sum of the merge faces.  Its tensors and its ambient differentials,
+    built on those of the lower weights, come from ``tensors`` (see
     :func:`weight_tensors`).
     """
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")
-    ring = A.coeff.ring
-    tensor_of = tensors.__getitem__
-    blocks, ranks = zip(*(composition_blocks(compositions(k, s), tensor_of)
-                          for s in range(k + 1)))
-    faces = partial(_merge_faces, A)
-    diffs = [assemble(ring, blocks[s], blocks[s - 1], ranks[s - 1], ranks[s], faces)
-             for s in range(1, k + 1)]
-    return BarComplex(k, _checked_bar(ring, ranks, diffs), blocks)
+    level = tensors.ambient.level(k)
+    blocks, ranks = zip(*(composition_blocks(comps, tensors.__getitem__)
+                          for comps in level.comps))
+    diffs = [_quotient(A.coeff, d, blocks[s - 1], blocks[s])
+             for s, d in enumerate(level.diffs, 1)]
+    return BarComplex(k, _checked_bar(A.coeff.ring, ranks, diffs), blocks)
 
 
-def _module_bar_skeleton(data: KoszulData, Mb: Bimodule, smax: int) -> tuple:
-    """What the bar complex with coefficients in a module of bimodule ``Mb``
-    builds in degrees 0..smax without reading the module's action, so every
-    such module shares it: (blocks, ranks, merged), per degree the blocks
-    T(c) (x) M and their total rank, and per differential the sum of its
-    merge faces as rows of column -> entry.  Tensors of the weight
-    components come from ``data.tensors``."""
-    A = data.algebra
-
-    def tensor_of(comp):
-        return tensor_step(data.tensors[comp], Mb) if comp else identity_tensor(Mb)
-
-    blocks, ranks = zip(*(composition_blocks(bounded_compositions(s, A.max_weight),
-                                             tensor_of) for s in range(smax + 1)))
-    faces = partial(_merge_faces, A)
-    merged = tuple(_add_faces([{} for _ in range(ranks[s - 1])],
-                              blocks[s], blocks[s - 1], faces)
-                   for s in range(1, smax + 1))
-    return blocks, ranks, merged
+def _module_bar_skeleton(data: KoszulData, Mb: Bimodule, level: AmbientLevel,
+                         smax: int) -> tuple:
+    """Per degree 0..smax, the blocks T(c) (x) M, laid out as in ``level``,
+    of the bar complex with coefficients in a module of bimodule ``Mb``:
+    what it builds without reading the module's action, so every such module
+    shares it.  Over a coefficient algebra of rank 1 a block is its ambient
+    product and holds no tensor: nothing reads one."""
+    degrees = range(min(smax, len(level.comps) - 1) + 1)
+    if data.algebra.coeff.rank == 1:
+        blocks = [tuple(map(Block, level.comps[s], level.starts[s], level.dims[s],
+                            repeat(None))) for s in degrees]
+    else:
+        def tensor_of(comp):
+            return tensor_step(data.tensors[comp], Mb) if comp else identity_tensor(Mb)
+        blocks = [composition_blocks(level.comps[s], tensor_of)[0] for s in degrees]
+    return tuple(blocks) + ((),) * (smax + 1 - len(blocks))
 
 
 def bar_complex_with_module(data: KoszulData, M: LeftModule,
@@ -247,23 +300,19 @@ def bar_complex_with_module(data: KoszulData, M: LeftModule,
     truncated to compositions of total weight <= max_weight (a subcomplex,
     since the differential never raises total slot weight).  Its
     differential is the alternating sum of the merge faces and of the face
-    acting the last slot on ``M``; d o d is checked.  The blocks and the
-    merge faces come from ``data`` (see
-    :meth:`KoszulData.module_bar_skeleton`), so only the action face is
-    added here."""
+    acting the last slot on ``M``; d o d is checked.  The ambient
+    differentials come from the module's own :class:`AmbientTable`, whose
+    bound-B complex is built on those of the bounds below B, and the blocks
+    from ``data`` (see :meth:`KoszulData.module_bar_skeleton`)."""
     A = data.algebra
-    ring = A.coeff.ring
-    actions = {k: M.weight_action(k, A.rank(k)) for k in range(1, A.max_weight + 1)}
-    blocks, ranks, merged = data.module_bar_skeleton(M.as_bimodule(), smax)
-
-    def action_face(comp):
-        s = len(comp)
-        yield comp[:-1], (-1) ** s, s - 1, s + 1, actions[comp[-1]]
-
-    diffs = [PAdicMatrix.from_sparse_rows(
-                 ring, ranks[s - 1], ranks[s],
-                 _add_faces([dict(row) for row in merged[s - 1]],
-                            blocks[s], blocks[s - 1], action_face))
+    ring, top = A.coeff.ring, A.max_weight
+    actions = {k: M.weight_action(k, A.rank(k)) for k in range(1, top + 1)}
+    level = AmbientTable(ring, A.rank, lambda x, y: A.mult[(x, y)],
+                         empty=M.base_rank, action=actions).level(top)
+    blocks = data.module_bar_skeleton(M.as_bimodule(), level, smax)
+    ranks = [sum(b.rank for b in bs) for bs in blocks]
+    diffs = [_quotient(A.coeff, level.diffs[s - 1], blocks[s - 1], blocks[s])
+             if s <= top else PAdicMatrix.zeros(ring, ranks[s - 1], 0)
              for s in range(1, smax + 1)]
     return BarComplex(None, _checked_bar(ring, ranks, diffs), blocks, M.name)
 
@@ -412,15 +461,17 @@ def tor_groups_via_bar(data: KoszulData, M: LeftModule) -> HomologyProfile:
 
 class KoszulData:
     """The context of one command: the tensors of the weight components
-    over every composition, the weight-k bar complexes of one algebra with
-    their homology, its Koszul modules C[k], and per module the Koszul
-    complex and its Tor profile, each built on first use and then shared.
+    over every composition with the ambient bar complex of every weight
+    (``tensors``, see :func:`weight_tensors`), the weight-k bar complexes of
+    one algebra with their homology, its Koszul modules C[k], and per module
+    the Koszul complex and its Tor profile, each built on first use and then
+    shared.
 
     What a module's two Tor routes build without reading its action, the
     skeletons, is shared by every module with the same bimodule
     ``M.as_bimodule()`` (the coefficient algebra and the module's rank fix
-    it): the module bar complex's blocks and merge faces, keyed on that
-    bimodule and the top degree (:meth:`module_bar_skeleton`), and the
+    it): the module bar complex's blocks, keyed on that bimodule and the
+    top degree (:meth:`module_bar_skeleton`), and the
     Koszul complex's terms and maps (:meth:`koszul_skeleton`), keyed on the
     bimodule.  Each module then adds only its own action.
 
@@ -456,10 +507,11 @@ class KoszulData:
             self._modules[k] = koszul_module(self, k)
         return self._modules[k]
 
-    def module_bar_skeleton(self, Mb: Bimodule, smax: int) -> tuple:
+    def module_bar_skeleton(self, Mb: Bimodule, level: AmbientLevel,
+                            smax: int) -> tuple:
         key = (Mb, smax)
         if key not in self._module_bar_skeletons:
-            self._module_bar_skeletons[key] = _module_bar_skeleton(self, Mb, smax)
+            self._module_bar_skeletons[key] = _module_bar_skeleton(self, Mb, level, smax)
         return self._module_bar_skeletons[key]
 
     def koszul_skeleton(self, Mb: Bimodule) -> tuple:

@@ -143,7 +143,7 @@ def cmd_bar(args, checks) -> Dataset:
     prof = homology(bc.complex)
     prof = HomologyProfile(prof.ring, 0, prof.free_ranks[:k + 1],
                            prof.torsion[:k + 1])
-    comp_ranks = {str(s): [[list(b.composition), b.tensor.bimodule.rank]
+    comp_ranks = {str(s): [[list(b.composition), b.rank]
                            for b in bc.degree_blocks(s)]
                   for s in range(k + 1)}
     checks.append(Check(

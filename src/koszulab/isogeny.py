@@ -13,16 +13,16 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .padic import PAdicMatrix, inverse_mod
+from .padic import ExactLinalgError, PAdicMatrix, inverse_mod
 from .complexes import (ChainComplex, COHOMOLOGICAL,
                         dualize_complex, homology, make_complex, verify_complex)
 from .algebra import (Bimodule, CoefficientAlgebra, Dataset, DatasetError,
-                      IteratedTensor, LeftModule, TensorTable, ValidationReport,
+                      IteratedTensor, LeftModule, ValidationReport,
                       identity_tensor, iterated_tensor, validate_commutative_algebra,
                       _e, _coefficient_algebra_from_json, _first,
                       _matrix_from_json, _need)
-from .bar import (KoszulData, assemble, composition_blocks, compositions,
-                  place_blocks)
+from .bar import (AmbientTable, CompositionTable, KoszulData, _quotient,
+                  composition_blocks, place_blocks)
 
 
 class MICError(Exception):
@@ -47,7 +47,7 @@ class SubgroupAlgebra(NamedTuple):
 class SubgroupAlgebraPackage:
     """The subgroup algebras and their structure maps, with what is derived
     from them once per package and then shared: ``flags``, the table of flag
-    modules of every composition (see :func:`flag_tensors`), filled on use
+    modules and subgroup complexes (see :func:`flag_tensors`), filled on use
     and read by loading, validation and every command; and the inverses of
     the pairings (:meth:`pairing_inverse`).  Failures are not kept: a
     singular pairing raises each time it is asked for."""
@@ -58,7 +58,7 @@ class SubgroupAlgebraPackage:
     u1: dict                          # (k1, k2) -> matrix S_{p^{k1+k2}} -> ambient tensor
     shift: dict                       # k >= 1 -> matrix on flag quotient coordinates
     pairing: dict                     # k -> matrix (algebra weight-k rank x S rank)
-    flags: TensorTable = field(init=False, repr=False, compare=False)
+    flags: CompositionTable = field(init=False, repr=False, compare=False)
     _pairing_inverses: dict = field(init=False, repr=False, compare=False,
                                     default_factory=dict)
 
@@ -74,7 +74,10 @@ class SubgroupAlgebraPackage:
 
     def pairing_inverse(self, k: int) -> PAdicMatrix:
         if k not in self._pairing_inverses:
-            self._pairing_inverses[k] = inverse_mod(self.pairing[k])
+            try:
+                self._pairing_inverses[k] = inverse_mod(self.pairing[k])
+            except ExactLinalgError:
+                raise MICError(f"pairing for weight {k} is singular mod p^N")
         return self._pairing_inverses[k]
 
 
@@ -91,13 +94,23 @@ def flag_tensor(pkg: SubgroupAlgebraPackage, composition) -> IteratedTensor:
     return iterated_tensor([_flag_factor(pkg.orders, k) for k in composition])
 
 
-def flag_tensors(pkg: SubgroupAlgebraPackage) -> TensorTable:
+def _refinement(u1: dict, k1: int, k2: int) -> PAdicMatrix:
+    if (k1, k2) not in u1:
+        raise MICError(f"package missing u1 for ({k1},{k2})")
+    return u1[(k1, k2)]
+
+
+def flag_tensors(pkg: SubgroupAlgebraPackage) -> CompositionTable:
     """The table of flag modules of every composition: entry c equals
     ``flag_tensor(pkg, c)``, and compositions sharing a prefix share its
-    tensor.  The table holds the package's orders, not the package, which
+    tensor; ``ambient`` holds the ambient subgroup complex of every order.
+    The table holds the package's orders and u1, not the package, which
     holds the table."""
-    return TensorTable(partial(_flag_factor, pkg.orders),
-                       identity_tensor(pkg.coeff.as_bimodule()))
+    factor = partial(_flag_factor, pkg.orders)
+    return CompositionTable(
+        factor, identity_tensor(pkg.coeff.as_bimodule()),
+        AmbientTable(pkg.coeff.ring, lambda k: factor(k).rank,
+                     partial(_refinement, pkg.u1), cohomological=True))
 
 
 # ---------------------------------------------------------------------------
@@ -113,29 +126,20 @@ class ModularIsogenyComplex(NamedTuple):
 def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
     """Cochain complex with degree-s term the sum over compositions of k into
     s positive parts of the flag module, and differential the alternating sum
-    of the refinement maps applied in each slot.  The flag modules come from
-    the package's table ``pkg.flags``."""
+    of the refinement maps applied in each slot.  The flag modules and the
+    ambient complex, built on the lower orders', come from ``pkg.flags``; a
+    missing order or u1 raises MICError before the complex is built."""
     ring = pkg.coeff.ring
     if k < 0:
         raise MICError("negative order exponent")
     if k > pkg.max_order:
         raise MICError(f"package covers orders up to p^{pkg.max_order}, need p^{k}")
-
-    def faces(comp):
-        for i, ki in enumerate(comp):
-            for k1 in range(1, ki):
-                k2 = ki - k1
-                if (k1, k2) not in pkg.u1:
-                    raise MICError(f"package missing u1 for ({k1},{k2})")
-                yield (comp[:i] + (k1, k2) + comp[i + 1:], (-1) ** (i + 1),
-                       i, i + 1, pkg.u1[(k1, k2)])
-
+    level = pkg.flags.ambient.level(k)
     low = 1 if k else 0     # order p^0 is the coefficient ring in degree 0
-    tensor_of = pkg.flags.__getitem__
-    blocks, ranks = zip(*(composition_blocks(compositions(k, s), tensor_of)
+    blocks, ranks = zip(*(composition_blocks(level.comps[s], pkg.flags.__getitem__)
                           for s in range(low, k + 1)))
-    diffs = [assemble(ring, blocks[j], blocks[j + 1], ranks[j + 1], ranks[j], faces)
-             for j in range(len(blocks) - 1)]
+    diffs = [_quotient(pkg.coeff, level.diffs[s], blocks[s + 1 - low], blocks[s - low])
+             for s in range(low, k)]
     cx = make_complex(ring, COHOMOLOGICAL, low, ranks, diffs)
     ok, deg = verify_complex(cx)
     if not ok:

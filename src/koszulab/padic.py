@@ -55,6 +55,10 @@ class InconsistentSystemError(ExactLinalgError):
 #: BaseRing enforces.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _P_LIMIT = 2 ** 64
+#: p^N < 2^_MODULUS_BITS, checked as N * bitlength(p) <= it.  The built-in
+#: kmax-3 `verify --suite all` takes 0.04 s there (p = 2, 3), 0.7-1.6 s at
+#: 16384 and 14-46 s at 65536: `_eliminate` keeps p^0..p^N.
+_MODULUS_BITS = 4096
 
 
 def _is_prime(p: int) -> bool:
@@ -95,6 +99,9 @@ class BaseRing:
             raise ValueError(f"p = {self.p} is not prime")
         if self.N < 1:
             raise ValueError(f"N = {self.N} must be >= 1")
+        if self.N * self.p.bit_length() > _MODULUS_BITS:
+            raise ValueError(f"p^N = {self.p}^{self.N} is wider than "
+                             f"{_MODULUS_BITS} bits")
 
     @cached_property
     def modulus(self) -> int:

@@ -4,26 +4,39 @@ import pytest
 
 from koszulab.padic import PAdicMatrix
 from koszulab.complexes import homology, verify_complex
-from koszulab.algebra import GradedAugmentedAlgebra, builtin_height1
+from koszulab.algebra import (GradedAugmentedAlgebra, builtin_height1,
+                              trivial_module)
 from koszulab.bar import (KoszulData, NotKoszulError, bar_complex_with_module,
-                          bounded_compositions, compositions, ext_groups,
-                          koszul_complex, koszul_module, tor_groups_via_bar,
-                          verify_koszulness)
+                          ext_groups, koszul_complex, koszul_module,
+                          tor_groups_via_bar, verify_koszulness, weight_tensors)
 from koszulab.synthetic import synthetic_height1_dataset
+
+from complex_helpers import bounded_compositions, compositions
 
 
 def test_compositions_lex_order_and_count():
-    assert compositions(3, 2) == [(1, 2), (2, 1)]
-    assert compositions(4, 2) == [(1, 3), (2, 2), (3, 1)]
-    assert compositions(0, 0) == [()]
-    assert compositions(3, 0) == []
+    """The weight-k bar complex's degree-s blocks are the compositions of k
+    into s parts in lex order, as the first-part recursion lays them out."""
+    table = weight_tensors(builtin_height1(3, 2, 5).algebra).ambient
+    assert table.level(3).comps[2] == ((1, 2), (2, 1))
+    assert table.level(4).comps[2] == ((1, 3), (2, 2), (3, 1))
+    assert table.level(0).comps == (((),),)
+    assert table.level(3).comps[0] == ()
     # 2^(k-1) compositions of k in total
-    assert sum(len(compositions(5, s)) for s in range(6)) == 16
+    assert sum(len(c) for c in table.level(5).comps) == 16
+    assert all(list(table.level(k).comps[s]) == compositions(k, s)
+               for k in range(6) for s in range(k + 1))
 
 
 def test_bounded_compositions():
-    assert bounded_compositions(2, 3) == [(1, 1), (1, 2), (2, 1)]
-    assert bounded_compositions(0, 3) == [()]
+    """The module bar complex's degree-s blocks are the compositions of
+    total <= max_weight into s parts in lex order."""
+    A = builtin_height1(3, 2, 3).algebra
+    bc = bar_complex_with_module(KoszulData(A), trivial_module(A.coeff), 3)
+    assert [b.composition for b in bc.degree_blocks(2)] == [(1, 1), (1, 2), (2, 1)]
+    assert [b.composition for b in bc.degree_blocks(0)] == [()]
+    assert all([b.composition for b in bc.degree_blocks(s)] ==
+               bounded_compositions(s, 3) for s in range(4))
 
 
 def test_bar_weight3_ranks_and_acyclicity():

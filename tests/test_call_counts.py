@@ -3,26 +3,32 @@ complex and every Koszul complex once, homology does not check d o d again
 on a complex its builder checked (and checks one no builder did with the
 same product check), tensor quotients are built once per composition,
 pairings are inverted once per run and the duality solves no system,
-assembly forms no matrix product and each d o d check one per pair, and
-`mic` builds its subgroup complex once.
+assembly forms no matrix product over a coefficient algebra of rank 1 and
+two per differential over one of rank 2, each d o d check forms one per
+pair, and `mic` builds its subgroup complex once.
 Functions are wrapped in every koszulab module that holds them, as the
 benchmark's tracer does."""
 import sys
 
 from koszulab.algebra import builtin_height1, save_dataset
+from koszulab.bar import KoszulData, bar_complex_with_module
 from koszulab.cli import EXIT_PASS, run
 from koszulab.complexes import HOMOLOGICAL, homology, make_complex
+from koszulab.isogeny import build_mic
 from koszulab.padic import (BaseRing, PAdicMatrix, inverse_mod, kernel_basis,
                             smith_normal_form, solve)
 
+from test_assemble import dual_number_dataset
+
 WRAPPED = (("bar", "bar_complex"), ("bar", "koszul_complex"),
-           ("bar", "assemble"), ("bar", "_induced_bimodule"),
+           ("bar", "_quotient"), ("bar", "_induced_bimodule"),
            ("complexes", "homology"), ("complexes", "verify_complex"),
            ("padic", "solve"),
            ("isogeny", "build_mic"), ("isogeny", "dualize_bar_to_mic"),
            ("algebra", "tensor_over_coeff"), ("algebra", "iterated_tensor"),
            ("algebra", "load_dataset"), ("padic", "inverse_mod"))
-WRAPPED_METHODS = (("padic", "PAdicMatrix", "__matmul__"),
+WRAPPED_METHODS = (("bar", "AmbientTable", "level"),
+                   ("padic", "PAdicMatrix", "__matmul__"),
                    ("padic", "PAdicMatrix", "kron_apply"),
                    ("algebra", "Dataset", "validate"))
 
@@ -155,20 +161,46 @@ def test_mic_builds_its_subgroup_complex_once(tmp_path, monkeypatch):
 
 
 def test_assembly_forms_no_product_and_verify_one_per_pair(tmp_path, monkeypatch):
-    """Faces are summed straight into the differential, and each d o d
-    check is one product per consecutive pair of differentials."""
+    """The ambient differentials are copies of the lower levels' nonzeros
+    plus the faces on the first part, with no matrix product; over a
+    coefficient algebra of rank 1 they are the differentials, and over
+    the dual numbers (rank 2) each is read in quotient coordinates with two
+    products.  Each d o d check is one product per consecutive pair of
+    differentials."""
     _, path = saved_builtin(tmp_path)
     calls = record_calls(monkeypatch)
     report, code = run(["verify", str(path), "--suite", "all", "--json"])
     assert code == EXIT_PASS and report.passed
-    assert any(name == "bar.assemble" for name, _, _ in calls)
+    assert any(name == "bar.AmbientTable.level" for name, _, _ in calls)
+    assert any(name == "bar._quotient" for name, _, _ in calls)
     products = ("padic.PAdicMatrix.__matmul__", "padic.PAdicMatrix.kron_apply")
-    assert not [c for c in calls if c[0] in products and "bar.assemble" in c[2]]
+    assembly = ("bar.AmbientTable.level", "bar._quotient")
+    assert not [c for c in calls if c[0] in products
+                and any(a in c[2] for a in assembly)]
     checks = [args[0] for name, args, _ in calls if name == "complexes.verify_complex"]
     assert checks
     made = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
             and c[2][-1:] == ("complexes.verify_complex",)]
     assert len(made) == sum(max(len(C.differentials) - 1, 0) for C in checks)
+
+    ds = dual_number_dataset()
+    A, pkg = ds.algebra, ds.subgroup_package
+    calls.clear()
+    data = KoszulData(A)
+    for k in range(A.max_weight + 1):
+        data.bar(k)
+        build_mic(pkg, k)
+    for M in ds.modules.values():
+        bar_complex_with_module(data, M, A.max_weight)
+    quotients = [c for c in calls if c[0] == "bar._quotient"]
+    assert len(quotients) == (A.max_weight * (A.max_weight + 1) // 2
+                              + A.max_weight * (A.max_weight - 1) // 2
+                              + A.max_weight * len(ds.modules))
+    assert not [c for c in calls if c[0] in products
+                and "bar.AmbientTable.level" in c[2]]
+    made = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
+            and c[2][-1:] == ("bar._quotient",)]
+    assert len(made) == 2 * len(quotients)
 
 
 def test_elimination_builds_no_dense_scratch(monkeypatch):

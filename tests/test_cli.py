@@ -622,3 +622,51 @@ def test_usage_error_leaves_the_next_run_unaffected(h1_path, capsys):
     assert report_line(after) == report_line(before)
     default, _ = run(["bar", h1_path, "--weight", "1", "--json"])
     assert default.command == ["bar", "--weight=1"]
+
+
+def test_singular_pairing_fails_validation_and_each_duality_k(tmp_path, capsys):
+    """A pairing that is not invertible mod p^N (k = 2 set to [[3]] over
+    Z/9) fails validation naming it; the duality fails with a witness for
+    each k >= 2 and the shift square, which reads only the weight-1
+    pairing, passes: every suite reports, exit 3."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    for ent in doc["subgroup_package"]["pairing"]:
+        if ent["k"] == 2:
+            ent["matrix"] = [[3]]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["verify", str(path), "--suite", "all",
+                                     "--json"])
+    assert code == EXIT_MATH
+    checks = {c["name"]: c for c in report["checks"]}
+    assert "computation" not in checks
+    assert checks["dataset-validation"]["payload"]["witnesses"] == \
+        ["singular pairing: subgroup_package.pairing[k=2]"]
+    assert checks["suite-mic-duality"]["payload"]["witnesses"] == \
+        [f"k={k}: pairing for weight 2 is singular mod p^N" for k in (2, 3)]
+    assert checks["suite-shift-square"]["status"] == "pass"
+
+
+def test_modulus_wider_than_the_bound_is_refused_quickly(tmp_path, capsys):
+    """N = 10^20 once ran without end: a dataset is refused at load naming
+    the top level (exit 1), a ring from the command line is a usage error
+    (exit 2).  The bound is N * bitlength(p) <= 4096."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    doc["N"] = 10 ** 20
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert call_with_deadline(5, main, ["mic", str(path), "--k", "2"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "top level" in err and "wider than 4096 bits" in err
+    assert "Traceback" not in err
+    argv = ["partition", "--n", "3", "--p", "2", "--N-trunc", str(10 ** 20)]
+    assert call_with_deadline(5, main, argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
+    doc["p"], doc["N"] = 2, 2048           # 2 * 2048 = 4096: accepted
+    path.write_text(json.dumps(doc))
+    assert call_with_deadline(5, main, ["mic", str(path), "--k", "2"]) == EXIT_PASS
+    doc["N"] = 2049
+    path.write_text(json.dumps(doc))
+    assert call_with_deadline(5, main, ["mic", str(path), "--k", "2"]) == EXIT_IO
+    capsys.readouterr()

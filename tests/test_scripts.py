@@ -34,6 +34,15 @@ def test_ab_inproc_prints_operation_latencies_of_the_repo_against_itself():
     assert "# pooled median operation latency: parent" in out
 
 
+def test_ab_inproc_times_suite_w9_passes_of_the_repo_against_itself():
+    out = run_script(["ab_inproc.py", str(ROOT), str(ROOT), "--workload",
+                      "suite-w9", "--rounds", "1"])
+    assert "# 1 of 1 operations, reports identical on both trees" in out
+    assert "# suite-w9: change/parent median" in out
+    assert "builtin p=3 N=2 kmax=9: " in out
+    assert "# pooled median operation latency: parent" in out
+
+
 def run_script(argv):
     """The stdout of scripts/<argv[0]> run with ``argv[1:]``, which must exit
     0 and print something."""

@@ -6,12 +6,12 @@ import gc
 
 from koszulab.algebra import (Bimodule, LeftModule, TensorTable, builtin_height1,
                               identity_tensor, iterated_tensor, save_dataset)
-from koszulab.bar import (KoszulData, bounded_compositions, tor_groups_via_bar,
-                          weight_tensors)
+from koszulab.bar import KoszulData, tor_groups_via_bar, weight_tensors
 from koszulab.cli import EXIT_PASS, run
 from koszulab.isogeny import flag_tensor, flag_tensors
 from koszulab.padic import PAdicMatrix
 
+from complex_helpers import bounded_compositions
 from test_algebra import dual_numbers
 from test_golden import sym2_dataset
 
