@@ -155,8 +155,8 @@ class AmbientTable:
                 off += r * low.sizes[s - 1]
             degrees.append((tuple(cs), tuple(st), tuple(dm), gr, off))
         lv = AmbientLevel(*zip(*degrees), ())
-        return lv._replace(diffs=tuple(self._differential(L, lv, s)
-                                       for s in range(1, L + 1)))
+        return lv._replace(diffs=tuple([self._differential(L, lv, s)
+                                        for s in range(1, L + 1)]))
 
     def _differential(self, L: int, lv: AmbientLevel, s: int) -> PAdicMatrix:
         """The differential of level L between degrees s - 1 and s.  Each
@@ -171,7 +171,7 @@ class AmbientTable:
                 for t, mrow in enumerate(self.action[a].nonzeros):
                     for j, v in mrow.items():
                         rows[t][g + j] = mod - v
-            return _wrap(self.ring, tuple(r or _EMPTY for r in rows),
+            return _wrap(self.ring, tuple([r or _EMPTY for r in rows]),
                          lv.sizes[tgt], lv.sizes[src])
         for a, g_hi in lv.groups[s].items():
             # -(I_{r_a} (x) d_{L-a}) on group a
@@ -203,7 +203,7 @@ class AmbientTable:
                     for t, j, w in terms:
                         for c in range(post):
                             rows[i0 + t * post + c][j0 + j * post + c] = w
-        return _wrap(self.ring, tuple(r or _EMPTY for r in rows),
+        return _wrap(self.ring, tuple([r or _EMPTY for r in rows]),
                      lv.sizes[tgt], lv.sizes[src])
 
     def _face(self, x: int, y: int):
@@ -269,8 +269,8 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")
     level = tensors.ambient.level(k)
-    blocks, ranks = zip(*(composition_blocks(comps, tensors.__getitem__)
-                          for comps in level.comps))
+    blocks, ranks = zip(*[composition_blocks(comps, tensors.__getitem__)
+                          for comps in level.comps])
     diffs = [_quotient(A.coeff, d, blocks[s - 1], blocks[s])
              for s, d in enumerate(level.diffs, 1)]
     return BarComplex(k, _checked_bar(A.coeff.ring, ranks, diffs), blocks)
@@ -278,20 +278,22 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
 
 def _module_bar_skeleton(data: KoszulData, Mb: Bimodule, level: AmbientLevel,
                          smax: int) -> tuple:
-    """Per degree 0..smax, the blocks T(c) (x) M, laid out as in ``level``,
-    of the bar complex with coefficients in a module of bimodule ``Mb``:
-    what it builds without reading the module's action, so every such module
-    shares it.  Over a coefficient algebra of rank 1 a block is its ambient
-    product and holds no tensor: nothing reads one."""
+    """Per degree 0..smax, the blocks T(c) (x) M of the bar complex with
+    coefficients in a module of bimodule ``Mb``, laid out as in ``level``,
+    and their total rank: what it builds without reading the module's
+    action, so every such module shares it.  Over a coefficient algebra of
+    rank 1 a block is its ambient product and holds no tensor: nothing
+    reads one."""
     degrees = range(min(smax, len(level.comps) - 1) + 1)
     if data.algebra.coeff.rank == 1:
-        blocks = [tuple(map(Block, level.comps[s], level.starts[s], level.dims[s],
-                            repeat(None))) for s in degrees]
+        blocks = [(tuple(map(Block, level.comps[s], level.starts[s], level.dims[s],
+                             repeat(None))), level.sizes[s]) for s in degrees]
     else:
         def tensor_of(comp):
             return tensor_step(data.tensors[comp], Mb) if comp else identity_tensor(Mb)
-        blocks = [composition_blocks(level.comps[s], tensor_of)[0] for s in degrees]
-    return tuple(blocks) + ((),) * (smax + 1 - len(blocks))
+        blocks = [composition_blocks(level.comps[s], tensor_of) for s in degrees]
+    blocks += [((), 0)] * (smax + 1 - len(blocks))
+    return tuple(zip(*blocks))
 
 
 def bar_complex_with_module(data: KoszulData, M: LeftModule,
@@ -309,8 +311,7 @@ def bar_complex_with_module(data: KoszulData, M: LeftModule,
     actions = {k: M.weight_action(k, A.rank(k)) for k in range(1, top + 1)}
     level = AmbientTable(ring, A.rank, lambda x, y: A.mult[(x, y)],
                          empty=M.base_rank, action=actions).level(top)
-    blocks = data.module_bar_skeleton(M.as_bimodule(), level, smax)
-    ranks = [sum(b.rank for b in bs) for bs in blocks]
+    blocks, ranks = data.module_bar_skeleton(M.as_bimodule(), level, smax)
     diffs = [_quotient(A.coeff, level.diffs[s - 1], blocks[s - 1], blocks[s])
              if s <= top else PAdicMatrix.zeros(ring, ranks[s - 1], 0)
              for s in range(1, smax + 1)]

@@ -136,8 +136,8 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
         raise MICError(f"package covers orders up to p^{pkg.max_order}, need p^{k}")
     level = pkg.flags.ambient.level(k)
     low = 1 if k else 0     # order p^0 is the coefficient ring in degree 0
-    blocks, ranks = zip(*(composition_blocks(level.comps[s], pkg.flags.__getitem__)
-                          for s in range(low, k + 1)))
+    blocks, ranks = zip(*[composition_blocks(level.comps[s], pkg.flags.__getitem__)
+                          for s in range(low, k + 1)])
     diffs = [_quotient(pkg.coeff, level.diffs[s], blocks[s + 1 - low], blocks[s - low])
              for s in range(low, k)]
     cx = make_complex(ring, COHOMOLOGICAL, low, ranks, diffs)
