@@ -32,9 +32,11 @@ that goes first alternating as for passes.  A set-up is what the bench's
 (`load_tree` under a package name not used before), then writing the
 workload's inputs with CHANGE's bench/workloads.py pointed at that tree, so
 they are generated and saved by the tree's own `save_dataset`.  Bytecode is
-neither written nor, where no `__pycache__` exists, read, so each import
-compiles from source, as in the bench's runs under PYTHONDONTWRITEBYTECODE=1.
-The same summary line is printed.
+neither written nor read: during the set-up rounds `sys.pycache_prefix`
+points at a fresh empty temporary directory, so each import compiles from
+source whatever `__pycache__` the trees hold, as the bench's runs of a
+fresh checkout under PYTHONDONTWRITEBYTECODE=1 do.  Both bytecode settings
+are restored afterwards.  The same summary line is printed.
 
 The machine's speed can drift by a factor of two within minutes, so one
 process per side cannot resolve a 10% change; alternating passes in one
@@ -142,24 +144,30 @@ def time_passes(args, trees, workloads, run, workdir):
 
 def time_setups(args, roots, workloads, workdir):
     """Per round, the seconds of one set-up of each tree, by side, and
-    None: a set-up has no operations."""
+    None: a set-up has no operations.  Bytecode is neither written nor read
+    (an empty ``sys.pycache_prefix``) until the rounds end."""
+    saved = sys.dont_write_bytecode, sys.pycache_prefix
     sys.dont_write_bytecode = True
+    sys.pycache_prefix = tempfile.mkdtemp(prefix="pycache-", dir=workdir)
     print(f"# set-ups: a fresh import of the tree, then the {args.workload} inputs")
-    for r in range(args.rounds):
-        seconds = {}
-        for side in sides(r):
-            name = f"ab_{side}_{r}"
-            out = tempfile.mkdtemp(prefix=f"setup-{side}-", dir=workdir)
-            gc.collect()
-            t = time.perf_counter()
-            load_tree(roots[side], name)
-            point_workloads(workloads, name)
-            workloads.MAKE[args.workload](SEED, out)
-            seconds[side] = time.perf_counter() - t
-            for k in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
-                del sys.modules[k]
-            shutil.rmtree(out)
-        yield seconds, None
+    try:
+        for r in range(args.rounds):
+            seconds = {}
+            for side in sides(r):
+                name = f"ab_{side}_{r}"
+                out = tempfile.mkdtemp(prefix=f"setup-{side}-", dir=workdir)
+                gc.collect()
+                t = time.perf_counter()
+                load_tree(roots[side], name)
+                point_workloads(workloads, name)
+                workloads.MAKE[args.workload](SEED, out)
+                seconds[side] = time.perf_counter() - t
+                for k in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+                    del sys.modules[k]
+                shutil.rmtree(out)
+            yield seconds, None
+    finally:
+        sys.dont_write_bytecode, sys.pycache_prefix = saved
 
 
 def report_ops(latencies):

@@ -8,7 +8,7 @@ first argument, so each piece is built once per command."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple, Optional
 
 from .padic import (PAdicMatrix, InconsistentSystemError, _EMPTY, _wrap,
@@ -42,27 +42,18 @@ class ImageEscapesError(Exception):
 # "Koszul resolutions", Trans. AMS 152, 1970; Polishchuk and Positselski,
 # "Quadratic Algebras", 2005, ch. 1).  An AmbientTable builds each level so.
 # The quotient differential is blockdiag(proj_full) @ d @
-# blockdiag(sect_full), and d itself over a coefficient algebra of rank 1.
+# blockdiag(sect_full).  Over a coefficient algebra of rank 1 every tensor
+# quotient is its ambient product: d is the differential, and the bar,
+# module bar and subgroup blocks hold no tensor (see level_blocks).
 # ---------------------------------------------------------------------------
 
 class Block(NamedTuple):
     """One composition's summand in one degree: its first coordinate, rank
-    and tensor quotient (None for a module bar block over a rank-1 E0)."""
+    and tensor quotient (None over E0 of rank 1, in all three families)."""
     composition: tuple
     start: int
     rank: int
     tensor: Optional[IteratedTensor]
-
-
-def composition_blocks(comps, tensor_of):
-    """The blocks of ``comps``, laid end to end, and their total rank."""
-    blocks = []
-    start = 0
-    for comp in comps:
-        t = tensor_of(comp)
-        blocks.append(Block(comp, start, t.bimodule.rank, t))
-        start += t.bimodule.rank
-    return tuple(blocks), start
 
 
 def place_blocks(ring, rows: int, cols: int, placed) -> PAdicMatrix:
@@ -106,6 +97,20 @@ class AmbientLevel(NamedTuple):
     groups: tuple
     sizes: tuple
     diffs: tuple
+
+
+def level_blocks(coeff, level: AmbientLevel, s: int, tensor_of) -> tuple:
+    """The blocks of degree s of ``level``, laid end to end, and their total
+    rank.  Over E0 of rank > 1 block c holds ``tensor_of(c)``.  Over rank 1,
+    where tensor_over_coeff returns identity maps, each tensor's proj_full
+    and sect_full are identities and its rank the level's dim: none is held."""
+    if coeff.rank == 1:
+        return (tuple(map(Block, level.comps[s], level.starts[s], level.dims[s],
+                          repeat(None))), level.sizes[s])
+    tensors = [tensor_of(c) for c in level.comps[s]]
+    ranks = [t.bimodule.rank for t in tensors]
+    return (tuple(map(Block, level.comps[s], accumulate(ranks, initial=0), ranks,
+                      tensors)), sum(ranks))
 
 
 def _copies(level: AmbientLevel, s: int, r: int, off: int):
@@ -269,8 +274,8 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")
     level = tensors.ambient.level(k)
-    blocks, ranks = zip(*[composition_blocks(comps, tensors.__getitem__)
-                          for comps in level.comps])
+    blocks, ranks = zip(*[level_blocks(A.coeff, level, s, tensors.__getitem__)
+                          for s in range(k + 1)])
     diffs = [_quotient(A.coeff, d, blocks[s - 1], blocks[s])
              for s, d in enumerate(level.diffs, 1)]
     return BarComplex(k, _checked_bar(A.coeff.ring, ranks, diffs), blocks)
@@ -281,17 +286,11 @@ def _module_bar_skeleton(data: KoszulData, Mb: Bimodule, level: AmbientLevel,
     """Per degree 0..smax, the blocks T(c) (x) M of the bar complex with
     coefficients in a module of bimodule ``Mb``, laid out as in ``level``,
     and their total rank: what it builds without reading the module's
-    action, so every such module shares it.  Over a coefficient algebra of
-    rank 1 a block is its ambient product and holds no tensor: nothing
-    reads one."""
-    degrees = range(min(smax, len(level.comps) - 1) + 1)
-    if data.algebra.coeff.rank == 1:
-        blocks = [(tuple(map(Block, level.comps[s], level.starts[s], level.dims[s],
-                             repeat(None))), level.sizes[s]) for s in degrees]
-    else:
-        def tensor_of(comp):
-            return tensor_step(data.tensors[comp], Mb) if comp else identity_tensor(Mb)
-        blocks = [composition_blocks(level.comps[s], tensor_of) for s in degrees]
+    action, so every such module shares it (see :func:`level_blocks`)."""
+    def tensor_of(comp):
+        return tensor_step(data.tensors[comp], Mb) if comp else identity_tensor(Mb)
+    blocks = [level_blocks(data.algebra.coeff, level, s, tensor_of)
+              for s in range(min(smax, len(level.comps) - 1) + 1)]
     blocks += [((), 0)] * (smax + 1 - len(blocks))
     return tuple(zip(*blocks))
 
@@ -334,7 +333,8 @@ def koszul_module(data: KoszulData, k: int) -> KoszulModuleData:
 
     Requires the weight-k bar homology to be concentrated in degree k with a
     free top class; otherwise raises NotKoszulError with the witnessing degree.
-    The bar complex and its homology come from ``data``.
+    The bar complex, its homology and the top tensor (of the composition
+    (1, ..., 1)) come from ``data``.
     """
     A = data.algebra
     if k == 0:
@@ -355,8 +355,7 @@ def koszul_module(data: KoszulData, k: int) -> KoszulModuleData:
         raise NotKoszulError(
             f"not Koszul at weight {k}: kernel generators ({inc.cols}) do not "
             f"match top free rank ({prof.free_rank(k)})")
-    top = bc.degree_blocks(k)[0].tensor  # single composition (1,...,1)
-    return KoszulModuleData(k, inc, inc.cols, top)
+    return KoszulModuleData(k, inc, inc.cols, data.tensors[(1,) * k])
 
 
 def _induced_bimodule(A: GradedAugmentedAlgebra, kd: KoszulModuleData) -> Bimodule:
@@ -395,15 +394,20 @@ def _koszul_skeleton(data: KoszulData, Mb: Bimodule) -> tuple:
     kos = [data.koszul_module(k) for k in range(A.max_weight + 1)]
     iotas, amb_incs, proj_full, sect_full = [eye_m], [eye_m], [eye_m], [eye_m]
     term_ranks = [Mb.rank]
+
+    def maps(B):    # proj, sect of B (x) M: identities over E0 of rank 1
+        if A.coeff.rank > 1:
+            return tensor_over_coeff(B, Mb)[1:]
+        return (PAdicMatrix.identity(A.coeff.ring, B.rank * Mb.rank),) * 2
     for kd in kos[1:]:
         T = kd.top_tensor
-        cm = tensor_over_coeff(_induced_bimodule(A, kd), Mb)
-        tm = tensor_over_coeff(T.bimodule, Mb)
-        proj_full.append(tm.proj @ T.proj_full.kron(eye_m))
-        sect_full.append(T.sect_full.kron(eye_m) @ tm.sect)
-        iotas.append(tm.proj @ kd.inclusion.kron(eye_m) @ cm.sect)
-        amb_incs.append((T.sect_full @ kd.inclusion).kron(eye_m) @ cm.sect)
-        term_ranks.append(cm.bimodule.rank)
+        cm_proj, cm_sect = maps(_induced_bimodule(A, kd))
+        tm_proj, tm_sect = maps(T.bimodule)
+        proj_full.append(tm_proj @ T.proj_full.kron(eye_m))
+        sect_full.append(T.sect_full.kron(eye_m) @ tm_sect)
+        iotas.append(tm_proj @ kd.inclusion.kron(eye_m) @ cm_sect)
+        amb_incs.append((T.sect_full @ kd.inclusion).kron(eye_m) @ cm_sect)
+        term_ranks.append(cm_proj.rows)
     return ([kd.rank for kd in kos], term_ranks, iotas, amb_incs, proj_full,
             sect_full)
 

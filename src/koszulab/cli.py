@@ -100,14 +100,10 @@ def _load(path, checks) -> Dataset:
     except DatasetError as exc:
         raise IOFailure(f"{path}: {exc}")
     rep = ds.validate()
-    if not rep.passed:
-        checks.append(Check("dataset-validation",
-                            "structure constants satisfy every ring and module identity",
-                            "fail", {"witnesses": [f"{c}: {w}" for c, w in rep.failures]}))
-    else:
-        checks.append(Check("dataset-validation",
-                            "structure constants satisfy every ring and module identity",
-                            "pass", {}))
+    payload = {} if rep.passed else {"witnesses": [f"{c}: {w}" for c, w in rep.failures]}
+    checks.append(Check("dataset-validation",
+                        "structure constants satisfy every ring and module identity",
+                        "pass" if rep.passed else "fail", payload))
     return ds
 
 

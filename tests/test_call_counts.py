@@ -128,16 +128,32 @@ def test_verify_builds_each_tensor_and_inverse_once(tmp_path, monkeypatch):
     """Built-in p=3 N=2 kmax 5: 343 tensor quotients and 15 pairing inverses
     when every composition and every k builds its own, 183 when each module
     builds its own module bar and Koszul complex parts and loading and
-    validation their own flag modules, 94 now.  Both modules have rank
-    1, so C[k] gets its coefficient actions once per weight, and the flag
-    modules that loading and validation read come from the package's
-    table.  The duality forms each block from the pairing inverses and
-    solves no linear system."""
+    validation their own flag modules, at most 94 (63 after the recursion
+    on the first part) when one table per family builds one per
+    composition, 9 now.  Over a coefficient algebra of rank 1 the bar,
+    subgroup and module bar blocks, package validation and the Koszul
+    skeleton build none; what is left is the table's top tensors
+    (1, ..., 1) of weights 2..5, whose actions C[k] restricts, and the flag
+    modules (1, ..., 1) of 2..6 slots that loading reads the shift maps'
+    shapes from.  Both modules have rank 1, so C[k] gets its coefficient
+    actions once per weight.  The duality forms each block from the
+    pairing inverses and solves no linear system; over rank 1 its only
+    products are the 2(k - 1) of the intertwining check."""
     ds, path = saved_builtin(tmp_path)
     calls = record_calls(monkeypatch)
     report, code = run(["verify", str(path), "--suite", "all", "--json"])
     assert code == EXIT_PASS and report.passed
-    assert len([c for c in calls if c[0] == "algebra.tensor_over_coeff"]) <= 94
+    assert len([c for c in calls if c[0] == "algebra.tensor_over_coeff"]) <= 9
+    products, k = {}, None
+    for name, args, stack in calls:
+        if name == "isogeny.dualize_bar_to_mic":
+            k = args[2]
+            products[k] = 0
+        elif (name == "padic.PAdicMatrix.__matmul__"
+              and stack[-1:] == ("isogeny.dualize_bar_to_mic",)):
+            products[k] += 1
+    kmax = ds.algebra.max_weight
+    assert products == {k: 2 * max(k - 1, 0) for k in range(kmax + 1)}
     assert len([c for c in calls if c[0] == "padic.inverse_mod"
                 and "isogeny.dualize_bar_to_mic" in c[2]]) == 5
     assert any(name == "isogeny.dualize_bar_to_mic" for name, _, _ in calls)

@@ -1,19 +1,23 @@
 """Subgroup-algebra packages: the flag complex, its cohomology, duality with
 the bar complex, and the shift square."""
+from functools import reduce
+
 import pytest
 
-from koszulab.padic import PAdicMatrix
+from koszulab.padic import PAdicMatrix, inverse_mod
 from koszulab.complexes import homology, verify_complex
 from koszulab.algebra import (CoefficientAlgebra, builtin_height1, canonical_json,
                               dataset_from_json, dataset_to_json)
-from koszulab.bar import KoszulData, koszul_module
+from koszulab.bar import KoszulData, koszul_module, place_blocks
 from koszulab.isogeny import (MICError, SubgroupAlgebra, SubgroupAlgebraPackage,
                               build_mic, dualize_bar_to_mic, flag_tensor,
                               mic_cohomology, validate_package,
                               verify_theorem_10_2)
 from koszulab.synthetic import perturb_pairing, synthetic_height1_dataset
 
+from complex_helpers import compositions
 from test_assemble import dual_number_dataset
+from test_golden import sym2_dataset
 
 
 def test_builtin_package_validates():
@@ -94,6 +98,39 @@ def test_duality_synthetic_corpus():
             for k in range(5):
                 res = dualize_bar_to_mic(data, ds.subgroup_package, k)
                 assert res.commutes, (p, N, seed, k, res.witness)
+
+
+@pytest.mark.parametrize("factory, identities", [
+    (lambda: builtin_height1(3, 2, 6), True), (sym2_dataset, True),
+    (lambda: synthetic_height1_dataset(3, 2, 5, 3), False),
+], ids=["builtin_p3_N2_k6", "sym2_dataset", "synthetic_p3_N2_k5_s3"])
+def test_rank_1_duality_maps_are_the_dualized_pairing_inverses(factory, identities):
+    """Over a coefficient algebra of rank 1 the degree-s duality map is the
+    block sum over the compositions c of proj_mic(c) @ (the Kronecker
+    product of c's pairing inverses) @ proj_bar(c)^T, with the tensors read
+    from the tables (``data.tensors``, ``pkg.flags``) that the blocks no
+    longer hold and the inverses taken afresh.  The identity pairings of
+    the built-in dataset and Sym2 give identity maps; the synthetic
+    dataset's pairings do not."""
+    ds = factory()
+    A, pkg = ds.algebra, ds.subgroup_package
+    assert A.coeff.rank == 1
+    data = KoszulData(A)
+    all_identities = True
+    for k in range(1, min(A.max_weight, pkg.max_order) + 1):
+        res = dualize_bar_to_mic(data, pkg, k)
+        assert res.commutes, (k, res.witness)
+        for s, got in enumerate(res.maps, 1):
+            placed, rows, cols = [], 0, 0
+            for c in compositions(k, s):
+                bar, flag = data.tensors[c], pkg.flags[c]
+                inv = reduce(PAdicMatrix.kron, [inverse_mod(pkg.pairing[x]) for x in c])
+                placed.append((rows, cols, 1,
+                               flag.proj_full @ inv @ bar.proj_full.transpose()))
+                rows, cols = rows + flag.bimodule.rank, cols + bar.bimodule.rank
+            assert got == place_blocks(A.coeff.ring, rows, cols, placed)
+            all_identities &= got == PAdicMatrix.identity(A.coeff.ring, rows)
+    assert all_identities == identities
 
 
 def test_perturbed_pairing_breaks_duality_with_witness():

@@ -1,8 +1,13 @@
 """The scripts under scripts/ run to exit 0 at small sizes, so a change to
 a signature they call cannot break them silently."""
+import argparse
+import importlib.util
 import os
+import py_compile
+import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -41,6 +46,44 @@ def test_ab_inproc_times_suite_w9_passes_of_the_repo_against_itself():
     assert "# suite-w9: change/parent median" in out
     assert "builtin p=3 N=2 kmax=9: " in out
     assert "# pooled median operation latency: parent" in out
+
+
+def test_ab_inproc_setups_compile_from_source_whatever_caches_hold(tmp_path, monkeypatch):
+    """A set-up round imports each tree from source: a stale bytecode file
+    in the tree's __pycache__, which a plain import reads, is not read, and
+    the interpreter's bytecode settings are restored after the rounds."""
+    spec = importlib.util.spec_from_file_location("ab_inproc",
+                                                  ROOT / "scripts" / "ab_inproc.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    tree = tmp_path / "tree"
+    init = tree / "src" / "koszulab" / "__init__.py"
+    shutil.copytree(ROOT / "src" / "koszulab", init.parent,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    stale = tmp_path / "stale.py"
+    stale.write_text(init.read_text() + "STALE = True\n")
+    py_compile.compile(str(stale), cfile=importlib.util.cache_from_source(str(init)),
+                       invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+    try:
+        assert ab.load_tree(tree, "ab_stale_probe").STALE
+    finally:
+        for k in [k for k in sys.modules if k.startswith("ab_stale_probe")]:
+            del sys.modules[k]
+
+    loaded, load_tree = [], ab.load_tree
+
+    def recording_load_tree(root, name):
+        package = load_tree(root, name)
+        loaded.append(hasattr(package, "STALE"))
+        return package
+    monkeypatch.setattr(ab, "load_tree", recording_load_tree)
+    before = sys.dont_write_bytecode, sys.pycache_prefix
+    workloads = types.SimpleNamespace(MAKE={"corpus": lambda seed, out: None})
+    rounds = list(ab.time_setups(argparse.Namespace(workload="corpus", rounds=2),
+                                 {"parent": tree, "change": tree}, workloads,
+                                 str(tmp_path)))
+    assert len(rounds) == 2 and loaded == [False] * 4
+    assert (sys.dont_write_bytecode, sys.pycache_prefix) == before
 
 
 def run_script(argv):

@@ -1,18 +1,23 @@
 """The prefix tables of iterated tensors: every entry equals the tensor that
 `iterated_tensor` (or `flag_tensor`) builds from scratch, the bar blocks hold
-the table's own entries, and a command leaves no tensor or matrix in a
-reference cycle."""
+the table's own entries over a coefficient algebra of rank > 1 and are read
+off the ambient levels over one of rank 1, and a command leaves no tensor
+or matrix in a reference cycle."""
 import gc
+
+import pytest
 
 from koszulab.algebra import (Bimodule, LeftModule, TensorTable, builtin_height1,
                               identity_tensor, iterated_tensor, save_dataset)
-from koszulab.bar import KoszulData, tor_groups_via_bar, weight_tensors
+from koszulab.bar import (AmbientTable, KoszulData, bar_complex_with_module,
+                          tor_groups_via_bar, weight_tensors)
 from koszulab.cli import EXIT_PASS, run
-from koszulab.isogeny import flag_tensor, flag_tensors
+from koszulab.isogeny import build_mic, flag_tensor, flag_tensors
 from koszulab.padic import PAdicMatrix
 
 from complex_helpers import bounded_compositions
 from test_algebra import dual_numbers
+from test_assemble import dual_number_dataset
 from test_golden import sym2_dataset
 
 MAX_TOTAL = 4
@@ -69,11 +74,40 @@ def test_flag_table_equals_flag_tensor():
 
 
 def test_bar_blocks_hold_the_table_entries():
-    data = KoszulData(sym2_dataset().algebra)
+    """Over a coefficient algebra of rank > 1 (the dual numbers) each bar
+    block holds the table's own tensor."""
+    data = KoszulData(dual_number_dataset().algebra)
     bc = data.bar(4)
     for s in bc.complex.degrees:
         for b in bc.degree_blocks(s):
             assert b.tensor is data.tensors[b.composition]
+
+
+@pytest.mark.parametrize("factory", [lambda: builtin_height1(3, 2, 6), sym2_dataset],
+                         ids=["builtin_p3_N2_k6", "sym2_dataset"])
+def test_rank_1_blocks_are_read_off_the_ambient_level(factory):
+    """Over a coefficient algebra of rank 1 the bar, subgroup and module bar
+    blocks hold no tensor: each is (composition, start, rank) of its
+    ambient level."""
+    ds = factory()
+    A, pkg = ds.algebra, ds.subgroup_package
+    assert A.coeff.rank == 1
+    data = KoszulData(A)
+    built = []
+    for k in range(A.max_weight + 1):
+        built.append((data.bar(k).blocks, data.tensors.ambient.level(k), 0))
+    for k in range(1, pkg.max_order + 1):
+        built.append((build_mic(pkg, k).blocks, pkg.flags.ambient.level(k), 1))
+    for M in ds.modules.values():
+        actions = {k: M.weight_action(k, A.rank(k)) for k in range(1, A.max_weight + 1)}
+        level = AmbientTable(A.coeff.ring, A.rank, lambda x, y: A.mult[(x, y)],
+                             empty=M.base_rank, action=actions).level(A.max_weight)
+        built.append((bar_complex_with_module(data, M, A.max_weight).blocks, level, 0))
+    for blocks, level, low in built:
+        for s, degree in enumerate(blocks, low):
+            assert all(b.tensor is None for b in degree)
+            assert [b[:3] for b in degree] == \
+                list(zip(level.comps[s], level.starts[s], level.dims[s]))
 
 
 def test_a_module_of_rank_zero_has_zero_tor_by_both_routes():
