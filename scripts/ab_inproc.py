@@ -12,12 +12,14 @@ are written once, by CHANGE's bench/workloads.py with CHANGE's koszulab.
 Before each pass, the names bench/workloads.py calls through (`algebra`,
 `synthetic`, `cli`, `kpartition` and `BaseRing`) are pointed at the tree
 that runs it.  Passes are run by CHANGE's bench/run.py (`run_pass`, with
-its per-operation deadline DEADLINE_S).  A first pass of each tree checks every answer and
-requires the two trees' `--json` reports to be identical; an operation that
-misses the deadline on either tree is left out of the timed rounds and
-named, and the number kept is printed as `# N of M operations`.  Each
-round then times one pass of each tree, the tree that goes first
-alternating from round to round, and takes the ratio change / parent.
+its per-operation deadline DEADLINE_S).  A first pass of each tree, untimed
+and traced by `tracemalloc`, checks every answer and requires the two
+trees' `--json` reports to be identical; the peak of the memory each tree
+allocated during it is printed, in MB.  An operation that misses the
+deadline on either tree is left out of the timed rounds and named, and the
+number kept is printed as `# N of M operations`.  Each round then times
+one pass of each tree, the tree that goes first alternating from round to
+round, and takes the ratio change / parent.
 The median and quartiles of the ratios and the number of rounds the change
 won are printed.  Then each operation's median latency over the rounds is
 printed for each tree, with their ratio, and the pooled median of each
@@ -53,6 +55,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 SEED = 1
 
@@ -116,7 +119,14 @@ def time_passes(args, trees, workloads, run, workdir):
         return run.run_pass(ops, run.DEADLINE_S, lambda c: c())
 
     ops = workloads.MAKE[args.workload](SEED, workdir)
-    first = {side: one_pass(side, ops)[2] for side in trees}
+    first, peaks = {}, {}
+    for side in trees:
+        tracemalloc.start()
+        first[side] = one_pass(side, ops)[2]
+        peaks[side] = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.stop()
+    print(f"# tracemalloc peak of the checking pass: parent {peaks['parent']:.3f} MB, "
+          f"change {peaks['change']:.3f} MB")
     kept, digests = [], []
     for op, a, b in zip(ops, first["parent"], first["change"]):
         if "wrong" in (a[0], b[0]):

@@ -281,20 +281,6 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
     return BarComplex(k, _checked_bar(A.coeff.ring, ranks, diffs), blocks)
 
 
-def _module_bar_skeleton(data: KoszulData, Mb: Bimodule, level: AmbientLevel,
-                         smax: int) -> tuple:
-    """Per degree 0..smax, the blocks T(c) (x) M of the bar complex with
-    coefficients in a module of bimodule ``Mb``, laid out as in ``level``,
-    and their total rank: what it builds without reading the module's
-    action, so every such module shares it (see :func:`level_blocks`)."""
-    def tensor_of(comp):
-        return tensor_step(data.tensors[comp], Mb) if comp else identity_tensor(Mb)
-    blocks = [level_blocks(data.algebra.coeff, level, s, tensor_of)
-              for s in range(min(smax, len(level.comps) - 1) + 1)]
-    blocks += [((), 0)] * (smax + 1 - len(blocks))
-    return tuple(zip(*blocks))
-
-
 def bar_complex_with_module(data: KoszulData, M: LeftModule,
                             smax: int) -> BarComplex:
     """Normalized bar complex with trivial left and module right coefficients,
@@ -303,14 +289,21 @@ def bar_complex_with_module(data: KoszulData, M: LeftModule,
     differential is the alternating sum of the merge faces and of the face
     acting the last slot on ``M``; d o d is checked.  The ambient
     differentials come from the module's own :class:`AmbientTable`, whose
-    bound-B complex is built on those of the bounds below B, and the blocks
-    from ``data`` (see :meth:`KoszulData.module_bar_skeleton`)."""
+    bound-B complex is built on those of the bounds below B; the blocks
+    T(c) (x) M, laid out as in it, tensor the weight tensors of ``data``
+    with M over E0 of rank > 1 and hold none over rank 1 (see
+    :func:`level_blocks`)."""
     A = data.algebra
     ring, top = A.coeff.ring, A.max_weight
     actions = {k: M.weight_action(k, A.rank(k)) for k in range(1, top + 1)}
     level = AmbientTable(ring, A.rank, lambda x, y: A.mult[(x, y)],
                          empty=M.base_rank, action=actions).level(top)
-    blocks, ranks = data.module_bar_skeleton(M.as_bimodule(), level, smax)
+    Mb = M.as_bimodule()
+
+    def tensor_of(comp):
+        return tensor_step(data.tensors[comp], Mb) if comp else identity_tensor(Mb)
+    blocks, ranks = zip(*[level_blocks(A.coeff, level, s, tensor_of)
+                          if s <= top else ((), 0) for s in range(smax + 1)])
     diffs = [_quotient(A.coeff, level.diffs[s - 1], blocks[s - 1], blocks[s])
              if s <= top else PAdicMatrix.zeros(ring, ranks[s - 1], 0)
              for s in range(1, smax + 1)]
@@ -381,16 +374,23 @@ class KoszulComplexData(NamedTuple):
     ambient_inclusions: tuple       # C[k] (x) M -> full ambient Delta[1]^{(x)k} (x) M
 
 
-def _koszul_skeleton(data: KoszulData, Mb: Bimodule) -> tuple:
-    """What the Koszul complex C[k] (x) M builds without reading the action
-    of a module M of bimodule ``Mb``, so every such module shares it; the
-    Koszul modules C[k] come from ``data``.  Per degree k: the ranks of C[k]
-    and of C[k] (x) M, the inclusions iota of C[k] (x) M into T_k (x) M
+def koszul_complex(data: KoszulData, M: LeftModule) -> KoszulComplexData:
+    """The complex C[k] (x) M with the (signed) last-face differential.
+
+    delta_k embeds C[k+1] (x) M into Delta[1]^{(x)(k+1)} (x) M, applies
+    (-1)^{k+1} times the action of the last weight-1 slot on M, and solves the
+    result back into the C[k] (x) M basis, failing loudly if the image escapes.
+    Per degree k it builds the inclusions iota of C[k] (x) M into T_k (x) M
     (quotient coordinates) and into the full ambient Delta[1]^{(x)k} (x) M,
-    and the maps proj_full and sect_full between that ambient and T_k (x) M.
-    The degree-0 term E0 (x)_{E0} M is M itself, with identity maps."""
+    and the maps proj_full and sect_full between that ambient and T_k (x) M;
+    the degree-0 term E0 (x)_{E0} M is M itself, with identity maps.  The
+    Koszul modules C[k] and their coefficient actions come from ``data``.
+    """
     A = data.algebra
-    eye_m = PAdicMatrix.identity(A.coeff.ring, Mb.rank)
+    ring = A.coeff.ring
+    d1 = A.rank(1)
+    Mb = M.as_bimodule()
+    eye_m = PAdicMatrix.identity(ring, Mb.rank)
     kos = [data.koszul_module(k) for k in range(A.max_weight + 1)]
     iotas, amb_incs, proj_full, sect_full = [eye_m], [eye_m], [eye_m], [eye_m]
     term_ranks = [Mb.rank]
@@ -398,34 +398,16 @@ def _koszul_skeleton(data: KoszulData, Mb: Bimodule) -> tuple:
     def maps(B):    # proj, sect of B (x) M: identities over E0 of rank 1
         if A.coeff.rank > 1:
             return tensor_over_coeff(B, Mb)[1:]
-        return (PAdicMatrix.identity(A.coeff.ring, B.rank * Mb.rank),) * 2
+        return (PAdicMatrix.identity(ring, B.rank * Mb.rank),) * 2
     for kd in kos[1:]:
         T = kd.top_tensor
-        cm_proj, cm_sect = maps(_induced_bimodule(A, kd))
+        cm_proj, cm_sect = maps(data.koszul_bimodule(kd.weight))
         tm_proj, tm_sect = maps(T.bimodule)
         proj_full.append(tm_proj @ T.proj_full.kron(eye_m))
         sect_full.append(T.sect_full.kron(eye_m) @ tm_sect)
         iotas.append(tm_proj @ kd.inclusion.kron(eye_m) @ cm_sect)
         amb_incs.append((T.sect_full @ kd.inclusion).kron(eye_m) @ cm_sect)
         term_ranks.append(cm_proj.rows)
-    return ([kd.rank for kd in kos], term_ranks, iotas, amb_incs, proj_full,
-            sect_full)
-
-
-def koszul_complex(data: KoszulData, M: LeftModule) -> KoszulComplexData:
-    """The complex C[k] (x) M with the (signed) last-face differential.
-
-    delta_k embeds C[k+1] (x) M into Delta[1]^{(x)(k+1)} (x) M, applies
-    (-1)^{k+1} times the action of the last weight-1 slot on M, and solves the
-    result back into the C[k] (x) M basis, failing loudly if the image escapes.
-    Everything but the face and the solve comes from ``data`` (see
-    :meth:`KoszulData.koszul_skeleton`).
-    """
-    A = data.algebra
-    ring = A.coeff.ring
-    d1 = A.rank(1)
-    c_ranks, term_ranks, iotas, amb_incs, proj_full, sect_full = \
-        data.koszul_skeleton(M.as_bimodule())
     act1 = M.weight_action(1, d1)
     diffs = []
     for k in range(A.max_weight):
@@ -443,8 +425,8 @@ def koszul_complex(data: KoszulData, M: LeftModule) -> KoszulComplexData:
     ok, deg = verify_complex(cx)
     if not ok:
         raise ImageEscapesError(f"Koszul differential fails d o d = 0 at degree {deg}")
-    return KoszulComplexData(M.name, cx, tuple(c_ranks), tuple(term_ranks),
-                             tuple(amb_incs))
+    return KoszulComplexData(M.name, cx, tuple(kd.rank for kd in kos),
+                             tuple(term_ranks), tuple(amb_incs))
 
 
 def ext_groups(data: KoszulData, M: LeftModule) -> HomologyProfile:
@@ -468,17 +450,11 @@ class KoszulData:
     """The context of one command: the tensors of the weight components
     over every composition with the ambient bar complex of every weight
     (``tensors``, see :func:`weight_tensors`), the weight-k bar complexes of
-    one algebra with their homology, its Koszul modules C[k], and per module
-    the Koszul complex and its Tor profile, each built on first use and then
-    shared.
-
-    What a module's two Tor routes build without reading its action, the
-    skeletons, is shared by every module with the same bimodule
-    ``M.as_bimodule()`` (the coefficient algebra and the module's rank fix
-    it): the module bar complex's blocks, keyed on that bimodule and the
-    top degree (:meth:`module_bar_skeleton`), and the
-    Koszul complex's terms and maps (:meth:`koszul_skeleton`), keyed on the
-    bimodule.  Each module then adds only its own action.
+    one algebra with their homology, its Koszul modules C[k] with their
+    coefficient actions (:meth:`koszul_bimodule`), and per module the Koszul
+    complex and its Tor profile, each built on first use and then shared.
+    What one weight fixes is built once however many modules read it; a
+    module's bar and Koszul complexes build their own blocks and maps.
 
     One command builds one of these and hands it to every function of the
     chain, each of which requires it, so no complex is built or checked
@@ -492,8 +468,7 @@ class KoszulData:
         self._bars = {}
         self._bar_profiles = {}
         self._modules = {}
-        self._module_bar_skeletons = {}   # (bimodule, smax) -> skeleton
-        self._koszul_skeletons = {}       # bimodule -> skeleton
+        self._bimodules = {}
         self._complexes = {}   # id(M) -> (M, KoszulComplexData)
         self._tors = {}        # id(M) -> (M, HomologyProfile)
 
@@ -512,22 +487,13 @@ class KoszulData:
             self._modules[k] = koszul_module(self, k)
         return self._modules[k]
 
-    def module_bar_skeleton(self, Mb: Bimodule, level: AmbientLevel,
-                            smax: int) -> tuple:
-        key = (Mb, smax)
-        if key not in self._module_bar_skeletons:
-            self._module_bar_skeletons[key] = _module_bar_skeleton(self, Mb, level, smax)
-        return self._module_bar_skeletons[key]
-
-    def koszul_skeleton(self, Mb: Bimodule) -> tuple:
-        if Mb not in self._koszul_skeletons:
-            self._koszul_skeletons[Mb] = _koszul_skeleton(self, Mb)
-        return self._koszul_skeletons[Mb]
-
-    def drop_skeletons(self):
-        """Forget the module skeletons; they are built again if asked for."""
-        self._module_bar_skeletons.clear()
-        self._koszul_skeletons.clear()
+    def koszul_bimodule(self, k: int) -> Bimodule:
+        """C[k] with its coefficient actions, for k >= 1.  Not part of
+        :meth:`koszul_module`: a command that reads only C[k]'s rank and
+        inclusion does not fail where an action escapes C[k]."""
+        if k not in self._bimodules:
+            self._bimodules[k] = _induced_bimodule(self.algebra, self.koszul_module(k))
+        return self._bimodules[k]
 
     def koszul_complex(self, M: LeftModule) -> KoszulComplexData:
         # keyed on the module object, which the entry keeps alive

@@ -255,7 +255,6 @@ def _suite_koszul(ds, checks, data):
                         t1.torsion_at(s) != t2.torsion_at(s):
                     agree = False
                     witness = f"module {M.name}, degree {s}"
-        data.drop_skeletons()     # the later suites read only the cached complexes
         checks.append(Check(
             "suite-tor-two-routes",
             "Tor from the small complex equals Tor from the module bar complex",

@@ -656,11 +656,6 @@ class SmithDecomposition(NamedTuple):
     left: PAdicMatrix
     right: PAdicMatrix
 
-    def diagonal_matrix(self, rows: int, cols: int) -> PAdicMatrix:
-        diag = [{i: self.invariants[i]} if i < len(self.invariants) else {}
-                for i in range(rows)]
-        return PAdicMatrix.from_sparse_rows(self.left.ring, rows, cols, diag)
-
 
 def smith_normal_form(A: PAdicMatrix) -> SmithDecomposition:
     """Smith form over Z/p^N by minimum-valuation elimination."""

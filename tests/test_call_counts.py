@@ -19,6 +19,7 @@ from koszulab.padic import (BaseRing, PAdicMatrix, inverse_mod, kernel_basis,
                             smith_normal_form, solve)
 
 from test_assemble import dual_number_dataset
+from test_module_skeleton import with_doubles
 
 WRAPPED = (("bar", "bar_complex"), ("bar", "koszul_complex"),
            ("bar", "_quotient"), ("bar", "_induced_bimodule"),
@@ -132,13 +133,13 @@ def test_verify_builds_each_tensor_and_inverse_once(tmp_path, monkeypatch):
     on the first part) when one table per family builds one per
     composition, 9 now.  Over a coefficient algebra of rank 1 the bar,
     subgroup and module bar blocks, package validation and the Koszul
-    skeleton build none; what is left is the table's top tensors
+    complexes build none; what is left is the table's top tensors
     (1, ..., 1) of weights 2..5, whose actions C[k] restricts, and the flag
     modules (1, ..., 1) of 2..6 slots that loading reads the shift maps'
-    shapes from.  Both modules have rank 1, so C[k] gets its coefficient
-    actions once per weight.  The duality forms each block from the
-    pairing inverses and solves no linear system; over rank 1 its only
-    products are the 2(k - 1) of the intertwining check."""
+    shapes from.  C[k] gets its coefficient actions once per weight.  The
+    duality forms each block from the pairing inverses and solves no
+    linear system; over rank 1 its only products are the 2(k - 1) of the
+    intertwining check."""
     ds, path = saved_builtin(tmp_path)
     calls = record_calls(monkeypatch)
     report, code = run(["verify", str(path), "--suite", "all", "--json"])
@@ -165,6 +166,21 @@ def test_verify_builds_each_tensor_and_inverse_once(tmp_path, monkeypatch):
     assert any(name == "algebra.load_dataset" for name, _, _ in calls)
     assert any(name == "algebra.Dataset.validate" for name, _, _ in calls)
     assert not [c for c in calls if c[0] == "algebra.iterated_tensor"]
+
+
+def test_c_k_gets_its_coefficient_actions_once_per_weight(tmp_path, monkeypatch):
+    """Four modules over two bimodules (sphere and triv of rank 1, their
+    doubles of rank 2): C[k]'s coefficient actions are built once per
+    weight for the whole command, not once per bimodule."""
+    ds = with_doubles(builtin_height1(3, 2, 5))
+    assert len(ds.modules) == 4
+    path = tmp_path / "doubled.json"
+    save_dataset(ds, path)
+    calls = record_calls(monkeypatch)
+    report, code = run(["verify", str(path), "--suite", "all", "--json"])
+    assert code == EXIT_PASS and report.passed
+    assert [args[1].weight for name, args, _ in calls
+            if name == "bar._induced_bimodule"] == [1, 2, 3, 4, 5]
 
 
 def test_mic_builds_its_subgroup_complex_once(tmp_path, monkeypatch):

@@ -321,24 +321,42 @@ def test_invalid_dataset_is_math_failure(tmp_path, capsys):
     assert code == EXIT_MATH
 
 
-@pytest.mark.parametrize("argv", [["koszul"], ["ext", "--module", "triv"],
-                                  ["verify", "--suite", "koszul"],
-                                  ["verify", "--suite", "all"]])
-def test_action_that_escapes_c_is_math_failure(tmp_path, capsys, argv):
-    """Sym^2 with one off-diagonal entry of the weight-1 right action set
-    to 1: the action no longer preserves C[2], and each command that builds
-    C[2] fails its computation with that witness, exit 3, not a traceback."""
+def escaping_sym2(tmp_path):
+    """Sym^2 saved with one off-diagonal entry of the weight-1 right action
+    set to 1, an action that does not preserve C[2]."""
     doc = dataset_to_json(sym2_dataset())
     weight1 = next(c for c in doc["algebra"]["components"] if c["k"] == 1)
     weight1["right_action"][0][0][1] = 1
     path = tmp_path / "escapes.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["koszul"], ["ext", "--module", "triv"],
+                                  ["verify", "--suite", "koszul"],
+                                  ["verify", "--suite", "all"]])
+def test_action_that_escapes_c_is_math_failure(tmp_path, capsys, argv):
+    """On `escaping_sym2` each command that builds C[2] with its actions
+    fails its computation with that witness, exit 3, not a traceback."""
+    path = escaping_sym2(tmp_path)
     code, report = run_json(capsys, argv[:1] + [str(path)] + argv[1:] + ["--json"])
     assert code == EXIT_MATH
     failed = next(c for c in report["checks"] if c["name"] == "computation")
     assert failed["status"] == "fail"
     assert failed["payload"]["witness"] == \
         "coefficient action does not preserve C[2]"
+
+
+def test_mic_does_not_read_the_actions_of_c(tmp_path, capsys):
+    """On the same escaping dataset `mic --k 2` compares the subgroup
+    complex with C[2]'s rank only: it builds no coefficient action of C[2],
+    so no computation fails, and the exit is 3 for the validation failure
+    alone."""
+    path = escaping_sym2(tmp_path)
+    code, report = run_json(capsys, ["mic", str(path), "--k", "2", "--json"])
+    assert code == EXIT_MATH
+    assert [(c["name"], c["status"]) for c in report["checks"]] == \
+        [("dataset-validation", "fail"), ("mic-cohomology", "pass")]
 
 
 def test_koszul_and_ext(h1_path, capsys):

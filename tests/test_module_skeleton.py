@@ -1,15 +1,14 @@
-"""A module's bar complex and Koszul complex do not depend on whether the
-parts that do not read the module's action are shared through one
-`KoszulData` or built afresh, in a `KoszulData` of their own, for the
-module: differentials, ranks, blocks and Tor are equal both ways.  A module of another rank over the same
-algebra gets its own parts: Tor of M (+) M is twice Tor of M by both
-routes."""
+"""A module's bar complex and Koszul complex are the same whether they are
+built through a `KoszulData` that other modules, of the same or another
+rank, have used before, or through a fresh one: differentials, ranks,
+blocks and Tor are equal both ways.  A module of another rank over the
+same algebra gets its own blocks and maps: Tor of M (+) M is twice Tor of
+M by both routes."""
 import pytest
 
 from koszulab.algebra import LeftModule, builtin_height1, validate_module
-from koszulab import cli
-from koszulab.bar import (KoszulData, _koszul_skeleton, bar_complex_with_module,
-                          koszul_complex, tor_groups_via_bar)
+from koszulab.bar import (KoszulData, bar_complex_with_module, koszul_complex,
+                          tor_groups_via_bar)
 from koszulab.complexes import HomologyProfile
 from koszulab.padic import PAdicMatrix
 
@@ -88,26 +87,3 @@ def test_a_module_of_twice_the_rank_has_twice_the_tor(factory, name):
     assert once.is_zero() == (name != "triv")
     assert data.tor(M2) == twice(once)
     assert tor_groups_via_bar(data, M2) == twice(once)
-
-
-def test_the_koszul_suite_drops_the_skeletons_it_built(monkeypatch):
-    """Once its Tor loop is done, `_suite_koszul` leaves no skeleton behind:
-    the later suites read only the cached Koszul complexes.  A skeleton
-    asked for afterwards is built again."""
-    ds = builtin_p3_N2_k5()
-    data = KoszulData(ds.algebra)
-    held = []
-    drop = KoszulData.drop_skeletons
-
-    def recording(self):
-        held.append((len(self._module_bar_skeletons), len(self._koszul_skeletons)))
-        drop(self)
-    monkeypatch.setattr(KoszulData, "drop_skeletons", recording)
-    checks = []
-    cli._suite_koszul(ds, checks, data)
-    assert [c.status for c in checks] == ["pass"] * 3
-    assert held == [(1, 1)]        # sphere and triv share one bimodule
-    assert data._module_bar_skeletons == {} and data._koszul_skeletons == {}
-    assert len(data._complexes) == 2
-    Mb = ds.module("sphere").as_bimodule()
-    assert data.koszul_skeleton(Mb) == _koszul_skeleton(data, Mb)

@@ -287,7 +287,7 @@ def test_products_of_zero_divisors_store_no_zero():
 def test_one_matrix_built_three_ways_is_equal_and_hashes_alike(ring, n, k, data):
     """The dense constructor, sparse rows with explicit zeros, values >= p^N
     and columns listed backwards, and kernel results give equal matrices
-    with equal hashes (KoszulData keys its skeletons on bimodule values)."""
+    with equal hashes."""
     m = ring.modulus
     raw = data.draw(entries_with_empty_lines(ring, n, k))
     dense = PAdicMatrix(ring, raw, n, k)
@@ -416,7 +416,9 @@ def test_smith_normal_form_certificate(seed):
     rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
     A = random_matrix(rng, ring, rows, cols)
     snf = smith_normal_form(A)
-    D = snf.diagonal_matrix(rows, cols)
+    D = PAdicMatrix.from_sparse_rows(ring, rows, cols,
+                                     [{i: d} for i, d in enumerate(snf.invariants)]
+                                     + [{}] * (rows - len(snf.invariants)))
     assert snf.left @ A @ snf.right == D
     # transforms invertible mod p^N
     inverse_mod(snf.left)

@@ -1,6 +1,6 @@
 """The immutable records: no field can be assigned after construction, and
 records compare and hash by value, so equal parts built apart share one
-dict entry (as the module skeletons of `KoszulData` do)."""
+dict entry."""
 import pytest
 
 from koszulab.algebra import (Bimodule, builtin_height1, identity_tensor,
@@ -61,11 +61,3 @@ def test_bimodules_built_apart_from_equal_matrices_are_one_key():
     a, b = bimodule(), bimodule()
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a: "first", b: "second"}) == 1
-
-
-def test_modules_of_one_bimodule_share_their_koszul_skeleton(built):
-    ds, data = built
-    triv, sphere = ds.module("triv"), ds.module("sphere")
-    assert triv.as_bimodule() is not sphere.as_bimodule()
-    assert data.koszul_skeleton(triv.as_bimodule()) is \
-        data.koszul_skeleton(sphere.as_bimodule())

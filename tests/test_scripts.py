@@ -4,6 +4,7 @@ import argparse
 import importlib.util
 import os
 import py_compile
+import re
 import shutil
 import subprocess
 import sys
@@ -43,6 +44,8 @@ def test_ab_inproc_times_suite_w9_passes_of_the_repo_against_itself():
     out = run_script(["ab_inproc.py", str(ROOT), str(ROOT), "--workload",
                       "suite-w9", "--rounds", "1"])
     assert "# 1 of 1 operations, reports identical on both trees" in out
+    assert re.search(r"^# tracemalloc peak of the checking pass: "
+                     r"parent \d+\.\d{3} MB, change \d+\.\d{3} MB$", out, re.M)
     assert "# suite-w9: change/parent median" in out
     assert "builtin p=3 N=2 kmax=9: " in out
     assert "# pooled median operation latency: parent" in out
