@@ -415,3 +415,17 @@ def test_sweep_cancels_a_unit_made_by_fill_in(p, want):
     prof = homology(C)
     assert prof.free_ranks == (0, 0) and prof.torsion == want
     assert_matches_unreduced(C, prof)
+
+
+def test_a_cell_cancelled_in_one_map_is_no_pivot_in_the_next():
+    """Z/4 <-(1 1)- Z/4^2 <-(1 3)^T- Z/4, degrees 0..2, and its dual: both
+    acyclic.  The first map cancels its cell 0 of degree 1, where the next
+    map also has a unit; pivoting on that cell a second time would read
+    H1 as free of rank 1."""
+    d0 = PAdicMatrix(RING22, [[1, 1]], 1, 2)
+    d1 = PAdicMatrix(RING22, [[1], [3]], 2, 1)
+    C = make_complex(RING22, HOMOLOGICAL, 0, [1, 2, 1], [d0, d1])
+    for D in (C, dualize_complex(C)):
+        prof = homology(D)
+        assert prof.is_zero(), prof
+        assert_matches_unreduced(D, prof)
