@@ -538,7 +538,6 @@ def verify_koszulness(data: KoszulData) -> KoszulnessReport:
     entries = []
     for k in range(data.algebra.max_weight + 1):
         prof = data.bar_homology(k)
-        conc = all((prof.free_rank(s) == 0 and not prof.torsion_at(s))
-                   for s in prof.degrees if s != k) and not prof.torsion_at(k)
+        conc = prof.concentrated_in(k)
         entries.append((k, prof, conc, prof.free_rank(k) if conc else None))
     return KoszulnessReport(entries)

@@ -355,9 +355,7 @@ def cmd_partition(args, checks) -> None:
     want_deg = args.n - 1
     import math
     want_rank = math.factorial(args.n - 1)
-    ok = prof.free_rank(want_deg) == want_rank and \
-        all(not prof.torsion_at(d) for d in prof.degrees) and \
-        all(prof.free_rank(d) == 0 for d in prof.degrees if d != want_deg)
+    ok = prof.concentrated_in(want_deg) and prof.free_rank(want_deg) == want_rank
     checks.append(Check(
         "partition-homology",
         f"reduced homology of the pointed partition complex on {args.n} "

@@ -1,10 +1,12 @@
 """Bounded complexes of finite free Z/p^N-modules and their exact homology.
 
 Homology is computed in three steps: a check of d o d = 0, the
-cancellation of every unit entry with its two cells (which keeps homology
-exactly), and Smith forms of what is left, whose differentials have no unit
-entry, in :func:`_homology_degree`.  The complexes built here are almost
-empty and their entries almost all units, so little is left.
+cancellation of every unit entry with its two cells, one differential at a
+time on its own cells (which keeps homology exactly and leaves every other
+differential as it was, restricted to the cells that remain), and Smith
+forms of what is left, whose differentials have no unit entry, in
+:func:`_homology_degree`.  The complexes built here are almost empty and
+their entries almost all units, so little is left.
 
 d o d = 0 is checked once per complex, by one kernel: the products of
 :func:`verify_complex`.  The builders of the bar, Koszul and subgroup
@@ -135,6 +137,11 @@ class HomologyProfile(NamedTuple):
         return [d for d in self.degrees
                 if self.free_rank(d) or self.torsion_at(d)]
 
+    def concentrated_in(self, degree: int) -> bool:
+        """Zero in every degree but ``degree``, and free there."""
+        return (set(self.nonzero_degrees()) <= {degree}
+                and not self.torsion_at(degree))
+
     def summary(self) -> dict:
         return {str(d): {"free_rank": self.free_rank(d),
                          "torsion_exponents": list(self.torsion_at(d))}
@@ -184,51 +191,37 @@ def _homology_degree(ring: BaseRing, rank: int,
     return gens - len(invariants), tuple(v for v in invariants if v)
 
 
-class _SparseMap:
-    """A differential f: X -> Y as it is reduced: ``cols[x]`` maps each row
-    y to a nonzero f[y, x] (None once x is deleted), and ``rows[y]`` holds
-    the columns x with f[y, x] != 0; both copy the matrix's stored rows."""
-
-    __slots__ = ("cols", "rows")
-
-    def __init__(self, d: PAdicMatrix):
-        cols = [{} for _ in range(d.cols)]
-        for y, row in enumerate(d.nonzeros):
-            for x, v in row.items():
-                cols[x][y] = v
-        self.cols = cols
-        self.rows = [set(row) for row in d.nonzeros]
-
-    def drop_row(self, y: int):
-        for x in self.rows[y]:
-            del self.cols[x][y]
-        self.rows[y] = set()
-
-    def drop_col(self, x: int):
-        rows = self.rows
-        for y in self.cols[x]:
-            rows[y].discard(x)
-        self.cols[x] = None
-
-
-def _reduce(f: _SparseMap, into: Optional[_SparseMap],
-            out: Optional[_SparseMap], p: int, mod: int):
-    """Cancel unit entries of f: X -> Y until none is left, by the Gaussian
-    elimination lemma: for a unit u = f[a, b], subtract f[a, x] u^-1 f(b)
-    from every other column x, delete column b and row a of f, row b of the
-    map ``into`` X and column a of the map ``out`` of Y.  The result is
-    chain homotopy equivalent to the complex before, so its homology is the
-    same.  Columns are swept once, in index order (a coreduction sweep:
-    Mrozek and Batko, Discrete Comput. Geom. 41, 2009); a column's pivot
-    row is its unit row with the fewest nonzeros, ties by index.  One pass
-    is enough: a cancellation changes only columns that are still to come
-    or that had no unit, and those keep none, since all they gain is a
+def _reduce(d: PAdicMatrix, gone_src: set, gone_tgt: set, p: int, mod: int):
+    """Cancel unit entries of d: X -> Y until none is left, on the cells
+    of X not in ``gone_src`` and of Y not in ``gone_tgt`` (those the maps
+    reduced before d cancelled), by the Gaussian elimination lemma: for a
+    unit u = d[a, b], subtract d[a, x] u^-1 d(b) from every other column x
+    and delete column b and row a.  In the bases these operations give, the
+    complex is the sum of b -u-> a and the reduced complex, so both have
+    the same homology.  The lemma changes no other map: the entries it
+    would give the row of b in the map into X and the column of a in the
+    map out of Y are entries of composites with d, which vanish as
+    d o d = 0, so those maps are only restricted to the cells that remain.
+    Columns are swept once, in index order (a coreduction sweep: Mrozek
+    and Batko, Discrete Comput. Geom. 41, 2009); a column's pivot row is
+    its unit row with the fewest nonzeros, ties by index.  One pass is
+    enough: a cancellation changes only columns that are still to come or
+    that had no unit, and those keep none, since all they gain is a
     multiple of their own entry in the pivot row, a non-unit.
 
-    Returns the sets of deleted columns (cells of X) and rows (cells of Y).
+    Adds the cancelled cells to ``gone_src`` and ``gone_tgt`` and returns
+    the columns: ``cols[x]`` maps each row y to a nonzero d[y, x] of the
+    reduced map, or is None for a cell of X cancelled by then.
     """
-    cols, rows = f.cols, f.rows
-    gone_x, gone_y = set(), set()
+    cols = [{} for _ in range(d.cols)]
+    rows = [set() if y in gone_tgt else set(row) - gone_src
+            for y, row in enumerate(d.nonzeros)]
+    for y, row in enumerate(d.nonzeros):
+        if y not in gone_tgt:
+            for x, v in row.items():
+                cols[x][y] = v
+    for x in gone_src:
+        cols[x] = None
     for b, colb in enumerate(cols):
         if not colb:
             continue
@@ -253,24 +246,9 @@ def _reduce(f: _SparseMap, into: Optional[_SparseMap],
                     del colx[y]
                     rows[y].discard(x)
         rows[a] = set()
-        if into is not None:
-            into.drop_row(b)
-        if out is not None:
-            out.drop_col(a)
-        gone_x.add(b)
-        gone_y.add(a)
-    return gone_x, gone_y
-
-
-def _residual(f: _SparseMap, ring: BaseRing, keep_rows, keep_cols) -> PAdicMatrix:
-    """The matrix of f on the cells that survived the reduction."""
-    at_row = {y: i for i, y in enumerate(keep_rows)}
-    nonzeros = [{} for _ in keep_rows]
-    for j, x in enumerate(keep_cols):
-        for y, v in f.cols[x].items():
-            nonzeros[at_row[y]][j] = v
-    return PAdicMatrix.from_sparse_rows(ring, len(keep_rows), len(keep_cols),
-                                        nonzeros)
+        gone_src.add(b)
+        gone_tgt.add(a)
+    return cols
 
 
 def homology(C: ChainComplex) -> HomologyProfile:
@@ -281,13 +259,15 @@ def homology(C: ChainComplex) -> HomologyProfile:
     marks ``C``; a non-complex raises ComplexError naming the degree that
     :func:`verify_complex` reports, the lower end of its first failing pair.
     Then every unit entry of every differential is cancelled with its two
-    cells, in one sweep of its columns in index order (see :func:`_reduce`;
-    Kaczynski, Mrozek and Slusarek, "Homology computation by reduction of
-    chain complexes", 1998), which preserves homology exactly over Z/p^N.
-    Last, each degree of the much smaller complex that remains, whose
-    differentials have no unit entry, goes through the sparse Smith forms
-    of :func:`_homology_degree`; a degree whose remaining differentials are
-    zero is free of its remaining rank.
+    cells, one differential at a time in list order, each in one sweep of
+    its columns in index order on the cells the differentials before it
+    left (see :func:`_reduce`; Kaczynski, Mrozek and Slusarek, "Homology
+    computation by reduction of chain complexes", 1998), which preserves
+    homology exactly over Z/p^N.  Last, each degree of the much smaller
+    complex that remains, each differential restricted to the cells no
+    reduction cancelled, whose differentials have no unit entry, goes
+    through the sparse Smith forms of :func:`_homology_degree`; a degree
+    whose remaining differentials are zero is free of its remaining rank.
     """
     ring = C.ring
     p, mod = ring.p, ring.modulus
@@ -295,35 +275,31 @@ def homology(C: ChainComplex) -> HomologyProfile:
         ok, deg = verify_complex(C)
         if not ok:
             raise ComplexError(f"not a complex: d o d != 0 at degree {deg}")
-    maps = [_SparseMap(d) for d in C.differentials]
     gone = [set() for _ in C.ranks]
     homological = C.orientation == HOMOLOGICAL
     # per map: (source, target) positions; per position: (map out, map in)
-    ends = [(j + 1, j) if homological else (j, j + 1) for j in range(len(maps))]
+    ends = [(j + 1, j) if homological else (j, j + 1)
+            for j in range(len(C.differentials))]
     around = [(i - 1, i) if homological else (i, i - 1) for i in range(len(C.ranks))]
-    for j, f in enumerate(maps):
-        src, tgt = ends[j]
-        into = around[src][1]
-        out = around[tgt][0]
-        gx, gy = _reduce(f, maps[into] if 0 <= into < len(maps) else None,
-                         maps[out] if 0 <= out < len(maps) else None, p, mod)
-        gone[src] |= gx
-        gone[tgt] |= gy
-    left = [r - len(g) for r, g in zip(C.ranks, gone)]
-
-    def alive(i):
-        return [x for x in range(C.ranks[i]) if x not in gone[i]]
-
-    res = [_residual(f, ring, alive(tgt), alive(src)) if any(f.cols) else None
-           for f, (src, tgt) in zip(maps, ends)]
+    reduced = [_reduce(d, gone[src], gone[tgt], p, mod)
+               for d, (src, tgt) in zip(C.differentials, ends)]
+    alive = [[x for x in range(r) if x not in g] for r, g in zip(C.ranks, gone)]
+    res = []
+    for cols, (src, tgt) in zip(reduced, ends):
+        at = {y: i for i, y in enumerate(alive[tgt])}
+        # the residual's transpose: one row per surviving cell of the source
+        rows = tuple({at[y]: v for y, v in cols[x].items() if y in at}
+                     for x in alive[src])
+        res.append(_wrap(ring, rows, len(rows), len(at)).transpose()
+                   if any(rows) else None)
     free = []
     tors = []
     for i, d in enumerate(C.degrees):
         d_out, d_in = (res[j] if 0 <= j < len(res) else None for j in around[i])
         if d_out is None and d_in is None:
-            f, t = left[i], ()
+            f, t = len(alive[i]), ()
         else:
-            f, t = _homology_degree(ring, left[i], d_out, d_in, d)
+            f, t = _homology_degree(ring, len(alive[i]), d_out, d_in, d)
         free.append(f)
         tors.append(t)
     return HomologyProfile(ring, C.min_degree, tuple(free), tuple(tors))

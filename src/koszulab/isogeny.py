@@ -157,10 +157,8 @@ def mic_cohomology(data: KoszulData, mic: ModularIsogenyComplex):
     k = mic.k
     prof = homology(mic.complex)
     ck = data.koszul_module(k).rank
-    concentrated = all((prof.free_rank(s) == 0 and not prof.torsion_at(s))
-                       for s in prof.degrees if s != k) and not prof.torsion_at(k)
     return prof, {"koszul_rank": ck,
-                  "matches": concentrated and prof.free_rank(k) == ck}
+                  "matches": prof.concentrated_in(k) and prof.free_rank(k) == ck}
 
 
 # ---------------------------------------------------------------------------

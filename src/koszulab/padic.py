@@ -390,11 +390,6 @@ class PAdicMatrix:
                                       for a, b in zip(self.nonzeros, other.nonzeros)),
                      self.rows, c + other.cols)
 
-    def column(self, j: int) -> "PAdicMatrix":
-        j = self._column(j)
-        return _wrap(self.ring, tuple({0: r[j]} if j in r else _EMPTY for r in self.nonzeros),
-                     self.rows, 1)
-
     def select_rows(self, idx: Iterable[int]) -> "PAdicMatrix":
         rows = tuple(self.nonzeros[i] for i in idx)
         return _wrap(self.ring, rows, len(rows), self.cols)

@@ -17,6 +17,7 @@ from koszulab.complexes import HOMOLOGICAL, homology, make_complex
 from koszulab.isogeny import build_mic
 from koszulab.padic import (BaseRing, PAdicMatrix, inverse_mod, kernel_basis,
                             smith_normal_form, solve)
+from koszulab.partition import partition_complex
 
 from test_assemble import dual_number_dataset
 from test_module_skeleton import with_doubles
@@ -267,3 +268,32 @@ def test_elimination_builds_no_dense_scratch(monkeypatch):
     inverse_mod(U)
     assert homology(C).torsion == ((1,), (), (1,), ())
     assert dense == []
+
+
+def test_homology_reads_residuals_without_reducing_entries(monkeypatch):
+    """homology wraps each residual from its reduced columns, whose
+    entries are residues already: on Z/4 -2-> Z/4 -2-> Z/4 and on the
+    partition complex at n = 5 it calls no constructor that reduces
+    entries (`from_sparse_rows`, the dense `__init__`) and reads no matrix
+    as dense lists (`tolist`)."""
+    ring = BaseRing(2, 2)
+    two = PAdicMatrix(ring, [[2]], 1, 1)
+    torsion = make_complex(ring, HOMOLOGICAL, 0, [1, 1, 1], [two, two])
+    partition = partition_complex(5, ring).complex
+    made = []
+
+    def record(name):
+        original = getattr(PAdicMatrix, name)
+
+        def wrapper(*args, **kwargs):
+            made.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(PAdicMatrix, name, staticmethod(wrapper)
+                            if name == "from_sparse_rows" else wrapper)
+
+    for name in ("from_sparse_rows", "__init__", "tolist"):
+        record(name)
+    assert homology(torsion).torsion == ((1,), (), (1,))
+    prof = homology(partition)
+    assert prof.nonzero_degrees() == [4] and prof.free_rank(4) == 24
+    assert made == []

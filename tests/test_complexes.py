@@ -13,7 +13,7 @@ from koszulab.bar import KoszulData, bar_complex_with_module
 from koszulab.padic import BaseRing, PAdicMatrix, ShapeError
 from koszulab import complexes
 from koszulab.complexes import (COHOMOLOGICAL, HOMOLOGICAL, ChainComplex,
-                                ComplexError,
+                                ComplexError, HomologyProfile,
                                 _homology_degree, dualize_complex, homology,
                                 make_complex, verify_complex)
 from koszulab.partition import partition_complex
@@ -332,6 +332,15 @@ def test_euler_characteristic_matches_alternating_free_ranks():
             length += s * (RING22.N * prof.free_rank(d)
                            + sum(prof.torsion_at(d)))
         assert length == RING22.N * chi_complex
+
+
+def test_concentrated_in_means_zero_elsewhere_and_free_there():
+    prof = HomologyProfile(RING22, 1, (0, 2, 0), ((), (), ()))
+    assert prof.concentrated_in(2)
+    assert not prof.concentrated_in(1) and not prof.concentrated_in(5)
+    assert not prof._replace(torsion=((), (1,), ())).concentrated_in(2)
+    assert not prof._replace(torsion=((1,), (), ())).concentrated_in(2)
+    assert HomologyProfile(RING22, 0, (0, 0), ((), ())).concentrated_in(7)
 
 
 def test_empty_complex():
