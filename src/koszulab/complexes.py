@@ -214,12 +214,13 @@ def _reduce(d: PAdicMatrix, gone_src: set, gone_tgt: set, p: int, mod: int):
     reduced map, or is None for a cell of X cancelled by then.
     """
     cols = [{} for _ in range(d.cols)]
-    rows = [set() if y in gone_tgt else set(row) - gone_src
-            for y, row in enumerate(d.nonzeros)]
+    rows = []
     for y, row in enumerate(d.nonzeros):
-        if y not in gone_tgt:
-            for x, v in row.items():
-                cols[x][y] = v
+        if y in gone_tgt:
+            row = _EMPTY
+        for x, v in row.items():
+            cols[x][y] = v
+        rows.append(set(row) - gone_src)
     for x in gone_src:
         cols[x] = None
     for b, colb in enumerate(cols):
@@ -264,10 +265,10 @@ def homology(C: ChainComplex) -> HomologyProfile:
     left (see :func:`_reduce`; Kaczynski, Mrozek and Slusarek, "Homology
     computation by reduction of chain complexes", 1998), which preserves
     homology exactly over Z/p^N.  Last, each degree of the much smaller
-    complex that remains, each differential restricted to the cells no
-    reduction cancelled, whose differentials have no unit entry, goes
-    through the sparse Smith forms of :func:`_homology_degree`; a degree
-    whose remaining differentials are zero is free of its remaining rank.
+    complex that remains (each differential restricted to the cells no
+    sweep cancelled, with no unit entry left) goes through the sparse Smith
+    forms of :func:`_homology_degree`; a degree whose remaining
+    differentials are zero is free of its remaining rank.
     """
     ring = C.ring
     p, mod = ring.p, ring.modulus
