@@ -444,27 +444,22 @@ class Dataset:
 
 
 def builtin_height1(p: int, N: int, kmax: int) -> Dataset:
-    """The fully forced height-1 dataset.
+    """The fully forced height-1 dataset: the synthetic coboundary dataset
+    with f = g = 1.
 
     Every weight component has rank 1 with unit structure constants; the
     sphere module has each positive weight acting by the scalar 1 and the
-    trivial module has zero positive-weight action.
+    trivial module has zero positive-weight action.  Every subgroup algebra
+    is the base ring and every structure map of the package is the
+    identity scalar.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    ring = BaseRing(p, N)
-    coeff = CoefficientAlgebra(ring, 1, (((1,),),), (1,), ((p % ring.modulus,),))
-    one = PAdicMatrix(ring, [[1]], 1, 1)
-    comps = {k: Bimodule(ring, coeff, 1, (one,), (one,)) for k in range(1, kmax + 1)}
-    mult = {(k, l): one for k in range(1, kmax) for l in range(1, kmax + 1 - k)}
-    algebra = GradedAugmentedAlgebra(coeff, 1, kmax, comps, mult)
-    sphere = LeftModule("sphere", coeff, 1, {k: one for k in range(1, kmax + 1)})
-    modules = {"triv": trivial_module(coeff), "sphere": sphere}
-    ds = Dataset(p, N, "1", 1, "built-in height-1 dataset (rank-1 components, "
-                 "unit structure constants, generator basis)", algebra, modules)
-    from .isogeny import builtin_height1_package
-    ds.subgroup_package = builtin_height1_package(ds)
-    return ds
+    from .synthetic import _height1_dataset
+    ones = dict.fromkeys(range(kmax + 1), 1)
+    return _height1_dataset(BaseRing(p, N), ones, ones, "built-in height-1 "
+                            "dataset (rank-1 components, unit structure "
+                            "constants, generator basis)")
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +467,6 @@ def builtin_height1(p: int, N: int, kmax: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 FORMAT = "koszulab-1"
-
-
-def _matrix_to_json(m: PAdicMatrix):
-    return m.tolist()
 
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -540,6 +531,25 @@ def _matrix_from_json(ring, data, rows, cols, where):
     return PAdicMatrix(ring, _int_array(data, 2, where), rows, cols)
 
 
+def _actions_to_json(B: Bimodule) -> dict:
+    return {"left_action": [m.tolist() for m in B.left],
+            "right_action": [m.tolist() for m in B.right]}
+
+
+def _bimodule_from_json(coeff, r, d, where) -> Bimodule:
+    """The rank-r bimodule whose actions are the ``left_action`` and
+    ``right_action`` lists of ``d``: one r x r matrix per coefficient basis
+    element.  A DatasetError names the JSON path under ``where``."""
+    sides = [_need(d, side, where, list) for side in ("left_action", "right_action")]
+    if any(len(ms) != coeff.rank for ms in sides):
+        raise DatasetError(f"{where}: need one action "
+                           "matrix per coefficient basis element")
+    return Bimodule(coeff.ring, coeff, r, *[
+        tuple(_matrix_from_json(coeff.ring, m, r, r, f"{where}.{side}[{i}]")
+              for i, m in enumerate(ms))
+        for side, ms in zip(("left_action", "right_action"), sides)])
+
+
 def dataset_to_json(ds: Dataset) -> dict:
     A = ds.algebra
     c = A.coeff
@@ -560,17 +570,15 @@ def dataset_to_json(ds: Dataset) -> dict:
         "algebra": {
             "max_weight": A.max_weight,
             "components": [
-                {"k": k, "rank": A.rank(k),
-                 "left_action": [_matrix_to_json(m) for m in A.components[k].left],
-                 "right_action": [_matrix_to_json(m) for m in A.components[k].right]}
+                {"k": k, "rank": A.rank(k), **_actions_to_json(A.components[k])}
                 for k in sorted(A.components)
             ],
-            "mult": [{"k": k, "l": l, "matrix": _matrix_to_json(m)}
+            "mult": [{"k": k, "l": l, "matrix": m.tolist()}
                      for (k, l), m in sorted(A.mult.items())],
         },
         "modules": [
             {"name": M.name, "rank": M.rank,
-             "action": [{"k": k, "matrix": _matrix_to_json(m)}
+             "action": [{"k": k, "matrix": m.tolist()}
                         for k, m in sorted(M.action.items())]}
             for M in ds.modules.values()
         ],
@@ -619,7 +627,6 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
         raise DatasetError(f"top level: {exc}")
     coeff = _coefficient_algebra_from_json(
         ring, _need(doc, "coefficient_algebra", top, dict), "coefficient_algebra")
-    crank = coeff.rank
     alg = _need(doc, "algebra", top, dict)
     max_weight = _need(alg, "max_weight", "algebra", int)
     if max_weight < 1:
@@ -630,16 +637,7 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
         k = _need(ent, "k", f"algebra.components[{i}]", int)
         where = f"algebra.components[k={k}]"
         _first(comps, k, where)
-        r = _rank(ent, where)
-        la = _need(ent, "left_action", where, list)
-        ra = _need(ent, "right_action", where, list)
-        if len(la) != crank or len(ra) != crank:
-            raise DatasetError(f"{where}: need one action "
-                               "matrix per coefficient basis element")
-        comps[k] = Bimodule(
-            ring, coeff, r,
-            tuple(_matrix_from_json(ring, m, r, r, f"{where}.left_action") for m in la),
-            tuple(_matrix_from_json(ring, m, r, r, f"{where}.right_action") for m in ra))
+        comps[k] = _bimodule_from_json(coeff, _rank(ent, where), ent, where)
     if set(comps) != set(range(1, max_weight + 1)):
         raise DatasetError("algebra.components: weights must be exactly 1..max_weight")
     mult = {}
@@ -666,10 +664,10 @@ def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
         where = f"modules[{name!r}]"
         _first(modules, name, where)
         r = _rank(ent, where)
-        base = r * crank
+        base = r * coeff.rank
         action = {}
-        for a in _need(ent, "action", where, list, []):
-            k = _need(a, "k", f"{where}.action[]", int)
+        for j, a in enumerate(_need(ent, "action", where, list, [])):
+            k = _need(a, "k", f"{where}.action[{j}]", int)
             if not 1 <= k <= max_weight:
                 raise DatasetError(f"{where}.action: weight {k} out of range")
             _first(action, k, f"{where}.action[k={k}]")

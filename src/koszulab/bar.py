@@ -40,11 +40,8 @@ class ImageEscapesError(Exception):
 # A_a (x) (degree s - 1 of level L - a), on which the ambient differential
 # is -(I_{r_a} (x) d_{L-a}) - (the faces on the first part) (Priddy,
 # "Koszul resolutions", Trans. AMS 152, 1970; Polishchuk and Positselski,
-# "Quadratic Algebras", 2005, ch. 1).  An AmbientTable builds each level so.
-# The quotient differential is blockdiag(proj_full) @ d @
-# blockdiag(sect_full).  Over a coefficient algebra of rank 1 every tensor
-# quotient is its ambient product: d is the differential, and the bar,
-# module bar and subgroup blocks hold no tensor (see level_blocks).
+# "Quadratic Algebras", 2005, ch. 1).  An AmbientTable builds each level
+# so, and composition_complex reads it in the blocks' quotient coordinates.
 # ---------------------------------------------------------------------------
 
 class Block(NamedTuple):
@@ -56,34 +53,15 @@ class Block(NamedTuple):
     tensor: Optional[IteratedTensor]
 
 
-def place_blocks(ring, rows: int, cols: int, placed) -> PAdicMatrix:
-    """The rows x cols matrix summing sign * block at (row0, col0) for each
-    (row0, col0, sign, block) in ``placed``."""
-    nonzeros = [{} for _ in range(rows)]
-    for row0, col0, sign, block in placed:
-        for i, row in enumerate(block.nonzeros, row0):
-            out = nonzeros[i]
-            for j, x in row.items():
-                j += col0
-                out[j] = out.get(j, 0) + sign * x
-    return PAdicMatrix.from_sparse_rows(ring, rows, cols, nonzeros)
-
-
 def _block_diagonal(ring, mats) -> PAdicMatrix:
-    placed, rows, cols = [], 0, 0
+    """The block-diagonal matrix of ``mats``: their rows, shifted, with no
+    entry reduced again."""
+    rows, cols = [], 0
     for m in mats:
-        placed.append((rows, cols, 1, m))
-        rows, cols = rows + m.rows, cols + m.cols
-    return place_blocks(ring, rows, cols, placed)
-
-
-def _quotient(coeff, D: PAdicMatrix, tgt, src) -> PAdicMatrix:
-    """The ambient differential ``D`` from the blocks ``src`` to the blocks
-    ``tgt`` in their quotient coordinates: two products over E0 of rank > 1."""
-    if coeff.rank == 1:
-        return D
-    return (_block_diagonal(coeff.ring, [b.tensor.proj_full for b in tgt]) @ D
-            @ _block_diagonal(coeff.ring, [b.tensor.sect_full for b in src]))
+        rows += [{j + cols: x for j, x in r.items()} if r and cols else r
+                 for r in m.nonzeros]
+        cols += m.cols
+    return _wrap(ring, tuple(rows), len(rows), cols)
 
 
 class AmbientLevel(NamedTuple):
@@ -97,20 +75,6 @@ class AmbientLevel(NamedTuple):
     groups: tuple
     sizes: tuple
     diffs: tuple
-
-
-def level_blocks(coeff, level: AmbientLevel, s: int, tensor_of) -> tuple:
-    """The blocks of degree s of ``level``, laid end to end, and their total
-    rank.  Over E0 of rank > 1 block c holds ``tensor_of(c)``.  Over rank 1,
-    where tensor_over_coeff returns identity maps, each tensor's proj_full
-    and sect_full are identities and its rank the level's dim: none is held."""
-    if coeff.rank == 1:
-        return (tuple(map(Block, level.comps[s], level.starts[s], level.dims[s],
-                          repeat(None))), level.sizes[s])
-    tensors = [tensor_of(c) for c in level.comps[s]]
-    ranks = [t.bimodule.rank for t in tensors]
-    return (tuple(map(Block, level.comps[s], accumulate(ranks, initial=0), ranks,
-                      tensors)), sum(ranks))
 
 
 def _copies(level: AmbientLevel, s: int, r: int, off: int):
@@ -220,6 +184,40 @@ class AmbientTable:
         return self._terms[(x, y)]
 
 
+def composition_complex(coeff, level: AmbientLevel, orientation: str,
+                        degrees: range, tensor_of):
+    """The complex of ``level`` in ``degrees``, its blocks per degree and
+    the degree where d o d fails (None if it is a complex).  Over E0 of
+    rank > 1 block c holds ``tensor_of(c)``, and the ambient differential d
+    is read in the blocks' quotient coordinates: blockdiag(proj_full) @ d @
+    blockdiag(sect_full), two products.  Over rank 1, where
+    tensor_over_coeff returns identity maps, the blocks are the level's
+    compositions with their ambient starts and ranks, hold no tensor, and
+    d is the differential."""
+    ring = coeff.ring
+    diffs = level.diffs[degrees.start:degrees.stop - 1]
+    if coeff.rank == 1:
+        blocks = [tuple(map(Block, level.comps[s], level.starts[s],
+                            level.dims[s], repeat(None))) for s in degrees]
+        ranks = [level.sizes[s] for s in degrees]
+    else:
+        blocks, ranks = [], []
+        for s in degrees:
+            tensors = [tensor_of(c) for c in level.comps[s]]
+            dims = [t.bimodule.rank for t in tensors]
+            blocks.append(tuple(map(Block, level.comps[s],
+                                    accumulate(dims, initial=0), dims, tensors)))
+            ranks.append(sum(dims))
+        pairs = zip(blocks, blocks[1:])       # (degree s - 1, degree s)
+        if orientation != HOMOLOGICAL:
+            pairs = ((hi, lo) for lo, hi in pairs)
+        diffs = [_block_diagonal(ring, [b.tensor.proj_full for b in tgt]) @ d
+                 @ _block_diagonal(ring, [b.tensor.sect_full for b in src])
+                 for (tgt, src), d in zip(pairs, diffs)]
+    cx = make_complex(ring, orientation, degrees.start, ranks, diffs)
+    return cx, tuple(blocks), verify_complex(cx)[1]
+
+
 class CompositionTable(TensorTable):
     """A TensorTable with ``ambient``, its family's AmbientTable."""
 
@@ -236,7 +234,6 @@ class BarComplex(NamedTuple):
     weight: Optional[int]          # None for the module-coefficient complex
     complex: ChainComplex
     blocks: tuple                  # per degree, tuple of Block
-    module_name: Optional[str] = None
 
     def degree_blocks(self, s: int):
         return self.blocks[s - self.complex.min_degree]
@@ -251,16 +248,6 @@ def weight_tensors(A: GradedAugmentedAlgebra) -> CompositionTable:
         AmbientTable(A.coeff.ring, A.rank, lambda x, y: A.mult[(x, y)]))
 
 
-def _checked_bar(ring, ranks, diffs) -> ChainComplex:
-    """The bar complex with these ranks and differentials; d o d is checked."""
-    cx = make_complex(ring, HOMOLOGICAL, 0, ranks, diffs)
-    ok, deg = verify_complex(cx)
-    if not ok:
-        raise NotKoszulError(f"bar differential fails d o d = 0 at degree {deg} "
-                             f"(invalid dataset)")
-    return cx
-
-
 def bar_complex(A: GradedAugmentedAlgebra, k: int,
                 tensors: CompositionTable) -> BarComplex:
     """The weight-k piece of the normalized two-sided bar complex with
@@ -273,26 +260,28 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
     """
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")
-    level = tensors.ambient.level(k)
-    blocks, ranks = zip(*[level_blocks(A.coeff, level, s, tensors.__getitem__)
-                          for s in range(k + 1)])
-    diffs = [_quotient(A.coeff, d, blocks[s - 1], blocks[s])
-             for s, d in enumerate(level.diffs, 1)]
-    return BarComplex(k, _checked_bar(A.coeff.ring, ranks, diffs), blocks)
+    cx, blocks, bad = composition_complex(A.coeff, tensors.ambient.level(k),
+                                          HOMOLOGICAL, range(k + 1),
+                                          tensors.__getitem__)
+    if bad is not None:
+        raise NotKoszulError(f"bar differential fails d o d = 0 at degree "
+                             f"{bad} (invalid dataset)")
+    return BarComplex(k, cx, blocks)
 
 
 def bar_complex_with_module(data: KoszulData, M: LeftModule,
                             smax: int) -> BarComplex:
     """Normalized bar complex with trivial left and module right coefficients,
     truncated to compositions of total weight <= max_weight (a subcomplex,
-    since the differential never raises total slot weight).  Its
+    since the differential never raises total slot weight), in degrees
+    0..min(smax, max_weight): no composition has more parts.  Its
     differential is the alternating sum of the merge faces and of the face
     acting the last slot on ``M``; d o d is checked.  The ambient
     differentials come from the module's own :class:`AmbientTable`, whose
     bound-B complex is built on those of the bounds below B; the blocks
     T(c) (x) M, laid out as in it, tensor the weight tensors of ``data``
     with M over E0 of rank > 1 and hold none over rank 1 (see
-    :func:`level_blocks`)."""
+    :func:`composition_complex`)."""
     A = data.algebra
     ring, top = A.coeff.ring, A.max_weight
     actions = {k: M.weight_action(k, A.rank(k)) for k in range(1, top + 1)}
@@ -302,12 +291,12 @@ def bar_complex_with_module(data: KoszulData, M: LeftModule,
 
     def tensor_of(comp):
         return tensor_step(data.tensors[comp], Mb) if comp else identity_tensor(Mb)
-    blocks, ranks = zip(*[level_blocks(A.coeff, level, s, tensor_of)
-                          if s <= top else ((), 0) for s in range(smax + 1)])
-    diffs = [_quotient(A.coeff, level.diffs[s - 1], blocks[s - 1], blocks[s])
-             if s <= top else PAdicMatrix.zeros(ring, ranks[s - 1], 0)
-             for s in range(1, smax + 1)]
-    return BarComplex(None, _checked_bar(ring, ranks, diffs), blocks, M.name)
+    cx, blocks, bad = composition_complex(A.coeff, level, HOMOLOGICAL,
+                                          range(min(smax, top) + 1), tensor_of)
+    if bad is not None:
+        raise NotKoszulError(f"bar differential fails d o d = 0 at degree "
+                             f"{bad} (invalid dataset)")
+    return BarComplex(None, cx, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +356,6 @@ def _induced_bimodule(A: GradedAugmentedAlgebra, kd: KoszulModuleData) -> Bimodu
 
 
 class KoszulComplexData(NamedTuple):
-    module_name: str
     complex: ChainComplex
     c_ranks: tuple                  # rank of C[k] per degree k
     term_ranks: tuple               # rank of C[k] (x) M per degree k
@@ -425,7 +413,7 @@ def koszul_complex(data: KoszulData, M: LeftModule) -> KoszulComplexData:
     ok, deg = verify_complex(cx)
     if not ok:
         raise ImageEscapesError(f"Koszul differential fails d o d = 0 at degree {deg}")
-    return KoszulComplexData(M.name, cx, tuple(kd.rank for kd in kos),
+    return KoszulComplexData(cx, tuple(kd.rank for kd in kos),
                              tuple(term_ranks), tuple(amb_incs))
 
 

@@ -131,8 +131,8 @@ def cmd_bar(args, checks) -> Dataset:
     data = KoszulData(ds.algebra)
     if args.module is not None:
         # degrees 0..k of the module bar complex: it is built one degree
-        # further, so that degree k's homology is Tor_k and not the kernel
-        # of a truncated top degree
+        # further (it has none above max_weight), so that degree k's
+        # homology is Tor_k and not the kernel of a truncated top degree
         bc = bar_complex_with_module(data, ds.module(args.module), k + 1)
     else:
         bc = data.bar(k)

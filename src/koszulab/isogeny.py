@@ -14,15 +14,15 @@ from functools import partial, reduce
 from typing import NamedTuple, Optional
 
 from .padic import ExactLinalgError, PAdicMatrix, inverse_mod
-from .complexes import (ChainComplex, COHOMOLOGICAL,
-                        dualize_complex, homology, make_complex, verify_complex)
+from .complexes import ChainComplex, COHOMOLOGICAL, dualize_complex, homology
 from .algebra import (Bimodule, CoefficientAlgebra, Dataset, DatasetError,
                       IteratedTensor, LeftModule, ValidationReport,
                       identity_tensor, iterated_tensor, validate_commutative_algebra,
-                      _e, _coefficient_algebra_from_json, _first,
+                      _e, _actions_to_json, _bimodule_from_json,
+                      _coefficient_algebra_from_json, _first,
                       _matrix_from_json, _need)
-from .bar import (AmbientTable, CompositionTable, KoszulData, _quotient,
-                  level_blocks, place_blocks)
+from .bar import (AmbientTable, CompositionTable, KoszulData, _block_diagonal,
+                  composition_complex)
 
 
 class MICError(Exception):
@@ -129,20 +129,15 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
     of the refinement maps applied in each slot.  The flag modules and the
     ambient complex, built on the lower orders', come from ``pkg.flags``; a
     missing order or u1 raises MICError before the complex is built."""
-    ring = pkg.coeff.ring
     if k < 0:
         raise MICError("negative order exponent")
     if k > pkg.max_order:
         raise MICError(f"package covers orders up to p^{pkg.max_order}, need p^{k}")
-    level = pkg.flags.ambient.level(k)
     low = 1 if k else 0     # order p^0 is the coefficient ring in degree 0
-    blocks, ranks = zip(*[level_blocks(pkg.coeff, level, s, pkg.flags.__getitem__)
-                          for s in range(low, k + 1)])
-    diffs = [_quotient(pkg.coeff, level.diffs[s], blocks[s + 1 - low], blocks[s - low])
-             for s in range(low, k)]
-    cx = make_complex(ring, COHOMOLOGICAL, low, ranks, diffs)
-    ok, deg = verify_complex(cx)
-    if not ok:
+    cx, blocks, deg = composition_complex(pkg.coeff, pkg.flags.ambient.level(k),
+                                          COHOMOLOGICAL, range(low, k + 1),
+                                          pkg.flags.__getitem__)
+    if deg is not None:
         comps = [b.composition for b in blocks[deg - low]]
         raise MICError(f"refinement maps fail d o d = 0 between degrees "
                        f"{deg} and {deg + 2}; source compositions {comps} "
@@ -236,7 +231,9 @@ def dualize_bar_to_mic(data: KoszulData, pkg: SubgroupAlgebraPackage,
     """Construct the degreewise isomorphisms from the dual weight-k bar
     complex to the order-p^k complex through the pairing matrices, and assert
     they intertwine the two differentials exactly.  The bar complex comes
-    from ``data``, and the pairing inverses from the package.
+    from ``data``, and the pairing inverses from the package.  Both complexes
+    list the same compositions in the same order, so each map is
+    block-diagonal, one block per composition.
 
     Block c is the one X with PK @ sect_mic @ X = proj_bar^T (PK the tensor
     product of c's pairings, unimodular; proj_mic @ sect_mic = 1): X = proj_mic
@@ -264,11 +261,11 @@ def dualize_bar_to_mic(data: KoszulData, pkg: SubgroupAlgebraPackage,
     mic = build_mic(pkg, k)
     dual = dualize_complex(bc.complex)
 
-    def placed(s):
+    def blocks(s):
         for bb, mb in zip(bc.degree_blocks(s), mic.blocks[s - 1]):
             inv = reduce(PAdicMatrix.kron, map(pkg.pairing_inverse, bb.composition))
             if bb.tensor is None:
-                yield mb.start, bb.start, 1, inv
+                yield inv
                 continue
             Q = inv @ bb.tensor.proj_full.transpose()
             block = mb.tensor.proj_full @ Q
@@ -278,7 +275,7 @@ def dualize_bar_to_mic(data: KoszulData, pkg: SubgroupAlgebraPackage,
                 raise MICError(f"pairing does not descend at degree {s}, "
                                f"composition {bb.composition}: entry ({i},{j}) "
                                f"lies outside the image of the flag module")
-            yield mb.start, bb.start, 1, block
+            yield block
 
     maps = []
     for s in range(1, k + 1):
@@ -286,8 +283,7 @@ def dualize_bar_to_mic(data: KoszulData, pkg: SubgroupAlgebraPackage,
                 [b.composition for b in mic.blocks[s - 1]]:
             raise MICError(f"bar and subgroup blocks index different "
                            f"compositions at degree {s}")
-        maps.append(place_blocks(ring, mic.complex.ranks[s - 1], dual.ranks[s],
-                                 placed(s)))
+        maps.append(_block_diagonal(ring, blocks(s)))
     for s in range(1, k):
         lhs = maps[s] @ dual.differentials[s]      # dual d: degree s -> s+1
         rhs = mic.complex.differentials[s - 1] @ maps[s - 1]
@@ -305,7 +301,6 @@ def dualize_bar_to_mic(data: KoszulData, pkg: SubgroupAlgebraPackage,
 
 @dataclass
 class ShiftSquareResult:
-    square: int
     commutes: bool
     route_top: PAdicMatrix
     route_bottom: PAdicMatrix
@@ -364,44 +359,19 @@ def verify_theorem_10_2(data: KoszulData, pkg: SubgroupAlgebraPackage,
     top = q_j1 @ shift
     bottom = kc.complex.differentials[j].transpose() @ q_j
     if top == bottom:
-        return ShiftSquareResult(k, True, top, bottom, None)
+        return ShiftSquareResult(True, top, bottom, None)
     diff = top - bottom
     witness = next(f"basis vector {c0} of the {j}-fold flag module: "
                    f"images differ in coordinate {r}"
                    for r, row in enumerate(diff.nonzeros) for c0 in sorted(row))
-    return ShiftSquareResult(k, False, top, bottom, witness)
+    return ShiftSquareResult(False, top, bottom, witness)
 
 
 # ---------------------------------------------------------------------------
-# Built-in package and serialization
+# Serialization
 # ---------------------------------------------------------------------------
-
-def builtin_height1_package(ds: Dataset) -> SubgroupAlgebraPackage:
-    """At height 1 every subgroup algebra is the base ring and every structure
-    map is the identity scalar."""
-    coeff = ds.algebra.coeff
-    ring = coeff.ring
-    one = PAdicMatrix(ring, [[1]], 1, 1)
-    kmax = ds.algebra.max_weight
-    scalar_alg = CoefficientAlgebra(ring, 1, (((1,),),), (1,), ())
-    orders = {k: SubgroupAlgebra(k, scalar_alg,
-                                 Bimodule(ring, coeff, 1, (one,), (one,)))
-              for k in range(1, kmax + 1)}
-    return SubgroupAlgebraPackage(
-        coeff=coeff,
-        orders=orders,
-        t_maps={k: one for k in range(1, kmax + 1)},
-        u1={(k1, k2): one for k1 in range(1, kmax)
-            for k2 in range(1, kmax + 1 - k1)},
-        shift={k: one for k in range(1, kmax + 1)},
-        pairing={k: one for k in range(1, kmax + 1)},
-    )
-
 
 def package_to_json(pkg: SubgroupAlgebraPackage) -> dict:
-    def mat(m):
-        return m.tolist()
-
     return {
         "orders": [
             {"k": k,
@@ -410,16 +380,15 @@ def package_to_json(pkg: SubgroupAlgebraPackage) -> dict:
                  "mult_constants": [[[x for x in row] for row in plane]
                                     for plane in S.algebra.mult_constants],
                  "unit": list(S.algebra.unit),
-                 "left_action": [mat(m) for m in S.bimodule.left],
-                 "right_action": [mat(m) for m in S.bimodule.right],
+                 **_actions_to_json(S.bimodule),
              },
-             "t": mat(pkg.t_maps[k])}
+             "t": pkg.t_maps[k].tolist()}
             for k, S in sorted(pkg.orders.items())
         ],
-        "u1": [{"k1": k1, "k2": k2, "matrix": mat(m)}
+        "u1": [{"k1": k1, "k2": k2, "matrix": m.tolist()}
                for (k1, k2), m in sorted(pkg.u1.items())],
-        "shift": [{"k": k, "matrix": mat(m)} for k, m in sorted(pkg.shift.items())],
-        "pairing": [{"k": k, "matrix": mat(m)} for k, m in sorted(pkg.pairing.items())],
+        "shift": [{"k": k, "matrix": m.tolist()} for k, m in sorted(pkg.shift.items())],
+        "pairing": [{"k": k, "matrix": m.tolist()} for k, m in sorted(pkg.pairing.items())],
     }
 
 
@@ -441,18 +410,10 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
             raise DatasetError(f"{where}: k must be at least 1")
         a = _need(ent, "algebra", where, dict)
         alg = _coefficient_algebra_from_json(ring, a, f"{where}.algebra")
-        r = alg.rank
-        la = _need(a, "left_action", f"{where}.algebra", list)
-        ra = _need(a, "right_action", f"{where}.algebra", list)
-        if len(la) != coeff.rank or len(ra) != coeff.rank:
-            raise DatasetError(f"{where}.algebra: need one action "
-                               "matrix per coefficient basis element")
-        bm = Bimodule(
-            ring, coeff, r,
-            tuple(mat(m, r, r, f"{where}.left_action") for m in la),
-            tuple(mat(m, r, r, f"{where}.right_action") for m in ra))
-        orders[k] = SubgroupAlgebra(k, alg, bm)
-        t_maps[k] = mat(_need(ent, "t", where, list), r, coeff.rank, f"{where}.t")
+        orders[k] = SubgroupAlgebra(
+            k, alg, _bimodule_from_json(coeff, alg.rank, a, f"{where}.algebra"))
+        t_maps[k] = mat(_need(ent, "t", where, list), alg.rank, coeff.rank,
+                        f"{where}.t")
     u1 = {}
     for i, ent in enumerate(_need(doc, "u1", top, list, [])):
         k1 = _need(ent, "k1", f"{top}.u1[{i}]", int)
@@ -464,7 +425,7 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
                                f"p^{k1}, p^{k2} and p^{k1 + k2}")
         u1[(k1, k2)] = mat(_need(ent, "matrix", where, list),
                            orders[k1].rank * orders[k2].rank,
-                           orders[k1 + k2].rank, where)
+                           orders[k1 + k2].rank, f"{where}.matrix")
     pkg = SubgroupAlgebraPackage(coeff, orders, t_maps, u1, {}, {})
     shift = {}
     for i, ent in enumerate(_need(doc, "shift", top, list, [])):
@@ -475,7 +436,8 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
             raise DatasetError(f"{where}: k must be at least 1")
         fr = pkg.flags[(1,) * k].bimodule.rank
         fr1 = pkg.flags[(1,) * (k + 1)].bimodule.rank
-        shift[k] = mat(_need(ent, "matrix", where, list), fr1, fr, where)
+        shift[k] = mat(_need(ent, "matrix", where, list), fr1, fr,
+                       f"{where}.matrix")
     pairing = {}
     for i, ent in enumerate(_need(doc, "pairing", top, list, [])):
         k = _need(ent, "k", f"{top}.pairing[{i}]", int)
@@ -485,7 +447,7 @@ def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
             raise DatasetError(f"{where}: needs a weight-{k} component and "
                                f"the subgroup algebra of order p^{k}")
         pairing[k] = mat(_need(ent, "matrix", where, list),
-                         ds.algebra.rank(k), orders[k].rank, where)
+                         ds.algebra.rank(k), orders[k].rank, f"{where}.matrix")
     pkg.shift = shift
     pkg.pairing = pairing
     return pkg

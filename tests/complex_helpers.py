@@ -1,8 +1,9 @@
 """Reference code on chain complexes that only the tests use: the maps in
-and out of one degree, the Euler characteristic, and the compositions that
+and out of one degree, the Euler characteristic, the compositions that
 index the bar, module-bar and subgroup complexes, enumerated apart from the
-builders' recursion."""
+builders' recursion, and a signed sum of placed blocks."""
 from koszulab.complexes import HOMOLOGICAL
+from koszulab.padic import PAdicMatrix
 
 
 def boundary_maps(C, degree: int):
@@ -32,3 +33,16 @@ def bounded_compositions(parts: int, max_total: int):
     parts, lex order."""
     return sorted(c for total in range(max_total + 1)
                   for c in compositions(total, parts))
+
+
+def place_blocks(ring, rows: int, cols: int, placed) -> PAdicMatrix:
+    """The rows x cols matrix summing sign * block at (row0, col0) for each
+    (row0, col0, sign, block) in ``placed``."""
+    nonzeros = [{} for _ in range(rows)]
+    for row0, col0, sign, block in placed:
+        for i, row in enumerate(block.nonzeros, row0):
+            out = nonzeros[i]
+            for j, x in row.items():
+                j += col0
+                out[j] = out.get(j, 0) + sign * x
+    return PAdicMatrix.from_sparse_rows(ring, rows, cols, nonzeros)

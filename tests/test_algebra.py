@@ -1,7 +1,9 @@
 """Coefficient algebras, graded components, tensor products over the
 coefficients, dataset validation and serialization."""
+import ast
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -191,6 +193,65 @@ def test_load_rejects_invalid_json(tmp_path):
     with pytest.raises(DatasetError) as exc:
         load_dataset(path)
     assert "line" in str(exc.value)
+
+
+def walk(doc, path):
+    """The value a load error's JSON path names in ``doc``: ``.name`` reads a
+    key, ``[i]`` a list index, ``[k=1]`` or ``[k1=1,k2=1]`` the list entry
+    with those fields and ``['sphere']`` the entry of that name."""
+    node = doc
+    for key, index, match in re.findall(r"\.?(\w+)|\[(\d+)\]|\[([^]]+)\]", path):
+        if key:
+            node = node[key]
+        elif index:
+            node = node[int(index)]
+        elif match.startswith("'"):
+            [node] = [e for e in node if e["name"] == ast.literal_eval(match)]
+        else:
+            want = {f: int(v) for f, v in (kv.split("=") for kv in match.split(","))}
+            [node] = [e for e in node if all(e[f] == v for f, v in want.items())]
+    return node
+
+
+SPHERE = ("modules", 1, "action", 0)       # modules[1] is "sphere"
+ORDER = ("subgroup_package", "orders", 0)
+
+
+@pytest.mark.parametrize("site", [
+    ("coefficient_algebra", "mult_constants", 0, 0, 0),
+    ("coefficient_algebra", "unit", 0),
+    ("coefficient_algebra", "maximal_ideal", 0, 0),
+    ("algebra", "components", 1, "left_action", 0, 0, 0),
+    ("algebra", "components", 1, "right_action", 0, 0, 0),
+    ("algebra", "mult", 0, "matrix", 0, 0),
+    SPHERE + ("matrix", 0, 0),
+    SPHERE + ("k",),
+    ORDER + ("algebra", "mult_constants", 0, 0, 0),
+    ORDER + ("algebra", "unit", 0),
+    ORDER + ("algebra", "left_action", 0, 0, 0),
+    ORDER + ("algebra", "right_action", 0, 0, 0),
+    ORDER + ("t", 0, 0),
+    ("subgroup_package", "u1", 0, "matrix", 0, 0),
+    ("subgroup_package", "shift", 0, "matrix", 0, 0),
+    ("subgroup_package", "pairing", 1, "matrix", 0, 0),
+], ids=lambda site: ".".join(map(str, site)))
+def test_non_integer_leaf_error_names_its_json_path(site):
+    """A float at any matrix entry, structure constant or keyed entry's
+    ``k`` fails the load, and the path the error names, read as keys (and
+    as the field it names), reaches that very leaf."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    *outer, last = site
+    parent = doc
+    for key in outer:
+        parent = parent[key]
+    leaf = parent[last] = 1.5
+    with pytest.raises(DatasetError) as exc:
+        dataset_from_json(doc)
+    path, rest = str(exc.value).split(": ", 1)
+    node = walk(doc, path)
+    if rest.startswith("field "):
+        node = node[ast.literal_eval(rest.split(":")[0][len("field "):])]
+    assert node is leaf, str(exc.value)
 
 
 def test_missing_field_is_reported_with_path():

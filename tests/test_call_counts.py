@@ -23,11 +23,12 @@ from test_assemble import dual_number_dataset
 from test_module_skeleton import with_doubles
 
 WRAPPED = (("bar", "bar_complex"), ("bar", "koszul_complex"),
-           ("bar", "_quotient"), ("bar", "_induced_bimodule"),
+           ("bar", "composition_complex"), ("bar", "_induced_bimodule"),
            ("complexes", "homology"), ("complexes", "verify_complex"),
            ("padic", "solve"),
            ("isogeny", "build_mic"), ("isogeny", "dualize_bar_to_mic"),
            ("algebra", "tensor_over_coeff"), ("algebra", "iterated_tensor"),
+           ("algebra", "tensor_step"),
            ("algebra", "load_dataset"), ("padic", "inverse_mod"))
 WRAPPED_METHODS = (("bar", "AmbientTable", "level"),
                    ("padic", "PAdicMatrix", "__matmul__"),
@@ -196,20 +197,23 @@ def test_mic_builds_its_subgroup_complex_once(tmp_path, monkeypatch):
 def test_assembly_forms_no_product_and_verify_one_per_pair(tmp_path, monkeypatch):
     """The ambient differentials are copies of the lower levels' nonzeros
     plus the faces on the first part, with no matrix product; over a
-    coefficient algebra of rank 1 they are the differentials, and over
-    the dual numbers (rank 2) each is read in quotient coordinates with two
-    products.  Each d o d check is one product per consecutive pair of
-    differentials."""
+    coefficient algebra of rank 1 `composition_complex` takes them as the
+    differentials and forms no product but its d o d check's, one per
+    consecutive pair of differentials.  Over the dual numbers (rank 2) it
+    reads each in quotient coordinates with two products (its blocks'
+    tensor steps are counted apart)."""
     _, path = saved_builtin(tmp_path)
     calls = record_calls(monkeypatch)
     report, code = run(["verify", str(path), "--suite", "all", "--json"])
     assert code == EXIT_PASS and report.passed
     assert any(name == "bar.AmbientTable.level" for name, _, _ in calls)
-    assert any(name == "bar._quotient" for name, _, _ in calls)
+    assert any(name == "bar.composition_complex" for name, _, _ in calls)
     products = ("padic.PAdicMatrix.__matmul__", "padic.PAdicMatrix.kron_apply")
-    assembly = ("bar.AmbientTable.level", "bar._quotient")
     assert not [c for c in calls if c[0] in products
-                and any(a in c[2] for a in assembly)]
+                and "bar.AmbientTable.level" in c[2]]
+    assert not [c for c in calls if c[0] in products
+                and "bar.composition_complex" in c[2]
+                and "complexes.verify_complex" not in c[2]]
     checks = [args[0] for name, args, _ in calls if name == "complexes.verify_complex"]
     assert checks
     made = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
@@ -225,15 +229,16 @@ def test_assembly_forms_no_product_and_verify_one_per_pair(tmp_path, monkeypatch
         build_mic(pkg, k)
     for M in ds.modules.values():
         bar_complex_with_module(data, M, A.max_weight)
-    quotients = [c for c in calls if c[0] == "bar._quotient"]
-    assert len(quotients) == (A.max_weight * (A.max_weight + 1) // 2
-                              + A.max_weight * (A.max_weight - 1) // 2
-                              + A.max_weight * len(ds.modules))
+    differentials = sum(len(args[3]) - 1 for name, args, _ in calls
+                        if name == "bar.composition_complex")
+    assert differentials == (A.max_weight * (A.max_weight + 1) // 2
+                             + A.max_weight * (A.max_weight - 1) // 2
+                             + A.max_weight * len(ds.modules))
     assert not [c for c in calls if c[0] in products
                 and "bar.AmbientTable.level" in c[2]]
     made = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
-            and c[2][-1:] == ("bar._quotient",)]
-    assert len(made) == 2 * len(quotients)
+            and c[2][-1:] == ("bar.composition_complex",)]
+    assert len(made) == 2 * differentials
 
 
 def test_elimination_builds_no_dense_scratch(monkeypatch):

@@ -8,14 +8,14 @@ from koszulab.padic import PAdicMatrix, inverse_mod
 from koszulab.complexes import homology, verify_complex
 from koszulab.algebra import (CoefficientAlgebra, builtin_height1, canonical_json,
                               dataset_from_json, dataset_to_json)
-from koszulab.bar import KoszulData, koszul_module, place_blocks
+from koszulab.bar import KoszulData, koszul_module
 from koszulab.isogeny import (MICError, SubgroupAlgebra, SubgroupAlgebraPackage,
                               build_mic, dualize_bar_to_mic, flag_tensor,
                               mic_cohomology, validate_package,
                               verify_theorem_10_2)
 from koszulab.synthetic import perturb_pairing, synthetic_height1_dataset
 
-from complex_helpers import compositions
+from complex_helpers import compositions, place_blocks
 from test_assemble import dual_number_dataset
 from test_golden import sym2_dataset
 
