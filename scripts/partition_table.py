@@ -3,12 +3,15 @@
 every n up to --nmax, and, where the size guardrail admits n (or --force is
 given), the enumerated counts, reduced homology and the wall time of the
 build, of the partition lattice it starts from (timed in a call of its own),
-of the d o d check and of the homology, for a range of primes.  The check
-runs first and marks the complex checked, so the homology time is the
-reduction alone.
+of the d o d check and of the homology, for a range of primes.  The
+complex comes out of its builder marked checked, so the homology time is
+the reduction alone; the d o d check here is an independent oracle run
+with products.
 
-The enumerated counts must equal the predicted ones; the top-degree rank
-should be (n-1)!; everything else should vanish.
+The enumerated counts must equal the predicted ones, and d o d must
+vanish, or the script exits 1 (a complex that fails the check gets no
+homology); the top-degree rank should be (n-1)!; everything else should
+vanish.
 """
 import argparse
 import math
@@ -45,15 +48,21 @@ def main():
             t0 = time.monotonic()
             data = partition_complex(n, BaseRing(p, args.N), force=args.force)
             t1 = time.monotonic()
-            verify_complex(data.complex)
+            complex_ok, degree = verify_complex(data.complex)
             t2 = time.monotonic()
-            prof = homology(data.complex)
-            t3 = time.monotonic()
             if k == 0:
                 counts = data.complex.ranks
                 same = counts == predicted
                 mismatches += not same
                 print(f"  enumerated {'equal the prediction' if same else counts}")
+            if not complex_ok:
+                mismatches += 1
+                print(f"  p={p}, N={args.N}: d o d != 0 at degree {degree} "
+                      f"[NOT A COMPLEX] (build {t1 - t0:.3f}s; "
+                      f"d o d check {t2 - t1:.3f}s)")
+                continue
+            prof = homology(data.complex)
+            t3 = time.monotonic()
             ok = (prof.concentrated_in(n - 1)
                   and prof.free_rank(n - 1) == math.factorial(n - 1))
             print(f"  p={p}, N={args.N}: free ranks {prof.free_ranks} "

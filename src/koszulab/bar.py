@@ -185,7 +185,7 @@ class AmbientTable:
 
 
 def composition_complex(coeff, level: AmbientLevel, orientation: str,
-                        degrees: range, tensor_of):
+                        degrees: range, tensor_of, proved: bool):
     """The complex of ``level`` in ``degrees``, its blocks per degree and
     the degree where d o d fails (None if it is a complex).  Over E0 of
     rank > 1 block c holds ``tensor_of(c)``, and the ambient differential d
@@ -193,7 +193,11 @@ def composition_complex(coeff, level: AmbientLevel, orientation: str,
     blockdiag(sect_full), two products.  Over rank 1, where
     tensor_over_coeff returns identity maps, the blocks are the level's
     compositions with their ambient starts and ranks, hold no tensor, and
-    d is the differential."""
+    d is the differential.
+
+    With ``proved`` (the caller's structure maps satisfy the identities its
+    docstring names) the complex is marked checked and no d o d product is
+    formed; otherwise :func:`verify_complex` checks it."""
     ring = coeff.ring
     diffs = level.diffs[degrees.start:degrees.stop - 1]
     if coeff.rank == 1:
@@ -214,8 +218,8 @@ def composition_complex(coeff, level: AmbientLevel, orientation: str,
         diffs = [_block_diagonal(ring, [b.tensor.proj_full for b in tgt]) @ d
                  @ _block_diagonal(ring, [b.tensor.sect_full for b in src])
                  for (tgt, src), d in zip(pairs, diffs)]
-    cx = make_complex(ring, orientation, degrees.start, ranks, diffs)
-    return cx, tuple(blocks), verify_complex(cx)[1]
+    cx = make_complex(ring, orientation, degrees.start, ranks, diffs, proved)
+    return cx, tuple(blocks), None if proved else verify_complex(cx)[1]
 
 
 class CompositionTable(TensorTable):
@@ -249,7 +253,7 @@ def weight_tensors(A: GradedAugmentedAlgebra) -> CompositionTable:
 
 
 def bar_complex(A: GradedAugmentedAlgebra, k: int,
-                tensors: CompositionTable) -> BarComplex:
+                tensors: CompositionTable, validated: bool) -> BarComplex:
     """The weight-k piece of the normalized two-sided bar complex with
     trivial outer coefficients: degree-s term the sum over compositions of k
     into s positive parts of the tensor product of the corresponding weight
@@ -257,12 +261,25 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
     sum of the merge faces.  Its tensors and its ambient differentials,
     built on those of the lower weights, come from ``tensors`` (see
     :func:`weight_tensors`).
+
+    With ``validated`` (A passed :func:`algebra.validate_algebra`) it is
+    marked checked with no product, as weight k is a complex if the lower
+    weights are.  On the group of first part a, d_k o d_k is
+    I (x) (d_{k-a} o d_{k-a}), which vanishes, plus cross terms, plus m o m
+    on the first parts.  A cross term of a face on the first part with a
+    face on disjoint slots of the tail comes twice, with opposite signs, and
+    cancels.  The overlapping cross terms and m o m cancel by "mult
+    associativity", checked on the ambient products.  Over E0 of rank > 1,
+    "mult balance" and "mult left/right linearity" make each face well
+    defined on the quotient (x)_{E0}, so read in quotient coordinates it is
+    still a complex.  Otherwise d o d is checked with products, and a
+    failure raises NotKoszulError naming the degree.
     """
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")
     cx, blocks, bad = composition_complex(A.coeff, tensors.ambient.level(k),
                                           HOMOLOGICAL, range(k + 1),
-                                          tensors.__getitem__)
+                                          tensors.__getitem__, validated)
     if bad is not None:
         raise NotKoszulError(f"bar differential fails d o d = 0 at degree "
                              f"{bad} (invalid dataset)")
@@ -276,12 +293,21 @@ def bar_complex_with_module(data: KoszulData, M: LeftModule,
     since the differential never raises total slot weight), in degrees
     0..min(smax, max_weight): no composition has more parts.  Its
     differential is the alternating sum of the merge faces and of the face
-    acting the last slot on ``M``; d o d is checked.  The ambient
+    acting the last slot on ``M``.  The ambient
     differentials come from the module's own :class:`AmbientTable`, whose
     bound-B complex is built on those of the bounds below B; the blocks
     T(c) (x) M, laid out as in it, tensor the weight tensors of ``data``
     with M over E0 of rank > 1 and hold none over rank 1 (see
-    :func:`composition_complex`)."""
+    :func:`composition_complex`).
+
+    When ``data.validated`` (M is a module of that dataset) it is marked
+    checked with no product, by the argument of :func:`bar_complex` with
+    the action as one more face: bound B is a complex if the bounds below
+    it are.  The action and a merge on disjoint slots cancel by sign; a
+    merge of the last two parts followed by the action, and two actions in
+    turn, cancel by "module associativity" (:func:`algebra.validate_module`),
+    and "module action balance" and "linearity" make the action well defined
+    on (x)_{E0}.  Otherwise d o d is checked with products."""
     A = data.algebra
     ring, top = A.coeff.ring, A.max_weight
     actions = {k: M.weight_action(k, A.rank(k)) for k in range(1, top + 1)}
@@ -292,7 +318,8 @@ def bar_complex_with_module(data: KoszulData, M: LeftModule,
     def tensor_of(comp):
         return tensor_step(data.tensors[comp], Mb) if comp else identity_tensor(Mb)
     cx, blocks, bad = composition_complex(A.coeff, level, HOMOLOGICAL,
-                                          range(min(smax, top) + 1), tensor_of)
+                                          range(min(smax, top) + 1), tensor_of,
+                                          data.validated)
     if bad is not None:
         raise NotKoszulError(f"bar differential fails d o d = 0 at degree "
                              f"{bad} (invalid dataset)")
@@ -448,10 +475,17 @@ class KoszulData:
     chain, each of which requires it, so no complex is built or checked
     twice.  A fresh build is a fresh ``KoszulData(A)``.  Failures are not
     kept: asking again rebuilds and raises again.
+
+    ``validated`` is the command's verdict: the dataset of A passed
+    ``Dataset.validate()``, so its algebra, modules and package satisfy
+    their identities, and the bar, module-bar and subgroup builders mark
+    their complexes checked with no product (see each).  Left False, as
+    after a failed validation, every complex is checked with products.
     """
 
-    def __init__(self, A: GradedAugmentedAlgebra):
+    def __init__(self, A: GradedAugmentedAlgebra, validated: bool = False):
         self.algebra = A
+        self.validated = validated
         self.tensors = weight_tensors(A)
         self._bars = {}
         self._bar_profiles = {}
@@ -462,7 +496,8 @@ class KoszulData:
 
     def bar(self, k: int) -> BarComplex:
         if k not in self._bars:
-            self._bars[k] = bar_complex(self.algebra, k, self.tensors)
+            self._bars[k] = bar_complex(self.algebra, k, self.tensors,
+                                        self.validated)
         return self._bars[k]
 
     def bar_homology(self, k: int) -> HomologyProfile:

@@ -90,7 +90,9 @@ def _profile_payload(prof: HomologyProfile, N: int) -> dict:
     return {"N": N, "profile": prof.summary()}
 
 
-def _load(path, checks) -> Dataset:
+def _load(path, checks):
+    """The dataset at ``path`` and the command's :class:`KoszulData`, which
+    carries whether the dataset passed validation (the check this adds)."""
     try:
         ds = load_dataset(path, validate=False)
     except FileNotFoundError:
@@ -104,7 +106,7 @@ def _load(path, checks) -> Dataset:
     checks.append(Check("dataset-validation",
                         "structure constants satisfy every ring and module identity",
                         "pass" if rep.passed else "fail", payload))
-    return ds
+    return ds, KoszulData(ds.algebra, rep.passed)
 
 
 class IOFailure(Exception):
@@ -124,11 +126,10 @@ def _ring(p, N) -> BaseRing:
 # ---------------------------------------------------------------------------
 
 def cmd_bar(args, checks) -> Dataset:
-    ds = _load(args.dataset, checks)
+    ds, data = _load(args.dataset, checks)
     k = args.weight
     if k < 0 or k > ds.algebra.max_weight:
         raise UsageError(f"--weight must be in 0..{ds.algebra.max_weight}")
-    data = KoszulData(ds.algebra)
     if args.module is not None:
         # degrees 0..k of the module bar complex: it is built one degree
         # further (it has none above max_weight), so that degree k's
@@ -153,8 +154,7 @@ def cmd_bar(args, checks) -> Dataset:
 
 
 def cmd_koszul(args, checks) -> Dataset:
-    ds = _load(args.dataset, checks)
-    data = KoszulData(ds.algebra)
+    ds, data = _load(args.dataset, checks)
     rep = verify_koszulness(data)
     checks.append(Check(
         "koszulness",
@@ -179,8 +179,7 @@ def cmd_koszul(args, checks) -> Dataset:
 
 
 def cmd_ext(args, checks) -> Dataset:
-    ds = _load(args.dataset, checks)
-    data = KoszulData(ds.algebra)
+    ds, data = _load(args.dataset, checks)
     rep = verify_koszulness(data)
     if not rep.passed:
         checks.append(Check(
@@ -201,7 +200,7 @@ def cmd_ext(args, checks) -> Dataset:
 
 
 def cmd_mic(args, checks) -> Dataset:
-    ds = _load(args.dataset, checks)
+    ds, data = _load(args.dataset, checks)
     pkg = ds.subgroup_package
     if pkg is None:
         raise UsageError("dataset carries no subgroup package")
@@ -209,8 +208,8 @@ def cmd_mic(args, checks) -> Dataset:
     kmax = min(pkg.max_order, ds.algebra.max_weight)
     if args.k < 0 or args.k > kmax:
         raise UsageError(f"--k must be in 0..{kmax}")
-    mic = build_mic(pkg, args.k)
-    prof, cmp_ = mic_cohomology(KoszulData(ds.algebra), mic)
+    mic = build_mic(pkg, args.k, data.validated)
+    prof, cmp_ = mic_cohomology(data, mic)
     checks.append(Check(
         "mic-cohomology",
         f"order-p^{args.k} subgroup complex: cohomology concentrated in "
@@ -326,11 +325,10 @@ def _suite_thm_square(ds, checks, data):
 
 
 def cmd_verify(args, checks) -> Dataset:
-    ds = _load(args.dataset, checks)
     # every suite reads tensors, bar and Koszul complexes from this one
     # object, and flag tensors and pairing inverses from the package, so
     # each is built and checked once per run
-    data = KoszulData(ds.algebra)
+    ds, data = _load(args.dataset, checks)
     suites = ([args.suite] if args.suite != "all"
               else ["koszul", "mic-duality", "thm-square"])
     for s in suites:

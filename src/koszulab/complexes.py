@@ -8,11 +8,17 @@ forms of what is left, whose differentials have no unit entry, in
 :func:`_homology_degree`.  The complexes built here are almost empty and
 their entries almost all units, so little is left.
 
-d o d = 0 is checked once per complex, by one kernel: the products of
-:func:`verify_complex`.  The builders of the bar, Koszul and subgroup
-complexes run it as they build; a passing check marks the complex (and
-:func:`dualize_complex` carries the mark to its dual), and :func:`homology`
-runs it on unmarked complexes only, such as the partition complex.
+A complex is marked ``checked`` once d o d = 0 is known, and
+:func:`homology` checks d o d only on unmarked complexes, with the products
+of :func:`verify_complex`.  Two things mark a complex.  A builder whose
+structure maps satisfy the identities that make its output a complex
+passes ``checked=True`` to :func:`make_complex` and forms no product: the
+partition complex always (its faces satisfy the simplicial identities),
+and the bar, module-bar and subgroup complexes of a dataset that passed
+validation (each builder's docstring gives its argument).  Otherwise a
+passing :func:`verify_complex` marks it: the Koszul complex, built by
+solving, and every complex of unvalidated data, whose failing check keeps
+its witness.  :func:`dualize_complex` carries the mark to the dual.
 """
 from __future__ import annotations
 
@@ -40,8 +46,10 @@ class ChainComplex:
     (ranks[j], ranks[j+1]); for the cohomological orientation it goes upward
     with the transposed shape.  Zero-rank degrees are represented explicitly.
 
-    ``checked`` is set by a passing :func:`verify_complex` only; it is not
-    an argument and takes no part in equality or hashing.
+    ``checked`` means d o d = 0 is known: set by a passing
+    :func:`verify_complex`, or by a builder that proves it (see
+    :func:`make_complex`).  It is not a constructor argument and takes no
+    part in equality or hashing.
     """
 
     ring: BaseRing
@@ -74,10 +82,15 @@ class ChainComplex:
 
 
 def make_complex(ring: BaseRing, orientation: str, min_degree: int,
-                 ranks: Sequence[int],
-                 differentials: Sequence[PAdicMatrix]) -> ChainComplex:
-    return ChainComplex(ring, orientation, min_degree, tuple(ranks),
-                        tuple(differentials))
+                 ranks: Sequence[int], differentials: Sequence[PAdicMatrix],
+                 checked: bool = False) -> ChainComplex:
+    """The complex of these differentials.  ``checked=True`` marks it with
+    no product: only for a builder whose docstring proves d o d = 0."""
+    C = ChainComplex(ring, orientation, min_degree, tuple(ranks),
+                     tuple(differentials))
+    if checked:
+        object.__setattr__(C, "checked", True)
+    return C
 
 
 def _pairs(C: ChainComplex):
@@ -255,8 +268,8 @@ def _reduce(d: PAdicMatrix, gone_src: set, gone_tgt: set, p: int, mod: int):
 def homology(C: ChainComplex) -> HomologyProfile:
     """Exact homology (or cohomology) profile of a bounded complex.
 
-    Three steps.  First, unless ``C`` is marked checked (by its builder, see
-    the module docstring), :func:`verify_complex` certifies d o d = 0 and
+    Three steps.  First, unless ``C`` is marked checked (see the module
+    docstring), :func:`verify_complex` certifies d o d = 0 and
     marks ``C``; a non-complex raises ComplexError naming the degree that
     :func:`verify_complex` reports, the lower end of its first failing pair.
     Then every unit entry of every differential is cancelled with its two
@@ -315,7 +328,5 @@ def dualize_complex(C: ChainComplex) -> ChainComplex:
     transposes of the original's.
     """
     flipped = COHOMOLOGICAL if C.orientation == HOMOLOGICAL else HOMOLOGICAL
-    dual = ChainComplex(C.ring, flipped, C.min_degree, C.ranks,
-                        tuple(d.transpose() for d in C.differentials))
-    object.__setattr__(dual, "checked", C.checked)
-    return dual
+    return make_complex(C.ring, flipped, C.min_degree, C.ranks,
+                        [d.transpose() for d in C.differentials], C.checked)

@@ -48,8 +48,9 @@ class SubgroupAlgebraPackage:
     """The subgroup algebras and their structure maps, with what is derived
     from them once per package and then shared: ``flags``, the table of flag
     modules and subgroup complexes (see :func:`flag_tensors`), filled on use
-    and read by loading, validation and every command; and the inverses of
-    the pairings (:meth:`pairing_inverse`).  Failures are not kept: a
+    and read by loading, validation and every command; the inverses of the
+    pairings (:meth:`pairing_inverse`) and their Kronecker products per
+    composition (:meth:`pairing_inverses_of`).  Failures are not kept: a
     singular pairing raises each time it is asked for."""
 
     coeff: CoefficientAlgebra
@@ -61,6 +62,8 @@ class SubgroupAlgebraPackage:
     flags: CompositionTable = field(init=False, repr=False, compare=False)
     _pairing_inverses: dict = field(init=False, repr=False, compare=False,
                                     default_factory=dict)
+    _inverse_krons: dict = field(init=False, repr=False, compare=False,
+                                 default_factory=dict)
 
     def __post_init__(self):
         self.flags = flag_tensors(self)
@@ -79,6 +82,21 @@ class SubgroupAlgebraPackage:
             except ExactLinalgError:
                 raise MICError(f"pairing for weight {k} is singular mod p^N")
         return self._pairing_inverses[k]
+
+    def pairing_inverses_of(self, composition) -> PAdicMatrix:
+        """The Kronecker product of the pairing inverses of the parts of a
+        nonempty ``composition``, built on that of its prefix, which the
+        package keeps: a composition of two or more parts costs one
+        Kronecker product.  A composition of the top order is a prefix of
+        none, and is not kept."""
+        inv = self._inverse_krons.get(composition)
+        if inv is None:
+            inv = self.pairing_inverse(composition[-1])
+            if len(composition) > 1:
+                inv = self.pairing_inverses_of(composition[:-1]).kron(inv)
+            if sum(composition) < self.max_order:
+                self._inverse_krons[composition] = inv
+        return inv
 
 
 def _flag_factor(orders: dict, k: int) -> Bimodule:
@@ -123,12 +141,23 @@ class ModularIsogenyComplex(NamedTuple):
     blocks: tuple   # per degree, tuple of bar.Block
 
 
-def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
+def build_mic(pkg: SubgroupAlgebraPackage, k: int,
+              validated: bool = False) -> ModularIsogenyComplex:
     """Cochain complex with degree-s term the sum over compositions of k into
     s positive parts of the flag module, and differential the alternating sum
     of the refinement maps applied in each slot.  The flag modules and the
     ambient complex, built on the lower orders', come from ``pkg.flags``; a
-    missing order or u1 raises MICError before the complex is built."""
+    missing order or u1 raises MICError before the complex is built.
+
+    With ``validated`` (the package passed :func:`validate_package`, as the
+    command's ``KoszulData.validated`` says) over E0 of rank 1, it is marked
+    checked with no product: it is the argument of :func:`bar.bar_complex`
+    with the refinements u1 in place of m, arrows reversed.  Order k is a
+    complex if the lower orders are; faces on disjoint slots cancel by sign,
+    and overlapping ones by "u1 coassociativity", checked on the ambient
+    products.  Over rank > 1 validation checks coassociativity only in the
+    quotient and not that u1 is E0-linear, which the quotient coordinates
+    need, so d o d is checked with products, as it is without ``validated``."""
     if k < 0:
         raise MICError("negative order exponent")
     if k > pkg.max_order:
@@ -136,7 +165,8 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int) -> ModularIsogenyComplex:
     low = 1 if k else 0     # order p^0 is the coefficient ring in degree 0
     cx, blocks, deg = composition_complex(pkg.coeff, pkg.flags.ambient.level(k),
                                           COHOMOLOGICAL, range(low, k + 1),
-                                          pkg.flags.__getitem__)
+                                          pkg.flags.__getitem__,
+                                          validated and pkg.coeff.rank == 1)
     if deg is not None:
         comps = [b.composition for b in blocks[deg - low]]
         raise MICError(f"refinement maps fail d o d = 0 between degrees "
@@ -231,9 +261,10 @@ def dualize_bar_to_mic(data: KoszulData, pkg: SubgroupAlgebraPackage,
     """Construct the degreewise isomorphisms from the dual weight-k bar
     complex to the order-p^k complex through the pairing matrices, and assert
     they intertwine the two differentials exactly.  The bar complex comes
-    from ``data``, and the pairing inverses from the package.  Both complexes
-    list the same compositions in the same order, so each map is
-    block-diagonal, one block per composition.
+    from ``data``, and the pairing inverses and their Kronecker products
+    from the package (:meth:`SubgroupAlgebraPackage.pairing_inverses_of`).
+    Both complexes list the same compositions in the same order, so each
+    map is block-diagonal, one block per composition.
 
     Block c is the one X with PK @ sect_mic @ X = proj_bar^T (PK the tensor
     product of c's pairings, unimodular; proj_mic @ sect_mic = 1): X = proj_mic
@@ -258,12 +289,12 @@ def dualize_bar_to_mic(data: KoszulData, pkg: SubgroupAlgebraPackage,
         return MICDualityResult(0, [PAdicMatrix.identity(ring, A.coeff.rank)],
                                 True, None)
     bc = data.bar(k)
-    mic = build_mic(pkg, k)
+    mic = build_mic(pkg, k, data.validated)
     dual = dualize_complex(bc.complex)
 
     def blocks(s):
         for bb, mb in zip(bc.degree_blocks(s), mic.blocks[s - 1]):
-            inv = reduce(PAdicMatrix.kron, map(pkg.pairing_inverse, bb.composition))
+            inv = pkg.pairing_inverses_of(bb.composition)
             if bb.tensor is None:
                 yield inv
                 continue
@@ -380,6 +411,10 @@ def package_to_json(pkg: SubgroupAlgebraPackage) -> dict:
                  "mult_constants": [[[x for x in row] for row in plane]
                                     for plane in S.algebra.mult_constants],
                  "unit": list(S.algebra.unit),
+                 # written only when given, so that files without it keep
+                 # their canonical JSON and fingerprint
+                 **({"maximal_ideal": [list(g) for g in S.algebra.maximal_ideal]}
+                    if S.algebra.maximal_ideal else {}),
                  **_actions_to_json(S.bimodule),
              },
              "t": pkg.t_maps[k].tolist()}

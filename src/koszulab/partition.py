@@ -203,7 +203,15 @@ def partition_complex(n: int, ring: BaseRing,
     """Normalized reduced chain complex: basis the nondegenerate non-basepoint
     simplices, boundary the alternating sum of the interior faces (the two end
     faces land on the collapsed basepoint).  Each entry is written once, as
-    the residue 1 or p^N - 1, and the rows are wrapped as built."""
+    the residue 1 or p^N - 1, and the rows are wrapped as built.
+
+    It is marked checked with no product, as the simplicial identities make
+    it a complex.  Interior face i drops partition i of a chain; what is
+    left is a strict chain with the same two ends, so d o d is the signed
+    sum of the interior faces taken twice.  For i < j, dropping j and then
+    i gives the chain that dropping i and then j - 1 gives (d_i d_j =
+    d_(j-1) d_i), with signs (-1)^(i+j) and (-1)^(i+j-1), and these terms
+    cancel in pairs."""
     blocks, width, chains = _chains(n, force)
     ranks = [len(cs) for cs in chains]
     minus = ring.modulus - 1
@@ -218,7 +226,7 @@ def partition_complex(n: int, ring: BaseRing,
             for hi, lo, low, entry in faces:    # distinct i give distinct faces
                 nonzeros[index[c >> hi << lo | c & low]][col] = entry
         diffs.append(_wrap(ring, tuple(nonzeros), ranks[s - 1], ranks[s]))
-    cx = make_complex(ring, HOMOLOGICAL, 0, ranks, diffs)
+    cx = make_complex(ring, HOMOLOGICAL, 0, ranks, diffs, checked=True)
     return PartitionComplexData(n, cx, tuple(map(tuple, chains)), tuple(blocks),
                                 width)
 

@@ -1,11 +1,12 @@
 """Call counts of single CLI runs: `verify --suite all` builds every bar
 complex and every Koszul complex once, homology does not check d o d again
-on a complex its builder checked (and checks one no builder did with the
-same product check), tensor quotients are built once per composition,
-pairings are inverted once per run and the duality solves no system,
-assembly forms no matrix product over a coefficient algebra of rank 1 and
-two per differential over one of rank 2, each d o d check forms one per
-pair, and `mic` builds its subgroup complex once.
+on a complex its builder marked, on validated data only the Koszul
+complexes are checked with products, tensor quotients are built once per
+composition, pairings are inverted once per run, their Kronecker products
+formed once per composition, and the duality solves no system, assembly
+forms no matrix product over a coefficient algebra of rank 1 and two per
+differential over one of rank 2, each d o d check forms one per pair, and
+`mic` builds its subgroup complex once.
 Functions are wrapped in every koszulab module that holds them, as the
 benchmark's tracer does."""
 import sys
@@ -33,6 +34,7 @@ WRAPPED = (("bar", "bar_complex"), ("bar", "koszul_complex"),
 WRAPPED_METHODS = (("bar", "AmbientTable", "level"),
                    ("padic", "PAdicMatrix", "__matmul__"),
                    ("padic", "PAdicMatrix", "kron_apply"),
+                   ("padic", "PAdicMatrix", "kron"),
                    ("algebra", "Dataset", "validate"))
 
 
@@ -90,23 +92,23 @@ def test_verify_builds_each_complex_once(tmp_path, monkeypatch):
 
 
 def test_homology_checks_d_o_d_only_where_no_builder_did(tmp_path, monkeypatch):
-    """Every complex whose homology `verify --suite all` takes passed its
-    builder's verify_complex (bar, module bar, Koszul and subgroup
-    complexes), and homology checks none of them again; `ext` takes the
-    homology of the dual of a checked Koszul complex, also without a check.
-    The partition complex has no builder check, so `partition` runs
-    verify_complex once, inside homology, and it forms one product per
-    consecutive pair; the passing check marks the complex."""
-    _, path = saved_builtin(tmp_path)
+    """On validated data every complex whose homology `verify --suite all`
+    takes is marked checked before homology reads it, and homology checks
+    none of them again.  The bar, module bar and subgroup complexes are
+    marked by their builders from the identities, so the only
+    verify_complex calls are the Koszul complexes' checks, one per module,
+    each inside `koszul_complex`.  `ext` takes the homology of the dual of
+    a checked Koszul complex, also without a check.  The partition complex
+    is marked by its builder, so `partition` runs no verify_complex."""
+    ds, path = saved_builtin(tmp_path)
     calls = record_calls(monkeypatch)
     report, code = run(["verify", str(path), "--suite", "all", "--json"])
     assert code == EXIT_PASS and report.passed
-    checked = {id(args[0]) for name, args, _ in calls
-               if name == "complexes.verify_complex"}
+    checks = [stack for name, _, stack in calls
+              if name == "complexes.verify_complex"]
+    assert [stack[-1] for stack in checks] == ["bar.koszul_complex"] * len(ds.modules)
     taken = [args[0] for name, args, _ in calls if name == "complexes.homology"]
-    assert taken and all(id(C) in checked for C in taken)
-    assert not [c for c in calls if c[0] == "complexes.verify_complex"
-                and "complexes.homology" in c[2]]
+    assert taken and all(C.checked for C in taken)
 
     calls.clear()
     report, code = run(["ext", str(path), "--module", "sphere", "--json"])
@@ -119,12 +121,8 @@ def test_homology_checks_d_o_d_only_where_no_builder_did(tmp_path, monkeypatch):
     report, code = run(["partition", "--n", "4", "--p", "2", "--json"])
     assert code == EXIT_PASS
     [(_, (C,), _)] = [c for c in calls if c[0] == "complexes.homology"]
-    [check] = [c for c in calls if c[0] == "complexes.verify_complex"]
-    assert check[1][0] is C and check[2] == ("complexes.homology",)
-    pairs = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
-             and c[2][-1:] == ("complexes.verify_complex",)]
-    assert len(pairs) == len(C.differentials) - 1
     assert C.checked
+    assert not [c for c in calls if c[0] == "complexes.verify_complex"]
 
 
 def test_verify_builds_each_tensor_and_inverse_once(tmp_path, monkeypatch):
@@ -196,12 +194,15 @@ def test_mic_builds_its_subgroup_complex_once(tmp_path, monkeypatch):
 
 def test_assembly_forms_no_product_and_verify_one_per_pair(tmp_path, monkeypatch):
     """The ambient differentials are copies of the lower levels' nonzeros
-    plus the faces on the first part, with no matrix product; over a
-    coefficient algebra of rank 1 `composition_complex` takes them as the
-    differentials and forms no product but its d o d check's, one per
-    consecutive pair of differentials.  Over the dual numbers (rank 2) it
-    reads each in quotient coordinates with two products (its blocks'
-    tensor steps are counted apart)."""
+    plus the faces on the first part, with no matrix product.  On validated
+    data over a coefficient algebra of rank 1 `composition_complex` takes
+    them as the differentials, marks the complex from the identities and
+    forms no product at all; what d o d products `verify --suite all` still
+    forms are the Koszul complexes' checks, one per consecutive pair of
+    differentials.  Over the dual numbers (rank 2), with a KoszulData never
+    told the verdict, it reads each differential in quotient coordinates
+    with two products (its blocks' tensor steps are counted apart) and
+    checks each complex, one product per pair."""
     _, path = saved_builtin(tmp_path)
     calls = record_calls(monkeypatch)
     report, code = run(["verify", str(path), "--suite", "all", "--json"])
@@ -212,8 +213,7 @@ def test_assembly_forms_no_product_and_verify_one_per_pair(tmp_path, monkeypatch
     assert not [c for c in calls if c[0] in products
                 and "bar.AmbientTable.level" in c[2]]
     assert not [c for c in calls if c[0] in products
-                and "bar.composition_complex" in c[2]
-                and "complexes.verify_complex" not in c[2]]
+                and "bar.composition_complex" in c[2]]
     checks = [args[0] for name, args, _ in calls if name == "complexes.verify_complex"]
     assert checks
     made = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
@@ -229,8 +229,8 @@ def test_assembly_forms_no_product_and_verify_one_per_pair(tmp_path, monkeypatch
         build_mic(pkg, k)
     for M in ds.modules.values():
         bar_complex_with_module(data, M, A.max_weight)
-    differentials = sum(len(args[3]) - 1 for name, args, _ in calls
-                        if name == "bar.composition_complex")
+    built = [args for name, args, _ in calls if name == "bar.composition_complex"]
+    differentials = sum(len(args[3]) - 1 for args in built)
     assert differentials == (A.max_weight * (A.max_weight + 1) // 2
                              + A.max_weight * (A.max_weight - 1) // 2
                              + A.max_weight * len(ds.modules))
@@ -239,6 +239,29 @@ def test_assembly_forms_no_product_and_verify_one_per_pair(tmp_path, monkeypatch
     made = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
             and c[2][-1:] == ("bar.composition_complex",)]
     assert len(made) == 2 * differentials
+    checks = [args[0] for name, args, stack in calls
+              if name == "complexes.verify_complex"
+              and stack[-1:] == ("bar.composition_complex",)]
+    assert len(checks) == len(built)
+    made = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
+            and c[2][-1:] == ("complexes.verify_complex",)]
+    assert len(made) == sum(max(len(C.differentials) - 1, 0) for C in checks)
+
+
+def test_duality_forms_one_kron_per_composition(tmp_path, monkeypatch):
+    """The duality's blocks over rank 1 are the Kronecker products of the
+    pairing inverses, shared by prefix on the package: over one `verify
+    --suite all` each composition of two or more parts costs one
+    Kronecker product, 26 for the compositions of 2..5 (49 when each
+    composition of s parts formed its own s - 1)."""
+    ds, path = saved_builtin(tmp_path)
+    calls = record_calls(monkeypatch)
+    report, code = run(["verify", str(path), "--suite", "all", "--json"])
+    assert code == EXIT_PASS and report.passed
+    krons = [c for c in calls if c[0] == "padic.PAdicMatrix.kron"
+             and "isogeny.dualize_bar_to_mic" in c[2]]
+    kmax = ds.algebra.max_weight
+    assert len(krons) == sum(2 ** (k - 1) - 1 for k in range(2, kmax + 1)) == 26
 
 
 def test_elimination_builds_no_dense_scratch(monkeypatch):

@@ -295,3 +295,21 @@ def test_non_associative_subgroup_algebra_fails_validation():
     assert ("subgroup algebra associativity",
             "order p^1, basis triple (1,1,2)") in rep.failures
     assert validate_package(pkg).passed
+
+
+def test_subgroup_maximal_ideal_survives_a_round_trip():
+    """A subgroup algebra's maximal ideal is written back when given, so a
+    load-and-save round trip keeps it; one given as empty is not written,
+    and the canonical JSON of a package without one is unchanged."""
+    doc = dataset_to_json(builtin_height1(3, 2, 2))
+    plain = canonical_json(dataset_from_json(doc))
+    assert "maximal_ideal" not in doc["subgroup_package"]["orders"][0]["algebra"]
+    doc["subgroup_package"]["orders"][0]["algebra"]["maximal_ideal"] = []
+    assert canonical_json(dataset_from_json(doc)) == plain
+    doc["subgroup_package"]["orders"][0]["algebra"]["maximal_ideal"] = [[0]]
+    ds = dataset_from_json(doc)
+    assert ds.subgroup_package.orders[1].algebra.maximal_ideal == ((0,),)
+    again = dataset_to_json(ds)
+    assert again["subgroup_package"]["orders"][0]["algebra"]["maximal_ideal"] == [[0]]
+    assert dataset_from_json(again) == ds
+    assert canonical_json(dataset_from_json(again)) == canonical_json(ds) != plain

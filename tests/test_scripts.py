@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from koszulab.complexes import make_complex
+from koszulab.padic import PAdicMatrix
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -23,6 +26,33 @@ ROOT = Path(__file__).resolve().parents[1]
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv):
     run_script(argv)
+
+
+def test_partition_table_counts_a_failing_check_as_a_mismatch(monkeypatch, capsys):
+    """A partition complex whose d o d check fails (here one face of the
+    top differential dropped, the complex still marked checked) is
+    reported, gets no homology, and makes the script exit 1."""
+    table = load_script("partition_table.py")
+    build = table.partition_complex
+
+    def dropped_face(n, ring, force=False):
+        data = build(n, ring, force)
+        C = data.complex
+        if len(C.differentials) < 3:
+            return data
+        top = C.differentials[-1]
+        rows = top.tolist()
+        rows[next(i for i, r in enumerate(rows) if r[0])][0] = 0
+        diffs = C.differentials[:-1] + (PAdicMatrix(C.ring, rows, top.rows, top.cols),)
+        return data._replace(complex=make_complex(
+            C.ring, C.orientation, C.min_degree, C.ranks, diffs, checked=True))
+    monkeypatch.setattr(table, "partition_complex", dropped_face)
+    monkeypatch.setattr(sys, "argv", ["partition_table.py", "--nmax", "4"])
+    assert table.main() == 1
+    out = capsys.readouterr().out
+    assert out.count("d o d != 0 at degree 1 [NOT A COMPLEX]") == 2
+    assert "free ranks (0, 0, 2) [ok]" in out
+    assert "free ranks (0, 0, 0, 6)" not in out
 
 
 def test_ab_inproc_times_setups_of_the_repo_against_itself():
@@ -55,10 +85,7 @@ def test_ab_inproc_setups_compile_from_source_whatever_caches_hold(tmp_path, mon
     """A set-up round imports each tree from source: a stale bytecode file
     in the tree's __pycache__, which a plain import reads, is not read, and
     the interpreter's bytecode settings are restored after the rounds."""
-    spec = importlib.util.spec_from_file_location("ab_inproc",
-                                                  ROOT / "scripts" / "ab_inproc.py")
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
+    ab = load_script("ab_inproc.py")
     tree = tmp_path / "tree"
     init = tree / "src" / "koszulab" / "__init__.py"
     shutil.copytree(ROOT / "src" / "koszulab", init.parent,
@@ -87,6 +114,14 @@ def test_ab_inproc_setups_compile_from_source_whatever_caches_hold(tmp_path, mon
                                  str(tmp_path)))
     assert len(rounds) == 2 and loaded == [False] * 4
     assert (sys.dont_write_bytecode, sys.pycache_prefix) == before
+
+
+def load_script(name):
+    """scripts/<name> imported as a module, its main() not run."""
+    spec = importlib.util.spec_from_file_location(name[:-3], ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(argv):
