@@ -462,49 +462,15 @@ def builtin_height1(p: int, N: int, kmax: int) -> Dataset:
                             "constants, generator basis)")
 
 
+
 # ---------------------------------------------------------------------------
 # Serialization (file format "koszulab-1")
 # ---------------------------------------------------------------------------
 
 FORMAT = "koszulab-1"
-
-
+_TOP = "top level"
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 _REQUIRED = object()
-
-
-def _need(d, key, where, kind, default=_REQUIRED):
-    """``d[key]``, which must have the JSON type ``kind`` (an int is never a
-    bool or a float); ``default`` when the key is absent and one is given.
-    Anything else is a DatasetError naming the JSON path ``where``."""
-    if type(d) is not dict:
-        raise DatasetError(f"{where}: expected an object, got {type(d).__name__}")
-    if key not in d:
-        if default is _REQUIRED:
-            raise DatasetError(f"{where}: missing field {key!r}")
-        return default
-    value = d[key]
-    if type(value) is not kind:
-        raise DatasetError(f"{where}: field {key!r}: expected {_KINDS[kind]}, "
-                           f"got {type(value).__name__}")
-    return value
-
-
-def _rank(d, where):
-    """``d["rank"]``, which must be an int >= 0; a DatasetError names the
-    JSON path ``where`` otherwise."""
-    r = _need(d, "rank", where, int)
-    if r < 0:
-        raise DatasetError(f"{where}: field 'rank': expected a nonnegative "
-                           f"integer, got {r}")
-    return r
-
-
-def _first(table, key, where):
-    """Check that ``key`` is not yet in ``table``: a keyed entry that
-    appears twice in a JSON list is a DatasetError naming ``where``."""
-    if key in table:
-        raise DatasetError(f"{where}: appears more than once")
 
 
 def _int_array(data, depth, where):
@@ -531,156 +497,338 @@ def _matrix_from_json(ring, data, rows, cols, where):
     return PAdicMatrix(ring, _int_array(data, 2, where), rows, cols)
 
 
-def _actions_to_json(B: Bimodule) -> dict:
-    return {"left_action": [m.tolist() for m in B.left],
-            "right_action": [m.tolist() for m in B.right]}
+def _reduced(x, depth, m):
+    return tuple(_reduced(y, depth - 1, m) for y in x) if depth else x % m
 
 
-def _bimodule_from_json(coeff, r, d, where) -> Bimodule:
-    """The rank-r bimodule whose actions are the ``left_action`` and
-    ``right_action`` lists of ``d``: one r x r matrix per coefficient basis
-    element.  A DatasetError names the JSON path under ``where``."""
-    sides = [_need(d, side, where, list) for side in ("left_action", "right_action")]
-    if any(len(ms) != coeff.rank for ms in sides):
-        raise DatasetError(f"{where}: need one action "
-                           "matrix per coefficient basis element")
-    return Bimodule(coeff.ring, coeff, r, *[
-        tuple(_matrix_from_json(coeff.ring, m, r, r, f"{where}.{side}[{i}]")
-              for i, m in enumerate(ms))
-        for side, ms in zip(("left_action", "right_action"), sides)])
+def _lists(x, depth):
+    return [_lists(y, depth - 1) for y in x] if depth else x
 
 
-def dataset_to_json(ds: Dataset) -> dict:
-    A = ds.algebra
-    c = A.coeff
-    out = {
-        "format": FORMAT,
-        "p": ds.p,
-        "N": ds.N,
-        "height_label": ds.height_label,
-        "q_label": ds.q_label,
-        "provenance": ds.provenance,
-        "coefficient_algebra": {
-            "rank": c.rank,
-            "mult_constants": [[[x for x in row] for row in plane]
-                               for plane in c.mult_constants],
-            "unit": list(c.unit),
-            "maximal_ideal": [list(g) for g in c.maximal_ideal],
-        },
-        "algebra": {
-            "max_weight": A.max_weight,
-            "components": [
-                {"k": k, "rank": A.rank(k), **_actions_to_json(A.components[k])}
-                for k in sorted(A.components)
-            ],
-            "mult": [{"k": k, "l": l, "matrix": m.tolist()}
-                     for (k, l), m in sorted(A.mult.items())],
-        },
-        "modules": [
-            {"name": M.name, "rank": M.rank,
-             "action": [{"k": k, "matrix": m.tolist()}
-                        for k, m in sorted(M.action.items())]}
-            for M in ds.modules.values()
-        ],
-    }
-    if ds.subgroup_package is not None:
-        from .isogeny import package_to_json
-        out["subgroup_package"] = package_to_json(ds.subgroup_package)
+# The layout is a tree of fields, each of kind int, str or one of the four
+# below.  An object's fields are read in the order given, into a copy of the
+# values ``v`` read in the objects around it; shapes and checks read ``v``.
+
+class _Ints(NamedTuple):
+    """Nested lists of ints ``depth`` deep, read as nested tuples mod p^N."""
+    depth: int
+
+
+class _Matrix(NamedTuple):
+    """A matrix of shape ``shape(v)``; with ``each``, a list of them, one per
+    basis element of the coefficient algebra."""
+    shape: object
+    each: bool = False
+
+
+class _Object(NamedTuple):
+    """``build(v)`` makes the object of the values of its fields, and
+    ``parts`` maps it back to them."""
+    fields: tuple
+    build: object
+    parts: object
+
+
+class _List(NamedTuple):
+    """Entries named by their first fields, ``keys``, which no two share,
+    read as a dict from the names (a tuple of several keys) and written in
+    their order, sorted unless not ``sort``.  ``check(v)`` is what is wrong
+    with an entry once its name is read, or None."""
+    entry: _Object
+    keys: tuple
+    check: object = None
+    sort: bool = True
+
+
+class _Field(NamedTuple):
+    """An absent key reads as the JSON value ``default`` unless the field is
+    required, and a default value is written only when ``written``.  An int
+    below ``low`` is refused; ``then(v, where)`` runs once the field is read."""
+    key: str
+    kind: object
+    default: object = _REQUIRED
+    written: bool = True
+    low: Optional[int] = None
+    then: object = None
+
+
+_JSON = {_Ints: list, _Matrix: list, _List: list, _Object: dict}
+
+
+def _format(v, where):
+    if v["format"] != FORMAT:
+        raise DatasetError(f"{where}: unsupported format {v['format']!r}")
+
+
+def _ring(v, where):
+    try:
+        v["ring"] = BaseRing(v["p"], v["N"])
+    except ValueError as exc:
+        raise DatasetError(f"{where}: {exc}")
+
+
+def _algebra_shape(v, where):
+    r, mc = v["rank"], v["mult_constants"]
+    if len(mc) != r or any(len(pl) != r or any(len(row) != r for row in pl)
+                           for pl in mc):
+        raise DatasetError(f"{where}.mult_constants: expected "
+                           f"rank^3 = {r}^3 entries")
+    if len(v["unit"]) != r:
+        raise DatasetError(f"{where}.unit: wrong length")
+    for i, g in enumerate(v["maximal_ideal"]):
+        if len(g) != r:
+            raise DatasetError(f"{where}.maximal_ideal[{i}]: wrong length")
+
+
+def _weights(v, where):
+    # distinct weights, so this checks 1..max_weight without building it
+    top = v["max_weight"]
+    if len(v["components"]) != top or not all(1 <= k <= top for k in v["components"]):
+        raise DatasetError(f"{where}.components: weights must be exactly "
+                           "1..max_weight")
+
+
+def _pairs(v, where):
+    # distinct pairs, each checked to have k, l >= 1 and k + l <= max_weight
+    if len(v["mult"]) != v["max_weight"] * (v["max_weight"] - 1) // 2:
+        raise DatasetError(f"{where}.mult: need exactly the pairs (k,l) "
+                           "with k+l <= max_weight")
+
+
+def _shift_check(v):
+    # shift k maps the k-fold flag module of order p to the (k+1)-fold one
+    if v["k"] < 1:
+        return "k must be at least 1"
+    if 1 not in v["orders"]:
+        return "needs the subgroup algebra of order p^1"
+    if v["k"] > max(v["orders"]):
+        return f"k must be at most {max(v['orders'])}, the top order"
+
+
+def _order_rank(v, k):
+    return v["orders"][k][0].rank
+
+
+def _package(v, where):
+    """The package of the orders and u1, whose flag modules shape the shifts."""
+    from .isogeny import SubgroupAlgebraPackage
+    orders = v["orders"]
+    v["package"] = SubgroupAlgebraPackage(
+        v["coefficient_algebra"], {k: S for k, (S, t) in orders.items()},
+        {k: t for k, (S, t) in orders.items()}, v["u1"], {}, {})
+
+
+def _package_maps(v):
+    pkg = v["package"]
+    pkg.shift, pkg.pairing = v["shift"], v["pairing"]
+    return pkg
+
+
+def _coefficient_algebra(v):
+    return CoefficientAlgebra(v["ring"], v["rank"], v["mult_constants"],
+                              v["unit"], v["maximal_ideal"])
+
+
+def _bimodule(v):
+    return Bimodule(v["ring"], v["coefficient_algebra"], v["rank"],
+                    v["left_action"], v["right_action"])
+
+
+def _bimodule_parts(B):
+    return {"rank": B.rank, "left_action": B.left, "right_action": B.right}
+
+
+def _subgroup_algebra(v):
+    from .isogeny import SubgroupAlgebra
+    return SubgroupAlgebra(v["k"], _coefficient_algebra(v), _bimodule(v))
+
+
+def _algebra_fields(ideal_written):
+    """A commutative algebra: rank, rank^3 structure constants, a unit and
+    the generators of its maximal ideal, none when absent."""
+    return (_Field("rank", int, low=0), _Field("mult_constants", _Ints(3)),
+            _Field("unit", _Ints(1)), _Field("maximal_ideal", _Ints(2), [],
+                                             ideal_written, then=_algebra_shape))
+
+
+def _matrices(keys, shape, check):
+    """Entries that are their int ``keys`` and a "matrix"."""
+    return _List(_Object(tuple(_Field(k, int) for k in keys)
+                         + (_Field("matrix", _Matrix(shape)),),
+                         lambda v: v["matrix"], lambda m: {"matrix": m}), keys, check)
+
+
+_SQUARE = _Matrix(lambda v: (v["rank"], v["rank"]), each=True)
+_ACTIONS = (_Field("left_action", _SQUARE), _Field("right_action", _SQUARE))
+
+_LAYOUT = _Object((
+    _Field("format", str, then=_format),
+    _Field("p", int),
+    _Field("N", int, then=_ring),
+    _Field("coefficient_algebra", _Object(_algebra_fields(True), _coefficient_algebra,
+                                          CoefficientAlgebra._asdict)),
+    _Field("q_label", int, 1),
+    _Field("algebra", _Object((
+        _Field("max_weight", int, low=1),
+        _Field("components", _List(_Object(
+            (_Field("k", int), _Field("rank", int, low=0)) + _ACTIONS,
+            _bimodule, _bimodule_parts), ("k",)), then=_weights),
+        _Field("mult", _matrices(
+            ("k", "l"), lambda v: (v["components"][v["k"] + v["l"]].rank,
+                                   v["components"][v["k"]].rank
+                                   * v["components"][v["l"]].rank),
+            lambda v: "weights must be positive" if v["k"] < 1 or v["l"] < 1 else
+            f"weight {v['k'] + v['l']} exceeds max_weight"
+            if v["k"] + v["l"] > v["max_weight"] else None), then=_pairs)),
+        lambda v: GradedAugmentedAlgebra(v["coefficient_algebra"], v["q_label"],
+                                         v["max_weight"], v["components"], v["mult"]),
+        GradedAugmentedAlgebra._asdict)),
+    _Field("modules", _List(_Object(
+        (_Field("name", str), _Field("rank", int, low=0),
+         _Field("action", _matrices(
+             ("k",), lambda v: (v["rank"] * v["coefficient_algebra"].rank,
+                                v["algebra"].rank(v["k"]) * v["rank"]
+                                * v["coefficient_algebra"].rank),
+             lambda v: None if 1 <= v["k"] <= v["algebra"].max_weight
+             else f"weight {v['k']} out of range"), [])),
+        lambda v: LeftModule(v["name"], v["coefficient_algebra"], v["rank"], v["action"]),
+        LeftModule._asdict), ("name",), sort=False), []),
+    _Field("height_label", str, "?"),
+    _Field("provenance", str, ""),
+    _Field("subgroup_package", _Object((
+        _Field("orders", _List(_Object(
+            (_Field("k", int),
+             _Field("algebra", _Object(
+                 _algebra_fields(False) + _ACTIONS, _subgroup_algebra,
+                 lambda S: {**S.algebra._asdict(), **_bimodule_parts(S.bimodule)})),
+             _Field("t", _Matrix(lambda v: (v["algebra"].rank,
+                                            v["coefficient_algebra"].rank)))),
+            lambda v: (v["algebra"], v["t"]), lambda St: {"algebra": St[0], "t": St[1]}),
+            ("k",), lambda v: "k must be at least 1" if v["k"] < 1 else None), []),
+        _Field("u1", _matrices(
+            ("k1", "k2"), lambda v: (_order_rank(v, v["k1"]) * _order_rank(v, v["k2"]),
+                                     _order_rank(v, v["k1"] + v["k2"])),
+            lambda v: None if {v["k1"], v["k2"], v["k1"] + v["k2"]} <= v["orders"].keys()
+            else f"needs the subgroup algebras of orders p^{v['k1']}, p^{v['k2']} "
+                 f"and p^{v['k1'] + v['k2']}"), [], then=_package),
+        _Field("shift", _matrices(("k",), lambda v: tuple(
+            v["package"].flags[(1,) * n].bimodule.rank for n in (v["k"] + 1, v["k"])),
+            _shift_check), []),
+        _Field("pairing", _matrices(
+            ("k",), lambda v: (v["algebra"].rank(v["k"]), _order_rank(v, v["k"])),
+            lambda v: None if v["k"] in v["orders"] and v["k"] in v["algebra"].components
+            else f"needs a weight-{v['k']} component and the subgroup algebra of "
+                 f"order p^{v['k']}"), [])),
+        _package_maps,
+        lambda pkg: {**vars(pkg), "orders": {k: (S, pkg.t_maps[k])
+                                             for k, S in pkg.orders.items()}}),
+        None, written=False)),
+    lambda v: Dataset(v["p"], v["N"], v["height_label"], v["q_label"],
+                      v["provenance"], v["algebra"], v["modules"],
+                      v["subgroup_package"]),
+    lambda ds: {**vars(ds), "format": FORMAT, "coefficient_algebra": ds.algebra.coeff,
+                "modules": {M.name: M for M in ds.modules.values()}})
+
+
+def _read(kind, x, where, at, v):
+    """What the JSON value ``x`` at path ``at``, in the object at ``where``,
+    reads as by ``kind``, given the values ``v`` read before it."""
+    if type(kind) is _Matrix:
+        rows, cols = kind.shape(v)
+        if not kind.each:
+            return _matrix_from_json(v["ring"], x, rows, cols, at)
+        if len(x) != v["coefficient_algebra"].rank:
+            raise DatasetError(f"{where}: need one action matrix "
+                               "per coefficient basis element")
+        return tuple(_matrix_from_json(v["ring"], m, rows, cols, f"{at}[{i}]")
+                     for i, m in enumerate(x))
+    if type(kind) is _Ints:
+        return _reduced(_int_array(x, kind.depth, at), kind.depth, v["ring"].modulus)
+    if type(kind) is _Object:
+        v = dict(v)
+        _read_fields(kind.fields, x, at, v)
+        return kind.build(v)
+    keys, check, build = kind.keys, kind.check, kind.entry.build
+    named, rest = kind.entry.fields[:len(keys)], kind.entry.fields[len(keys):]
+    out, e = {}, dict(v)
+    for i, d in enumerate(x):
+        _read_fields(named, d, f"{at}[{i}]", e)
+        if len(keys) > 1:
+            name = tuple(e[k] for k in keys)
+            entry = f"{at}[{','.join(f'{k}={e[k]}' for k in keys)}]"
+        else:
+            name = e[keys[0]]
+            entry = f"{at}[{name!r}]" if type(name) is str else f"{at}[{keys[0]}={name}]"
+        if name in out:
+            raise DatasetError(f"{entry}: appears more than once")
+        problem = check and check(e)
+        if problem:
+            raise DatasetError(f"{entry}: {problem}")
+        _read_fields(rest, d, entry, e)
+        out[name] = build(e)
     return out
 
 
-def _coefficient_algebra_from_json(ring, d, where) -> CoefficientAlgebra:
-    """A commutative algebra given by rank, rank^3 structure constants, a
-    unit and optionally generators of its maximal ideal."""
-    r = _rank(d, where)
-    mc = _int_array(_need(d, "mult_constants", where, list), 3,
-                    f"{where}.mult_constants")
-    unit = _int_array(_need(d, "unit", where, list), 1, f"{where}.unit")
-    ideal = _int_array(_need(d, "maximal_ideal", where, list, []), 2,
-                       f"{where}.maximal_ideal")
-    if len(mc) != r or any(len(pl) != r for pl in mc) or \
-            any(len(row) != r for pl in mc for row in pl):
-        raise DatasetError(f"{where}.mult_constants: expected "
-                           f"rank^3 = {r}^3 entries")
-    if len(unit) != r:
-        raise DatasetError(f"{where}.unit: wrong length")
-    for i, g in enumerate(ideal):
-        if len(g) != r:
-            raise DatasetError(f"{where}.maximal_ideal[{i}]: wrong length")
-    m = ring.modulus
-    return CoefficientAlgebra(
-        ring, r,
-        tuple(tuple(tuple(x % m for x in row) for row in pl) for pl in mc),
-        tuple(x % m for x in unit),
-        tuple(tuple(x % m for x in g) for g in ideal))
+def _read_fields(fields, d, where, v):
+    """Read ``fields`` of the JSON object ``d`` at path ``where`` into ``v``."""
+    if type(d) is not dict:
+        raise DatasetError(f"{where}: expected an object, got {type(d).__name__}")
+    for key, kind, default, written, low, then in fields:
+        if key in d:
+            x, json_type = d[key], _JSON.get(type(kind), kind)
+            if type(x) is not json_type:
+                raise DatasetError(f"{where}: field {key!r}: expected "
+                                   f"{_KINDS[json_type]}, got {type(x).__name__}")
+            if low is not None and x < low:
+                raise DatasetError(f"{where}: field {key!r}: expected a "
+                                   f"{'positive' if low else 'nonnegative'} "
+                                   f"integer, got {x}")
+        elif default is _REQUIRED:
+            raise DatasetError(f"{where}: missing field {key!r}")
+        else:
+            x = default
+        if kind is not int and kind is not str and x is not None:
+            x = _read(kind, x, where, key if where == _TOP else f"{where}.{key}", v)
+        v[key] = x
+        if then is not None:
+            then(v, where)
+
+
+def _write(kind, x):
+    """The JSON of the value ``x`` by a kind other than int and str."""
+    if type(kind) is _Matrix:
+        return [m.tolist() for m in x] if kind.each else x.tolist()
+    if type(kind) is _Ints:
+        return _lists(x, kind.depth)
+    if type(kind) is _Object:
+        return _write_fields(kind.fields, kind.parts(x), {})
+    keys, rest, parts = kind.keys, kind.entry.fields[len(kind.keys):], kind.entry.parts
+    return [_write_fields(rest, parts(value),
+                          dict(zip(keys, name)) if len(keys) > 1 else {keys[0]: name})
+            for name, value in (sorted(x.items()) if kind.sort else x.items())]
+
+
+def _write_fields(fields, parts, out):
+    """``out`` with the JSON of the values ``parts`` of ``fields``."""
+    for key, kind, default, written, _, _ in fields:
+        x = parts[key]
+        if kind is not int and kind is not str and x is not None:
+            x = _write(kind, x)
+        if written or x != default:
+            out[key] = x
+    return out
+
+
+def dataset_to_json(ds: Dataset) -> dict:
+    """The koszulab-1 JSON object of ``ds``, laid out by ``_LAYOUT``."""
+    return _write(_LAYOUT, ds)
 
 
 def dataset_from_json(doc: dict, validate: bool = True) -> Dataset:
-    top = "top level"
-    if _need(doc, "format", top, str) != FORMAT:
-        raise DatasetError(f"top level: unsupported format {doc.get('format')!r}")
-    p = _need(doc, "p", top, int)
-    N = _need(doc, "N", top, int)
-    try:
-        ring = BaseRing(p, N)
-    except ValueError as exc:
-        raise DatasetError(f"top level: {exc}")
-    coeff = _coefficient_algebra_from_json(
-        ring, _need(doc, "coefficient_algebra", top, dict), "coefficient_algebra")
-    alg = _need(doc, "algebra", top, dict)
-    max_weight = _need(alg, "max_weight", "algebra", int)
-    if max_weight < 1:
-        raise DatasetError(f"algebra: field 'max_weight': expected a positive "
-                           f"integer, got {max_weight}")
-    comps = {}
-    for i, ent in enumerate(_need(alg, "components", "algebra", list)):
-        k = _need(ent, "k", f"algebra.components[{i}]", int)
-        where = f"algebra.components[k={k}]"
-        _first(comps, k, where)
-        comps[k] = _bimodule_from_json(coeff, _rank(ent, where), ent, where)
-    if set(comps) != set(range(1, max_weight + 1)):
-        raise DatasetError("algebra.components: weights must be exactly 1..max_weight")
-    mult = {}
-    for i, ent in enumerate(_need(alg, "mult", "algebra", list)):
-        k = _need(ent, "k", f"algebra.mult[{i}]", int)
-        l = _need(ent, "l", f"algebra.mult[{i}]", int)
-        where = f"algebra.mult[k={k},l={l}]"
-        _first(mult, (k, l), where)
-        if k < 1 or l < 1:
-            raise DatasetError(f"{where}: weights must be positive")
-        if k + l > max_weight:
-            raise DatasetError(f"{where}: weight {k+l} exceeds max_weight")
-        mult[(k, l)] = _matrix_from_json(
-            ring, _need(ent, "matrix", where, list),
-            comps[k + l].rank, comps[k].rank * comps[l].rank, f"{where}.matrix")
-    want = {(k, l) for k in range(1, max_weight) for l in range(1, max_weight + 1 - k)}
-    if set(mult) != want:
-        raise DatasetError("algebra.mult: need exactly the pairs (k,l) with k+l <= max_weight")
-    q_label = _need(doc, "q_label", top, int, 1)
-    algebra = GradedAugmentedAlgebra(coeff, q_label, max_weight, comps, mult)
-    modules = {}
-    for i, ent in enumerate(_need(doc, "modules", top, list, [])):
-        name = _need(ent, "name", f"modules[{i}]", str)
-        where = f"modules[{name!r}]"
-        _first(modules, name, where)
-        r = _rank(ent, where)
-        base = r * coeff.rank
-        action = {}
-        for j, a in enumerate(_need(ent, "action", where, list, [])):
-            k = _need(a, "k", f"{where}.action[{j}]", int)
-            if not 1 <= k <= max_weight:
-                raise DatasetError(f"{where}.action: weight {k} out of range")
-            _first(action, k, f"{where}.action[k={k}]")
-            action[k] = _matrix_from_json(
-                ring, _need(a, "matrix", f"{where}.action[k={k}]", list),
-                base, comps[k].rank * base, f"{where}.action[k={k}].matrix")
-        modules[name] = LeftModule(name, coeff, r, action)
-    ds = Dataset(p, N, _need(doc, "height_label", top, str, "?"), q_label,
-                 _need(doc, "provenance", top, str, ""), algebra, modules)
-    if "subgroup_package" in doc:
-        from .isogeny import package_from_json
-        ds.subgroup_package = package_from_json(
-            ds, _need(doc, "subgroup_package", top, dict))
+    """The dataset of the koszulab-1 JSON object ``doc``, read by
+    ``_LAYOUT``; an error names the JSON path it was found at.  With
+    ``validate``, a dataset that fails ``Dataset.validate`` is a DatasetError."""
+    ds = _read(_LAYOUT, doc, None, _TOP, {})
     if validate:
         rep = ds.validate()
         if not rep.passed:

@@ -15,12 +15,9 @@ from typing import NamedTuple, Optional
 
 from .padic import ExactLinalgError, PAdicMatrix, inverse_mod
 from .complexes import ChainComplex, COHOMOLOGICAL, dualize_complex, homology
-from .algebra import (Bimodule, CoefficientAlgebra, Dataset, DatasetError,
-                      IteratedTensor, LeftModule, ValidationReport,
-                      identity_tensor, iterated_tensor, validate_commutative_algebra,
-                      _e, _actions_to_json, _bimodule_from_json,
-                      _coefficient_algebra_from_json, _first,
-                      _matrix_from_json, _need)
+from .algebra import (Bimodule, CoefficientAlgebra, IteratedTensor,
+                      LeftModule, ValidationReport, identity_tensor,
+                      iterated_tensor, validate_commutative_algebra, _e)
 from .bar import (AmbientTable, CompositionTable, KoszulData, _block_diagonal,
                   composition_complex)
 
@@ -212,26 +209,27 @@ def validate_package(pkg: SubgroupAlgebraPackage) -> ValidationReport:
                 rhs = a.multiply(_apply_col(t, i), _apply_col(t, j))
                 if lhs != rhs:
                     rep.fail("t multiplicativity", f"order p^{k}, pair ({i},{j})")
-    # coassociativity of the refinement maps
-    for total in range(3, pkg.max_order + 1):
-        for a_ in range(1, total - 1):
-            for b_ in range(1, total - a_):
-                c_ = total - a_ - b_
-                if not all(key in pkg.u1 for key in
-                           [(a_, b_ + c_), (b_, c_), (a_ + b_, c_), (a_, b_)]):
-                    continue
-                ra, rc = pkg.rank(a_), pkg.rank(c_)
-                route1 = (PAdicMatrix.identity(pkg.coeff.ring, ra)
-                          .kron(pkg.u1[(b_, c_)]) @ pkg.u1[(a_, b_ + c_)])
-                route2 = (pkg.u1[(a_, b_)]
-                          .kron(PAdicMatrix.identity(pkg.coeff.ring, rc))
-                          @ pkg.u1[(a_ + b_, c_)])
-                if pkg.coeff.rank > 1:   # over rank 1 proj_full is the identity
-                    proj = pkg.flags[(a_, b_, c_)].proj_full
-                    route1, route2 = proj @ route1, proj @ route2
-                if route1 != route2:
-                    rep.fail("u1 coassociativity",
-                             f"decomposition ({a_},{b_},{c_})")
+    # coassociativity of the refinement maps, on the decompositions (a,b,c)
+    # whose four u1 are given, in the order of (a+b+c, a, b)
+    seconds = {}
+    for b_, c_ in pkg.u1:
+        seconds.setdefault(b_, []).append(c_)
+    for _, a_, b_, c_ in sorted(
+            (a_ + b_ + c_, a_, b_, c_) for a_, b_ in pkg.u1
+            for c_ in seconds.get(b_, ())
+            if (a_ + b_, c_) in pkg.u1 and (a_, b_ + c_) in pkg.u1
+            and a_ + b_ + c_ <= pkg.max_order):
+        ra, rc = pkg.rank(a_), pkg.rank(c_)
+        route1 = (PAdicMatrix.identity(pkg.coeff.ring, ra)
+                  .kron(pkg.u1[(b_, c_)]) @ pkg.u1[(a_, b_ + c_)])
+        route2 = (pkg.u1[(a_, b_)]
+                  .kron(PAdicMatrix.identity(pkg.coeff.ring, rc))
+                  @ pkg.u1[(a_ + b_, c_)])
+        if pkg.coeff.rank > 1:   # over rank 1 proj_full is the identity
+            proj = pkg.flags[(a_, b_, c_)].proj_full
+            route1, route2 = proj @ route1, proj @ route2
+        if route1 != route2:
+            rep.fail("u1 coassociativity", f"decomposition ({a_},{b_},{c_})")
     return rep
 
 
@@ -397,92 +395,3 @@ def verify_theorem_10_2(data: KoszulData, pkg: SubgroupAlgebraPackage,
                    for r, row in enumerate(diff.nonzeros) for c0 in sorted(row))
     return ShiftSquareResult(False, top, bottom, witness)
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def package_to_json(pkg: SubgroupAlgebraPackage) -> dict:
-    return {
-        "orders": [
-            {"k": k,
-             "algebra": {
-                 "rank": S.rank,
-                 "mult_constants": [[[x for x in row] for row in plane]
-                                    for plane in S.algebra.mult_constants],
-                 "unit": list(S.algebra.unit),
-                 # written only when given, so that files without it keep
-                 # their canonical JSON and fingerprint
-                 **({"maximal_ideal": [list(g) for g in S.algebra.maximal_ideal]}
-                    if S.algebra.maximal_ideal else {}),
-                 **_actions_to_json(S.bimodule),
-             },
-             "t": pkg.t_maps[k].tolist()}
-            for k, S in sorted(pkg.orders.items())
-        ],
-        "u1": [{"k1": k1, "k2": k2, "matrix": m.tolist()}
-               for (k1, k2), m in sorted(pkg.u1.items())],
-        "shift": [{"k": k, "matrix": m.tolist()} for k, m in sorted(pkg.shift.items())],
-        "pairing": [{"k": k, "matrix": m.tolist()} for k, m in sorted(pkg.pairing.items())],
-    }
-
-
-def package_from_json(ds: Dataset, doc: dict) -> SubgroupAlgebraPackage:
-    coeff = ds.algebra.coeff
-    ring = coeff.ring
-    top = "subgroup_package"
-
-    def mat(data, rows, cols, where):
-        return _matrix_from_json(ring, data, rows, cols, where)
-
-    orders = {}
-    t_maps = {}
-    for i, ent in enumerate(_need(doc, "orders", top, list, [])):
-        k = _need(ent, "k", f"{top}.orders[{i}]", int)
-        where = f"{top}.orders[k={k}]"
-        _first(orders, k, where)
-        if k < 1:
-            raise DatasetError(f"{where}: k must be at least 1")
-        a = _need(ent, "algebra", where, dict)
-        alg = _coefficient_algebra_from_json(ring, a, f"{where}.algebra")
-        orders[k] = SubgroupAlgebra(
-            k, alg, _bimodule_from_json(coeff, alg.rank, a, f"{where}.algebra"))
-        t_maps[k] = mat(_need(ent, "t", where, list), alg.rank, coeff.rank,
-                        f"{where}.t")
-    u1 = {}
-    for i, ent in enumerate(_need(doc, "u1", top, list, [])):
-        k1 = _need(ent, "k1", f"{top}.u1[{i}]", int)
-        k2 = _need(ent, "k2", f"{top}.u1[{i}]", int)
-        where = f"{top}.u1[k1={k1},k2={k2}]"
-        _first(u1, (k1, k2), where)
-        if not {k1, k2, k1 + k2} <= orders.keys():
-            raise DatasetError(f"{where}: needs the subgroup algebras of orders "
-                               f"p^{k1}, p^{k2} and p^{k1 + k2}")
-        u1[(k1, k2)] = mat(_need(ent, "matrix", where, list),
-                           orders[k1].rank * orders[k2].rank,
-                           orders[k1 + k2].rank, f"{where}.matrix")
-    pkg = SubgroupAlgebraPackage(coeff, orders, t_maps, u1, {}, {})
-    shift = {}
-    for i, ent in enumerate(_need(doc, "shift", top, list, [])):
-        k = _need(ent, "k", f"{top}.shift[{i}]", int)
-        where = f"{top}.shift[k={k}]"
-        _first(shift, k, where)
-        if k < 1:
-            raise DatasetError(f"{where}: k must be at least 1")
-        fr = pkg.flags[(1,) * k].bimodule.rank
-        fr1 = pkg.flags[(1,) * (k + 1)].bimodule.rank
-        shift[k] = mat(_need(ent, "matrix", where, list), fr1, fr,
-                       f"{where}.matrix")
-    pairing = {}
-    for i, ent in enumerate(_need(doc, "pairing", top, list, [])):
-        k = _need(ent, "k", f"{top}.pairing[{i}]", int)
-        where = f"{top}.pairing[k={k}]"
-        _first(pairing, k, where)
-        if k not in orders or k not in ds.algebra.components:
-            raise DatasetError(f"{where}: needs a weight-{k} component and "
-                               f"the subgroup algebra of order p^{k}")
-        pairing[k] = mat(_need(ent, "matrix", where, list),
-                         ds.algebra.rank(k), orders[k].rank, f"{where}.matrix")
-    pkg.shift = shift
-    pkg.pairing = pairing
-    return pkg

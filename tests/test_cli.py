@@ -165,6 +165,12 @@ DROP = object()
     pytest.param(("subgroup_package", "shift", 0, "k"), -3,
                  "subgroup_package.shift[k=-3]: k must be at least 1",
                  id="negative-shift-k"),
+    pytest.param(("subgroup_package", "shift", 0, "k"), 4,
+                 "subgroup_package.shift[k=4]: k must be at most 3, the top order",
+                 id="shift-k-above-top-order"),
+    pytest.param(("subgroup_package", "shift", 0, "k"), 2 ** 70,
+                 f"subgroup_package.shift[k={2 ** 70}]: k must be at most 3",
+                 id="huge-shift-k"),
 ])
 def test_bad_scalar_field_is_reported_with_path(tmp_path, capsys, keys, value,
                                                 path_text):
@@ -688,3 +694,51 @@ def test_modulus_wider_than_the_bound_is_refused_quickly(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert call_with_deadline(5, main, ["mic", str(path), "--k", "2"]) == EXIT_IO
     capsys.readouterr()
+
+
+def test_shift_is_checked_before_its_flag_modules_are_built(tmp_path, capsys):
+    """Loading a shift builds its k-fold flag module, so k is refused above
+    the top order (k = 10^6 once ran for minutes) and without a subgroup
+    algebra of order p (once an MICError, exit 3): exit 1, naming the shift."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    package = doc["subgroup_package"]
+    package["shift"][0]["k"] = 10 ** 6
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps(doc))
+    assert call_with_deadline(5, main, ["verify", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"subgroup_package.shift[k={10 ** 6}]: k must be at most 3" in err
+    package["shift"][0]["k"] = 1
+    package["orders"] = [e for e in package["orders"] if e["k"] != 1]
+    package["u1"] = []
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert ("subgroup_package.shift[k=1]: needs the subgroup algebra of "
+            "order p^1") in err and "Traceback" not in err
+
+
+def test_declared_max_weight_allocates_nothing(tmp_path, capsys):
+    """A max_weight of 2^70 beside three components is refused by counting
+    the components, with no range of the declared size built (it once ended
+    in a MemoryError): exit 1, naming algebra.components."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    doc["algebra"]["max_weight"] = 2 ** 70
+    path = tmp_path / "huge_max_weight.json"
+    path.write_text(json.dumps(doc))
+    assert call_with_deadline(5, main, ["verify", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "algebra.components: weights must be exactly 1..max_weight" in err
+    assert "Traceback" not in err
+
+
+def test_coassociativity_is_checked_only_where_u1_is_given(tmp_path, capsys):
+    """validate_package checks u1 coassociativity on the decompositions whose
+    four u1 are given, not on every triple up to the top order: a copy of
+    order p given as order p^400 (once 11 s of all() calls) verifies quickly."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    orders = doc["subgroup_package"]["orders"]
+    orders.append({**orders[0], "k": 400})
+    path = tmp_path / "order_400.json"
+    path.write_text(json.dumps(doc))
+    assert call_with_deadline(5, main, ["verify", str(path)]) == EXIT_PASS

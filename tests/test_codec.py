@@ -11,7 +11,8 @@ import json
 
 import pytest
 
-from koszulab.algebra import builtin_height1, canonical_json, dataset_from_json
+from koszulab.algebra import (builtin_height1, canonical_json, dataset_from_json,
+                              dataset_to_json)
 from koszulab.synthetic import synthetic_height1_dataset
 
 from test_assemble import dual_number_dataset
@@ -57,6 +58,79 @@ def test_canonical_json_is_pinned(name):
     ds = DATASETS[name]()
     assert digest(ds) == DIGESTS[name]
     assert digest(dataset_from_json(json.loads(canonical_json(ds)))) == DIGESTS[name]
+
+
+def drop(*keys):
+    def edit(doc):
+        *outer, last = keys
+        for key in outer:
+            doc = doc[key]
+        del doc[last]
+    return edit
+
+
+def put(value, *keys):
+    def edit(doc):
+        *outer, last = keys
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+ORDER_ALGEBRA = ("subgroup_package", "orders", 0, "algebra")
+
+
+def order_ideal(doc):
+    """A one-generator maximal ideal for the first subgroup algebra."""
+    algebra = doc["subgroup_package"]["orders"][0]["algebra"]
+    algebra["maximal_ideal"] = [[0] * algebra["rank"]]
+
+# Each optional field of the format, set to another value or left out, in
+# which case it reads as its default.
+EDITS = {
+    "as-written": lambda doc: None,
+    "no-q-label": drop("q_label"),
+    "q-label-2": put(2, "q_label"),
+    "no-height-label": drop("height_label"),
+    "no-provenance": drop("provenance"),
+    "no-modules": drop("modules"),
+    "no-module-action": drop("modules", 0, "action"),
+    "no-coefficient-ideal": drop("coefficient_algebra", "maximal_ideal"),
+    "empty-coefficient-ideal": put([], "coefficient_algebra", "maximal_ideal"),
+    "no-package": drop("subgroup_package"),
+    "no-shift": drop("subgroup_package", "shift"),
+    "no-pairing": drop("subgroup_package", "pairing"),
+    "empty-order-ideal": put([], *ORDER_ALGEBRA, "maximal_ideal"),
+    "order-ideal": order_ideal,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_round_trip(name, edit):
+    """Reading what is written gives the same dataset, and the canonical
+    JSON is a fixed point, with every optional field set or left out."""
+    doc = dataset_to_json(DATASETS[name]())
+    EDITS[edit](doc)
+    ds = dataset_from_json(doc, validate=False)
+    again = dataset_from_json(dataset_to_json(ds), validate=False)
+    assert again == ds
+    assert canonical_json(again) == canonical_json(ds)
+
+
+def test_an_empty_maximal_ideal_is_written_only_at_top_level():
+    """The format writes the coefficient algebra's maximal ideal always and a
+    subgroup algebra's only when it has generators, so that files written
+    before subgroup ideals were kept have the same canonical JSON."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    assert all("maximal_ideal" not in order["algebra"]
+               for order in doc["subgroup_package"]["orders"])
+    doc["coefficient_algebra"]["maximal_ideal"] = []
+    doc["subgroup_package"]["orders"][0]["algebra"]["maximal_ideal"] = []
+    again = dataset_to_json(dataset_from_json(doc))
+    assert again["coefficient_algebra"]["maximal_ideal"] == []
+    assert "maximal_ideal" not in again["subgroup_package"]["orders"][0]["algebra"]
 
 
 if __name__ == "__main__":
