@@ -28,6 +28,6 @@ from .isogeny import (SubgroupAlgebra, SubgroupAlgebraPackage, MICError,
                       verify_theorem_10_2, validate_package)
 from .partition import (PartitionSizeError, partition_complex,
                         partition_homology)
-from .synthetic import synthetic_height1_dataset, perturb_pairing
+from .synthetic import synthetic_height1_dataset
 
 __version__ = "0.1.0"

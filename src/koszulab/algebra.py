@@ -596,13 +596,16 @@ def _pairs(v, where):
 
 
 def _shift_check(v):
-    # shift k maps the k-fold flag module of order p to the (k+1)-fold one
+    # shift k maps the k-fold flag module of order p to the (k+1)-fold one,
+    # which loading builds; no command reads a shift above max_weight
     if v["k"] < 1:
         return "k must be at least 1"
     if 1 not in v["orders"]:
         return "needs the subgroup algebra of order p^1"
     if v["k"] > max(v["orders"]):
         return f"k must be at most {max(v['orders'])}, the top order"
+    if v["k"] > v["algebra"].max_weight:
+        return f"k must be at most {v['algebra'].max_weight}, the algebra's max_weight"
 
 
 def _order_rank(v, k):

@@ -186,18 +186,17 @@ class AmbientTable:
 
 def composition_complex(coeff, level: AmbientLevel, orientation: str,
                         degrees: range, tensor_of, proved: bool):
-    """The complex of ``level`` in ``degrees``, its blocks per degree and
-    the degree where d o d fails (None if it is a complex).  Over E0 of
-    rank > 1 block c holds ``tensor_of(c)``, and the ambient differential d
-    is read in the blocks' quotient coordinates: blockdiag(proj_full) @ d @
-    blockdiag(sect_full), two products.  Over rank 1, where
-    tensor_over_coeff returns identity maps, the blocks are the level's
-    compositions with their ambient starts and ranks, hold no tensor, and
-    d is the differential.
+    """The complex of ``level`` in ``degrees`` and its blocks per degree.
+    Over E0 of rank > 1 block c holds ``tensor_of(c)``, and the ambient
+    differential d is read in the blocks' quotient coordinates:
+    blockdiag(proj_full) @ d @ blockdiag(sect_full), two products.  Over
+    rank 1, where tensor_over_coeff returns identity maps, the blocks are
+    the level's compositions with their ambient starts and ranks, hold no
+    tensor, and d is the differential.
 
     With ``proved`` (the caller's structure maps satisfy the identities its
-    docstring names) the complex is marked checked and no d o d product is
-    formed; otherwise :func:`verify_complex` checks it."""
+    docstring names) the complex is marked checked; otherwise it is left
+    unmarked, and :func:`homology` checks d o d when it reads it."""
     ring = coeff.ring
     diffs = level.diffs[degrees.start:degrees.stop - 1]
     if coeff.rank == 1:
@@ -218,8 +217,8 @@ def composition_complex(coeff, level: AmbientLevel, orientation: str,
         diffs = [_block_diagonal(ring, [b.tensor.proj_full for b in tgt]) @ d
                  @ _block_diagonal(ring, [b.tensor.sect_full for b in src])
                  for (tgt, src), d in zip(pairs, diffs)]
-    cx = make_complex(ring, orientation, degrees.start, ranks, diffs, proved)
-    return cx, tuple(blocks), None if proved else verify_complex(cx)[1]
+    return (make_complex(ring, orientation, degrees.start, ranks, diffs, proved),
+            tuple(blocks))
 
 
 class CompositionTable(TensorTable):
@@ -272,18 +271,12 @@ def bar_complex(A: GradedAugmentedAlgebra, k: int,
     associativity", checked on the ambient products.  Over E0 of rank > 1,
     "mult balance" and "mult left/right linearity" make each face well
     defined on the quotient (x)_{E0}, so read in quotient coordinates it is
-    still a complex.  Otherwise d o d is checked with products, and a
-    failure raises NotKoszulError naming the degree.
-    """
+    still a complex.  Otherwise it is left unmarked."""
     if not 0 <= k <= A.max_weight:
         raise ValueError(f"weight {k} outside 0..max_weight={A.max_weight}")
-    cx, blocks, bad = composition_complex(A.coeff, tensors.ambient.level(k),
-                                          HOMOLOGICAL, range(k + 1),
-                                          tensors.__getitem__, validated)
-    if bad is not None:
-        raise NotKoszulError(f"bar differential fails d o d = 0 at degree "
-                             f"{bad} (invalid dataset)")
-    return BarComplex(k, cx, blocks)
+    return BarComplex(k, *composition_complex(
+        A.coeff, tensors.ambient.level(k), HOMOLOGICAL, range(k + 1),
+        tensors.__getitem__, validated))
 
 
 def bar_complex_with_module(data: KoszulData, M: LeftModule,
@@ -307,7 +300,7 @@ def bar_complex_with_module(data: KoszulData, M: LeftModule,
     merge of the last two parts followed by the action, and two actions in
     turn, cancel by "module associativity" (:func:`algebra.validate_module`),
     and "module action balance" and "linearity" make the action well defined
-    on (x)_{E0}.  Otherwise d o d is checked with products."""
+    on (x)_{E0}.  Otherwise it is left unmarked."""
     A = data.algebra
     ring, top = A.coeff.ring, A.max_weight
     actions = {k: M.weight_action(k, A.rank(k)) for k in range(1, top + 1)}
@@ -317,13 +310,9 @@ def bar_complex_with_module(data: KoszulData, M: LeftModule,
 
     def tensor_of(comp):
         return tensor_step(data.tensors[comp], Mb) if comp else identity_tensor(Mb)
-    cx, blocks, bad = composition_complex(A.coeff, level, HOMOLOGICAL,
-                                          range(min(smax, top) + 1), tensor_of,
-                                          data.validated)
-    if bad is not None:
-        raise NotKoszulError(f"bar differential fails d o d = 0 at degree "
-                             f"{bad} (invalid dataset)")
-    return BarComplex(None, cx, blocks)
+    return BarComplex(None, *composition_complex(
+        A.coeff, level, HOMOLOGICAL, range(min(smax, top) + 1), tensor_of,
+        data.validated))
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +468,9 @@ class KoszulData:
     ``validated`` is the command's verdict: the dataset of A passed
     ``Dataset.validate()``, so its algebra, modules and package satisfy
     their identities, and the bar, module-bar and subgroup builders mark
-    their complexes checked with no product (see each).  Left False, as
-    after a failed validation, every complex is checked with products.
+    their complexes checked with no product (see each).  Left False (a
+    caller that never validated), they leave them unmarked, and
+    :func:`homology` checks each one it reads.
     """
 
     def __init__(self, A: GradedAugmentedAlgebra, validated: bool = False):

@@ -91,8 +91,9 @@ def _profile_payload(prof: HomologyProfile, N: int) -> dict:
 
 
 def _load(path, checks):
-    """The dataset at ``path`` and the command's :class:`KoszulData`, which
-    carries whether the dataset passed validation (the check this adds)."""
+    """The dataset at ``path`` and the command's :class:`KoszulData`, once
+    the dataset passes validation (the check this adds); else the command
+    ends, and :class:`InvalidDataset` carries the dataset to :func:`run`."""
     try:
         ds = load_dataset(path, validate=False)
     except FileNotFoundError:
@@ -106,11 +107,17 @@ def _load(path, checks):
     checks.append(Check("dataset-validation",
                         "structure constants satisfy every ring and module identity",
                         "pass" if rep.passed else "fail", payload))
-    return ds, KoszulData(ds.algebra, rep.passed)
+    if not rep.passed:
+        raise InvalidDataset(ds)
+    return ds, KoszulData(ds.algebra, True)
 
 
 class IOFailure(Exception):
     pass
+
+
+class InvalidDataset(Exception):
+    """``args[0]``, a dataset that failed validation: nothing is computed."""
 
 
 def _ring(p, N) -> BaseRing:
@@ -459,6 +466,8 @@ def run(argv=None):
     code = EXIT_PASS
     try:
         ds = _DISPATCH[args.cmd](args, checks)
+    except InvalidDataset as exc:
+        ds = exc.args[0]
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return None, EXIT_USAGE

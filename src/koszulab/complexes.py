@@ -17,8 +17,8 @@ partition complex always (its faces satisfy the simplicial identities),
 and the bar, module-bar and subgroup complexes of a dataset that passed
 validation (each builder's docstring gives its argument).  Otherwise a
 passing :func:`verify_complex` marks it: the Koszul complex, built by
-solving, and every complex of unvalidated data, whose failing check keeps
-its witness.  :func:`dualize_complex` carries the mark to the dual.
+solving, checks itself, and :func:`homology` checks every other complex it
+reads unmarked.  :func:`dualize_complex` carries the mark to the dual.
 """
 from __future__ import annotations
 

@@ -15,9 +15,9 @@ from typing import NamedTuple, Optional
 
 from .padic import ExactLinalgError, PAdicMatrix, inverse_mod
 from .complexes import ChainComplex, COHOMOLOGICAL, dualize_complex, homology
-from .algebra import (Bimodule, CoefficientAlgebra, IteratedTensor,
-                      LeftModule, ValidationReport, identity_tensor,
-                      iterated_tensor, validate_commutative_algebra, _e)
+from .algebra import (Bimodule, CoefficientAlgebra, LeftModule,
+                      ValidationReport, identity_tensor,
+                      validate_commutative_algebra, _e)
 from .bar import (AmbientTable, CompositionTable, KoszulData, _block_diagonal,
                   composition_complex)
 
@@ -102,13 +102,6 @@ def _flag_factor(orders: dict, k: int) -> Bimodule:
     return orders[k].bimodule
 
 
-def flag_tensor(pkg: SubgroupAlgebraPackage, composition) -> IteratedTensor:
-    """The flag module S_{p^{k_1}} (x)_{E0} ... (x)_{E0} S_{p^{k_s}}."""
-    if not composition:
-        return identity_tensor(pkg.coeff.as_bimodule())
-    return iterated_tensor([_flag_factor(pkg.orders, k) for k in composition])
-
-
 def _refinement(u1: dict, k1: int, k2: int) -> PAdicMatrix:
     if (k1, k2) not in u1:
         raise MICError(f"package missing u1 for ({k1},{k2})")
@@ -116,9 +109,10 @@ def _refinement(u1: dict, k1: int, k2: int) -> PAdicMatrix:
 
 
 def flag_tensors(pkg: SubgroupAlgebraPackage) -> CompositionTable:
-    """The table of flag modules of every composition: entry c equals
-    ``flag_tensor(pkg, c)``, and compositions sharing a prefix share its
-    tensor; ``ambient`` holds the ambient subgroup complex of every order.
+    """The table of flag modules of every composition: entry (k_1, ..., k_s)
+    is S_{p^{k_1}} (x)_{E0} ... (x)_{E0} S_{p^{k_s}}, and compositions sharing
+    a prefix share its tensor; ``ambient`` holds the ambient subgroup
+    complex of every order.
     The table holds the package's orders and u1, not the package, which
     holds the table."""
     factor = partial(_flag_factor, pkg.orders)
@@ -154,22 +148,15 @@ def build_mic(pkg: SubgroupAlgebraPackage, k: int,
     and overlapping ones by "u1 coassociativity", checked on the ambient
     products.  Over rank > 1 validation checks coassociativity only in the
     quotient and not that u1 is E0-linear, which the quotient coordinates
-    need, so d o d is checked with products, as it is without ``validated``."""
+    need, so it is left unmarked, as it is without ``validated``."""
     if k < 0:
         raise MICError("negative order exponent")
     if k > pkg.max_order:
         raise MICError(f"package covers orders up to p^{pkg.max_order}, need p^{k}")
     low = 1 if k else 0     # order p^0 is the coefficient ring in degree 0
-    cx, blocks, deg = composition_complex(pkg.coeff, pkg.flags.ambient.level(k),
-                                          COHOMOLOGICAL, range(low, k + 1),
-                                          pkg.flags.__getitem__,
-                                          validated and pkg.coeff.rank == 1)
-    if deg is not None:
-        comps = [b.composition for b in blocks[deg - low]]
-        raise MICError(f"refinement maps fail d o d = 0 between degrees "
-                       f"{deg} and {deg + 2}; source compositions {comps} "
-                       "(coassociativity violation in the package)")
-    return ModularIsogenyComplex(k, cx, blocks)
+    return ModularIsogenyComplex(k, *composition_complex(
+        pkg.coeff, pkg.flags.ambient.level(k), COHOMOLOGICAL, range(low, k + 1),
+        pkg.flags.__getitem__, validated and pkg.coeff.rank == 1))
 
 
 def mic_cohomology(data: KoszulData, mic: ModularIsogenyComplex):

@@ -84,32 +84,3 @@ def _height1_dataset(ring: BaseRing, f: dict, g: dict, provenance: str) -> Datas
     )
     return Dataset(p, ring.N, "1", 1, provenance, algebra, modules, pkg)
 
-
-def perturb_pairing(ds: Dataset, seed: int) -> Dataset:
-    """Copy of the dataset with one pairing scalar multiplied by a unit != 1.
-
-    Every complex stays a complex, but the bar-dual comparison with the
-    subgroup package must now fail (for kmax >= 2).
-    """
-    pkg = ds.subgroup_package
-    if pkg is None:
-        raise ValueError("dataset has no subgroup package")
-    rng = random.Random(("koszulab-perturb", seed).__repr__())
-    ring = ds.algebra.coeff.ring
-    if ring.modulus <= 2:
-        raise ValueError("no unit other than 1 mod 2; use p^N > 2")
-    ks = sorted(pkg.pairing)
-    k = ks[rng.randrange(len(ks))]
-    while True:
-        u = random_unit(rng, ring)
-        if u != 1:
-            break
-    old = pkg.pairing[k]
-    new_pairing = dict(pkg.pairing)
-    new_pairing[k] = old.scale(u)
-    new_pkg = SubgroupAlgebraPackage(pkg.coeff, pkg.orders, pkg.t_maps,
-                                     pkg.u1, pkg.shift, new_pairing)
-    out = Dataset(ds.p, ds.N, ds.height_label, ds.q_label,
-                  ds.provenance + f" [pairing perturbed at weight {k}]",
-                  ds.algebra, ds.modules, new_pkg)
-    return out

@@ -17,11 +17,11 @@ from koszulab.algebra import (Bimodule, Dataset, GradedAugmentedAlgebra,
                               LeftModule, builtin_height1, identity_tensor,
                               iterated_tensor, tensor_step, trivial_module)
 from koszulab.bar import KoszulData, bar_complex_with_module
-from koszulab.isogeny import (SubgroupAlgebra, SubgroupAlgebraPackage,
-                              build_mic, flag_tensor)
+from koszulab.isogeny import SubgroupAlgebra, SubgroupAlgebraPackage, build_mic
 from koszulab.padic import PAdicMatrix
 
-from complex_helpers import bounded_compositions, compositions, place_blocks
+from complex_helpers import (bounded_compositions, compositions, flag_tensor,
+                             place_blocks)
 from test_algebra import dual_numbers
 from test_golden import sym2_dataset
 

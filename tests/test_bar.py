@@ -5,13 +5,17 @@ import pytest
 from koszulab.padic import PAdicMatrix
 from koszulab.complexes import homology, verify_complex
 from koszulab.algebra import (GradedAugmentedAlgebra, builtin_height1,
-                              trivial_module)
-from koszulab.bar import (KoszulData, NotKoszulError, bar_complex_with_module,
-                          ext_groups, koszul_complex, koszul_module,
-                          tor_groups_via_bar, verify_koszulness, weight_tensors)
+                              dataset_from_json, dataset_to_json, trivial_module)
+from koszulab.bar import (ImageEscapesError, KoszulData, NotKoszulError,
+                          bar_complex_with_module, ext_groups, koszul_complex,
+                          koszul_module, tor_groups_via_bar, verify_koszulness,
+                          weight_tensors)
+from koszulab.isogeny import build_mic, mic_cohomology
 from koszulab.synthetic import synthetic_height1_dataset
 
 from complex_helpers import bounded_compositions, compositions
+from test_call_counts import record_calls
+from test_golden import sym2_dataset
 
 
 def test_compositions_lex_order_and_count():
@@ -166,3 +170,39 @@ def test_bar_weight_exceeding_max_weight_rejected():
     ds = builtin_height1(2, 2, 3)
     with pytest.raises(Exception):
         KoszulData(ds.algebra).bar(7)
+
+
+def escaping_sym2():
+    """Sym^2 with one off-diagonal entry of the weight-1 right action set
+    to 1, read without validation (which it fails): an action that does
+    not preserve C[2]."""
+    doc = dataset_to_json(sym2_dataset())
+    weight1 = next(c for c in doc["algebra"]["components"] if c["k"] == 1)
+    weight1["right_action"][0][0][1] = 1
+    return dataset_from_json(doc, validate=False)
+
+
+@pytest.mark.parametrize("route", [
+    lambda data, M: koszul_complex(data, M), lambda data, M: ext_groups(data, M),
+    lambda data, M: data.tor(M)], ids=["koszul_complex", "ext_groups", "tor"])
+def test_action_that_escapes_c_raises_with_witness(route):
+    """On `escaping_sym2` each route that builds C[2] with its coefficient
+    actions (the Koszul complex, and Ext and Tor, which read it) raises
+    ImageEscapesError naming C[2]; its bar complexes are still complexes."""
+    ds = escaping_sym2()
+    data = KoszulData(ds.algebra)
+    with pytest.raises(ImageEscapesError) as exc:
+        route(data, ds.module("triv"))
+    assert str(exc.value) == "coefficient action does not preserve C[2]"
+
+
+def test_mic_does_not_read_the_actions_of_c(monkeypatch):
+    """On the same escaping dataset the order-p^2 comparison reads C[2]'s
+    rank only: it builds no coefficient action of C[2], so it does not
+    fail, and the subgroup complex is concentrated with that rank."""
+    ds = escaping_sym2()
+    data = KoszulData(ds.algebra)
+    calls = record_calls(monkeypatch)
+    _, cmp_ = mic_cohomology(data, build_mic(ds.subgroup_package, 2))
+    assert cmp_["matches"]
+    assert not [c for c in calls if c[0] == "bar._induced_bimodule"]

@@ -11,6 +11,7 @@ Functions are wrapped in every koszulab module that holds them, as the
 benchmark's tracer does."""
 import sys
 
+from koszulab import complexes
 from koszulab.algebra import builtin_height1, save_dataset
 from koszulab.bar import KoszulData, bar_complex_with_module
 from koszulab.cli import EXIT_PASS, run
@@ -201,8 +202,9 @@ def test_assembly_forms_no_product_and_verify_one_per_pair(tmp_path, monkeypatch
     forms are the Koszul complexes' checks, one per consecutive pair of
     differentials.  Over the dual numbers (rank 2), with a KoszulData never
     told the verdict, it reads each differential in quotient coordinates
-    with two products (its blocks' tensor steps are counted apart) and
-    checks each complex, one product per pair."""
+    with two products (its blocks' tensor steps are counted apart), checks
+    no complex and marks none; homology then checks each, one product per
+    pair."""
     _, path = saved_builtin(tmp_path)
     calls = record_calls(monkeypatch)
     report, code = run(["verify", str(path), "--suite", "all", "--json"])
@@ -224,11 +226,10 @@ def test_assembly_forms_no_product_and_verify_one_per_pair(tmp_path, monkeypatch
     A, pkg = ds.algebra, ds.subgroup_package
     calls.clear()
     data = KoszulData(A)
-    for k in range(A.max_weight + 1):
-        data.bar(k)
-        build_mic(pkg, k)
-    for M in ds.modules.values():
-        bar_complex_with_module(data, M, A.max_weight)
+    cxs = [C for k in range(A.max_weight + 1)
+           for C in (data.bar(k).complex, build_mic(pkg, k).complex)]
+    cxs += [bar_complex_with_module(data, M, A.max_weight).complex
+            for M in ds.modules.values()]
     built = [args for name, args, _ in calls if name == "bar.composition_complex"]
     differentials = sum(len(args[3]) - 1 for args in built)
     assert differentials == (A.max_weight * (A.max_weight + 1) // 2
@@ -239,13 +240,18 @@ def test_assembly_forms_no_product_and_verify_one_per_pair(tmp_path, monkeypatch
     made = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
             and c[2][-1:] == ("bar.composition_complex",)]
     assert len(made) == 2 * differentials
+    assert not [c for c in calls if c[0] == "complexes.verify_complex"]
+    assert not any(C.checked for C in cxs) and len(cxs) == len(built)
+    calls.clear()
+    for C in cxs:
+        complexes.homology(C)      # the wrapped homology
     checks = [args[0] for name, args, stack in calls
               if name == "complexes.verify_complex"
-              and stack[-1:] == ("bar.composition_complex",)]
-    assert len(checks) == len(built)
-    made = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
-            and c[2][-1:] == ("complexes.verify_complex",)]
-    assert len(made) == sum(max(len(C.differentials) - 1, 0) for C in checks)
+              and stack[-1:] == ("complexes.homology",)]
+    assert [id(C) for C in checks] == [id(C) for C in cxs]
+    pairs = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
+             and c[2][-1:] == ("complexes.verify_complex",)]
+    assert len(pairs) == sum(max(len(C.differentials) - 1, 0) for C in checks)
 
 
 def test_duality_forms_one_kron_per_composition(tmp_path, monkeypatch):

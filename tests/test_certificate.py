@@ -2,18 +2,18 @@
 module-bar and subgroup builders mark their complexes checked from the
 identities the validation checked, and the partition builder always marks
 its complex, by the simplicial identities: none of them forms a product.
-On anything else (a failed validation, or a KoszulData never told the
-verdict) the builders check d o d with products and keep every witness.
+On anything else (a KoszulData never told the verdict, or a subgroup
+complex over a coefficient algebra of rank > 1) the builders leave their
+complexes unmarked, and homology checks d o d with products when it reads
+them, so a broken structure map surfaces there as a ComplexError.
 An oracle sweep runs verify_complex on an unmarked copy of every complex
 the builders mark."""
-import json
-
 import pytest
 
-from koszulab.algebra import builtin_height1, dataset_to_json
-from koszulab.bar import KoszulData, bar_complex_with_module
-from koszulab.cli import EXIT_MATH, run
-from koszulab.complexes import make_complex, verify_complex
+from koszulab import complexes
+from koszulab.algebra import builtin_height1, dataset_from_json, dataset_to_json
+from koszulab.bar import KoszulData, bar_complex_with_module, verify_koszulness
+from koszulab.complexes import ComplexError, homology, make_complex, verify_complex
 from koszulab.isogeny import build_mic
 from koszulab.padic import BaseRing
 from koszulab.partition import partition_complex
@@ -52,90 +52,81 @@ def unmarked(C):
 @pytest.mark.parametrize("name", FACTORIES)
 def test_validated_builders_mark_checked_with_no_product(name, monkeypatch):
     """With the verdict, no complex of the three builders is checked with
-    products, and each comes out marked.  Over a coefficient algebra of
-    rank 1 composition_complex then forms no product at all.  Over the
-    dual numbers the subgroup complexes keep their check, one per order:
-    validation checks u1 coassociativity only in the quotient and not that
-    u1 is E0-linear."""
+    products, and over a coefficient algebra of rank 1 composition_complex
+    forms no product at all.  Every complex comes out marked but the
+    subgroup complexes over the dual numbers: validation checks u1
+    coassociativity only in the quotient and not that u1 is E0-linear, so
+    those are left for homology to check, one verify_complex each."""
     ds = FACTORIES[name]()
     assert ds.validate().passed
     calls = record_calls(monkeypatch)
     made = built(ds, KoszulData(ds.algebra, True), True)
-    assert all(C.checked for _, C in made)
-    checks = [id(args[0]) for name_, args, _ in calls
-              if name_ == "complexes.verify_complex"]
-    if ds.algebra.coeff.rank == 1:
-        assert checks == []
+    rank_1 = ds.algebra.coeff.rank == 1
+    assert [C.checked for _, C in made] == \
+        [rank_1 or builder != "subgroup" for builder, _ in made]
+    assert not [c for c in calls if c[0] == "complexes.verify_complex"]
+    if rank_1:
         assert not [c for c in calls if c[0] in PRODUCTS
                     and "bar.composition_complex" in c[2]]
-    else:
-        assert checks == [id(C) for builder, C in made if builder == "subgroup"]
+    calls.clear()
+    for _, C in made:
+        complexes.homology(C)      # the wrapped homology
+    checks = [args[0] for name_, args, stack in calls
+              if name_ == "complexes.verify_complex"
+              and stack[-1:] == ("complexes.homology",)]
+    assert [id(C) for C in checks] == \
+        [id(C) for builder, C in made if not rank_1 and builder == "subgroup"]
+    assert all(C.checked for _, C in made)
 
 
 @pytest.mark.parametrize("told", [False, None], ids=["told-false", "never-told"])
 @pytest.mark.parametrize("name", FACTORIES)
-def test_unvalidated_builders_check_with_products(name, told, monkeypatch):
+def test_unvalidated_builders_leave_the_check_to_homology(name, told, monkeypatch):
     """Told that validation failed, or never told, every composition
-    complex is checked by verify_complex inside composition_complex, with
-    one product per consecutive pair of differentials, and the passing
-    check marks it."""
+    complex comes out unmarked, with no d o d product formed while it is
+    built.  homology then checks each by verify_complex, with one product
+    per consecutive pair of differentials, and the passing check marks it."""
     ds = FACTORIES[name]()
     A = ds.algebra
     verdict = () if told is None else (told,)
     data = KoszulData(A, *verdict)
     calls = record_calls(monkeypatch)
     made = built(ds, data, *verdict)
+    assert not any(C.checked for _, C in made)
+    assert len([c for c in calls if c[0] == "bar.composition_complex"]) == len(made)
+    assert not [c for c in calls if c[0] == "complexes.verify_complex"]
+    calls.clear()
+    for _, C in made:
+        complexes.homology(C)      # the wrapped homology
     assert all(C.checked for _, C in made)
-    built_ = [c for c in calls if c[0] == "bar.composition_complex"]
     checks = [args[0] for name_, args, stack in calls
               if name_ == "complexes.verify_complex"
-              and stack[-1:] == ("bar.composition_complex",)]
-    assert len(checks) == len(built_) == len(made)
+              and stack[-1:] == ("complexes.homology",)]
     assert [id(C) for C in checks] == [id(C) for _, C in made]
     pairs = [c for c in calls if c[0] == "padic.PAdicMatrix.__matmul__"
              and c[2][-1:] == ("complexes.verify_complex",)]
     assert len(pairs) == sum(max(len(C.differentials) - 1, 0) for C in checks)
 
 
-def broken(edit):
-    """The built-in p=3 N=2 kmax 4 JSON with ``edit`` applied to it."""
+def test_broken_mult_surfaces_as_a_complex_error_from_homology():
+    """A weight-(1,2) product of 2 breaks mult associativity.  A KoszulData
+    never told the verdict leaves the weight-3 bar complex unmarked, and
+    homology names its first failing degree, as does verify_koszulness,
+    which reads it; the lower weights stay complexes."""
     doc = dataset_to_json(builtin_height1(3, 2, 4))
-    edit(doc)
-    return doc
-
-
-def set_matrix(entries, keys, matrix):
-    for ent in entries:
-        if tuple(ent[k] for k in keys[0]) == keys[1]:
-            ent["matrix"] = matrix
-
-
-@pytest.mark.parametrize("edit, argv, validation, witness", [
-    pytest.param(lambda doc: set_matrix(doc["algebra"]["mult"], (("k", "l"), (1, 2)),
-                                        [[2]]),
-                 ["verify", "--suite", "koszul"], "mult associativity",
-                 "bar differential fails d o d = 0 at degree 1 (invalid dataset)",
-                 id="mult-associativity"),
-    pytest.param(lambda doc: set_matrix(doc["subgroup_package"]["u1"],
-                                        (("k1", "k2"), (1, 2)), [[2]]),
-                 ["mic", "--k", "3"], "u1 coassociativity",
-                 "refinement maps fail d o d = 0 between degrees 1 and 3; "
-                 "source compositions [(3,)] (coassociativity violation in "
-                 "the package)", id="u1-coassociativity"),
-])
-def test_failed_validation_keeps_the_product_check_and_its_witness(
-        tmp_path, edit, argv, validation, witness):
-    """Through the CLI, a dataset that fails validation is built with the
-    product check, and the check's witness ends the command (exit 3)."""
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(broken(edit)))
-    report, code = run([argv[0], str(path), *argv[1:], "--json"])
-    assert code == EXIT_MATH
-    checks = {c.name: c for c in report.checks}
-    assert checks["dataset-validation"].status == "fail"
-    assert any(w.startswith(validation)
-               for w in checks["dataset-validation"].payload["witnesses"])
-    assert checks["computation"].payload == {"witness": witness}
+    for ent in doc["algebra"]["mult"]:
+        if (ent["k"], ent["l"]) == (1, 2):
+            ent["matrix"] = [[2]]
+    ds = dataset_from_json(doc, validate=False)
+    assert any(c == "mult associativity" for c, _ in ds.validate().failures)
+    data = KoszulData(ds.algebra)
+    for k in range(3):
+        homology(data.bar(k).complex)
+    assert not data.bar(3).complex.checked
+    with pytest.raises(ComplexError, match="not a complex: d o d != 0 at degree 1"):
+        homology(data.bar(3).complex)
+    with pytest.raises(ComplexError, match="not a complex: d o d != 0 at degree 1"):
+        verify_koszulness(data)
 
 
 SWEEP = {f"builtin_p{p}_N{N}_k6": (lambda p=p, N=N: builtin_height1(p, N, 6))
@@ -150,11 +141,12 @@ SWEEP["dual_numbers"] = dual_number_dataset
 @pytest.mark.parametrize("name", SWEEP)
 def test_every_marked_composition_complex_passes_the_product_check(name):
     """The oracle: each complex a builder marks from the identities passes
-    verify_complex as an unmarked copy."""
+    verify_complex as an unmarked copy, and so does each it leaves
+    unmarked (the subgroup complexes over a coefficient algebra of rank > 1)."""
     ds = SWEEP[name]()
     assert ds.validate().passed
     made = built(ds, KoszulData(ds.algebra, True), True)
-    assert made and all(C.checked for _, C in made)
+    assert made and any(C.checked for _, C in made)
     for builder, C in made:
         assert verify_complex(unmarked(C)) == (True, None), (builder, C.ranks)
 

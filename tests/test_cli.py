@@ -10,11 +10,16 @@ import pytest
 
 import koszulab
 from koszulab import partition
-from koszulab.algebra import builtin_height1, dataset_to_json, save_dataset
+from koszulab.algebra import (builtin_height1, dataset_from_json, dataset_to_json,
+                              save_dataset)
+from koszulab.bar import KoszulData
 from koszulab.cli import (EXIT_IO, EXIT_MATH, EXIT_PASS,
-                          EXIT_USAGE, REPORT_SCHEMA, fingerprint, main, run)
-from koszulab.synthetic import perturb_pairing, synthetic_height1_dataset
+                          EXIT_USAGE, REPORT_SCHEMA, _suite_mic_duality,
+                          _suite_thm_square, fingerprint, main, run)
+from koszulab.synthetic import synthetic_height1_dataset
 
+from complex_helpers import perturb_pairing
+from test_call_counts import record_calls
 from test_golden import sym2_dataset
 
 
@@ -129,6 +134,10 @@ def test_non_integer_unit_is_reported_with_path(tmp_path, capsys):
 
 
 DROP = object()
+# the kmax-4 package without its weight-4 pairing: orders 1..4, shifts 1..4
+WIDE_PACKAGE = {**dataset_to_json(builtin_height1(3, 2, 4))["subgroup_package"],
+                "pairing": dataset_to_json(builtin_height1(3, 2, 3))
+                ["subgroup_package"]["pairing"]}
 
 
 @pytest.mark.parametrize("keys, value, path_text", [
@@ -168,6 +177,9 @@ DROP = object()
     pytest.param(("subgroup_package", "shift", 0, "k"), 4,
                  "subgroup_package.shift[k=4]: k must be at most 3, the top order",
                  id="shift-k-above-top-order"),
+    pytest.param(("subgroup_package",), WIDE_PACKAGE,
+                 "subgroup_package.shift[k=4]: k must be at most 3, the "
+                 "algebra's max_weight", id="shift-k-above-max-weight"),
     pytest.param(("subgroup_package", "shift", 0, "k"), 2 ** 70,
                  f"subgroup_package.shift[k={2 ** 70}]: k must be at most 3",
                  id="huge-shift-k"),
@@ -296,8 +308,8 @@ def test_subgroup_action_list_of_wrong_length_is_reported_with_path(
 
 def test_package_without_weight1_pairing_fails_with_witness(tmp_path, capsys):
     """A package with no pairing for weight 1 fails validation naming the
-    missing entry, and the duality and the shift-square checks with a
-    witness, exit 3, not a traceback."""
+    missing entry, which ends `verify` (exit 3, not a traceback).  Read
+    without validation, the shift-square suite fails with a witness."""
     doc = dataset_to_json(builtin_height1(3, 2, 3))
     package = doc["subgroup_package"]
     package["pairing"] = [e for e in package["pairing"] if e["k"] != 1]
@@ -306,63 +318,66 @@ def test_package_without_weight1_pairing_fails_with_witness(tmp_path, capsys):
     code, report = run_json(capsys, ["verify", str(path), "--suite", "all",
                                      "--json"])
     assert code == EXIT_MATH
-    valid = next(c for c in report["checks"] if c["name"] == "dataset-validation")
-    assert valid["status"] == "fail"
+    [valid] = report["checks"]
+    assert (valid["name"], valid["status"]) == ("dataset-validation", "fail")
     assert valid["payload"]["witnesses"] == \
         ["missing pairing: subgroup_package.pairing[k=1]"]
-    square = next(c for c in report["checks"] if c["name"] == "suite-shift-square")
-    assert square["status"] == "fail"
-    assert square["payload"]["witnesses"][0] == \
+    ds = dataset_from_json(doc, validate=False)
+    checks = []
+    _suite_thm_square(ds, checks, KoszulData(ds.algebra))
+    [square] = checks
+    assert square.status == "fail"
+    assert square.payload["witnesses"][0] == \
         "square 1: package missing pairing for weight 1"
+
+
+def corrupt_mult(doc):
+    """A weight-(1,2) product of 2: mult associativity fails."""
+    for ent in doc["algebra"]["mult"]:
+        if (ent["k"], ent["l"]) == (1, 2):
+            ent["matrix"] = [[2]]
+
+
+def escaping_action(doc):
+    """An off-diagonal entry of 1 in the weight-1 right action: the action
+    fails unitality and does not preserve C[2]."""
+    weight1 = next(c for c in doc["algebra"]["components"] if c["k"] == 1)
+    weight1["right_action"][0][0][1] = 1
 
 
 def test_invalid_dataset_is_math_failure(tmp_path, capsys):
     doc = dataset_to_json(builtin_height1(3, 2, 4))
-    for ent in doc["algebra"]["mult"]:
-        if (ent["k"], ent["l"]) == (1, 2):
-            ent["matrix"] = [[2]]
+    corrupt_mult(doc)
     path = tmp_path / "corrupt.json"
     path.write_text(json.dumps(doc))
     code = main(["koszul", str(path)])
     assert code == EXIT_MATH
 
 
-def escaping_sym2(tmp_path):
-    """Sym^2 saved with one off-diagonal entry of the weight-1 right action
-    set to 1, an action that does not preserve C[2]."""
-    doc = dataset_to_json(sym2_dataset())
-    weight1 = next(c for c in doc["algebra"]["components"] if c["k"] == 1)
-    weight1["right_action"][0][0][1] = 1
-    path = tmp_path / "escapes.json"
+@pytest.mark.parametrize("argv", [
+    ["bar", "--weight", "2"], ["koszul"], ["ext"], ["mic", "--k", "2"],
+    ["verify", "--suite", "koszul"], ["verify", "--suite", "mic-duality"],
+    ["verify", "--suite", "thm10.2"], ["verify", "--suite", "all"]],
+    ids=lambda argv: "-".join(argv).replace("--", ""))
+@pytest.mark.parametrize("dataset, edit", [
+    (lambda: builtin_height1(3, 2, 4), corrupt_mult),
+    (sym2_dataset, escaping_action)], ids=["corrupt-mult", "escaping-sym2"])
+def test_failed_validation_stops_every_dataset_command(tmp_path, monkeypatch,
+                                                       argv, dataset, edit):
+    """A dataset that fails validation ends the command there: exit 3, a
+    report of that one check with the dataset's fingerprint, and no
+    complex built."""
+    doc = dataset_to_json(dataset())
+    edit(doc)
+    path = tmp_path / "invalid.json"
     path.write_text(json.dumps(doc))
-    return path
-
-
-@pytest.mark.parametrize("argv", [["koszul"], ["ext", "--module", "triv"],
-                                  ["verify", "--suite", "koszul"],
-                                  ["verify", "--suite", "all"]])
-def test_action_that_escapes_c_is_math_failure(tmp_path, capsys, argv):
-    """On `escaping_sym2` each command that builds C[2] with its actions
-    fails its computation with that witness, exit 3, not a traceback."""
-    path = escaping_sym2(tmp_path)
-    code, report = run_json(capsys, argv[:1] + [str(path)] + argv[1:] + ["--json"])
+    calls = record_calls(monkeypatch)
+    report, code = run(argv[:1] + [str(path)] + argv[1:] + ["--json"])
     assert code == EXIT_MATH
-    failed = next(c for c in report["checks"] if c["name"] == "computation")
-    assert failed["status"] == "fail"
-    assert failed["payload"]["witness"] == \
-        "coefficient action does not preserve C[2]"
-
-
-def test_mic_does_not_read_the_actions_of_c(tmp_path, capsys):
-    """On the same escaping dataset `mic --k 2` compares the subgroup
-    complex with C[2]'s rank only: it builds no coefficient action of C[2],
-    so no computation fails, and the exit is 3 for the validation failure
-    alone."""
-    path = escaping_sym2(tmp_path)
-    code, report = run_json(capsys, ["mic", str(path), "--k", "2", "--json"])
-    assert code == EXIT_MATH
-    assert [(c["name"], c["status"]) for c in report["checks"]] == \
-        [("dataset-validation", "fail"), ("mic-cohomology", "pass")]
+    assert [(c.name, c.status) for c in report.checks] == \
+        [("dataset-validation", "fail")]
+    assert report.fingerprint == fingerprint(dataset_from_json(doc, validate=False))
+    assert not [c for c in calls if c[0] == "bar.composition_complex"]
 
 
 def test_koszul_and_ext(h1_path, capsys):
@@ -392,12 +407,13 @@ def test_mic_command(h1_path, capsys):
 
 def test_mic_k_beyond_max_weight_is_usage_error(tmp_path, capsys):
     """A package of higher order than the algebra's max_weight: the kmax-3
-    algebra with the kmax-4 package minus pairing k=4 loads, validates and
-    verifies, and mic --k 4, whose comparison needs the weight-4 Koszul
-    module, is a usage error naming the bound."""
+    algebra with the kmax-4 package minus pairing and shift k=4 loads,
+    validates and verifies, and mic --k 4, whose comparison needs the
+    weight-4 Koszul module, is a usage error naming the bound."""
     doc = dataset_to_json(builtin_height1(3, 2, 3))
     package = dataset_to_json(builtin_height1(3, 2, 4))["subgroup_package"]
     package["pairing"] = [e for e in package["pairing"] if e["k"] != 4]
+    package["shift"] = [e for e in package["shift"] if e["k"] != 4]
     doc["subgroup_package"] = package
     path = tmp_path / "wide_package.json"
     path.write_text(json.dumps(doc))
@@ -650,9 +666,10 @@ def test_usage_error_leaves_the_next_run_unaffected(h1_path, capsys):
 
 def test_singular_pairing_fails_validation_and_each_duality_k(tmp_path, capsys):
     """A pairing that is not invertible mod p^N (k = 2 set to [[3]] over
-    Z/9) fails validation naming it; the duality fails with a witness for
-    each k >= 2 and the shift square, which reads only the weight-1
-    pairing, passes: every suite reports, exit 3."""
+    Z/9) fails validation naming it, which ends `verify` (exit 3).  Read
+    without validation, the duality suite fails with a witness for each
+    k >= 2, and the shift square, which reads only the weight-1 pairing,
+    passes."""
     doc = dataset_to_json(builtin_height1(3, 2, 3))
     for ent in doc["subgroup_package"]["pairing"]:
         if ent["k"] == 2:
@@ -662,13 +679,17 @@ def test_singular_pairing_fails_validation_and_each_duality_k(tmp_path, capsys):
     code, report = run_json(capsys, ["verify", str(path), "--suite", "all",
                                      "--json"])
     assert code == EXIT_MATH
-    checks = {c["name"]: c for c in report["checks"]}
-    assert "computation" not in checks
-    assert checks["dataset-validation"]["payload"]["witnesses"] == \
+    [valid] = report["checks"]
+    assert valid["payload"]["witnesses"] == \
         ["singular pairing: subgroup_package.pairing[k=2]"]
-    assert checks["suite-mic-duality"]["payload"]["witnesses"] == \
+    ds = dataset_from_json(doc, validate=False)
+    data, checks = KoszulData(ds.algebra), []
+    _suite_mic_duality(ds, checks, data)
+    _suite_thm_square(ds, checks, data)
+    duality, square = checks
+    assert duality.payload["witnesses"] == \
         [f"k={k}: pairing for weight 2 is singular mod p^N" for k in (2, 3)]
-    assert checks["suite-shift-square"]["status"] == "pass"
+    assert square.status == "pass"
 
 
 def test_modulus_wider_than_the_bound_is_refused_quickly(tmp_path, capsys):
@@ -716,6 +737,24 @@ def test_shift_is_checked_before_its_flag_modules_are_built(tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("subgroup_package.shift[k=1]: needs the subgroup algebra of "
             "order p^1") in err and "Traceback" not in err
+
+
+def test_shift_above_max_weight_is_refused_before_its_flag_module(tmp_path, capsys):
+    """A shift k above the algebra's max_weight is read by no command, and
+    loading would build its k-fold flag module: with an order k = 20000
+    (a copy of order p) and a shift of that k added, the load once took
+    about 10 s.  It is refused at once: exit 1, naming the shift."""
+    doc = dataset_to_json(builtin_height1(3, 2, 3))
+    package = doc["subgroup_package"]
+    k = 20000
+    package["orders"].append({**package["orders"][0], "k": k})
+    package["shift"].append({**package["shift"][0], "k": k})
+    path = tmp_path / "shift_20000.json"
+    path.write_text(json.dumps(doc))
+    assert call_with_deadline(5, main, ["verify", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert (f"subgroup_package.shift[k={k}]: k must be at most 3, the "
+            "algebra's max_weight") in err and "Traceback" not in err
 
 
 def test_declared_max_weight_allocates_nothing(tmp_path, capsys):

@@ -19,7 +19,9 @@ from koszulab.algebra import (Bimodule, CoefficientAlgebra, Dataset,
 from koszulab.cli import run
 from koszulab.isogeny import SubgroupAlgebra, SubgroupAlgebraPackage
 from koszulab.padic import PAdicMatrix
-from koszulab.synthetic import perturb_pairing, synthetic_height1_dataset
+from koszulab.synthetic import synthetic_height1_dataset
+
+from complex_helpers import perturb_pairing
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -44,9 +46,10 @@ for _p, _N in ((2, 1), (2, 2), (3, 1)):
 
 
 
-def non_koszul_dataset():
+def invalid_non_koszul_dataset():
     """Built-in p=3 N=2 kmax 2 with the weight-(1,1) product replaced by zero:
-    the weight-2 bar homology gains a bottom class (as in test_bar)."""
+    the weight-2 bar homology gains a bottom class (as in test_bar).  The
+    sphere module still acts by units, which fails module associativity."""
     ds = builtin_height1(3, 2, 2)
     A = ds.algebra
     bad = GradedAugmentedAlgebra(A.coeff, A.q_label, 2, A.components,
@@ -54,6 +57,18 @@ def non_koszul_dataset():
     return Dataset(ds.p, ds.N, ds.height_label, ds.q_label,
                    ds.provenance + " [weight-(1,1) product zeroed]", bad,
                    ds.modules, ds.subgroup_package)
+
+
+def non_koszul_dataset():
+    """:func:`invalid_non_koszul_dataset` with the sphere module's actions
+    zeroed too, so that it passes validation and every suite runs."""
+    ds = invalid_non_koszul_dataset()
+    sphere = ds.module("sphere")
+    zero = PAdicMatrix(ds.ring, [[0]], 1, 1)
+    ds.modules = {**ds.modules, "sphere": sphere._replace(
+        action={k: zero for k in sphere.action})}
+    ds.provenance += " [sphere actions zeroed]"
+    return ds
 
 
 def sym2_dataset(kmax=5):
@@ -128,6 +143,9 @@ CASES["verify_non_koszul_p3_N2_k2"] = (
     non_koszul_dataset, ["verify", "--suite", "all", "--json"])
 CASES["koszul_non_koszul_p3_N2_k2"] = (
     non_koszul_dataset, ["koszul", "--json"])
+# the stop report: validation fails, and nothing else is computed
+CASES["verify_invalid_non_koszul_p3_N2_k2"] = (
+    invalid_non_koszul_dataset, ["verify", "--suite", "all", "--json"])
 for _name, _argv in (("verify_thm102", ["verify", "--suite", "thm10.2"]),
                      ("verify_mic_duality", ["verify", "--suite", "mic-duality"]),
                      ("koszul_sphere", ["koszul", "--module", "sphere"]),

@@ -5,17 +5,17 @@ from functools import reduce
 import pytest
 
 from koszulab.padic import PAdicMatrix, inverse_mod
-from koszulab.complexes import homology, verify_complex
+from koszulab.complexes import ComplexError, homology, verify_complex
 from koszulab.algebra import (CoefficientAlgebra, builtin_height1, canonical_json,
                               dataset_from_json, dataset_to_json)
 from koszulab.bar import KoszulData, koszul_module
 from koszulab.isogeny import (MICError, SubgroupAlgebra, SubgroupAlgebraPackage,
-                              build_mic, dualize_bar_to_mic, flag_tensor,
-                              mic_cohomology, validate_package,
-                              verify_theorem_10_2)
-from koszulab.synthetic import perturb_pairing, synthetic_height1_dataset
+                              build_mic, dualize_bar_to_mic, mic_cohomology,
+                              validate_package, verify_theorem_10_2)
+from koszulab.synthetic import synthetic_height1_dataset
 
-from complex_helpers import compositions, place_blocks
+from complex_helpers import (compositions, flag_tensor, perturb_pairing,
+                             place_blocks)
 from test_assemble import dual_number_dataset
 from test_golden import sym2_dataset
 
@@ -74,9 +74,12 @@ def test_broken_coassociativity_surfaces_as_dd_nonzero():
                                  pkg.shift, pkg.pairing)
     rep = validate_package(bad)
     assert any(c == "u1 coassociativity" for c, _ in rep.failures)
-    with pytest.raises(MICError) as exc:
-        build_mic(bad, 3)
-    assert "composition" in str(exc.value)
+    for k in range(3):
+        homology(build_mic(bad, k).complex)
+    mic = build_mic(bad, 3)
+    assert not mic.complex.checked
+    with pytest.raises(ComplexError, match="not a complex: d o d != 0 at degree 1"):
+        homology(mic.complex)
 
 
 def test_duality_builtin_all_orders():

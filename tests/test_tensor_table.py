@@ -12,10 +12,10 @@ from koszulab.algebra import (Bimodule, LeftModule, TensorTable, builtin_height1
 from koszulab.bar import (AmbientTable, KoszulData, bar_complex_with_module,
                           tor_groups_via_bar, weight_tensors)
 from koszulab.cli import EXIT_PASS, run
-from koszulab.isogeny import build_mic, flag_tensor, flag_tensors
+from koszulab.isogeny import build_mic, flag_tensors
 from koszulab.padic import PAdicMatrix
 
-from complex_helpers import bounded_compositions
+from complex_helpers import bounded_compositions, flag_tensor
 from test_algebra import dual_numbers
 from test_assemble import dual_number_dataset
 from test_golden import sym2_dataset
