@@ -172,19 +172,23 @@ def test_bar_weight_exceeding_max_weight_rejected():
         KoszulData(ds.algebra).bar(7)
 
 
-def escaping_sym2():
-    """Sym^2 with one off-diagonal entry of the weight-1 right action set
-    to 1, read without validation (which it fails): an action that does
-    not preserve C[2]."""
-    doc = dataset_to_json(sym2_dataset())
+def escaping_action(doc):
+    """An off-diagonal entry of 1 in the weight-1 right action: the action
+    fails unitality and does not preserve C[2]."""
     weight1 = next(c for c in doc["algebra"]["components"] if c["k"] == 1)
     weight1["right_action"][0][0][1] = 1
+
+
+def escaping_sym2():
+    """Sym^2 with `escaping_action`, read without validation (which it
+    fails)."""
+    doc = dataset_to_json(sym2_dataset())
+    escaping_action(doc)
     return dataset_from_json(doc, validate=False)
 
 
-@pytest.mark.parametrize("route", [
-    lambda data, M: koszul_complex(data, M), lambda data, M: ext_groups(data, M),
-    lambda data, M: data.tor(M)], ids=["koszul_complex", "ext_groups", "tor"])
+@pytest.mark.parametrize("route", [koszul_complex, ext_groups, KoszulData.tor],
+                         ids=["koszul_complex", "ext_groups", "tor"])
 def test_action_that_escapes_c_raises_with_witness(route):
     """On `escaping_sym2` each route that builds C[2] with its coefficient
     actions (the Koszul complex, and Ext and Tor, which read it) raises

@@ -19,6 +19,7 @@ from koszulab.cli import (EXIT_IO, EXIT_MATH, EXIT_PASS,
 from koszulab.synthetic import synthetic_height1_dataset
 
 from complex_helpers import perturb_pairing
+from test_bar import escaping_action
 from test_call_counts import record_calls
 from test_golden import sym2_dataset
 
@@ -336,13 +337,6 @@ def corrupt_mult(doc):
     for ent in doc["algebra"]["mult"]:
         if (ent["k"], ent["l"]) == (1, 2):
             ent["matrix"] = [[2]]
-
-
-def escaping_action(doc):
-    """An off-diagonal entry of 1 in the weight-1 right action: the action
-    fails unitality and does not preserve C[2]."""
-    weight1 = next(c for c in doc["algebra"]["components"] if c["k"] == 1)
-    weight1["right_action"][0][0][1] = 1
 
 
 def test_invalid_dataset_is_math_failure(tmp_path, capsys):
